@@ -42,32 +42,22 @@ def _decl_positions(doc: Document) -> dict[str, tuple[int, int]]:
             if isinstance(d, PatternDecl)}
 
 
-def _load_document(path: str, catalog: Catalog, err):
-    """Read, parse and resolve; returns (doc, lib, warnings) or raises."""
+def _run(path: str, catalog: Catalog, err, action) -> int:
+    """Read, parse and resolve a document, print its warnings, then call
+    ``action(lib)``; map every failure to a diagnostic and an exit code.
+
+    An error from ``action`` is placed at the declaration of the pattern
+    it arose in, else at 1:1.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise _IOFailure(f"cannot read {path}: {e}")
-    warnings: list[Diagnostic] = []
-    doc = parse(text, source_name=path)
-    lib = resolve(doc, catalog, diagnostics=warnings)
-    return doc, lib, warnings
-
-
-class _IOFailure(Exception):
-    pass
-
-
-def cmd_check(path: str, catalog: Catalog, out=None, err=None) -> int:
-    """Parse and resolve a document, check every refinement and network,
-    and evaluate all combine-definitions."""
-    out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        doc, lib, warnings = _load_document(path, catalog, err)
-    except _IOFailure as e:
-        print(f"nesypat: error: {e}", file=err)
+        print(f"nesypat: error: cannot read {path}: {e}", file=err)
         return EXIT_IO
+    warnings: list[Diagnostic] = []
+    try:
+        doc = parse(text, source_name=path)
+        lib = resolve(doc, catalog, diagnostics=warnings)
     except CatalogMissError as e:
         print(f"nesypat: error: {e.message}", file=err)
         return EXIT_IO
@@ -76,14 +66,19 @@ def cmd_check(path: str, catalog: Catalog, out=None, err=None) -> int:
         return EXIT_CHECK_FAILED
     for w in warnings:
         _print_diag(err, path, w)
-    positions = _decl_positions(doc)
     try:
-        evaluate_combines(lib)
+        action(lib)
     except NesyError as e:
-        name = e.message.split(":", 1)[0]
-        _print_diag(err, path, _error_diag(e, positions.get(name, (1, 1))))
+        position = _decl_positions(doc).get(e.decl, (1, 1))
+        _print_diag(err, path, _error_diag(e, position))
         return EXIT_CHECK_FAILED
     return EXIT_OK
+
+
+def cmd_check(path: str, catalog: Catalog, out=None, err=None) -> int:
+    """Parse and resolve a document, check every refinement and network,
+    and evaluate all combine-definitions."""
+    return _run(path, catalog, err or sys.stderr, evaluate_combines)
 
 
 def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
@@ -95,75 +90,43 @@ def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
     if fmt not in FORMATS:
         print(f"nesypat: error: unknown format {fmt!r}", file=err)
         return EXIT_CHECK_FAILED
-    try:
-        doc, lib, warnings = _load_document(path, catalog, err)
-    except _IOFailure as e:
-        print(f"nesypat: error: {e}", file=err)
-        return EXIT_IO
-    except CatalogMissError as e:
-        print(f"nesypat: error: {e.message}", file=err)
-        return EXIT_IO
-    except NesyError as e:
-        _print_diag(err, path, _error_diag(e))
-        return EXIT_CHECK_FAILED
-    for w in warnings:
-        _print_diag(err, path, w)
-    positions = _decl_positions(doc)
-    try:
+
+    def show(lib: Library) -> None:
         if pattern_name in lib.combine_defs:
-            result = combination_result(lib, pattern_name)
-            pattern = result.pattern
-            payload = result
+            payload = combination_result(lib, pattern_name)
+            pattern = payload.pattern
         else:
-            pattern = materialize_pattern(lib, pattern_name)
-            payload = pattern
-    except NesyError as e:
-        _print_diag(err, path, _error_diag(e, positions.get(pattern_name, (1, 1))))
-        return EXIT_CHECK_FAILED
-    if fmt == "dot":
-        out.write(emit_dot(pattern))
-    elif fmt == "json":
-        out.write(emit_json(payload))
-    elif fmt == "dsl":
-        out.write(emit_dsl(Library(taxonomies=dict(lib.taxonomies),
-                                   patterns={pattern.name: pattern})))
-    else:
-        abox_warnings: list[Diagnostic] = []
-        rendered = emit_abox(pattern, abox_warnings).render()
-        for w in abox_warnings:
-            _print_diag(err, path, w)
-        out.write(rendered)
-    return EXIT_OK
+            pattern = payload = materialize_pattern(lib, pattern_name)
+        if fmt == "dot":
+            out.write(emit_dot(pattern))
+        elif fmt == "json":
+            out.write(emit_json(payload))
+        elif fmt == "dsl":
+            out.write(emit_dsl(Library(taxonomies=dict(lib.taxonomies),
+                                       patterns={pattern.name: pattern})))
+        else:
+            abox_warnings: list[Diagnostic] = []
+            rendered = emit_abox(pattern, abox_warnings).render()
+            for w in abox_warnings:
+                _print_diag(err, path, w)
+            out.write(rendered)
+
+    return _run(path, catalog, err, show)
 
 
 def cmd_infer(path: str, from_name: str, to_name: str, catalog: Catalog,
               out=None, err=None) -> int:
     """Infer the unique refinement map between two patterns of a document."""
     out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        doc, lib, warnings = _load_document(path, catalog, err)
-    except _IOFailure as e:
-        print(f"nesypat: error: {e}", file=err)
-        return EXIT_IO
-    except CatalogMissError as e:
-        print(f"nesypat: error: {e.message}", file=err)
-        return EXIT_IO
-    except NesyError as e:
-        _print_diag(err, path, _error_diag(e))
-        return EXIT_CHECK_FAILED
-    for w in warnings:
-        _print_diag(err, path, w)
-    try:
+
+    def show(lib: Library) -> None:
         src = materialize_pattern(lib, from_name)
         tgt = materialize_pattern(lib, to_name)
         refinement = infer_refinement(f"{from_name}->{to_name}", src, tgt)
-    except NesyError as e:
-        _print_diag(err, path, _error_diag(e))
-        return EXIT_CHECK_FAILED
-    for a, b in sorted(refinement.node_map.items()):
-        print(f"{a} |-> {b}", file=out)
-    return EXIT_OK
+        for a, b in sorted(refinement.node_map.items()):
+            print(f"{a} |-> {b}", file=out)
+
+    return _run(path, catalog, err or sys.stderr, show)
 
 
 def _make_catalog(args) -> Catalog:

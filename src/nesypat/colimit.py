@@ -154,22 +154,11 @@ def evaluate_combines(lib: Library) -> Library:
     Combine-definitions are evaluated in dependency order (a definition
     depends on the combine-defined members of its network); cyclic
     dependencies raise CyclicCombineError.  Errors raised while combining
-    are re-raised with the pattern name prefixed.
+    name the failing pattern in ``decl`` and as a message prefix.  The
+    input library is left unchanged.
     """
-    order = _dependency_order(lib)
     patterns = dict(lib.patterns)
-    for pname in order:
-        netname = lib.combine_defs[pname]
-        if netname not in lib.networks:
-            raise UnknownNameError(
-                f"combine-defined pattern {pname!r} references unknown "
-                f"network {netname!r}")
-        net = _refresh_members(lib.networks[netname], patterns)
-        try:
-            result = combine(net)
-        except NesyError as e:
-            raise e.prefixed(f"{pname}: ")
-        patterns[pname] = replace(result.pattern, name=pname)
+    _evaluate(lib, lib.combine_defs, patterns)
     return Library(dict(lib.taxonomies), patterns, dict(lib.refinements),
                    dict(lib.networks), dict(lib.combine_defs))
 
@@ -183,22 +172,8 @@ def combination_result(lib: Library, name: str) -> CombinationResult:
     """
     if name not in lib.combine_defs:
         raise UnknownNameError(f"pattern {name!r} is not combine-defined")
-    deps = _combine_deps(lib)
-    needed = {name}
-    stack = [name]
-    while stack:
-        for d in deps.get(stack.pop(), ()):
-            if d not in needed:
-                needed.add(d)
-                stack.append(d)
-    sub = Library(dict(lib.taxonomies), dict(lib.patterns),
-                  dict(lib.refinements), dict(lib.networks),
-                  {k: v for k, v in lib.combine_defs.items() if k in needed})
-    evaluated = evaluate_combines(sub)
-    net = _refresh_members(lib.networks[lib.combine_defs[name]],
-                           evaluated.patterns)
-    result = combine(net)
-    return replace(result, pattern=replace(result.pattern, name=name))
+    patterns = {k: p for k, p in lib.patterns.items() if k != name}
+    return _evaluate(lib, (name,), patterns)
 
 
 def materialize_pattern(lib: Library, name: str) -> Pattern:
@@ -210,57 +185,79 @@ def materialize_pattern(lib: Library, name: str) -> Pattern:
     raise UnknownNameError(f"unknown pattern {name!r}")
 
 
-def _combine_deps(lib: Library) -> dict[str, set[str]]:
-    combine_names = set(lib.combine_defs)
-    deps: dict[str, set[str]] = {}
-    for pname, netname in lib.combine_defs.items():
-        wanted: set[str] = set()
-        net = lib.networks.get(netname)
-        if net is not None:
-            wanted |= set(net.patterns) & combine_names
-            for r in net.refinements.values():
-                wanted |= {r.source.name, r.target.name} & combine_names
-        deps[pname] = wanted - {pname}
-    return deps
+def _evaluate(lib: Library, names,
+              patterns: dict[str, Pattern]) -> CombinationResult | None:
+    """Combine the combine-defined ``names`` and, first, every
+    combine-defined pattern they depend on, each once, storing each
+    combined pattern in ``patterns``.
 
-
-def _dependency_order(lib: Library) -> list[str]:
-    deps = _combine_deps(lib)
-
+    A name already in ``patterns`` counts as materialized and is skipped.
+    The walk is a name-sorted depth-first post-order on an explicit
+    stack; the whole order is fixed, and cycles reported, before the
+    first combination.  Returns the last combination computed, if any.
+    """
     order: list[str] = []
-    done: set[str] = set()
-    visiting: set[str] = set()
+    on_stack: set[str] = set()
+    finished: set[str] = set()
+    for root in sorted(names):
+        if root in patterns or root in finished:
+            continue
+        stack = [(root, iter(_dependencies(lib, root)))]
+        on_stack.add(root)
+        while stack:
+            name, deps = stack[-1]
+            for d in deps:
+                if d in patterns or d in finished:
+                    continue
+                if d in on_stack:
+                    cycle = " -> ".join([n for n, _ in stack] + [d])
+                    raise CyclicCombineError(
+                        f"cyclic combine-definitions: {cycle}")
+                on_stack.add(d)
+                stack.append((d, iter(_dependencies(lib, d))))
+                break
+            else:
+                stack.pop()
+                on_stack.discard(name)
+                finished.add(name)
+                order.append(name)
 
-    def visit(name: str, chain: tuple[str, ...]) -> None:
-        if name in done:
-            return
-        if name in visiting:
-            cycle = " -> ".join(chain + (name,))
-            raise CyclicCombineError(f"cyclic combine-definitions: {cycle}")
-        visiting.add(name)
-        for d in sorted(deps[name]):
-            visit(d, chain + (name,))
-        visiting.discard(name)
-        done.add(name)
-        order.append(name)
+    result = None
+    for name in order:
+        netname = lib.combine_defs[name]
+        if netname not in lib.networks:
+            raise UnknownNameError(
+                f"combine-defined pattern {name!r} references unknown "
+                f"network {netname!r}")
+        try:
+            result = combine(_refresh_members(lib.networks[netname], patterns))
+        except NesyError as e:
+            raise e.in_decl(name)
+        result = replace(result, pattern=replace(result.pattern, name=name))
+        patterns[name] = result.pattern
+    return result
 
-    for name in sorted(deps):
-        visit(name, ())
-    return order
+
+def _dependencies(lib: Library, name: str) -> list[str]:
+    """The combine-defined patterns the network behind ``name`` uses, sorted."""
+    net = lib.networks.get(lib.combine_defs[name])
+    if net is None:
+        return []
+    used = set(net.patterns)
+    for r in net.refinements.values():
+        used.update((r.source.name, r.target.name))
+    used.discard(name)
+    return sorted(used.intersection(lib.combine_defs))
 
 
 def _refresh_members(net: Network, patterns: dict[str, Pattern]) -> Network:
     """Swap member patterns for their current library versions by name."""
-    new_patterns = {}
-    for name, p in net.patterns.items():
-        new_patterns[name] = patterns.get(name, p)
-    new_refs = {}
-    for name, r in net.refinements.items():
-        new_refs[name] = replace(
-            r,
-            source=patterns.get(r.source.name, r.source),
-            target=patterns.get(r.target.name, r.target))
-    return Network(net.name, new_patterns, new_refs)
+    return Network(
+        net.name,
+        {name: patterns.get(name, p) for name, p in net.patterns.items()},
+        {name: replace(r, source=patterns.get(r.source.name, r.source),
+                       target=patterns.get(r.target.name, r.target))
+         for name, r in net.refinements.items()})
 
 
 def _render_members(members) -> str:

@@ -10,11 +10,12 @@ a line comment.
 
 from __future__ import annotations
 
+import graphlib
+import heapq
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .catalog import Catalog
-from .colimit import combine
 from .errors import (
     Diagnostic,
     DuplicateNameError,
@@ -380,28 +381,6 @@ def parse(text: str, source_name: str = "<input>") -> Document:
 
 # -- resolver -----------------------------------------------------------------
 
-class _ResolvingLibrary(Library):
-    """Library view used during resolution: referencing a combine-defined
-    pattern materializes it on the spot."""
-
-    def has_pattern(self, name: str) -> bool:
-        return name in self.patterns or name in self.combine_defs
-
-    def pattern(self, name: str) -> Pattern:
-        if name in self.patterns:
-            return self.patterns[name]
-        if name in self.combine_defs:
-            net = self.networks[self.combine_defs[name]]
-            try:
-                result = combine(net)
-            except NesyError as e:
-                raise e.prefixed(f"{name}: ")
-            p = replace(result.pattern, name=name)
-            self.patterns[name] = p
-            return p
-        raise UnknownNameError(f"unknown pattern {name!r}")
-
-
 def resolve(doc: Document, catalog: Catalog | None = None,
             diagnostics: list[Diagnostic] | None = None) -> Library:
     """Resolve an AST into a Library of patterns, refinements and networks.
@@ -409,14 +388,17 @@ def resolve(doc: Document, catalog: Catalog | None = None,
     Declarations are processed in order and may only reference earlier
     names.  Refinements without a ``via`` clause get their node map
     inferred; combine-definitions are recorded for lazy evaluation and
-    only materialized here if a later declaration needs them.
+    only materialized here if a later declaration needs them.  An error
+    from combining is placed at the failing pattern's declaration.
     """
     catalog = catalog or Catalog.default()
-    lib = _ResolvingLibrary()
+    lib = Library()
+    positions: dict[str, tuple[int, int]] = {}
     for decl in doc.declarations:
         try:
             if isinstance(decl, PatternDecl):
                 _resolve_pattern(decl, lib, catalog, diagnostics)
+                positions[decl.name] = (decl.line, decl.col)
             elif isinstance(decl, RefinementDecl):
                 _resolve_refinement(decl, lib)
             elif isinstance(decl, NetworkDecl):
@@ -426,12 +408,11 @@ def resolve(doc: Document, catalog: Catalog | None = None,
             else:  # pragma: no cover
                 raise TypeError(f"unknown declaration {decl!r}")
         except NesyError as e:
-            raise e.at(decl.line, decl.col)
-    return Library(lib.taxonomies, lib.patterns, lib.refinements,
-                   lib.networks, lib.combine_defs)
+            raise e.at(*positions.get(e.decl, (decl.line, decl.col)))
+    return lib
 
 
-def _resolve_pattern(decl: PatternDecl, lib: _ResolvingLibrary,
+def _resolve_pattern(decl: PatternDecl, lib: Library,
                      catalog: Catalog, diagnostics) -> None:
     if decl.name in lib.patterns or decl.name in lib.combine_defs:
         raise DuplicateNameError(f"pattern {decl.name!r} declared twice")
@@ -479,7 +460,7 @@ def _resolve_pattern(decl: PatternDecl, lib: _ResolvingLibrary,
                                             node_decls, edge_decls)
 
 
-def _taxonomy_for(ont: OntRef, lib: _ResolvingLibrary, catalog: Catalog,
+def _taxonomy_for(ont: OntRef, lib: Library, catalog: Catalog,
                   diagnostics) -> Taxonomy:
     key = ont.key()
     if key in lib.taxonomies:
@@ -514,7 +495,7 @@ def _shift(ont: OntRef, rel_line: int, rel_col: int) -> tuple[int, int]:
     return ont.ext_line + rel_line - 1, rel_col
 
 
-def _resolve_refinement(decl: RefinementDecl, lib: _ResolvingLibrary) -> None:
+def _resolve_refinement(decl: RefinementDecl, lib: Library) -> None:
     if decl.name in lib.refinements:
         raise DuplicateNameError(f"refinement {decl.name!r} declared twice")
     src = lib.pattern(decl.source)
@@ -591,19 +572,24 @@ def _emit_order(lib: Library) -> list[tuple[str, str]]:
         items.append(("combine", name))
         deps[("combine", name)] = {("network", lib.combine_defs[name])}
 
+    # Emit the lowest-index item whose dependencies are all emitted.
     known = set(items)
-    emitted: set[tuple[str, str]] = set()
+    graph = graphlib.TopologicalSorter()
+    for item in items:
+        graph.add(item, *(d for d in deps[item] if d in known and d != item))
+    try:
+        graph.prepare()
+    except graphlib.CycleError:
+        raise ValueError("library declarations are cyclic; cannot emit") from None
+    index = {item: i for i, item in enumerate(items)}
+    ready: list[tuple[int, tuple[str, str]]] = []
     order: list[tuple[str, str]] = []
-    pending = list(items)
-    while pending:
-        for i, item in enumerate(pending):
-            if {d for d in deps[item] if d in known and d != item} <= emitted:
-                order.append(item)
-                emitted.add(item)
-                del pending[i]
-                break
-        else:
-            raise ValueError("library declarations are cyclic; cannot emit")
+    while graph.is_active():
+        for item in graph.get_ready():
+            heapq.heappush(ready, (index[item], item))
+        item = heapq.heappop(ready)[1]
+        graph.done(item)
+        order.append(item)
     return order
 
 

@@ -23,7 +23,8 @@ class NesyError(Exception):
     """Base class for all toolkit errors.
 
     ``line``/``col`` are 1-based source positions when the error can be
-    traced back to input text, else None.
+    traced back to input text, else None.  ``decl`` names the pattern
+    declaration whose evaluation failed, when known.
     """
 
     def __init__(self, message: str, *, line: int | None = None, col: int | None = None):
@@ -31,6 +32,7 @@ class NesyError(Exception):
         self.message = message
         self.line = line
         self.col = col
+        self.decl: str | None = None
 
     def at(self, line: int | None, col: int | None) -> "NesyError":
         """Attach a source position (kept if already set) and return self."""
@@ -39,9 +41,11 @@ class NesyError(Exception):
             self.col = col
         return self
 
-    def prefixed(self, prefix: str) -> "NesyError":
-        """Prepend context to the message and return self."""
-        self.message = prefix + self.message
+    def in_decl(self, name: str) -> "NesyError":
+        """Record the failing declaration, prefix its name to the message
+        and return self."""
+        self.decl = name
+        self.message = f"{name}: {self.message}"
         self.args = (self.message,)
         return self
 

@@ -17,10 +17,11 @@ class Library:
 
     ``taxonomies`` is keyed by the normalized ontology-reference text of
     the data clauses that produced each taxonomy.  ``combine_defs`` maps a
-    pattern name to the network it combines; such patterns appear in
-    ``patterns`` only once they have been materialized (see
-    ``colimit.evaluate_combines``), except when a later declaration of the
-    same document already forced them.
+    pattern name to the network it combines.  A combine-defined name that
+    is also in ``patterns`` counts as materialized; ``pattern()``
+    materializes one into ``patterns`` on first use, as resolving does for
+    every combine-defined pattern a later declaration references.
+    ``colimit.evaluate_combines`` materializes all of them into a copy.
     """
 
     taxonomies: dict[str, Taxonomy] = field(default_factory=dict)
@@ -30,9 +31,12 @@ class Library:
     combine_defs: dict[str, str] = field(default_factory=dict)
 
     def has_pattern(self, name: str) -> bool:
-        return name in self.patterns
+        return name in self.patterns or name in self.combine_defs
 
     def pattern(self, name: str) -> Pattern:
+        if name not in self.patterns and name in self.combine_defs:
+            from .colimit import _evaluate  # colimit imports this module
+            _evaluate(self, (name,), self.patterns)
         try:
             return self.patterns[name]
         except KeyError:

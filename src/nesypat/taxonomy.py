@@ -27,6 +27,7 @@ DEFAULT_NAMESPACE = "https://ontohub.org/meta/NeSyPatterns.omn#"
 TOP_LOCAL_NAME = "NeSy_Pattern_Element"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+_NUMBER_RE = re.compile(r"[0-9][A-Za-z0-9_.\-]*")
 
 
 def _local_name_of(iri: str) -> str:
@@ -390,8 +391,8 @@ def _tokenize_manchester(text: str, source_name: str) -> list[_Tok]:
             continue
         # Anything else (numbers, parentheses, annotation operators) only
         # appears inside entries we skip; lex it so skipping can walk over it.
-        m = re.match(r"[0-9][A-Za-z0-9_.\-]*", text[i:])
-        length = m.end() if m else 1
+        m = _NUMBER_RE.match(text, i)
+        length = m.end() - i if m else 1
         toks.append(_Tok("misc", text[i:i + length], line, col))
         i += length
         col += length

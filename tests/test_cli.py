@@ -105,6 +105,32 @@ class TestCmdCheck:
         assert code == 1 and out == ""
 
 
+class TestErrorPlacement:
+    """A combination error is placed at its ``combine`` declaration,
+    whichever command forced it."""
+
+    @pytest.mark.parametrize("func, args", [
+        (cmd_check, ()),
+        (cmd_combine, ("Merged", "json")),
+        (cmd_infer, ("Merged", "Abstract")),
+    ])
+    def test_undefined_combination_at_declaration(self, func, args):
+        code, out, err = run(func, CLASH, *args, Catalog.default())
+        assert code == 1 and out == ""
+        assert err.startswith(f"{CLASH}:21:1: error: Merged: no infimum")
+
+    def test_error_forced_while_resolving_placed_at_declaration(self, tmp_path):
+        doc = tmp_path / "wrapped.nesy"
+        doc.write_text(Path(CLASH).read_text()
+                       + "network Wrap = Merged end\n"
+                       "pattern Outer = combine Wrap end\n")
+        for func, args in ((cmd_check, ()), (cmd_combine, ("Outer", "dot")),
+                           (cmd_infer, ("Outer", "Abstract"))):
+            code, out, err = run(func, str(doc), *args, Catalog.default())
+            assert code == 1
+            assert err.startswith(f"{doc}:21:1: error: Merged: no infimum")
+
+
 class TestCmdCombine:
     def test_fig_combination_json(self):
         code, out, err = run(cmd_combine, FIG, "SemanticGenerateAndTrain",

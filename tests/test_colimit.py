@@ -8,7 +8,18 @@ from helpers import (
     make_random_network,
     random_pattern,
 )
-from nesypat.colimit import UnionFind, combine, evaluate_combines
+from pathlib import Path
+
+from nesypat import colimit
+from nesypat.catalog import Catalog
+from nesypat.colimit import (
+    UnionFind,
+    combination_result,
+    combine,
+    evaluate_combines,
+    materialize_pattern,
+)
+from nesypat.dsl import parse, resolve
 from nesypat.errors import (
     CyclicCombineError,
     DegenerateLoopError,
@@ -264,3 +275,96 @@ class TestEvaluateCombines:
         out = evaluate_combines(lib)
         assert isomorphic(out.patterns["Mid"], base)
         assert isomorphic(out.patterns["Outer"], base)
+
+
+FIG_DOC = (Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
+           / "semantic_generate_and_train.nesy").read_text()
+
+
+@pytest.fixture()
+def count_combines(monkeypatch):
+    calls = []
+
+    def counting(net):
+        calls.append(net.name)
+        return combine(net)
+
+    monkeypatch.setattr(colimit, "combine", counting)
+    return calls
+
+
+class TestEvaluator:
+    def test_combination_result_combines_once(self, count_combines):
+        lib = resolve(parse(FIG_DOC), Catalog.default())
+        count_combines.clear()
+        res = combination_result(lib, "SemanticGenerateAndTrain")
+        assert count_combines == ["N"]
+        assert res.pattern.name == "SemanticGenerateAndTrain"
+        assert len(res.pattern.nodes) == 6
+        assert "SemanticGenerateAndTrain" not in lib.patterns  # input untouched
+
+    def test_materialized_dependencies_not_recombined(self, t, count_combines):
+        base = pat(t, "Base", [("m", "Model")])
+        stub_mid = pat(t, "Mid", [("m", "Model")])
+        lib = Library(patterns={"Base": base},
+                      networks={"N1": net_of("N1", [base], []),
+                                "N2": net_of("N2", [stub_mid], [])},
+                      combine_defs={"Mid": "N1", "Outer": "N2"})
+        out = evaluate_combines(lib)
+        assert count_combines == ["N1", "N2"]
+        count_combines.clear()
+        again = evaluate_combines(out)
+        assert count_combines == []
+        assert again.patterns == out.patterns
+        res = combination_result(out, "Outer")
+        assert count_combines == ["N2"]
+        assert res.pattern == out.patterns["Outer"]
+
+    def test_library_pattern_materializes_on_first_use(self, t, count_combines):
+        base = pat(t, "Base", [("m", "Model")])
+        lib = Library(patterns={"Base": base},
+                      networks={"N1": net_of("N1", [base], [])},
+                      combine_defs={"Mid": "N1"})
+        assert lib.has_pattern("Mid")
+        mid = lib.pattern("Mid")
+        assert lib.patterns["Mid"] is mid
+        assert lib.pattern("Mid") is mid
+        assert count_combines == ["N1"]
+        assert materialize_pattern(lib, "Mid") is mid
+
+    @pytest.mark.parametrize("names", [("A", "B"), ("A", "B", "C")])
+    def test_cycle_named_in_message(self, t, names):
+        networks, combine_defs = {}, {}
+        for name, nxt in zip(names, names[1:] + names[:1]):
+            networks[f"N{name}"] = net_of(f"N{name}",
+                                          [pat(t, nxt, [("m", "Model")])], [])
+            combine_defs[name] = f"N{name}"
+        lib = Library(networks=networks, combine_defs=combine_defs)
+        from_a = " -> ".join(names + names[:1])
+        from_b = " -> ".join(names[1:] + names[:2])
+        for call, cycle in ((evaluate_combines, from_a),
+                            (lambda lib: lib.pattern("A"), from_a),
+                            (lambda lib: combination_result(lib, "B"), from_b)):
+            with pytest.raises(CyclicCombineError) as e:
+                call(lib)
+            assert e.value.message == f"cyclic combine-definitions: {cycle}"
+            assert e.value.decl is None
+
+    def test_error_records_failing_declaration(self, t):
+        model = pat(t, "M", [("m0", "Model")])
+        sem = pat(t, "A", [("x", "Semantic_Model")])
+        stat = pat(t, "B", [("y", "Statistical_Model")])
+        clash = net_of("Clash", [model, sem, stat],
+                       [Refinement("RA", model, sem, {"m0": "x"}),
+                        Refinement("RB", model, stat, {"m0": "y"})])
+        stub = pat(t, "Broken", [("m", "Model")])
+        lib = Library(patterns={p.name: p for p in (model, sem, stat)},
+                      networks={"Clash": clash,
+                                "Wrap": net_of("Wrap", [stub], [])},
+                      combine_defs={"Broken": "Clash", "Outer": "Wrap"})
+        for call in (evaluate_combines, lambda lib: combination_result(lib, "Outer")):
+            with pytest.raises(UndefinedColimitError) as e:
+                call(lib)
+            assert e.value.decl == "Broken"
+            assert e.value.message.startswith("Broken: no infimum")
+

@@ -1,9 +1,13 @@
+import io
 import random
 from pathlib import Path
 
 import pytest
 
+from helpers import random_dsl_document
+from nesypat import dsl
 from nesypat.catalog import Catalog
+from nesypat.cli import cmd_check
 from nesypat.colimit import evaluate_combines
 from nesypat.dsl import (
     Document,
@@ -23,6 +27,8 @@ from nesypat.errors import (
     UnknownClassError,
     UnknownNameError,
 )
+from nesypat.library import Library
+from nesypat.network import Network
 from nesypat.pattern import isomorphic
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
@@ -264,3 +270,102 @@ class TestRoundTripProperty:
             assert set(lib.patterns) == set(lib2.patterns)
             for name in lib.patterns:
                 assert isomorphic(lib.patterns[name], lib2.patterns[name]), name
+
+
+def nested_combines(n: int) -> str:
+    """P0, then n networks each wrapping the previous combination; the
+    outermost combination's name sorts first."""
+    lines = ["logic NeSyPatterns",
+             "pattern P0 = data ontohub:NeSyPatterns.omn m : Model; end"]
+    prev = "P0"
+    for i in range(1, n + 1):
+        name = f"C{n - i:05d}"
+        lines += [f"network N{i} = {prev} end",
+                  f"pattern {name} = combine N{i} end"]
+        prev = name
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepCombines:
+    def test_deep_nesting_checks_and_round_trips(self, tmp_path, catalog):
+        text = nested_combines(3000)
+        doc = tmp_path / "deep.nesy"
+        doc.write_text(text)
+        err = io.StringIO()
+        assert cmd_check(str(doc), catalog, err=err) == 0, err.getvalue()
+
+        lib = evaluate_combines(resolve(parse(text), catalog))
+        assert sorted(lib.combine_defs)[0] == "C00000"
+        lib2 = evaluate_combines(resolve(parse(emit_dsl(lib)), Catalog.default()))
+        assert set(lib2.patterns) == set(lib.patterns)
+        for name, p in lib.patterns.items():
+            assert isomorphic(p, lib2.patterns[name]), name
+
+
+def _reference_emit_order(lib):
+    """The emit order as first written: repeatedly take the first pending
+    item whose dependencies have all been emitted."""
+    def pattern_item(name):
+        return ("combine" if name in lib.combine_defs else "pattern", name)
+
+    items, deps = [], {}
+    for name in lib.patterns:
+        if name not in lib.combine_defs:
+            items.append(("pattern", name))
+            deps[("pattern", name)] = set()
+    for name, r in lib.refinements.items():
+        items.append(("refinement", name))
+        deps[("refinement", name)] = {pattern_item(r.source.name),
+                                      pattern_item(r.target.name)}
+    for name, net in lib.networks.items():
+        items.append(("network", name))
+        deps[("network", name)] = ({pattern_item(p) for p in net.patterns}
+                                   | {("refinement", r) for r in net.refinements})
+    for name in lib.combine_defs:
+        items.append(("combine", name))
+        deps[("combine", name)] = {("network", lib.combine_defs[name])}
+
+    known = set(items)
+    emitted, order, pending = set(), [], list(items)
+    while pending:
+        for i, item in enumerate(pending):
+            if {d for d in deps[item] if d in known and d != item} <= emitted:
+                order.append(item)
+                emitted.add(item)
+                del pending[i]
+                break
+        else:
+            raise ValueError("library declarations are cyclic; cannot emit")
+    return order
+
+
+def _shuffled(d: dict, rng) -> dict:
+    keys = list(d)
+    rng.shuffle(keys)
+    return {k: d[k] for k in keys}
+
+
+class TestEmitOrder:
+    def test_shuffled_declarations_match_reference(self, catalog, monkeypatch):
+        rng = random.Random(67)
+        texts = [FIG_DOC, EMBEDDING_DOC, nested_combines(12)]
+        texts += [random_dsl_document(rng) for _ in range(6)]
+        for text in texts:
+            lib = resolve(parse(text), catalog)
+            for _ in range(5):
+                shuffled = Library(
+                    dict(lib.taxonomies), _shuffled(lib.patterns, rng),
+                    _shuffled(lib.refinements, rng), _shuffled(lib.networks, rng),
+                    _shuffled(lib.combine_defs, rng))
+                got = emit_dsl(shuffled)
+                with monkeypatch.context() as m:
+                    m.setattr(dsl, "_emit_order", _reference_emit_order)
+                    assert got == emit_dsl(shuffled)
+
+    def test_cyclic_library_rejected(self, catalog):
+        lib = resolve(parse(FIG_DOC), catalog)
+        train = lib.patterns["Train"]
+        cyclic = Library(networks={"N": Network("N", {"X": train}, {})},
+                         combine_defs={"X": "N"})
+        with pytest.raises(ValueError, match="cyclic; cannot emit"):
+            emit_dsl(cyclic)

@@ -7,6 +7,7 @@ from nesypat.errors import CycleError, ParseError, UnknownClassError
 from nesypat.taxonomy import (
     ClassRef,
     Taxonomy,
+    _tokenize_manchester,
     default_taxonomy,
     parse_taxonomy,
 )
@@ -201,6 +202,13 @@ class TestParseTaxonomy:
         t = parse_taxonomy("Class: A SubClassOf: B, C")
         assert t.leq(t.lookup("A"), t.lookup("B"))
         assert t.leq(t.lookup("A"), t.lookup("C"))
+
+    def test_misc_tokens_keep_values_and_positions(self):
+        toks = _tokenize_manchester(
+            "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F", "<t>")
+        misc = [(k.value, k.line, k.col) for k in toks if k.kind == "misc"]
+        assert misc == [("12.5e-3", 2, 18), ("(", 2, 26), (")", 2, 28),
+                        ("7", 2, 30), (";", 2, 32), ("0x1F", 2, 34)]
 
 
 class TestExtend:
