@@ -40,6 +40,7 @@ from .errors import (
     NetworkTypeError,
     NoRefinementError,
     ParseError,
+    SearchBudgetError,
     SelfLoopError,
     TaxonomyMismatchError,
     UndefinedColimitError,
@@ -73,7 +74,8 @@ __all__ = [
     "DegenerateLoopError", "Diagnostic", "Document", "DuplicateNameError",
     "DuplicateNodeError", "InvalidRefinementError", "LabelMismatchError",
     "Library", "NesyError", "Network", "NetworkTypeError", "NoRefinementError",
-    "ParseError", "Pattern", "PatternNode", "Refinement", "SelfLoopError",
+    "ParseError", "Pattern", "PatternNode", "Refinement", "SearchBudgetError",
+    "SelfLoopError",
     "Taxonomy", "TaxonomyMismatchError", "UndefinedColimitError", "UnionFind",
     "UnknownClassError", "UnknownLabelError", "UnknownNameError",
     "UnknownNodeError", "Violation",

@@ -2,7 +2,8 @@
 
 Results go to standard out; every diagnostic goes to standard error as
 ``file:line:col: severity: message``.  Exit codes: 0 on success, 1 when a
-document fails a check, 2 on I/O or catalog failures.
+document fails a check (or, reported as an internal error, when the
+toolkit itself fails), 2 on I/O or catalog failures.
 """
 
 from __future__ import annotations
@@ -169,11 +170,15 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         catalog = _make_catalog(args)
+        if args.command == "check":
+            return cmd_check(args.file, catalog)
+        if args.command == "combine":
+            return cmd_combine(args.file, args.pattern, args.format, catalog)
+        return cmd_infer(args.file, args.from_name, args.to_name, catalog)
     except CatalogMissError as e:
         print(f"nesypat: error: {e.message}", file=sys.stderr)
         return EXIT_IO
-    if args.command == "check":
-        return cmd_check(args.file, catalog)
-    if args.command == "combine":
-        return cmd_combine(args.file, args.pattern, args.format, catalog)
-    return cmd_infer(args.file, args.from_name, args.to_name, catalog)
+    except Exception as e:  # a defect, not bad input: one line, no traceback
+        print(f"nesypat: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED

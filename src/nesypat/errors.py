@@ -119,6 +119,10 @@ class NoRefinementError(NesyError):
     """No valid refinement map exists between the two patterns."""
 
 
+class SearchBudgetError(NesyError):
+    """A map search tried more candidates than its fixed budget allows."""
+
+
 class AmbiguousRefinementError(NesyError):
     """More than one valid refinement map exists; carries two witnesses."""
 

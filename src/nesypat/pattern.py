@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DuplicateNodeError,
+    SearchBudgetError,
     SelfLoopError,
     UnknownLabelError,
     UnknownNodeError,
 )
 from .taxonomy import ClassRef, Taxonomy
+
+#: Most candidates one map search may try at its choice points (source
+#: nodes left with two or more candidates after propagation) before it
+#: stops with SearchBudgetError.  Tests and benchmark documents stay
+#: below 1,000; a pigeonhole search such as K9 into K8 needs about 69,000.
+SEARCH_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,6 @@ class Pattern:
         except KeyError:
             raise UnknownNodeError(
                 f"pattern {self.name!r} has no node {node_id!r}") from None
-
-    def degree(self, node_id: str) -> int:
-        return sum(1 for a, b in self.edges if node_id in (a, b))
 
     def __repr__(self):
         return (f"Pattern({self.name!r}, {len(self.nodes)} nodes, "
@@ -89,57 +95,151 @@ def build_pattern(name: str, taxonomy: Taxonomy, node_decls, edge_decls) -> Patt
 
 def isomorphic(p: Pattern, q: Pattern) -> bool:
     """True iff some bijection of node sets preserves labels and edges
-    exactly, in both directions.  Node ids play no role."""
+    exactly, in both directions.  Node ids play no role.
+
+    Each node of ``p`` may only go to the nodes of ``q`` with its label,
+    out-degree and in-degree.  An injective edge-preserving map between
+    patterns with equal node and edge counts is such a bijection.
+    """
     if len(p.nodes) != len(q.nodes) or len(p.edges) != len(q.edges):
         return False
-
-    def signature(pat: Pattern):
-        out = {i: 0 for i in pat.sorted_ids}
-        inc = {i: 0 for i in pat.sorted_ids}
-        for a, b in pat.edges:
-            out[a] += 1
-            inc[b] += 1
-        return {i: (pat.labels[i], out[i], inc[i]) for i in pat.sorted_ids}
-
-    sig_p, sig_q = signature(p), signature(q)
-    if sorted(sig_p.values(), key=_sig_key) != sorted(sig_q.values(), key=_sig_key):
+    buckets: dict[tuple, int] = {}
+    for j, sig in enumerate(_signatures(q)):
+        buckets[sig] = buckets.get(sig, 0) | 1 << j
+    sigs = _signatures(p)
+    if any(buckets.get(sig, 0).bit_count() != count
+           for sig, count in Counter(sigs).items()):
         return False
+    domains = [buckets[sig] for sig in sigs]
+    return bool(_search(p, q, domains, injective=True, limit=1))
 
-    p_ids = sorted(sig_p, key=lambda i: (_sig_key(sig_p[i]), i))
-    candidates = {i: [j for j in sig_q if sig_q[j] == sig_p[i]] for i in p_ids}
 
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+def _signatures(pat: Pattern) -> list[tuple[str, int, int]]:
+    """(label IRI, out-degree, in-degree) of each node, over ``sorted_ids``."""
+    out = Counter(a for a, _ in pat.edges)
+    inc = Counter(b for _, b in pat.edges)
+    return [(pat.labels[i].iri, out[i], inc[i]) for i in pat.sorted_ids]
 
-    def ok(i: str, j: str) -> bool:
-        # Partial edge consistency; the full image/edge-set equality is
-        # re-checked once a complete bijection is reached.
-        for a, b in p.edges:
-            if a == i and b in mapping and (j, mapping[b]) not in q.edges:
-                return False
-            if b == i and a in mapping and (mapping[a], j) not in q.edges:
-                return False
+
+def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
+            limit: int | None) -> list[tuple[int, ...]]:
+    """Maps from ``p`` into ``q`` that send every edge onto an edge and
+    node ``i`` of ``p.sorted_ids`` into ``domains[i]``, a bitset over
+    ``q.sorted_ids``; one-to-one when ``injective``.
+
+    Domains are made arc consistent over ``p``'s edges (AC-3, Mackworth
+    1977) before the search and after every choice, revising from the
+    smallest changed domain first; a domain of one node is an assignment.
+    Each choice goes to an unassigned node with the fewest candidates
+    (lowest index on ties) and tries them in index order.  The search
+    runs on an explicit stack and undoes domain changes from a trail.
+    Returns the first ``limit`` maps found (all when None) as tuples of
+    image indices, and raises SearchBudgetError once more than
+    SEARCH_BUDGET candidates have been tried.
+    """
+    if limit is not None and limit < 1:
+        return []
+    n = len(domains)
+    p_index = {i: k for k, i in enumerate(p.sorted_ids)}
+    q_index = {j: k for k, j in enumerate(q.sorted_ids)}
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in p.edges:
+        succ[p_index[a]].append(p_index[b])
+        pred[p_index[b]].append(p_index[a])
+    q_out = [0] * len(q_index)
+    q_in = [0] * len(q_index)
+    for a, b in q.edges:
+        q_out[q_index[a]] |= 1 << q_index[b]
+        q_in[q_index[b]] |= 1 << q_index[a]
+
+    # dom[n] holds the images already taken, so the trail undoes it too.
+    dom = list(domains) + [0]
+    trail: list[tuple[int, int]] = []
+    # Unassigned nodes keyed by domain size; stale entries are skipped.
+    heap = [(d.bit_count(), k) for k, d in enumerate(domains)
+            if d.bit_count() > 1]
+    heapify(heap)
+
+    def propagate(work: list) -> bool:
+        while work:
+            size, k = heappop(work)
+            d = dom[k]
+            if size != d.bit_count():
+                continue
+            if size == 1 and injective:
+                if d & dom[n]:
+                    return False
+                trail.append((n, dom[n]))
+                dom[n] |= d
+            for nbrs, masks in ((succ[k], q_out), (pred[k], q_in)):
+                if not nbrs:
+                    continue
+                support, rest = 0, d
+                while rest:
+                    low = rest & -rest
+                    support |= masks[low.bit_length() - 1]
+                    rest ^= low
+                for w in nbrs:
+                    new = dom[w] & support
+                    if new != dom[w]:
+                        if not new:
+                            return False
+                        trail.append((w, dom[w]))
+                        dom[w] = new
+                        count = new.bit_count()
+                        heappush(work, (count, w))
+                        if count > 1:
+                            heappush(heap, (count, w))
         return True
 
-    def backtrack(k: int) -> bool:
-        if k == len(p_ids):
-            image_edges = {(mapping[a], mapping[b]) for a, b in p.edges}
-            return image_edges == set(q.edges)
-        i = p_ids[k]
-        for j in candidates[i]:
-            if j in used or not ok(i, j):
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            k, old = trail.pop()
+            dom[k] = old
+            count = old.bit_count()
+            if k < n and count > 1:
+                heappush(heap, (count, k))
+
+    if not all(domains):
+        return []
+    work = [(d.bit_count(), k) for k, d in enumerate(domains)]
+    heapify(work)
+    if not propagate(work):
+        return []
+    trail.clear()
+
+    results: list[tuple[int, ...]] = []
+    stack: list[list[int]] = []  # [node, untried candidates, trail mark]
+    expanded = 0
+    while True:  # the domains are arc consistent here
+        while heap and heap[0][0] != dom[heap[0][1]].bit_count():
+            heappop(heap)
+        if heap:
+            k = heappop(heap)[1]
+            untried = dom[k] & ~dom[n] if injective else dom[k]
+            stack.append([k, untried, len(trail)])
+        else:
+            results.append(tuple(d.bit_length() - 1 for d in dom[:n]))
+            if len(results) == limit:
+                return results
+        while True:  # take the next candidate that propagates cleanly
+            if not stack:
+                return results
+            frame = stack[-1]
+            k, untried, mark = frame
+            undo(mark)
+            if not untried:
+                stack.pop()
                 continue
-            mapping[i] = j
-            used.add(j)
-            if backtrack(k + 1):
-                return True
-            del mapping[i]
-            used.discard(j)
-        return False
-
-    return backtrack(0)
-
-
-def _sig_key(sig):
-    label, out, inc = sig
-    return (label.iri, out, inc)
+            value = untried & -untried
+            frame[1] = untried ^ value
+            expanded += 1
+            if expanded > SEARCH_BUDGET:
+                raise SearchBudgetError(
+                    f"search for a map from {p.name!r} to {q.name!r} gave up "
+                    f"after trying {SEARCH_BUDGET} candidates")
+            trail.append((k, dom[k]))
+            dom[k] = value
+            if propagate([(1, k)]):
+                break

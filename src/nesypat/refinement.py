@@ -3,7 +3,9 @@
 A node map is a valid refinement when it is total, maps every edge onto
 an edge, and every image label sits at or below the source label in the
 shared class hierarchy.  When the text omits the map it is inferred by
-backtracking search and must be unique.
+the map search of :mod:`nesypat.pattern` (arc-consistency propagation,
+then smallest-domain-first branching under a node budget) and must be
+unique.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from .errors import (
     NoRefinementError,
     TaxonomyMismatchError,
 )
-from .pattern import Pattern
+from .pattern import Pattern, _search
+from .taxonomy import ClassRef
 
 
 @dataclass(frozen=True)
@@ -86,57 +89,27 @@ def find_homomorphisms(src: Pattern, tgt: Pattern,
                        limit: int | None = None) -> list[dict[str, str]]:
     """Enumerate valid refinement maps from ``src`` into ``tgt``.
 
-    Backtracks over source nodes in decreasing-degree order (ties broken
-    by id), pruning first by the label condition and then by edge
-    consistency with already-assigned neighbors.  Stops after ``limit``
-    results; the returned list is sorted lexicographically by the image
-    tuple over sorted source ids.
+    Each source node may go to the target nodes whose label is at or
+    below its own; the map search of :mod:`nesypat.pattern` prunes these
+    candidates by arc consistency over the source edges and branches on
+    the node with the fewest left.  Returns the first ``limit`` maps (all
+    when None) in the search's deterministic order, sorted
+    lexicographically by the image tuple over sorted source ids.  A
+    search that tries more than ``pattern.SEARCH_BUDGET`` (20,000)
+    candidates stops with SearchBudgetError instead of running on.
     """
     _require_same_classes(src, tgt)
     t = src.taxonomy
-    order = sorted(src.sorted_ids, key=lambda n: (-src.degree(n), n))
-    tgt_ids = tgt.sorted_ids
-    candidates = {
-        n: [m for m in tgt_ids if t.leq(tgt.labels[m], src.labels[n])]
-        for n in order
-    }
-    out_nbrs: dict[str, list[str]] = {n: [] for n in order}
-    in_nbrs: dict[str, list[str]] = {n: [] for n in order}
-    for a, b in src.edges:
-        out_nbrs[a].append(b)
-        in_nbrs[b].append(a)
-
-    results: list[dict[str, str]] = []
-    assignment: dict[str, str] = {}
-
-    def backtrack(k: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
-        if k == len(order):
-            results.append(dict(assignment))
-            return limit is not None and len(results) >= limit
-        n = order[k]
-        for m in candidates[n]:
-            compatible = all(
-                (m, assignment[b]) in tgt.edges
-                for b in out_nbrs[n] if b in assignment
-            ) and all(
-                (assignment[a], m) in tgt.edges
-                for a in in_nbrs[n] if a in assignment
-            )
-            if not compatible:
-                continue
-            assignment[n] = m
-            if backtrack(k + 1):
-                del assignment[n]
-                return True
-            del assignment[n]
-        return False
-
-    backtrack(0)
-    key_ids = src.sorted_ids
-    results.sort(key=lambda m: tuple(m[i] for i in key_ids))
-    return results
+    by_label: dict[ClassRef, int] = {}
+    for j, m in enumerate(tgt.sorted_ids):
+        by_label[tgt.labels[m]] = by_label.get(tgt.labels[m], 0) | 1 << j
+    # The label masks are disjoint, so their sum is their union.
+    below = {label: sum(mask for tl, mask in by_label.items() if t.leq(tl, label))
+             for label in set(src.labels.values())}
+    domains = [below[src.labels[n]] for n in src.sorted_ids]
+    images = sorted(_search(src, tgt, domains, injective=False, limit=limit))
+    return [dict(zip(src.sorted_ids, (tgt.sorted_ids[j] for j in image)))
+            for image in images]
 
 
 def infer_refinement(name: str, src: Pattern, tgt: Pattern) -> Refinement:

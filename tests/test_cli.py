@@ -6,7 +6,9 @@ import pytest
 
 from nesypat.catalog import Catalog, load_catalog
 from nesypat.cli import cmd_check, cmd_combine, cmd_infer, main
+from nesypat.dsl import parse, resolve
 from nesypat.errors import CatalogMissError
+from nesypat.refinement import check_refinement
 from nesypat.taxonomy import default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
@@ -208,8 +210,12 @@ class TestCmdInfer:
                              Catalog.default())
         assert code == 1
         assert "ambiguous" in err
-        assert err.count("|->") >= 2  # two witnesses shown
+        assert "e.g. {anon1 |-> anon1}; {anon1 |-> anon2}\n" in err
         assert out == ""
+        lib = resolve(parse(doc.read_text()), Catalog.default())
+        s, sd = lib.patterns["S"], lib.patterns["SemanticDeduction"]
+        for image in ("anon1", "anon2"):
+            assert check_refinement(s, sd, {"anon1": image}) == []
 
     def test_identity_inference(self):
         code, out, err = run(cmd_infer, FIG, "Train", "Train", Catalog.default())
@@ -326,6 +332,16 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("[1,2,3]")
         assert main(["check", FIG, "--catalog", str(bad)]) == 2
+
+    def test_internal_error_is_one_line(self, monkeypatch, capsys):
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr("nesypat.cli.emit_abox", crash)
+        assert main(["combine", FIG, "--pattern", "Train", "--format", "abox"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("nesypat: internal error: RecursionError: "
+                                "maximum recursion depth exceeded\n")
 
     def test_results_never_on_stderr_diagnostics_never_on_stdout(self, capsys):
         main(["combine", CLASH, "--pattern", "Merged"])

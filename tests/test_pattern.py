@@ -117,6 +117,26 @@ class TestIsomorphic:
             agree_true += expected
         assert agree_true > 20  # the generator produced real positives
 
+    def test_cycle_not_isomorphic_to_two_shorter_cycles(self, t):
+        # Same degrees and labels, and the 6-cycle wraps twice around
+        # either 3-cycle, but no bijection exists.
+        top = t.top
+        six = build_pattern("six", t, [(f"a{i}", top) for i in range(6)],
+                            [(f"a{i}", f"a{(i + 1) % 6}") for i in range(6)])
+        two = build_pattern("two", t, [(f"b{i}", top) for i in range(6)],
+                            [(f"b{i}", f"b{(i + 1) % 3 + i // 3 * 3}")
+                             for i in range(6)])
+        assert isomorphic_oracle(six, two) is False
+        assert not isomorphic(six, two) and not isomorphic(two, six)
+
+    def test_5000_node_chain(self, t):
+        labels = ["Data", "Training"] * 2500
+        p = chain_pattern(t, "p", labels)
+        q = chain_pattern(t, "q", labels, ids=[f"x{4999 - i}" for i in range(5000)])
+        assert isomorphic(p, q)
+        swapped = labels[:2500] + ["Training", "Data"] + labels[2502:]
+        assert not isomorphic(p, chain_pattern(t, "r", swapped))
+
     def test_equivalence_relation(self, t):
         rng = random.Random(9)
         pats = [random_pattern(rng, t, f"p{i}", rng.randint(1, 4), 0.5)

@@ -1,11 +1,16 @@
+import io
 import random
 
 import pytest
 
+import nesypat.pattern
 from helpers import all_homomorphisms_oracle, random_pattern, random_taxonomy
+from nesypat.catalog import Catalog
+from nesypat.cli import cmd_check
 from nesypat.errors import (
     AmbiguousRefinementError,
     NoRefinementError,
+    SearchBudgetError,
     TaxonomyMismatchError,
 )
 from nesypat.pattern import build_pattern
@@ -126,7 +131,9 @@ class TestInferRefinement:
         src = pat(t, "Symbol", [("s", "Symbol")])
         with pytest.raises(AmbiguousRefinementError) as e:
             infer_refinement("R", src, semantic_deduction)
-        assert len(e.value.witnesses) == 2
+        assert e.value.witnesses == ({"s": "s1"}, {"s": "s2"})
+        for m in e.value.witnesses:
+            assert check_refinement(src, semantic_deduction, m) == []
 
     def test_no_map_reported(self, t, train):
         src = pat(t, "Actor", [("a", "Actor")])
@@ -150,3 +157,96 @@ class TestComposition:
                     comp = {n: psi[phi[n]] for n in phi}
                     assert check_refinement(p1, p3, comp) == []
                     found += 1
+
+
+def top_pattern(t, name, ids, edges=()):
+    return build_pattern(name, t, [(i, t.top) for i in ids], list(edges))
+
+
+def complete_digraph(t, name, n):
+    ids = [f"{name.lower()}{i}" for i in range(n)]
+    return top_pattern(t, name, ids,
+                       [(a, b) for a in ids for b in ids if a != b])
+
+
+def cycle_into_dag(t, k, n, seed):
+    """A directed k-cycle and a random n-node DAG (each node links to up
+    to four later nodes of a shuffled order), all labels top."""
+    rng = random.Random(seed)
+    cyc = [f"c{i}" for i in range(k)]
+    order = [f"d{i}" for i in range(n)]
+    rng.shuffle(order)
+    edges = [(a, b) for i, a in enumerate(order)
+             for b in rng.sample(order[i + 1:], min(4, n - i - 1))]
+    return (top_pattern(t, "Cyc", cyc, zip(cyc, cyc[1:] + cyc[:1])),
+            top_pattern(t, "Dag", order, edges))
+
+
+class TestSearchBudget:
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        def set_budget(n):
+            monkeypatch.setattr(nesypat.pattern, "SEARCH_BUDGET", n)
+        return set_budget
+
+    def test_pigeonhole_exceeds_budget(self, t, budget):
+        # No map K5 -> K4 exists, but every arc of K5 has support in K4,
+        # so only the search (about 40 candidates tried) can tell.
+        k5, k4 = complete_digraph(t, "K", 5), complete_digraph(t, "L", 4)
+        with pytest.raises(NoRefinementError):
+            infer_refinement("R", k5, k4)
+        budget(10)
+        with pytest.raises(SearchBudgetError):
+            infer_refinement("R", k5, k4)
+
+    def test_check_places_budget_error_at_refinement(self, tmp_path, budget):
+        budget(10)
+        lines = ["logic NeSyPatterns"]
+        for name, n in (("K5", 5), ("K4", 4)):
+            ids = [f"v{i}" for i in range(n)]
+            lines.append(f"pattern {name} = data ontohub:NeSyPatterns.omn")
+            lines += [f"  {a} : NeSy_Pattern_Element -> {b} : NeSy_Pattern_Element;"
+                      for a in ids for b in ids if a != b]
+            lines.append("end")
+        row = len(lines) + 1
+        lines.append("refinement R = K5 refined to K4 end")
+        doc = tmp_path / "pigeon.nesy"
+        doc.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert cmd_check(str(doc), Catalog.default(), out=out, err=err) == 1
+        assert err.getvalue().startswith(f"{doc}:{row}:1: error: ")
+        assert "gave up" in err.getvalue()
+
+    def test_unbounded_enumeration_exceeds_budget(self, t, budget):
+        budget(10)
+        six = top_pattern(t, "Six", [f"i{k}" for k in range(6)])
+        with pytest.raises(SearchBudgetError):
+            find_homomorphisms(six, six, limit=None)
+
+    def test_root_propagation_decides_cycle_into_dag(self, t, budget):
+        budget(0)
+        cyc, dag = cycle_into_dag(t, 10, 40, seed=3)
+        with pytest.raises(NoRefinementError):
+            infer_refinement("R", cyc, dag)
+
+
+class TestLargeInputs:
+    """5000-node patterns, well past the default recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, t):
+        ids = [f"l{i}" for i in range(5000)]
+        return top_pattern(t, "Chain", ids, zip(ids, ids[1:]))
+
+    def test_chain_into_two_cycle_has_two_maps(self, t, chain):
+        two = pat(t, "Two", [("a", "Data"), ("b", "Training")],
+                  [("a", "b"), ("b", "a")])
+        maps = find_homomorphisms(chain, two)
+        assert len(maps) == 2
+        for m in maps:
+            assert m["l0"] != m["l1"] and m["l4998"] != m["l4999"]
+            assert check_refinement(chain, two, m) == []
+
+    def test_chain_into_single_edge_has_none(self, t, chain):
+        edge = pat(t, "Edge", [("a", "Data"), ("b", "Training")], [("a", "b")])
+        assert find_homomorphisms(chain, edge) == []
