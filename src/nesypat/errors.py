@@ -120,7 +120,7 @@ class NoRefinementError(NesyError):
 
 
 class SearchBudgetError(NesyError):
-    """A map search tried more candidates than its fixed budget allows."""
+    """A map search took more steps than its fixed budget allows."""
 
 
 class AmbiguousRefinementError(NesyError):

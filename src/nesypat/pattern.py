@@ -16,11 +16,15 @@ from .errors import (
 )
 from .taxonomy import ClassRef, Taxonomy
 
-#: Most candidates one map search may try at its choice points (source
-#: nodes left with two or more candidates after propagation) before it
-#: stops with SearchBudgetError.  Tests and benchmark documents stay
-#: below 1,000; a pigeonhole search such as K9 into K8 needs about 69,000.
-SEARCH_BUDGET = 20_000
+#: Most steps one map search may take after its root propagation before
+#: it stops with SearchBudgetError.  A step is a candidate tried at a
+#: choice point, a domain that propagation revises from, or a source node
+#: written into a found map, so the budget bounds the branching, the work
+#: between choices and the maps kept.  Benchmark documents take at most
+#: 56 steps and the tests at most 20,002 (a 5000-node chain into a
+#: 2-cycle, both maps); a pigeonhole search such as K9 into K8 runs out
+#: of it in about a second.
+SEARCH_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,9 @@ def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
     (lowest index on ties) and tries them in index order.  The search
     runs on an explicit stack and undoes domain changes from a trail.
     Returns the first ``limit`` maps found (all when None) as tuples of
-    image indices, and raises SearchBudgetError once more than
-    SEARCH_BUDGET candidates have been tried.
+    image indices, and raises SearchBudgetError once the candidates tried,
+    the domains revised after the root propagation and the nodes of the
+    maps found number more than SEARCH_BUDGET.
     """
     if limit is not None and limit < 1:
         return []
@@ -161,12 +166,24 @@ def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
             if d.bit_count() > 1]
     heapify(heap)
 
-    def propagate(work: list) -> bool:
+    steps = 0
+
+    def spend(count: int = 1) -> None:
+        nonlocal steps
+        steps += count
+        if steps > SEARCH_BUDGET:
+            raise SearchBudgetError(
+                f"search for a map from {p.name!r} to {q.name!r} gave up "
+                f"after {SEARCH_BUDGET} steps")
+
+    def propagate(work: list, counted: bool = True) -> bool:
         while work:
             size, k = heappop(work)
             d = dom[k]
             if size != d.bit_count():
                 continue
+            if counted:
+                spend()
             if size == 1 and injective:
                 if d & dom[n]:
                     return False
@@ -205,13 +222,12 @@ def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
         return []
     work = [(d.bit_count(), k) for k, d in enumerate(domains)]
     heapify(work)
-    if not propagate(work):
+    if not propagate(work, counted=False):
         return []
     trail.clear()
 
     results: list[tuple[int, ...]] = []
     stack: list[list[int]] = []  # [node, untried candidates, trail mark]
-    expanded = 0
     while True:  # the domains are arc consistent here
         while heap and heap[0][0] != dom[heap[0][1]].bit_count():
             heappop(heap)
@@ -220,6 +236,7 @@ def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
             untried = dom[k] & ~dom[n] if injective else dom[k]
             stack.append([k, untried, len(trail)])
         else:
+            spend(n)
             results.append(tuple(d.bit_length() - 1 for d in dom[:n]))
             if len(results) == limit:
                 return results
@@ -230,15 +247,14 @@ def _search(p: Pattern, q: Pattern, domains: list[int], *, injective: bool,
             k, untried, mark = frame
             undo(mark)
             if not untried:
+                # Back on the heap: an injective choice can run out of
+                # images before trying any, and then no undo restores it.
+                heappush(heap, (dom[k].bit_count(), k))
                 stack.pop()
                 continue
             value = untried & -untried
             frame[1] = untried ^ value
-            expanded += 1
-            if expanded > SEARCH_BUDGET:
-                raise SearchBudgetError(
-                    f"search for a map from {p.name!r} to {q.name!r} gave up "
-                    f"after trying {SEARCH_BUDGET} candidates")
+            spend()
             trail.append((k, dom[k]))
             dom[k] = value
             if propagate([(1, k)]):

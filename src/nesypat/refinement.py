@@ -4,7 +4,7 @@ A node map is a valid refinement when it is total, maps every edge onto
 an edge, and every image label sits at or below the source label in the
 shared class hierarchy.  When the text omits the map it is inferred by
 the map search of :mod:`nesypat.pattern` (arc-consistency propagation,
-then smallest-domain-first branching under a node budget) and must be
+then smallest-domain-first branching under a step budget) and must be
 unique.
 """
 
@@ -95,8 +95,11 @@ def find_homomorphisms(src: Pattern, tgt: Pattern,
     the node with the fewest left.  Returns the first ``limit`` maps (all
     when None) in the search's deterministic order, sorted
     lexicographically by the image tuple over sorted source ids.  A
-    search that tries more than ``pattern.SEARCH_BUDGET`` (20,000)
-    candidates stops with SearchBudgetError instead of running on.
+    search that takes more than ``pattern.SEARCH_BUDGET`` (250,000) steps
+    stops with SearchBudgetError instead of running on; a step is a
+    candidate tried, a domain revised by propagation or a source node of
+    a map found, and no test or benchmark document needs a tenth of the
+    budget.
     """
     _require_same_classes(src, tgt)
     t = src.taxonomy

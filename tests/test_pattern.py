@@ -129,6 +129,31 @@ class TestIsomorphic:
         assert isomorphic_oracle(six, two) is False
         assert not isomorphic(six, two) and not isomorphic(two, six)
 
+    def test_node_out_of_images_stays_unassigned(self, t):
+        # Signatures and edge counts agree, but q has one Symbol->Model
+        # edge where p has a third Symbol->Training.  Three nodes of p
+        # share two images per label, so the one-to-one search keeps
+        # choosing nodes that have no unused image left; each must go
+        # back to the unassigned ones, or the search reports a map that
+        # sends two nodes to one.
+        def pat(name, crossed):
+            a, b, c, d = (t.lookup(x) for x in
+                          ("Symbol", "Training", "Data", "Model"))
+            nodes = [("0w1", t.top), ("0w2", t.top)]
+            edges = []
+            for g, cross in enumerate(crossed):
+                ids = [f"{x}{g}" for x in "abcd"]
+                nodes += zip(ids, (a, b, c, d))
+                edges += ([(ids[0], ids[3]), (ids[2], ids[1])] if cross
+                          else [(ids[0], ids[1]), (ids[2], ids[3])])
+            return build_pattern(name, t, nodes, edges)
+
+        p, q = pat("p", [False] * 3), pat("q", [False, False, True])
+        def label_pairs(x):
+            return sorted((x.labels[a].iri, x.labels[b].iri) for a, b in x.edges)
+        assert label_pairs(p) != label_pairs(q)
+        assert not isomorphic(p, q) and not isomorphic(q, p)
+
     def test_5000_node_chain(self, t):
         labels = ["Data", "Training"] * 2500
         p = chain_pattern(t, "p", labels)

@@ -13,7 +13,7 @@ from nesypat.errors import (
     SearchBudgetError,
     TaxonomyMismatchError,
 )
-from nesypat.pattern import build_pattern
+from nesypat.pattern import build_pattern, isomorphic
 from nesypat.refinement import check_refinement, find_homomorphisms, infer_refinement
 from nesypat.taxonomy import default_taxonomy
 
@@ -191,7 +191,7 @@ class TestSearchBudget:
 
     def test_pigeonhole_exceeds_budget(self, t, budget):
         # No map K5 -> K4 exists, but every arc of K5 has support in K4,
-        # so only the search (about 40 candidates tried) can tell.
+        # so only the search (156 steps) can tell.
         k5, k4 = complete_digraph(t, "K", 5), complete_digraph(t, "L", 4)
         with pytest.raises(NoRefinementError):
             infer_refinement("R", k5, k4)
@@ -222,6 +222,32 @@ class TestSearchBudget:
         six = top_pattern(t, "Six", [f"i{k}" for k in range(6)])
         with pytest.raises(SearchBudgetError):
             find_homomorphisms(six, six, limit=None)
+
+    def test_budget_counts_propagation(self, t, budget):
+        # Each of the 60 candidates for the first node of the 60-cycle
+        # propagates about 30 nodes round a 30-cycle before it fails, so
+        # the search takes 1920 steps while trying few candidates.
+        def cycles(name, sizes):
+            ids = [[f"{name}{c}_{i}" for i in range(n)]
+                   for c, n in enumerate(sizes)]
+            return top_pattern(t, name, sum(ids, []),
+                               [e for c in ids for e in zip(c, c[1:] + c[:1])])
+
+        budget(500)
+        assert isomorphic(cycles("a", [60]), cycles("b", [60]))
+        with pytest.raises(SearchBudgetError):
+            isomorphic(cycles("a", [60]), cycles("b", [30, 30]))
+
+    def test_budget_counts_kept_maps(self, t, budget):
+        # A 12-node chain has 3 * 2**11 = 6144 maps into K3, each found
+        # after a few steps of search but holding 12 nodes.
+        ids = [f"l{i:02d}" for i in range(12)]
+        chain = top_pattern(t, "Chain", ids, zip(ids, ids[1:]))
+        k3 = complete_digraph(t, "K", 3)
+        assert len(find_homomorphisms(chain, k3)) == 6144
+        budget(40_000)
+        with pytest.raises(SearchBudgetError):
+            find_homomorphisms(chain, k3)
 
     def test_root_propagation_decides_cycle_into_dag(self, t, budget):
         budget(0)
