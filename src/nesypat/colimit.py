@@ -107,9 +107,14 @@ def combine(net: Network) -> CombinationResult:
         inf = taxonomy.infimum(member_labels)
         if inf is None:
             shown = ", ".join(sorted(l.local_name for l in member_labels))
+            bounds = taxonomy.maximal_lower_bounds(member_labels)
+            why = ("their maximal common lower bounds are "
+                   + ", ".join(b.local_name for b in bounds)
+                   if bounds else "they have no common lower bound")
             raise UndefinedColimitError(
                 f"no infimum of labels {{{shown}}} for merged nodes "
-                f"{_render_members(members)}; the combination is not defined",
+                f"{_render_members(members)}; the combination is not defined: "
+                f"{why}",
                 members=sorted(members), labels=sorted(member_labels,
                                                        key=lambda l: l.iri))
         labels[root] = inf

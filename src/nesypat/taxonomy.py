@@ -2,10 +2,18 @@
 
 A taxonomy is a finite acyclic subclass graph with a single top class.
 It answers subsumption queries (``leq``), computes infima of label sets
-(the operation that decides whether pattern combinations exist), and can
-be read from a small subset of OWL2 Manchester syntax: prefix
-declarations, the ontology header, and ``Class`` frames with named
-``SubClassOf`` entries.  Everything else is skipped with a warning.
+(the operation that decides whether pattern combinations exist) and the
+maximal common lower bounds that explain a missing one, and can be read
+from a small subset of OWL2 Manchester syntax: prefix declarations, the
+ontology header, and ``Class`` frames with named ``SubClassOf`` entries.
+Everything else is skipped with a warning.
+
+The order is encoded as in Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
+implementation of lattice operations" (TOPLAS 1989): classes get bit
+indices in a topological order found by Kahn's algorithm, subclasses
+first, and each class's up-set and down-set is an ``int`` bitset built
+in one pass of ORs.  ``leq`` is then a bit test and ``infimum`` an AND
+of down-sets, whose highest bit is a maximal lower bound.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ TOP_LOCAL_NAME = "NeSy_Pattern_Element"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 _NUMBER_RE = re.compile(r"[0-9][A-Za-z0-9_.\-]*")
+
+
+def _iri(c: "ClassRef") -> str:
+    return c.iri
 
 
 def _local_name_of(iri: str) -> str:
@@ -73,7 +85,7 @@ class Taxonomy:
     """
 
     __slots__ = ("classes", "subclass_edges", "top", "namespace",
-                 "_up", "_down", "_by_local", "_hash")
+                 "_index", "_order", "_up", "_down", "_by_local", "_hash")
 
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
@@ -81,44 +93,77 @@ class Taxonomy:
         edges = frozenset(subclass_edges)
         if top not in classes:
             raise ValueError("top class must be a member of classes")
-        for sub, sup in edges:
-            if sub not in classes or sup not in classes:
-                raise ValueError(f"edge endpoint not declared: {sub!r} <= {sup!r}")
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "subclass_edges", edges)
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "namespace", namespace)
         object.__setattr__(self, "_hash", None)
 
-        parents: dict[ClassRef, set[ClassRef]] = {c: set() for c in classes}
+        # Positions follow IRI order, so the build and its messages do not
+        # depend on set iteration order.  Dicts are keyed by IRI (ClassRef
+        # equality is IRI equality): a str caches its hash, a ClassRef
+        # computes it in Python on every lookup.
+        by_iri = sorted(classes, key=_iri)
+        pos = {c.iri: i for i, c in enumerate(by_iri)}
+        n = len(by_iri)
+        parents: list[list[int]] = [[] for _ in range(n)]
+        subs: list[list[int]] = [[] for _ in range(n)]
         for sub, sup in edges:
-            parents[sub].add(sup)
-        self._check_acyclic(parents)
+            try:
+                s, p = pos[sub.iri], pos[sup.iri]
+            except KeyError:
+                raise ValueError(
+                    f"edge endpoint not declared: {sub!r} <= {sup!r}") from None
+            parents[s].append(p)
+            subs[p].append(s)
 
-        up: dict[ClassRef, frozenset[ClassRef]] = {}
-        for c in classes:
-            seen = {c}
-            stack = list(parents[c])
-            while stack:
-                p = stack.pop()
-                if p not in seen:
-                    seen.add(p)
-                    stack.extend(parents[p])
-            up[c] = frozenset(seen)
-        down: dict[ClassRef, set[ClassRef]] = {c: set() for c in classes}
-        for c, ancs in up.items():
-            for a in ancs:
-                down[a].add(c)
-        object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_down", {c: frozenset(s) for c, s in down.items()})
+        # Kahn's algorithm, subclasses first: a class is placed once all
+        # of its subclasses are.
+        waiting = [len(x) for x in subs]
+        ready = [i for i in range(n) if not waiting[i]]
+        topo: list[int] = []
+        while ready:
+            i = ready.pop()
+            topo.append(i)
+            for p in parents[i]:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    ready.append(p)
+        if len(topo) < n:
+            name = by_iri[min(_find_cycle(subs, waiting))].local_name
+            raise CycleError(f"subclass axioms form a cycle through {name}")
 
-        for c in classes:
-            if top not in up[c]:
-                raise ValueError(f"class {c.local_name} does not reach the top class")
+        bit = [0] * n
+        for k, i in enumerate(topo):
+            bit[i] = k
+        up = [0] * n
+        for i in reversed(topo):
+            b = 1 << bit[i]
+            for p in parents[i]:
+                b |= up[p]
+            up[i] = b
+        down = [0] * n
+        for i in topo:
+            b = 1 << bit[i]
+            for s in subs[i]:
+                b |= down[s]
+            down[i] = b
+
+        order = [by_iri[i] for i in topo]
+        object.__setattr__(self, "_index", {c.iri: k for k, c in enumerate(order)})
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_up", [up[i] for i in topo])
+        object.__setattr__(self, "_down", [down[i] for i in topo])
+
+        t = pos[top.iri]
+        if down[t] != (1 << n) - 1:
+            stray = next(i for i in range(n) if not down[t] >> bit[i] & 1)
+            raise ValueError(
+                f"class {by_iri[stray].local_name} does not reach the top class")
 
         by_local: dict[str, ClassRef] = {}
-        for c in sorted(classes, key=lambda x: x.iri):
-            if c.local_name in by_local and by_local[c.local_name] != c:
+        for c in by_iri:
+            if c.local_name in by_local:
                 raise ValueError(
                     f"duplicate local name {c.local_name!r} for distinct IRIs")
             by_local[c.local_name] = c
@@ -126,34 +171,6 @@ class Taxonomy:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Taxonomy is immutable")
-
-    @staticmethod
-    def _check_acyclic(parents: dict[ClassRef, set[ClassRef]]) -> None:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        state = {c: WHITE for c in parents}
-
-        def dfs(start: ClassRef) -> None:
-            stack = [(start, iter(sorted(parents[start], key=lambda x: x.iri)))]
-            state[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state[nxt] == GRAY:
-                        raise CycleError(
-                            f"subclass axioms form a cycle through {nxt.local_name}")
-                    if state[nxt] == WHITE:
-                        state[nxt] = GRAY
-                        stack.append((nxt, iter(sorted(parents[nxt], key=lambda x: x.iri))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = BLACK
-                    stack.pop()
-
-        for c in sorted(parents, key=lambda x: x.iri):
-            if state[c] == WHITE:
-                dfs(c)
 
     # -- queries ---------------------------------------------------------
 
@@ -173,29 +190,55 @@ class Taxonomy:
 
     def leq(self, a: ClassRef, b: ClassRef) -> bool:
         """True iff ``a`` is ``b`` or a (transitive) subclass of ``b``."""
-        self._require(a)
-        self._require(b)
-        return b in self._up[a]
+        index = self._index
+        try:
+            return bool(self._up[index[a.iri]] >> index[b.iri] & 1)
+        except KeyError:
+            self._require(a)
+            self._require(b)
+            raise
 
     def infimum(self, labels) -> ClassRef | None:
         """Greatest common lower bound of a non-empty label set, or None.
 
-        The common-lower-bound set is intersected from descendant sets;
-        the infimum is its unique maximal element.  Zero or several
-        maximal elements mean the infimum does not exist.
+        The common lower bounds are the AND of the labels' down-sets.
+        Its highest bit ``m`` is a maximal lower bound, since no class
+        has a higher bit than its superclasses; the infimum exists iff
+        every lower bound is below ``m``.
         """
-        labels = list(labels)
-        if not labels:
-            raise ValueError("infimum of an empty label set")
+        lower = self._lower_bounds(labels)
+        if not lower:
+            return None
+        m = lower.bit_length() - 1
+        if lower & ~self._down[m]:
+            return None
+        return self._order[m]
+
+    def maximal_lower_bounds(self, labels) -> list[ClassRef]:
+        """The maximal common lower bounds of a non-empty label set,
+        sorted by IRI: none or several of them when there is no infimum,
+        else just the infimum."""
+        lower = self._lower_bounds(labels)
+        found = []
+        while lower:
+            m = lower.bit_length() - 1
+            found.append(self._order[m])
+            lower &= ~self._down[m]
+        return sorted(found, key=_iri)
+
+    def _lower_bounds(self, labels) -> int:
+        """Bitset of the classes below every label."""
+        index, down = self._index, self._down
+        lower = -1
         for x in labels:
-            self._require(x)
-        lower = set(self._down[labels[0]])
-        for x in labels[1:]:
-            lower &= self._down[x]
-        maximal = [c for c in lower if len(self._up[c] & lower) == 1]
-        if len(maximal) == 1:
-            return maximal[0]
-        return None
+            try:
+                lower &= down[index[x.iri]]
+            except KeyError:
+                self._require(x)
+                raise
+        if lower == -1:
+            raise ValueError("infimum of an empty label set")
+        return lower
 
     def _require(self, c: ClassRef) -> None:
         if c not in self.classes:
@@ -620,6 +663,23 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
         if c not in has_super and c != top:
             edges.add((c, top))
     return Taxonomy(classes, edges, top, namespace)
+
+
+def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:
+    """A cycle among the classes Kahn's algorithm left over.
+
+    Every class left over still waits for a subclass that is left over
+    too, so walking down such subclasses from any of them must repeat a
+    class; the walk from the repeat on is the cycle.
+    """
+    i = next(k for k, w in enumerate(waiting) if w)
+    seen: dict[int, int] = {}
+    path: list[int] = []
+    while i not in seen:
+        seen[i] = len(path)
+        path.append(i)
+        i = min(s for s in subs[i] if waiting[s])
+    return path[seen[i]:]
 
 
 def _is_adjacent(a: _Tok, b: _Tok) -> bool:

@@ -114,6 +114,27 @@ class TestCombine:
         shown = {l.local_name for l in e.value.labels}
         assert {"Semantic_Model", "Statistical_Model"} <= shown
 
+    @pytest.mark.parametrize("fragment, why", [
+        ("", "they have no common lower bound"),
+        ("Class: B7 SubClassOf: Semantic_Model, Statistical_Model\n"
+         "Class: B3 SubClassOf: Semantic_Model, Statistical_Model",
+         "their maximal common lower bounds are B3, B7"),
+    ])
+    def test_undefined_says_why(self, t, fragment, why):
+        ext = t.extend(fragment)
+        sem = pat(ext, "A", [("x", "Semantic_Model")])
+        stat = pat(ext, "B", [("y", "Statistical_Model")])
+        model = pat(ext, "M", [("m0", "Model")])
+        net = net_of("Clash", [model, sem, stat],
+                     [Refinement("RA", model, sem, {"m0": "x"}),
+                      Refinement("RB", model, stat, {"m0": "y"})])
+        with pytest.raises(UndefinedColimitError) as e:
+            combine(net)
+        assert e.value.message == (
+            "no infimum of labels {Model, Semantic_Model, Statistical_Model} "
+            "for merged nodes {A.x, B.y, M.m0}; the combination is not "
+            f"defined: {why}")
+
     def test_hybrid_extension_makes_clash_defined(self, t):
         ext = t.extend("Class: Hybrid_Model SubClassOf: Semantic_Model, Statistical_Model")
         model = pat(ext, "M", [("m0", "Model")])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,11 +7,19 @@ from helpers import glb_oracle, random_taxonomy, reachable_oracle
 from nesypat.errors import CycleError, ParseError, UnknownClassError
 from nesypat.taxonomy import (
     ClassRef,
+    TOP_LOCAL_NAME,
     Taxonomy,
     _tokenize_manchester,
     default_taxonomy,
     parse_taxonomy,
 )
+
+
+def chain(n):
+    """Classes, edges and top of the chain K{n} < ... < K1 < top."""
+    top = ClassRef("urn:chain#T", "T")
+    ks = [top] + [ClassRef(f"urn:chain#K{i}", f"K{i}") for i in range(1, n + 1)]
+    return ks, {(ks[i], ks[i - 1]) for i in range(1, n + 1)}, top
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +268,38 @@ class TestTaxonomyInvariants:
         top = ClassRef("urn:x#T", "T")
         with pytest.raises(ValueError):
             Taxonomy({a, top}, set(), top)
+
+    def test_cycle_error_names_a_class_on_the_cycle(self):
+        # Z1 <-> Z2 <= A <= top; top and A sort before the cycle, and the
+        # top is left over by a subclasses-first topological sort too.
+        top, a, z1, z2 = (ClassRef(f"urn:x#{n}", n)
+                          for n in (TOP_LOCAL_NAME, "A", "Z1", "Z2"))
+        with pytest.raises(CycleError) as e:
+            Taxonomy({top, a, z1, z2},
+                     {(z1, z2), (z2, z1), (z2, a), (a, top)}, top)
+        assert e.value.message == "subclass axioms form a cycle through Z1"
+
+    def test_self_loop_is_a_cycle(self):
+        a, top = ClassRef("urn:x#A", "A"), ClassRef("urn:x#T", "T")
+        with pytest.raises(CycleError) as e:
+            Taxonomy({a, top}, {(a, a), (a, top)}, top)
+        assert e.value.message == "subclass axioms form a cycle through A"
+
+
+class TestDeepChains:
+    def test_5000_chain(self):
+        ks, edges, top = chain(5000)
+        t = Taxonomy(ks, edges, top)
+        assert t.leq(ks[5000], top)
+        assert not t.leq(top, ks[5000])
+        assert t.infimum({ks[1], ks[4999]}) == ks[4999]
+
+    def test_3000_chain_build_memory(self):
+        ks, edges, top = chain(3000)
+        tracemalloc.start()
+        try:
+            Taxonomy(ks, edges, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -1,0 +1,108 @@
+"""Property tests of the taxonomy lattice operations, judged by the
+brute-force oracles in ``helpers``."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import glb_oracle, random_taxonomy, reachable_oracle
+from nesypat.taxonomy import ClassRef, Taxonomy
+
+SETTINGS = settings(deadline=None)
+
+
+def banded_chain(rng: random.Random, depth: int, band: int) -> Taxonomy:
+    """A chain K{depth} < ... < K1 < top plus band classes, each below
+    two chain classes; K10 sorting before K2 keeps IRI order apart from
+    the subclass order."""
+    ns = "urn:band#"
+    top = ClassRef(ns + "M", "M")
+    ks = [top] + [ClassRef(f"{ns}K{i}", f"K{i}") for i in range(1, depth + 1)]
+    edges = {(ks[i], ks[i - 1]) for i in range(1, depth + 1)}
+    classes = list(ks)
+    for j in range(band):
+        b = ClassRef(f"{ns}B{j}", f"B{j}")
+        classes.append(b)
+        edges |= {(b, ks[i]) for i in rng.sample(range(1, depth + 1), min(2, depth))}
+    return Taxonomy(classes, edges, top, ns)
+
+
+@st.composite
+def taxonomies(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return random_taxonomy(rng, draw(st.integers(1, 12)))
+    return banded_chain(rng, draw(st.integers(1, 12)), draw(st.integers(0, 6)))
+
+
+@st.composite
+def label_sets(draw):
+    t = draw(taxonomies())
+    cs = sorted(t.classes, key=lambda c: c.iri)
+    return t, draw(st.lists(st.sampled_from(cs), min_size=1, max_size=3))
+
+
+def maximal_lower_bounds_oracle(t: Taxonomy, labels) -> list:
+    edges = t.subclass_edges
+    lower = [c for c in t.classes
+             if all(reachable_oracle(edges, c, x) for x in labels)]
+    return sorted((c for c in lower
+                   if not any(d != c and reachable_oracle(edges, c, d)
+                              for d in lower)),
+                  key=lambda c: c.iri)
+
+
+@SETTINGS
+@given(taxonomies())
+def test_leq_is_reachability(t):
+    for a in t.classes:
+        for b in t.classes:
+            assert t.leq(a, b) == reachable_oracle(t.subclass_edges, a, b)
+
+
+@SETTINGS
+@given(label_sets())
+def test_infimum_is_glb(case):
+    t, labels = case
+    assert t.infimum(labels) == glb_oracle(t, labels)
+
+
+@SETTINGS
+@given(label_sets())
+def test_maximal_lower_bounds_are_the_maximal_elements(case):
+    t, labels = case
+    assert t.maximal_lower_bounds(labels) == maximal_lower_bounds_oracle(t, labels)
+
+
+@st.composite
+def extensions(draw):
+    """A taxonomy and a Manchester fragment that adds new classes below
+    old and new ones, and perhaps a subclass axiom between old classes
+    that closes no cycle."""
+    t = draw(taxonomies())
+    rng = draw(st.randoms(use_true_random=False))
+    names = sorted(c.local_name for c in t.classes)
+    frames = []
+    for i in range(draw(st.integers(0, 4))):
+        supers = rng.sample(names, min(len(names), rng.randint(1, 2)))
+        frames.append(f"Class: N{i} SubClassOf: {', '.join(supers)}")
+        names.append(f"N{i}")
+    old = sorted(t.classes, key=lambda c: c.iri)
+    if draw(st.booleans()):
+        a, b = rng.choice(old), rng.choice(old)
+        if not t.leq(b, a):
+            frames.append(f"Class: {a.local_name} SubClassOf: {b.local_name}")
+    return t, "\n".join(frames)
+
+
+@SETTINGS
+@given(extensions())
+def test_extend_is_monotone_and_leaves_the_base_alone(case):
+    t, fragment = case
+    state = (t.classes, t.subclass_edges, t.top, hash(t))
+    order = {(a, b) for a in t.classes for b in t.classes if t.leq(a, b)}
+    ext = t.extend(fragment)
+    assert t.classes <= ext.classes
+    assert all(ext.leq(a, b) for a, b in order)
+    assert (t.classes, t.subclass_edges, t.top, hash(t)) == state
+    assert order == {(a, b) for a in t.classes for b in t.classes if t.leq(a, b)}
