@@ -14,6 +14,7 @@ import graphlib
 import heapq
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import Catalog
 from .errors import (
@@ -38,7 +39,6 @@ _KEYWORDS = frozenset({
     "logic", "pattern", "refinement", "network", "data", "combine",
     "then", "refined", "to", "via", "end",
 })
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
 
 
@@ -109,112 +109,110 @@ class Document:
 
 # -- lexer --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", one of _SYMBOLS, or "eof"
+class Token(NamedTuple):
+    kind: str  # "name", one of _SYMBOLS, "ontref", "fragment" or "eof"
     value: str
     line: int
     col: int
 
 
-class Lexer:
-    """Hand-rolled lexer with two parser-driven raw modes: ontology
-    references (maximal non-space runs, so CURIEs and URLs stay whole)
-    and Manchester fragments (raw text up to the matching brace)."""
+#: Whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line comments.
+_TRIVIA = r"(?:\s|%%[^\n]*)*"
+_TRIVIA_RE = re.compile(_TRIVIA)
+#: Trivia, then a symbol or a name if one starts there.
+_TOKEN_RE = re.compile(
+    _TRIVIA + "(?:(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS))
+    + r")|(?P<name>[A-Za-z_][A-Za-z0-9_]*))?")
+_ONTREF_RE = re.compile(r"[^\s{}]*")
+_BRACE_RE = re.compile(r"[{}]")
 
-    def __init__(self, text: str, source_name: str = "<input>"):
+
+class Lexer:
+    """Regex lexer with two parser-driven raw modes: ontology references
+    (maximal non-space runs, so CURIEs and URLs stay whole) and Manchester
+    fragments (raw text up to the matching brace).
+
+    Positions are 1-based; only ``"\n"`` starts a line, and a column
+    counts characters from the start of its line.
+    """
+
+    def __init__(self, text: str):
         self.text = text
-        self.source_name = source_name
         self.pos = 0
         self.line = 1
-        self.col = 1
-        self._peeked: tuple[Token, int, int, int] | None = None
+        self.line_start = 0  # offset of the first character of ``line``
+        self._peeked: Token | None = None
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def _move_to(self, end: int) -> None:
+        """Advance to offset ``end``, counting the newlines passed."""
+        text, pos = self.text, self.pos
+        last_nl = text.rfind("\n", pos, end)
+        if last_nl >= 0:
+            self.line += text.count("\n", pos, last_nl) + 1
+            self.line_start = last_nl + 1
+        self.pos = end
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance()
-            elif self.text.startswith("%%", self.pos):
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
+    def _skip_trivia(self) -> int:
+        """Move past whitespace and comments; return the new offset."""
+        self._move_to(_TRIVIA_RE.match(self.text, self.pos).end())
+        return self.pos
 
     def _lex(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token("eof", "", self.line, self.col)
-        line, col = self.line, self.col
-        for sym in _SYMBOLS:
-            if self.text.startswith(sym, self.pos):
-                self._advance(len(sym))
-                return Token(sym, sym, line, col)
-        m = _NAME_RE.match(self.text, self.pos)
-        if m:
-            self._advance(m.end() - self.pos)
-            return Token("name", m.group(0), line, col)
-        raise ParseError(f"unexpected character {self.text[self.pos]!r}",
-                         line=line, col=col)
+        m = _TOKEN_RE.match(self.text, self.pos)
+        kind = m.lastgroup
+        value = m.group(kind) if kind else ""
+        start = m.end() - len(value)
+        self._move_to(start)
+        col = start - self.line_start + 1
+        if kind is None and start < len(self.text):
+            raise ParseError(f"unexpected character {self.text[start]!r}",
+                             line=self.line, col=col)
+        self.pos = m.end()
+        return Token(value if kind == "symbol" else kind or "eof",
+                     value, self.line, col)
 
     def peek(self) -> Token:
         if self._peeked is None:
-            start = (self.pos, self.line, self.col)
-            tok = self._lex()
-            self._peeked = (tok, *start)
-        return self._peeked[0]
+            self._peeked = self._lex()
+        return self._peeked
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._peeked
+        if tok is None:
+            return self._lex()
         self._peeked = None
         return tok
 
     def _rewind_peek(self) -> None:
+        """Put the peeked token back.  Tokens do not span lines, so only
+        the offset moves."""
         if self._peeked is not None:
-            _, self.pos, self.line, self.col = self._peeked
+            self.pos -= len(self._peeked.value)
             self._peeked = None
 
     def scan_ontref(self) -> Token:
         self._rewind_peek()
-        self._skip_trivia()
-        line, col = self.line, self.col
-        start = self.pos
-        while (self.pos < len(self.text)
-               and not self.text[self.pos].isspace()
-               and self.text[self.pos] not in "{}"):
-            self._advance()
-        if self.pos == start:
+        start = self._skip_trivia()
+        col = start - self.line_start + 1
+        end = _ONTREF_RE.match(self.text, start).end()
+        if end == start:
             raise ParseError("expected an ontology reference",
-                             line=line, col=col, expected=("CURIE", "IRI"))
-        return Token("ontref", self.text[start:self.pos], line, col)
+                             line=self.line, col=col, expected=("CURIE", "IRI"))
+        self.pos = end
+        return Token("ontref", self.text[start:end], self.line, col)
 
     def scan_fragment(self) -> Token:
         """Raw text from here to the brace closing the data clause."""
         self._rewind_peek()
-        self._skip_trivia()
-        line, col = self.line, self.col
-        start = self.pos
+        start = self._skip_trivia()
+        line, col = self.line, start - self.line_start + 1
         depth = 1
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    text = self.text[start:self.pos]
-                    self._advance()  # consume the closing brace
-                    return Token("fragment", text, line, col)
-            self._advance()
+        for m in _BRACE_RE.finditer(self.text, start):
+            depth += 1 if m.group() == "{" else -1
+            if depth == 0:
+                end = m.start()
+                self._move_to(end + 1)  # past the closing brace
+                return Token("fragment", self.text[start:end], line, col)
         raise ParseError("unterminated data clause, expected '}'",
                          line=line, col=col, expected=("}",))
 
@@ -222,8 +220,8 @@ class Lexer:
 # -- parser -------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, source_name: str):
-        self.lx = Lexer(text, source_name)
+    def __init__(self, lexer: Lexer):
+        self.lx = lexer
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.lx.next()
@@ -376,7 +374,7 @@ class _Parser:
 
 def parse(text: str, source_name: str = "<input>") -> Document:
     """Parse source text into a Document AST."""
-    return _Parser(text, source_name).document()
+    return _Parser(Lexer(text)).document()
 
 
 # -- resolver -----------------------------------------------------------------
@@ -598,7 +596,7 @@ def _safe_ids(p: Pattern) -> dict[str, str]:
     used: set[str] = set()
     for nid in p.sorted_ids:
         safe = re.sub(r"[^A-Za-z0-9_]", "_", nid)
-        if not re.match(r"[A-Za-z_]", safe or "_"):
+        if safe in _KEYWORDS or not re.match(r"[A-Za-z_]", safe or "_"):
             safe = "n_" + safe
         if not safe:
             safe = "n"

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -34,8 +36,8 @@ DEFAULT_NAMESPACE = "https://ontohub.org/meta/NeSyPatterns.omn#"
 #: Local name of the root class every pattern element sits below.
 TOP_LOCAL_NAME = "NeSy_Pattern_Element"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_NUMBER_RE = re.compile(r"[0-9][A-Za-z0-9_.\-]*")
+#: A usable local name: non-empty, without whitespace.
+_LOCAL_NAME_RE = re.compile(r"\S+")
 
 
 def _iri(c: "ClassRef") -> str:
@@ -58,7 +60,7 @@ class ClassRef:
     local_name: str
 
     def __post_init__(self):
-        if not self.local_name or any(c.isspace() for c in self.local_name):
+        if not _LOCAL_NAME_RE.fullmatch(self.local_name):
             raise ValueError(f"bad local name {self.local_name!r}")
 
     @classmethod
@@ -261,37 +263,35 @@ class Taxonomy:
         fragment = fragment.strip()
         if not fragment:
             return self
-        decls, edge_names, frag_ns, prefixes = _parse_manchester(
+        decls, edge_names, frag_ns, prefixes, where = _parse_manchester(
             fragment, diagnostics, source_name, default_ns=self.namespace)
 
         def resolve(name: str, *, declare: bool) -> ClassRef:
-            if name.startswith("<") and name.endswith(">"):
-                ref = ClassRef.from_iri(name[1:-1])
-                if ref in self.classes or ref in new_refs:
-                    return ref
-                if declare:
-                    new_refs.add(ref)
-                    return ref
-                raise UnknownClassError(f"unknown class <{ref.iri}> in extension")
-            if ":" in name:
-                pfx, local = name.split(":", 1)
-                if pfx not in prefixes:
-                    raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}")
-                return resolve(f"<{prefixes[pfx] + local}>", declare=declare)
-            norm = name.replace(" ", "_")
-            if norm in self._by_local:
-                return self._by_local[norm]
-            if norm in new_by_local:
-                return new_by_local[norm]
-            if declare:
-                c = ClassRef(frag_ns + norm, norm)
-                new_by_local[norm] = c
-                new_refs.add(c)
-                return c
-            raise UnknownClassError(f"unknown class {norm!r} in extension")
+            iri = _expand(name, prefixes)
+            if iri is not None:
+                if iri in self._index:
+                    return self._order[self._index[iri]]
+                if iri in new_by_iri:
+                    return new_by_iri[iri]
+                if not declare:
+                    raise UnknownClassError(f"unknown class <{iri}> in extension")
+                c = _mint(iri, _local_name_of(iri), taken, where[name])
+            else:
+                norm = name.replace(" ", "_")
+                if norm in self._by_local:
+                    return self._by_local[norm]
+                if norm in new_by_local:
+                    return new_by_local[norm]
+                if not declare:
+                    raise UnknownClassError(f"unknown class {norm!r} in extension")
+                c = new_by_local[norm] = _mint(frag_ns + norm, norm, taken,
+                                               where[name])
+            new_by_iri[c.iri] = c
+            return c
 
-        new_by_local: dict[str, ClassRef] = {}
-        new_refs: set[ClassRef] = set()
+        new_by_local: dict[str, ClassRef] = {}  # bare names declared here
+        new_by_iri: dict[str, ClassRef] = {}  # every class declared here
+        taken = dict(self._by_local)
         declared = [resolve(n, declare=True) for n in decls]
         edges = set(self.subclass_edges)
         has_super: set[ClassRef] = set()
@@ -303,7 +303,8 @@ class Taxonomy:
         for c in declared:
             if c not in self.classes and c not in has_super and c != self.top:
                 edges.add((c, self.top))
-        return Taxonomy(self.classes | new_refs, edges, self.top, self.namespace)
+        return Taxonomy(self.classes | set(new_by_iri.values()), edges,
+                        self.top, self.namespace)
 
     # -- equality --------------------------------------------------------
 
@@ -367,79 +368,57 @@ _ENTRY_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # name, quoted, iri, colon, comma, eof
+class _Tok(NamedTuple):
+    kind: str  # name, quoted, iri, colon, comma, misc, eof
     value: str
     line: int
     col: int
 
 
+# Alternatives are tried in order.  ``bad`` catches an opening ``<``,
+# ``'`` or ``"`` whose token alternative failed; ``misc`` lexes numbers,
+# parentheses and annotation operators, which only appear inside entries
+# the parser skips.  Whitespace matches nothing and is passed over.
+_MANCHESTER_RE = re.compile(r"""
+    (?P<newline>\n)
+  | <(?P<iri>[^>]*)>
+  | '(?P<quoted>[^'\n]*)'
+  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<bad>[<'"])
+  | (?P<colon>:)
+  | (?P<comma>,)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<misc>[0-9][A-Za-z0-9_.\-]*|\S)
+""", re.VERBOSE | re.DOTALL)
+
+#: Builds a ``_Tok`` from a 4-tuple without the Python-level ``__new__``
+#: that ``NamedTuple`` generates; the tokenizer makes one per match.
+_new_tok = partial(tuple.__new__, _Tok)
+
+_UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
+                 '"': "unterminated string literal"}
+
+
 def _tokenize_manchester(text: str, source_name: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _MANCHESTER_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start()
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "<":
-            j = text.find(">", i)
-            if j < 0:
-                raise ParseError("unterminated IRI", line=line, col=col)
-            toks.append(_Tok("iri", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0 or "\n" in text[i + 1:j]:
-                raise ParseError("unterminated quoted name", line=line, col=col)
-            toks.append(_Tok("quoted", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line=line, col=col)
-            toks.append(_Tok("misc", text[i:j + 1], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == ":":
-            toks.append(_Tok("colon", ":", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ",":
-            toks.append(_Tok("comma", ",", line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(_Tok("name", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        # Anything else (numbers, parentheses, annotation operators) only
-        # appears inside entries we skip; lex it so skipping can walk over it.
-        m = _NUMBER_RE.match(text, i)
-        length = m.end() - i if m else 1
-        toks.append(_Tok("misc", text[i:i + length], line, col))
-        i += length
-        col += length
-    toks.append(_Tok("eof", "", line, col))
+        if kind == "bad":
+            raise ParseError(_UNTERMINATED[m.group()],
+                             line=line, col=start - line_start + 1)
+        value = m.group(kind)
+        toks.append(_new_tok(("misc" if kind == "string" else kind, value,
+                              line, start - line_start + 1)))
+        if "\n" in value:  # an IRI or a string literal spanning lines
+            line += value.count("\n")
+            line_start = text.rfind("\n", start, m.end()) + 1
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -447,9 +426,10 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
                       source_name: str, default_ns: str | None = None):
     """Parse the Manchester subset into raw declaration and edge name lists.
 
-    Returns (declared class names, (sub, super) name pairs,
-    namespace, prefix map).  Names keep prefixes as ``pfx:Name`` so the
-    caller can expand them; bare and quoted names are space-normalized.
+    Returns (declared class names, (sub, super) name pairs, namespace,
+    prefix map, the token each name first starts at).  Names keep
+    prefixes as ``pfx:Name`` so the caller can expand them; bare and
+    quoted names are space-normalized.
     """
     toks = _tokenize_manchester(text, source_name)
     pos = 0
@@ -459,6 +439,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
     declared: list[str] = []
     declared_set: set[str] = set()
     edges: list[tuple[str, str]] = []
+    where: dict[str, _Tok] = {}
 
     def warn(msg: str, tok: _Tok) -> None:
         if diagnostics is not None:
@@ -495,24 +476,27 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
         t = peek()
         if t.kind == "quoted":
             advance()
-            return t.value.replace(" ", "_")
-        if t.kind == "iri":
+            name = t.value.replace(" ", "_")
+        elif t.kind == "iri":
             advance()
-            return "<" + t.value + ">"
-        if t.kind == "name":
+            name = "<" + t.value + ">"
+        elif t.kind == "name":
             advance()
+            name = t.value
             if peek().kind == "colon" and _is_adjacent(t, toks[pos]):
                 colon = advance()
                 t2 = peek()
-                if t2.kind == "name" and _is_adjacent(colon, t2):
-                    advance()
-                    return f"{t.value}:{t2.value}"
-                raise ParseError("malformed prefixed name",
-                                 line=t.line, col=t.col)
-            return t.value
-        raise ParseError(f"expected a class name, found {t.value!r}",
-                         line=t.line, col=t.col,
-                         expected=("name", "quoted name", "IRI"))
+                if not (t2.kind == "name" and _is_adjacent(colon, t2)):
+                    raise ParseError("malformed prefixed name",
+                                     line=t.line, col=t.col)
+                advance()
+                name = f"{t.value}:{t2.value}"
+        else:
+            raise ParseError(f"expected a class name, found {t.value!r}",
+                             line=t.line, col=t.col,
+                             expected=("name", "quoted name", "IRI"))
+        where.setdefault(name, t)
+        return name
 
     def skip_entry(kw: _Tok) -> None:
         while True:
@@ -609,7 +593,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
-    return declared, edges, namespace, prefixes
+    return declared, edges, namespace, prefixes, where
 
 
 def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
@@ -623,30 +607,24 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
     the top class; the top is the declared NeSy_Pattern_Element if
     present, else the unique root, else a fresh synthesized root.
     """
-    decls, edge_names, namespace, prefixes = _parse_manchester(
+    decls, edge_names, namespace, prefixes, where = _parse_manchester(
         text, diagnostics, source_name)
 
-    def to_ref(name: str) -> ClassRef:
-        if name.startswith("<") and name.endswith(">"):
-            return ClassRef.from_iri(name[1:-1])
-        if ":" in name:
-            pfx, local = name.split(":", 1)
-            if pfx not in prefixes:
-                raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}")
-            return ClassRef.from_iri(prefixes[pfx] + local)
-        return ClassRef(namespace + name, name)
-
     refs: dict[str, ClassRef] = {}
-    order: list[ClassRef] = []
+    taken: dict[str, ClassRef] = {}
 
     def intern(name: str) -> ClassRef:
         if name not in refs:
-            refs[name] = to_ref(name)
-            order.append(refs[name])
+            iri = _expand(name, prefixes)
+            if iri is None:
+                refs[name] = _mint(namespace + name, name, taken, where[name])
+            else:
+                refs[name] = _mint(iri, _local_name_of(iri), taken, where[name])
         return refs[name]
 
     declared = [intern(n) for n in decls]
     edges = {(intern(a), intern(b)) for a, b in edge_names}
+    order = list(refs.values())
     classes = set(order)
 
     top = next((c for c in order if c.local_name == TOP_LOCAL_NAME), None)
@@ -663,6 +641,35 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
         if c not in has_super and c != top:
             edges.add((c, top))
     return Taxonomy(classes, edges, top, namespace)
+
+
+def _expand(name: str, prefixes: dict[str, str]) -> str | None:
+    """The IRI of a parsed ``<iri>`` or ``pfx:local`` name; None for a
+    bare name."""
+    if name.startswith("<") and name.endswith(">"):
+        return name[1:-1]
+    if ":" in name:
+        pfx, local = name.split(":", 1)
+        if pfx not in prefixes:
+            raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}")
+        return prefixes[pfx] + local
+    return None
+
+
+def _mint(iri: str, local: str, taken: dict[str, ClassRef], at: _Tok) -> ClassRef:
+    """A class read from Manchester text, recorded in ``taken`` by local
+    name.  A local name that is empty, holds whitespace or is taken by
+    another IRI is a ParseError at ``at``, the token the name starts at."""
+    if not _LOCAL_NAME_RE.fullmatch(local):
+        problem = "whitespace in its local name" if local else "no local name"
+    else:
+        ref = ClassRef(iri, local)
+        other = taken.setdefault(local, ref)
+        if other.iri == iri:
+            return ref
+        problem = f"the local name {local!r} of <{other.iri}>"
+    shown = iri if iri.isprintable() else repr(iri)[1:-1]  # keep it one line
+    raise ParseError(f"IRI <{shown}> has {problem}", line=at.line, col=at.col)
 
 
 def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import dataclass
 
+from nesypat.errors import ParseError
 from nesypat.pattern import Pattern, build_pattern
 from nesypat.taxonomy import ClassRef, Taxonomy
 
@@ -187,3 +190,204 @@ def equivalence_classes_oracle(elements, pairs):
             ca |= cb
             classes.remove(cb)
     return {frozenset(c) for c in classes}
+
+
+# -- reference lexers --------------------------------------------------------
+#
+# The per-character tokenizers that the regex lexers in ``dsl`` and
+# ``taxonomy`` replaced, kept as the judge of positions and errors.
+
+_REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str  # "name", one of _REF_SYMBOLS, or "eof"
+    value: str
+    line: int
+    col: int
+
+
+class ReferenceLexer:
+    """The pattern-language lexer as it was before it moved to regexes:
+    one ``_advance`` per character.  Drop-in for ``dsl.Lexer``."""
+
+    def __init__(self, text: str, source_name: str = "<input>"):
+        self.text = text
+        self.source_name = source_name
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        self._peeked: tuple[ReferenceToken, int, int, int] | None = None
+
+    def _advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def _skip_trivia(self) -> None:
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch.isspace():
+                self._advance()
+            elif self.text.startswith("%%", self.pos):
+                while self.pos < len(self.text) and self.text[self.pos] != "\n":
+                    self._advance()
+            else:
+                return
+
+    def _lex(self) -> ReferenceToken:
+        self._skip_trivia()
+        if self.pos >= len(self.text):
+            return ReferenceToken("eof", "", self.line, self.col)
+        line, col = self.line, self.col
+        for sym in _REF_SYMBOLS:
+            if self.text.startswith(sym, self.pos):
+                self._advance(len(sym))
+                return ReferenceToken(sym, sym, line, col)
+        m = _REF_NAME_RE.match(self.text, self.pos)
+        if m:
+            self._advance(m.end() - self.pos)
+            return ReferenceToken("name", m.group(0), line, col)
+        raise ParseError(f"unexpected character {self.text[self.pos]!r}",
+                         line=line, col=col)
+
+    def peek(self) -> ReferenceToken:
+        if self._peeked is None:
+            start = (self.pos, self.line, self.col)
+            tok = self._lex()
+            self._peeked = (tok, *start)
+        return self._peeked[0]
+
+    def next(self) -> ReferenceToken:
+        tok = self.peek()
+        self._peeked = None
+        return tok
+
+    def _rewind_peek(self) -> None:
+        if self._peeked is not None:
+            _, self.pos, self.line, self.col = self._peeked
+            self._peeked = None
+
+    def scan_ontref(self) -> ReferenceToken:
+        self._rewind_peek()
+        self._skip_trivia()
+        line, col = self.line, self.col
+        start = self.pos
+        while (self.pos < len(self.text)
+               and not self.text[self.pos].isspace()
+               and self.text[self.pos] not in "{}"):
+            self._advance()
+        if self.pos == start:
+            raise ParseError("expected an ontology reference",
+                             line=line, col=col, expected=("CURIE", "IRI"))
+        return ReferenceToken("ontref", self.text[start:self.pos], line, col)
+
+    def scan_fragment(self) -> ReferenceToken:
+        """Raw text from here to the brace closing the data clause."""
+        self._rewind_peek()
+        self._skip_trivia()
+        line, col = self.line, self.col
+        start = self.pos
+        depth = 1
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    text = self.text[start:self.pos]
+                    self._advance()  # consume the closing brace
+                    return ReferenceToken("fragment", text, line, col)
+            self._advance()
+        raise ParseError("unterminated data clause, expected '}'",
+                         line=line, col=col, expected=("}",))
+
+
+_REF_MANCHESTER_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+_REF_NUMBER_RE = re.compile(r"[0-9][A-Za-z0-9_.\-]*")
+
+
+def reference_tokenize_manchester(text: str) -> list[tuple[str, str, int, int]]:
+    """The Manchester tokenizer's per-character loop, as (kind, value,
+    line, col) tuples.  Unlike the loop it replaced, it steps line and
+    column through an IRI or a string literal that spans lines."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def walk(end):
+        nonlocal line, col
+        for ch in text[i:end]:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "<":
+            j = text.find(">", i)
+            if j < 0:
+                raise ParseError("unterminated IRI", line=line, col=col)
+            toks.append(("iri", text[i + 1:j], line, col))
+            walk(j + 1)
+            i = j + 1
+            continue
+        if ch == "'":
+            j = text.find("'", i + 1)
+            if j < 0 or "\n" in text[i + 1:j]:
+                raise ParseError("unterminated quoted name", line=line, col=col)
+            toks.append(("quoted", text[i + 1:j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            if j >= n:
+                raise ParseError("unterminated string literal", line=line, col=col)
+            toks.append(("misc", text[i:j + 1], line, col))
+            walk(j + 1)
+            i = j + 1
+            continue
+        if ch == ":":
+            toks.append(("colon", ":", line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == ",":
+            toks.append(("comma", ",", line, col))
+            i += 1
+            col += 1
+            continue
+        m = _REF_MANCHESTER_NAME_RE.match(text, i)
+        if m:
+            toks.append(("name", m.group(0), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _REF_NUMBER_RE.match(text, i)
+        length = m.end() - i if m else 1
+        toks.append(("misc", text[i:i + length], line, col))
+        i += length
+        col += length
+    toks.append(("eof", "", line, col))
+    return toks

@@ -297,6 +297,18 @@ class TestCatalog:
         with pytest.raises(CatalogMissError):
             load_catalog(cat_file)
 
+    def test_mapped_ontology_with_unusable_iri_is_a_check_failure(self, tmp_path):
+        omn = tmp_path / "bad.omn"
+        omn.write_text("Class: A\nClass: <urn:x#>")
+        doc = tmp_path / "doc.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data urn:bad A; end")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"mappings": {"urn:bad": str(omn)}}))
+        err = io.StringIO()
+        assert cmd_check(str(doc), load_catalog(cat_file), err=err) == 1
+        assert "error: IRI <urn:x#> has no local name" in err.getvalue()
+        assert "internal error" not in err.getvalue()
+
     def test_relative_mapping_paths(self, tmp_path):
         omn = tmp_path / "zoo.omn"
         omn.write_text("Class: Animal")

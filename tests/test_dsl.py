@@ -29,7 +29,8 @@ from nesypat.errors import (
 )
 from nesypat.library import Library
 from nesypat.network import Network
-from nesypat.pattern import isomorphic
+from nesypat.pattern import build_pattern, isomorphic
+from nesypat.taxonomy import default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 FIG_DOC = (CORPUS / "semantic_generate_and_train.nesy").read_text()
@@ -169,6 +170,15 @@ class TestResolve:
         embed_nodes = [n for n in p.nodes if n.label.local_name == "Embedding"]
         assert len(embed_nodes) == 1
 
+    def test_extension_iri_without_local_name_is_placed(self, catalog):
+        doc = parse("logic NeSyPatterns\n"
+                    "pattern P = data { ontohub:NeSyPatterns.omn then\n"
+                    "    Class: E\n    Class: <urn:x#> } E; end")
+        with pytest.raises(ParseError) as e:
+            resolve(doc, catalog)
+        assert e.value.message == "IRI <urn:x#> has no local name"
+        assert (e.value.line, e.value.col) == (4, 12)
+
     def test_inferred_refinements(self, catalog):
         lib = resolve(parse(FIG_DOC), catalog)
         assert lib.refinements["R1"].node_map == {"anon1": "anon3"}
@@ -253,6 +263,15 @@ class TestEmitDsl:
         lib2 = evaluate_combines(resolve(parse(text), Catalog.default()))
         assert isomorphic(lib.patterns["SemanticGenerateAndTrain"],
                           lib2.patterns["SemanticGenerateAndTrain"])
+
+    def test_keyword_node_ids_are_renamed(self):
+        t = default_taxonomy()
+        p = build_pattern("P", t, [("end", t.lookup("Model")),
+                                   ("n_end", t.lookup("Data"))],
+                          [("end", "n_end")])
+        text = emit_dsl(Library(patterns={"P": p}))
+        assert "  n_end_2 : Model -> n_end : Data;" in text
+        assert isomorphic(p, resolve(parse(text)).patterns["P"])
 
     def test_emission_is_deterministic(self, catalog):
         lib = resolve(parse(FIG_DOC), catalog)

@@ -1,0 +1,176 @@
+"""Property tests of the two lexers and the readers behind them.
+
+``dsl._Parser`` runs once with ``dsl.Lexer`` and once with
+``helpers.ReferenceLexer``, the per-character lexer it replaced; both
+runs must give the same Document or the same ParseError.
+``taxonomy._tokenize_manchester`` must give the same tokens or the same
+ParseError as ``helpers.reference_tokenize_manchester``.  On any text,
+``parse`` raises nothing but ParseError and ``parse_taxonomy`` nothing
+but NesyError.
+"""
+
+import re
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import ReferenceLexer, reference_tokenize_manchester
+from nesypat import dsl
+from nesypat.dsl import parse
+from nesypat.errors import NesyError, ParseError
+from nesypat.taxonomy import _tokenize_manchester, parse_taxonomy
+
+SETTINGS = settings(deadline=None)
+DIFFERENTIAL = settings(deadline=None, max_examples=300)
+
+DECLARATIONS = [
+    "pattern P = data ontohub:NeSyPatterns.omn x : Model -> y : Data; Symbol; end",
+    "pattern Q = data { ontohub:NeSyPatterns.omn then Class: E\n"
+    "  SubClassOf: Model %% {\n} e : E -> Data; end",
+    "pattern R = data { https://ontohub.org/meta/NeSyPatterns.omn } a : Actor; end",
+    "pattern C = combine N end",
+    "refinement S = P refined to Q via x |-> e, y |-> e end",
+    "refinement T = P refined to Q end",
+    "network N = P, Q, S end",
+]
+PIECES = [
+    # keywords, names and symbols
+    "logic", "NeSyPatterns", "pattern", "refinement", "network", "data",
+    "combine", "then", "refined", "to", "via", "end", "P", "x", "_y2",
+    "Model", "o:x", "http://a/b#c", "|->", "->", "=", ";", ":", ",", "{", "}",
+    # stray characters, comments, fragments
+    "|", "-", "@", "%", "%%", "%% note\n", "%%}{", "é", "0", ">",
+    "{ o:x then Class: B\n SubClassOf: Data }", "{ {", "then",
+    # whitespace, including Unicode spaces that str.isspace accepts
+    " ", "\n", "\t", "\r", "\r\n", "\x1c", "\x85", "\xa0", " ",
+]
+SEPARATORS = st.sampled_from(["", " ", "\n", "  ", "\t"])
+
+
+@st.composite
+def dsl_texts(draw):
+    """A document of valid declarations, split into words and spaces,
+    with a few words inserted, deleted or replaced."""
+    units = ["logic", " ", "NeSyPatterns"]
+    for decl in draw(st.lists(st.sampled_from(DECLARATIONS), max_size=3)):
+        units += [draw(SEPARATORS) or "\n"] + re.split(r"(\s+)", decl)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(units)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            units.insert(i, draw(st.sampled_from(PIECES)) + draw(SEPARATORS))
+        elif i < len(units):
+            units[i:i + 1] = [] if op == "delete" else [draw(st.sampled_from(PIECES))]
+    return "".join(units)
+
+
+def outcome(lexer):
+    try:
+        return dsl._Parser(lexer).document()
+    except ParseError as e:
+        return ("ParseError", e.message, e.line, e.col, e.expected)
+
+
+def check_same_parse(text):
+    assert outcome(dsl.Lexer(text)) == outcome(ReferenceLexer(text)), text
+
+
+@DIFFERENTIAL
+@given(dsl_texts())
+def test_dsl_lexer_matches_reference(text):
+    check_same_parse(text)
+
+
+@DIFFERENTIAL
+@given(st.lists(st.sampled_from(PIECES) | st.text(max_size=3), max_size=20)
+       .map("".join))
+def test_dsl_lexer_matches_reference_on_pieces(text):
+    check_same_parse(text)
+
+
+@SETTINGS
+@given(st.text() | dsl_texts()
+       | st.lists(st.sampled_from(PIECES) | st.text(max_size=3)).map("".join))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse(text)
+    except ParseError as e:
+        assert e.line >= 1 and e.col >= 1
+
+
+def test_unexpected_character_after_data():
+    # The lookahead after `data` lexes `@` as a token, so the error is an
+    # unexpected character, not a malformed ontology reference.
+    text = "logic NeSyPatterns\npattern P = data @x"
+    for lexer in (dsl.Lexer(text), ReferenceLexer(text)):
+        assert outcome(lexer) == ("ParseError", "unexpected character '@'",
+                                  2, 18, ())
+
+
+MANCHESTER_PIECES = [
+    "Class:", "Class", "SubClassOf:", "Prefix:", "Ontology:", "Annotations:",
+    "A", "b-c", "<urn:x#A>", "<urn:\nx#B>", "'q n'", "'bad\nquote'",
+    '"two\nlines"', '"esc\\"aped"', '"\\', "<", "'", '"', ":", ",",
+    "12.5e-3", "0x1F", "(", ")", " ", "\n", "\r", "\t", "\x1c", "\xa0", "é",
+    "\\", ">", "#",
+]
+CLASS_NAMES = [
+    "A", "B", "Model", "NeSy_Pattern_Element", "'q n'", "''", "'a\tb'",
+    "'<urn:x#>'", "<urn:x#A>", "<urn:y#A>", "<A>", "<urn:x#>", "<urn:x#a\tb>",
+    "<urn:x#a\nb>", "p:X", "q:Y",
+]
+OTHER_FRAMES = [
+    "Prefix: p: <urn:p#>", "Prefix: p: <urn:a\tb>", "Prefix: : <urn:d#>",
+    "Ontology: <urn:o>", "Import: <urn:i>", "Individual: i",
+    'Annotations: rdfs:comment "two\nlines"', "EquivalentTo: A and B",
+]
+
+
+@st.composite
+def manchester_texts(draw):
+    """Class frames over names that may share a local name or have none,
+    other frames, and a few inserted, deleted or replaced pieces."""
+    names = st.sampled_from(CLASS_NAMES)
+    units = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            frame = "Class: " + draw(names)
+            supers = draw(st.lists(names, max_size=2))
+            if supers:
+                frame += " SubClassOf: " + ", ".join(supers)
+        else:
+            frame = draw(st.sampled_from(OTHER_FRAMES))
+        units += [draw(SEPARATORS) or "\n", frame]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(units)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            units.insert(i, draw(st.sampled_from(MANCHESTER_PIECES)))
+        elif i < len(units):
+            units[i:i + 1] = ([] if op == "delete"
+                              else [draw(st.sampled_from(MANCHESTER_PIECES))])
+    return "".join(units)
+
+
+@SETTINGS
+@given(st.text() | manchester_texts())
+def test_parse_taxonomy_raises_only_nesy_errors(text):
+    try:
+        parse_taxonomy(text)
+    except NesyError:
+        pass
+
+
+def tokens(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ParseError as e:
+        return ("ParseError", e.message, e.line, e.col, e.expected)
+
+
+@DIFFERENTIAL
+@given(manchester_texts()
+       | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
+                  max_size=20).map("".join))
+def test_manchester_tokens_match_reference(text):
+    got = tokens(lambda t: _tokenize_manchester(t, "<t>"), text)
+    assert got == tokens(reference_tokenize_manchester, text), text

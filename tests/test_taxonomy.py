@@ -219,6 +219,56 @@ class TestParseTaxonomy:
         assert misc == [("12.5e-3", 2, 18), ("(", 2, 26), (")", 2, 28),
                         ("7", 2, 30), (";", 2, 32), ("0x1F", 2, 34)]
 
+    def test_position_after_string_literal_spanning_lines(self):
+        with pytest.raises(ParseError) as e:
+            parse_taxonomy('Class: A\n Annotations: rdfs:comment "two\nlines"\n'
+                           'Class: B\n  (')
+        assert e.value.message == "malformed frame near '('"
+        assert (e.value.line, e.value.col) == (5, 3)
+
+    def test_position_after_iri_spanning_lines(self):
+        toks = _tokenize_manchester("Class: <urn:x#\nA> Class: B", "<t>")
+        assert [(t.kind, t.value, t.line, t.col) for t in toks[2:4]] == [
+            ("iri", "urn:x#\nA", 1, 8), ("name", "Class", 2, 4)]
+
+
+class TestUnusableLocalNames:
+    """A class whose local name is empty, holds whitespace or belongs to
+    another IRI is a ParseError at the name, not a ValueError."""
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("Class: <urn:x#>", "IRI <urn:x#> has no local name", 8),
+        ("Class: <urn:x#a\tb>", "IRI <urn:x#a\\tb> has whitespace in its local name", 8),
+        ("Class: A SubClassOf: <urn:x#\n>",
+         "IRI <urn:x#\\n> has whitespace in its local name", 22),
+        ("Class: ''", f"IRI <{default_taxonomy().namespace}> has no local name", 8),
+        ("Class: <urn:a#X> Class: X",
+         f"IRI <{default_taxonomy().namespace}X> has the local name 'X' of "
+         "<urn:a#X>", 25),
+    ])
+    def test_parse_taxonomy(self, text, message, col):
+        with pytest.raises(ParseError) as e:
+            parse_taxonomy(text)
+        assert e.value.message == message
+        assert (e.value.line, e.value.col) == (1, col)
+
+    def test_prefixed_name_placed_at_its_use(self):
+        with pytest.raises(ParseError) as e:
+            parse_taxonomy("Prefix: p: <urn:a#b\tc>\nClass: p:X")
+        assert e.value.message == "IRI <urn:a#b\\tcX> has whitespace in its local name"
+        assert (e.value.line, e.value.col) == (2, 8)
+
+    def test_extend(self, default):
+        with pytest.raises(ParseError) as e:
+            default.extend("Class: <urn:x#>")
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "IRI <urn:x#> has no local name", 1, 8)
+        with pytest.raises(ParseError) as e:
+            default.extend("Class: E\nClass: <urn:b#Model>")
+        assert (e.value.line, e.value.col) == (2, 8)
+        assert e.value.message.startswith(
+            "IRI <urn:b#Model> has the local name 'Model' of <")
+
 
 class TestExtend:
     def test_is_value_semantic(self, default):
