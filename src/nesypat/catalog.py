@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CatalogMissError, Diagnostic
@@ -18,19 +16,39 @@ BUILTIN_IRIS = (
 _DEFAULT_PREFIXES = {"ontohub": "https://ontohub.org/meta/"}
 
 
-@dataclass
 class Catalog:
     """Maps CURIE prefixes to IRI bases and IRIs to local ontology files.
 
     IRIs without a file mapping fall back to the built-in route for the
     bundled pattern-element ontology; anything else is fetched over HTTP
     only when ``allow_fetch`` is set, and is a CatalogMissError otherwise.
+    Both maps default to a new empty dict; catalogs are equal when their
+    maps, flag and resolved taxonomies are.
     """
 
-    prefixes: dict[str, str] = field(default_factory=dict)
-    mappings: dict[str, str] = field(default_factory=dict)
-    allow_fetch: bool = False
-    _cache: dict[str, Taxonomy] = field(default_factory=dict, repr=False)
+    __slots__ = ("prefixes", "mappings", "allow_fetch", "_cache")
+
+    def __init__(self, prefixes: dict[str, str] | None = None,
+                 mappings: dict[str, str] | None = None,
+                 allow_fetch: bool = False):
+        self.prefixes = {} if prefixes is None else prefixes
+        self.mappings = {} if mappings is None else mappings
+        self.allow_fetch = allow_fetch
+        self._cache: dict[str, Taxonomy] = {}
+
+    def _key(self) -> tuple:
+        return (self.prefixes, self.mappings, self.allow_fetch, self._cache)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"Catalog(prefixes={self.prefixes!r}, "
+                f"mappings={self.mappings!r}, allow_fetch={self.allow_fetch!r})")
 
     @classmethod
     def default(cls) -> "Catalog":
@@ -84,6 +102,8 @@ class Catalog:
 def load_catalog(path) -> Catalog:
     """Read a catalog file: JSON with "prefixes", "mappings" and
     optionally "allow_fetch".  Mapped paths must exist and be readable."""
+    import json
+
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))

@@ -27,15 +27,21 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 
+#: The default ``Diagnostic.file``: a message placed in the document itself.
+_DOCUMENT = "<input>"
 
-def _print_diag(err, file: str, d: Diagnostic) -> None:
+
+def _print_diag(err, path: str, d: Diagnostic) -> None:
+    """Print ``d`` against its own file, or against the document at
+    ``path`` when it names none."""
+    file = path if d.file == _DOCUMENT else d.file
     print(f"{file}:{d.line}:{d.col}: {d.severity}: {d.message}", file=err)
 
 
 def _error_diag(e: NesyError, fallback: tuple[int, int] = (1, 1)) -> Diagnostic:
     line = e.line if e.line is not None else fallback[0]
     col = e.col if e.col is not None else fallback[1]
-    return Diagnostic("error", e.message, line, col)
+    return Diagnostic("error", e.message, line, col, e.source_name or _DOCUMENT)
 
 
 def _decl_positions(doc: Document) -> dict[str, tuple[int, int]]:

@@ -10,7 +10,7 @@ were merged into one class would be a self-loop and is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     CyclicCombineError,
@@ -50,8 +50,7 @@ class UnionFind:
         self.size[ri] += self.size[rj]
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     """The combined pattern plus how each member embeds into it.
 
     ``injections[p][n]`` is the combined node that member pattern ``p``'s
@@ -238,7 +237,9 @@ def _evaluate(lib: Library, names,
             result = combine(_refresh_members(lib.networks[netname], patterns))
         except NesyError as e:
             raise e.in_decl(name)
-        result = replace(result, pattern=replace(result.pattern, name=name))
+        p = result.pattern
+        result = result._replace(
+            pattern=Pattern(name, p.taxonomy, p.nodes, p.edges))
         patterns[name] = result.pattern
     return result
 
@@ -260,8 +261,8 @@ def _refresh_members(net: Network, patterns: dict[str, Pattern]) -> Network:
     return Network(
         net.name,
         {name: patterns.get(name, p) for name, p in net.patterns.items()},
-        {name: replace(r, source=patterns.get(r.source.name, r.source),
-                       target=patterns.get(r.target.name, r.target))
+        {name: r._replace(source=patterns.get(r.source.name, r.source),
+                          target=patterns.get(r.target.name, r.target))
          for name, r in net.refinements.items()})
 
 

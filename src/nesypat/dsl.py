@@ -10,10 +10,8 @@ a line comment.
 
 from __future__ import annotations
 
-import graphlib
 import heapq
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .catalog import Catalog
@@ -44,21 +42,18 @@ _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(NamedTuple):
     name: str | None
     cls: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     refs: tuple[NodeRef, ...]
 
 
-@dataclass(frozen=True)
-class OntRef:
+class OntRef(NamedTuple):
     base: str
     extension: str | None
     line: int
@@ -74,8 +69,7 @@ class OntRef:
         return f"{{ {self.base} then {collapsed} }}"
 
 
-@dataclass(frozen=True)
-class PatternDecl:
+class PatternDecl(NamedTuple):
     name: str
     ont: OntRef | None
     chains: tuple[Chain, ...]
@@ -84,8 +78,7 @@ class PatternDecl:
     col: int
 
 
-@dataclass(frozen=True)
-class RefinementDecl:
+class RefinementDecl(NamedTuple):
     name: str
     source: str
     target: str
@@ -94,16 +87,14 @@ class RefinementDecl:
     col: int
 
 
-@dataclass(frozen=True)
-class NetworkDecl:
+class NetworkDecl(NamedTuple):
     name: str
     members: tuple[str, ...]
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     declarations: tuple
 
 
@@ -527,25 +518,40 @@ def _resolve_refinement(decl: RefinementDecl, lib: Library) -> None:
 def emit_dsl(lib: Library) -> str:
     """Render a library back to source text.
 
-    Output is deterministic; node ids are printed explicitly (sanitized
-    to the identifier charset where needed), so re-resolving yields
+    Output is deterministic; node ids are printed explicitly, and node
+    ids and pattern, refinement and network names are sanitized to
+    identifiers ``parse`` accepts where needed, so re-resolving yields
     patterns isomorphic to the input's.  Combine-defined patterns are
     emitted as their ``combine`` form.
     """
     items = _emit_order(lib)
+    names = _safe_names(_declared_names(lib))
     blocks = ["logic NeSyPatterns"]
     for kind, name in items:
         if kind == "pattern":
-            blocks.append(_emit_pattern(lib, lib.patterns[name]))
+            blocks.append(_emit_pattern(lib, lib.patterns[name], names))
         elif kind == "refinement":
-            blocks.append(_emit_refinement(lib, lib.refinements[name]))
+            blocks.append(_emit_refinement(lib, lib.refinements[name], names))
         elif kind == "network":
             net = lib.networks[name]
             members = sorted(net.patterns) + sorted(net.refinements)
-            blocks.append(f"network {name} = {', '.join(members)} end")
+            blocks.append(f"network {names[name]} = "
+                          f"{', '.join(names[m] for m in members)} end")
         else:
-            blocks.append(f"pattern {name} = combine {lib.combine_defs[name]} end")
+            blocks.append(f"pattern {names[name]} = combine "
+                          f"{names[lib.combine_defs[name]]} end")
     return "\n\n".join(blocks) + "\n"
+
+
+def _declared_names(lib: Library) -> set[str]:
+    """Every pattern, refinement and network name ``emit_dsl`` prints."""
+    names = {*lib.combine_defs, *lib.combine_defs.values(), *lib.networks}
+    names.update(p.name for p in lib.patterns.values())
+    for r in lib.refinements.values():
+        names.update((r.name, r.source.name, r.target.name))
+    for net in lib.networks.values():
+        names.update(net.patterns, net.refinements)
+    return names
 
 
 def _emit_order(lib: Library) -> list[tuple[str, str]]:
@@ -570,6 +576,8 @@ def _emit_order(lib: Library) -> list[tuple[str, str]]:
         items.append(("combine", name))
         deps[("combine", name)] = {("network", lib.combine_defs[name])}
 
+    import graphlib
+
     # Emit the lowest-index item whose dependencies are all emitted.
     known = set(items)
     graph = graphlib.TopologicalSorter()
@@ -592,21 +600,33 @@ def _emit_order(lib: Library) -> list[tuple[str, str]]:
 
 
 def _safe_ids(p: Pattern) -> dict[str, str]:
+    return _safe_names(p.sorted_ids)
+
+
+def _safe_names(names) -> dict[str, str]:
+    """Map each of ``names`` to a name ``parse`` accepts, one-to-one.
+
+    A valid name maps to itself.  Otherwise characters outside the
+    identifier charset become ``_``, a keyword or a name that does not
+    start with a letter or ``_`` gets an ``n_`` prefix, and a suffix
+    ``_2``, ``_3``, ... keeps it apart from every other name.
+    """
+    taken = set(names)
     mapping: dict[str, str] = {}
     used: set[str] = set()
-    for nid in p.sorted_ids:
-        safe = re.sub(r"[^A-Za-z0-9_]", "_", nid)
+    for name in sorted(taken):
+        safe = re.sub(r"[^A-Za-z0-9_]", "_", name)
         if safe in _KEYWORDS or not re.match(r"[A-Za-z_]", safe or "_"):
             safe = "n_" + safe
         if not safe:
             safe = "n"
         base = safe
         k = 2
-        while safe in used or (safe != nid and safe in p.labels):
+        while safe in used or (safe != name and safe in taken):
             safe = f"{base}_{k}"
             k += 1
         used.add(safe)
-        mapping[nid] = safe
+        mapping[name] = safe
     return mapping
 
 
@@ -621,9 +641,9 @@ def _data_key_for(lib: Library, p: Pattern) -> str:
         f"reference; cannot emit a data clause")
 
 
-def _emit_pattern(lib: Library, p: Pattern) -> str:
+def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str]) -> str:
     ids = _safe_ids(p)
-    lines = [f"pattern {p.name} = data {_data_key_for(lib, p)}"]
+    lines = [f"pattern {names[p.name]} = data {_data_key_for(lib, p)}"]
     for nid in p.sorted_ids:
         lines.append(f"  {ids[nid]} : {p.labels[nid].local_name};")
     for a, b in sorted(p.edges):
@@ -633,8 +653,9 @@ def _emit_pattern(lib: Library, p: Pattern) -> str:
     return "\n".join(lines)
 
 
-def _emit_refinement(lib: Library, r: Refinement) -> str:
-    head = f"refinement {r.name} = {r.source.name} refined to {r.target.name}"
+def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str]) -> str:
+    head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
+            f"{names[r.target.name]}")
     src_ids = _safe_ids(r.source) if r.source.name not in lib.combine_defs else None
     tgt_ids = _safe_ids(r.target) if r.target.name not in lib.combine_defs else None
     if src_ids is not None and tgt_ids is not None:

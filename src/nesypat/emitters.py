@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .colimit import CombinationResult
 from .errors import Diagnostic, UnknownClassError
@@ -99,6 +98,7 @@ def emit_json(value: Pattern | Network | CombinationResult) -> str:
         }
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False) + "\n"
 
@@ -107,6 +107,7 @@ def pattern_from_json(text: str, taxonomy: Taxonomy,
                       name: str | None = None) -> Pattern:
     """Read a pattern back from its JSON form, resolving labels in
     ``taxonomy``."""
+    import json
     obj = json.loads(text)
     nodes = [(n["id"], taxonomy.lookup(n["label"])) for n in obj["nodes"]]
     edges = [(a, b) for a, b in obj["edges"]]
@@ -116,8 +117,7 @@ def pattern_from_json(text: str, taxonomy: Taxonomy,
 
 # -- ABox translation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class AboxTriples:
+class AboxTriples(NamedTuple):
     """Class memberships plus edge relations for one pattern.
 
     ``lines`` holds the facts in canonical emission order: nodes are

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One user-facing message, printable as ``file:line:col: severity: message``."""
 
     severity: str  # "error" or "warning"
@@ -23,7 +22,9 @@ class NesyError(Exception):
     """Base class for all toolkit errors.
 
     ``line``/``col`` are 1-based source positions when the error can be
-    traced back to input text, else None.  ``decl`` names the pattern
+    traced back to input text, else None.  ``source_name`` names the
+    file that position lies in when it is not the document being read,
+    such as a catalog-mapped ontology.  ``decl`` names the pattern
     declaration whose evaluation failed, when known.
     """
 
@@ -32,6 +33,7 @@ class NesyError(Exception):
         self.message = message
         self.line = line
         self.col = col
+        self.source_name: str | None = None
         self.decl: str | None = None
 
     def at(self, line: int | None, col: int | None) -> "NesyError":

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnknownNameError
 from .network import Network
 from .pattern import Pattern
@@ -11,7 +9,6 @@ from .refinement import Refinement
 from .taxonomy import Taxonomy
 
 
-@dataclass
 class Library:
     """Resolved content of one document.
 
@@ -22,13 +19,40 @@ class Library:
     materializes one into ``patterns`` on first use, as resolving does for
     every combine-defined pattern a later declaration references.
     ``colimit.evaluate_combines`` materializes all of them into a copy.
+    Each map defaults to a new empty dict; libraries are equal when all
+    five maps are.
     """
 
-    taxonomies: dict[str, Taxonomy] = field(default_factory=dict)
-    patterns: dict[str, Pattern] = field(default_factory=dict)
-    refinements: dict[str, Refinement] = field(default_factory=dict)
-    networks: dict[str, Network] = field(default_factory=dict)
-    combine_defs: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("taxonomies", "patterns", "refinements", "networks",
+                 "combine_defs")
+
+    def __init__(self, taxonomies: dict[str, Taxonomy] | None = None,
+                 patterns: dict[str, Pattern] | None = None,
+                 refinements: dict[str, Refinement] | None = None,
+                 networks: dict[str, Network] | None = None,
+                 combine_defs: dict[str, str] | None = None):
+        self.taxonomies = {} if taxonomies is None else taxonomies
+        self.patterns = {} if patterns is None else patterns
+        self.refinements = {} if refinements is None else refinements
+        self.networks = {} if networks is None else networks
+        self.combine_defs = {} if combine_defs is None else combine_defs
+
+    def _key(self) -> tuple:
+        return (self.taxonomies, self.patterns, self.refinements,
+                self.networks, self.combine_defs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"Library({len(self.patterns)} patterns, "
+                f"{len(self.refinements)} refinements, "
+                f"{len(self.networks)} networks, "
+                f"{len(self.combine_defs)} combine-defined)")
 
     def has_pattern(self, name: str) -> bool:
         return name in self.patterns or name in self.combine_defs

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NetworkTypeError, TaxonomyMismatchError, UnknownNameError
 from .pattern import Pattern
 from .refinement import Refinement
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     """A set of member patterns plus refinements between them.
 
     Every refinement's source and target must be members, and all member

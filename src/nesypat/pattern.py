@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import (
     DuplicateNodeError,
@@ -27,33 +26,52 @@ from .taxonomy import ClassRef, Taxonomy
 SEARCH_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
-class PatternNode:
+class PatternNode(NamedTuple):
     id: str
     label: ClassRef
 
 
-@dataclass(frozen=True)
 class Pattern:
     """A named simple directed graph with class-labeled nodes.
 
     Simple means: no parallel edges (edges form a set) and no self-loops.
     Instances are immutable; construct through :func:`build_pattern`,
-    which validates the invariants.
+    which validates the invariants.  Two patterns are equal when their
+    name, taxonomy, nodes and edges are.  ``labels`` maps each node id to
+    its class and ``sorted_ids`` lists the ids in order.
     """
+
+    __slots__ = ("name", "taxonomy", "nodes", "edges", "labels", "sorted_ids")
 
     name: str
     taxonomy: Taxonomy
     nodes: frozenset[PatternNode]
     edges: frozenset[tuple[str, str]]
+    labels: dict[str, ClassRef]
+    sorted_ids: tuple[str, ...]
 
-    @cached_property
-    def labels(self) -> dict[str, ClassRef]:
-        return {n.id: n.label for n in self.nodes}
+    def __init__(self, name: str, taxonomy: Taxonomy,
+                 nodes: frozenset[PatternNode], edges: frozenset[tuple[str, str]]):
+        labels = {n.id: n.label for n in nodes}
+        for attr, value in (("name", name), ("taxonomy", taxonomy),
+                            ("nodes", nodes), ("edges", edges),
+                            ("labels", labels),
+                            ("sorted_ids", tuple(sorted(labels)))):
+            object.__setattr__(self, attr, value)
 
-    @cached_property
-    def sorted_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.labels))
+    def __setattr__(self, name, value):
+        raise AttributeError("Pattern is immutable")
+
+    def _key(self) -> tuple:
+        return (self.name, self.taxonomy, self.nodes, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def label_of(self, node_id: str) -> ClassRef:
         try:

@@ -10,7 +10,7 @@ unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousRefinementError,
@@ -21,8 +21,7 @@ from .pattern import Pattern, _search
 from .taxonomy import ClassRef
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One reason a node map fails the refinement conditions."""
 
     kind: str  # "missing-image" | "edge-not-preserved" | "label-not-below"
@@ -33,8 +32,7 @@ class Violation:
         return self.message
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     name: str
     source: Pattern
     target: Pattern

@@ -19,13 +19,13 @@ of down-sets, whose highest bit is a maximal lower bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 from .errors import (
     CycleError,
     Diagnostic,
+    NesyError,
     ParseError,
     UnknownClassError,
 )
@@ -52,16 +52,25 @@ def _local_name_of(iri: str) -> str:
     return frag.replace(" ", "_")
 
 
-@dataclass(frozen=True, eq=False)
 class ClassRef:
     """An ontology class. Two refs are equal iff their IRIs are equal."""
+
+    __slots__ = ("iri", "local_name")
 
     iri: str
     local_name: str
 
-    def __post_init__(self):
-        if not _LOCAL_NAME_RE.fullmatch(self.local_name):
-            raise ValueError(f"bad local name {self.local_name!r}")
+    def __init__(self, iri: str, local_name: str):
+        if not _LOCAL_NAME_RE.fullmatch(local_name):
+            raise ValueError(f"bad local name {local_name!r}")
+        object.__setattr__(self, "iri", iri)
+        object.__setattr__(self, "local_name", local_name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassRef is immutable")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return ClassRef, (self.iri, self.local_name)
 
     @classmethod
     def from_iri(cls, iri: str) -> "ClassRef":
@@ -605,8 +614,19 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
     warning diagnostic.  Superclass targets that are never declared are
     declared implicitly.  Classes with no superclass entry get an edge to
     the top class; the top is the declared NeSy_Pattern_Element if
-    present, else the unique root, else a fresh synthesized root.
+    present, else the unique root, else a fresh synthesized root.  An
+    error placed in ``text`` carries ``source_name``.
     """
+    try:
+        return _read_taxonomy(text, diagnostics, source_name)
+    except NesyError as e:
+        if e.line is not None:
+            e.source_name = source_name
+        raise
+
+
+def _read_taxonomy(text: str, diagnostics: list[Diagnostic] | None,
+                   source_name: str) -> Taxonomy:
     decls, edge_names, namespace, prefixes, where = _parse_manchester(
         text, diagnostics, source_name)
 

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,28 @@ class TestCatalog:
         assert "error: IRI <urn:x#> has no local name" in err.getvalue()
         assert "internal error" not in err.getvalue()
 
+    def test_error_in_mapped_ontology_names_that_file(self, tmp_path):
+        omn = tmp_path / "bad.omn"
+        omn.write_text("Class: A\nClass: <urn:x#>")
+        doc = tmp_path / "doc.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data urn:bad A; end")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"mappings": {"urn:bad": str(omn)}}))
+        code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
+        assert code == 1
+        assert err == f"{omn}:2:8: error: IRI <urn:x#> has no local name\n"
+
+    def test_warning_in_mapped_ontology_names_that_file(self, tmp_path):
+        omn = tmp_path / "warn.omn"
+        omn.write_text("Class: A\n  Annotations: skipped\nClass: B")
+        doc = tmp_path / "doc.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data urn:w A; end")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"mappings": {"urn:w": str(omn)}}))
+        code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
+        assert code == 0
+        assert err == f"{omn}:2:3: warning: Annotations entries are skipped\n"
+
     def test_relative_mapping_paths(self, tmp_path):
         omn = tmp_path / "zoo.omn"
         omn.write_text("Class: Animal")
@@ -360,3 +384,41 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+
+class TestAllowFetch:
+    """``--allow-fetch`` reads unmapped IRIs with ``urlopen``, which also
+    serves ``file://`` URLs, so these run offline."""
+
+    def doc(self, tmp_path, iri: str) -> str:
+        doc = tmp_path / "fetch.nesy"
+        doc.write_text(f"logic NeSyPatterns\npattern P = data {iri}\n"
+                       "  Symbol -> Training -> Model;\nend\n")
+        return str(doc)
+
+    def test_fetched_ontology_checks(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NESY_CATALOG", raising=False)
+        iri = (CORPUS / "nesy_patterns.omn").as_uri()
+        assert main(["check", "--allow-fetch", self.doc(tmp_path, iri)]) == 0
+
+    def test_failed_fetch_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("NESY_CATALOG", raising=False)
+        iri = (tmp_path / "missing.omn").as_uri()
+        assert main(["check", "--allow-fetch", self.doc(tmp_path, iri)]) == 2
+        assert f"nesypat: error: failed to fetch {iri!r}" in capsys.readouterr().err
+        with pytest.raises(CatalogMissError):
+            Catalog(allow_fetch=True).resolve_taxonomy(iri)
+
+
+def test_check_imports_no_start_up_weight():
+    """``import nesypat`` and a ``check`` run import none of these
+    modules, which would add to every command's start-up.  ``-S`` keeps
+    site-packages hooks from importing them first."""
+    heavy = ("dataclasses", "inspect", "json", "graphlib")
+    code = (f"import sys; sys.path.insert(0, {str(CORPUS.parents[1])!r})\n"
+            "import nesypat, nesypat.cli\n"
+            f"code = nesypat.cli.main(['check', {HYBRID!r}])\n"
+            f"print(code, sorted(m for m in {heavy!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 []\n", proc.stderr

@@ -1,11 +1,22 @@
 """Property test of the pretty-printer: emitted libraries parse and
 resolve back to the same content."""
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
 from nesypat.catalog import Catalog
-from nesypat.dsl import _safe_ids, emit_dsl, parse, resolve
+from nesypat.dsl import (
+    _KEYWORDS,
+    _declared_names,
+    _safe_ids,
+    _safe_names,
+    emit_dsl,
+    parse,
+    resolve,
+)
 from nesypat.library import Library
+from nesypat.network import build_network
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.refinement import Refinement, find_homomorphisms
 from nesypat.taxonomy import default_taxonomy
@@ -57,3 +68,79 @@ def test_emit_parse_resolve_round_trips(lib):
         src_ids, tgt_ids = _safe_ids(r.source), _safe_ids(r.target)
         assert r2.node_map == {src_ids[a]: tgt_ids[b]
                                for a, b in r.node_map.items()}
+
+
+#: Declaration names, most of which ``parse`` rejects.
+DECL_NAMES = ["P", "P-1", "P_1", "end", "n_end", "data", "combine", "1x",
+              "n_1x", "", "n", "é", "x y", "N.1", "R", "_"]
+
+
+@st.composite
+def named_libraries(draw):
+    """Libraries whose pattern, refinement, network and combine-defined
+    names are drawn from DECL_NAMES, with networks over them."""
+    t = default_taxonomy()
+    classes = sorted(t.classes, key=lambda c: c.local_name)
+    names = draw(st.permutations(DECL_NAMES))
+    n_pat, n_ref, n_comb = (draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+                            draw(st.integers(0, 2)))
+    pat_names = names[:n_pat]
+    ref_names = names[n_pat:n_pat + n_ref]
+    comb_names = names[n_pat + n_ref:n_pat + n_ref + n_comb]
+    lib = Library()
+    for name in pat_names:
+        ids = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                            unique=True))
+        nodes = [(n, draw(st.sampled_from(classes))) for n in ids]
+        edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                              .filter(lambda e: e[0] != e[1]), max_size=3))
+        lib.patterns[name] = build_pattern(name, t, nodes, edges)
+    for name in ref_names:
+        src = lib.patterns[draw(st.sampled_from(pat_names))]
+        tgt = lib.patterns[draw(st.sampled_from(pat_names))]
+        maps = find_homomorphisms(src, tgt, limit=2)
+        if maps:
+            lib.refinements[name] = Refinement(name, src, tgt,
+                                               draw(st.sampled_from(maps)))
+    members = pat_names + sorted(lib.refinements)
+    for name in draw(st.lists(st.sampled_from(DECL_NAMES), max_size=2,
+                              unique=True)):
+        chosen = draw(st.lists(st.sampled_from(members), min_size=1,
+                               unique=True))
+        lib.networks[name] = build_network(name, chosen, lib)
+    for name in comb_names:
+        if lib.networks:
+            lib.combine_defs[name] = draw(st.sampled_from(sorted(lib.networks)))
+    return lib
+
+
+@SETTINGS
+@given(named_libraries())
+def test_emit_renames_unparseable_declaration_names(lib):
+    names = _safe_names(_declared_names(lib))
+    assert len(set(names.values())) == len(names)
+    for name, safe in names.items():
+        assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", safe)
+        assert safe not in _KEYWORDS
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) and name not in _KEYWORDS:
+            assert safe == name
+
+    lib2 = resolve(parse(emit_dsl(lib)), Catalog.default())
+    assert set(lib2.patterns) == {names[n] for n in lib.patterns}
+    for name, p in lib.patterns.items():
+        assert isomorphic(p, lib2.patterns[names[name]]), name
+    assert set(lib2.refinements) == {names[n] for n in lib.refinements}
+    for name, r in lib.refinements.items():
+        r2 = lib2.refinements[names[name]]
+        assert (r2.source.name, r2.target.name) == (names[r.source.name],
+                                                    names[r.target.name])
+        src_ids, tgt_ids = _safe_ids(r.source), _safe_ids(r.target)
+        assert r2.node_map == {src_ids[a]: tgt_ids[b]
+                               for a, b in r.node_map.items()}
+    assert set(lib2.networks) == {names[n] for n in lib.networks}
+    for name, net in lib.networks.items():
+        net2 = lib2.networks[names[name]]
+        assert set(net2.patterns) == {names[p] for p in net.patterns}
+        assert set(net2.refinements) == {names[r] for r in net.refinements}
+    assert lib2.combine_defs == {names[c]: names[n]
+                                 for c, n in lib.combine_defs.items()}
