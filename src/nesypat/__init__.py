@@ -14,7 +14,6 @@ from .colimit import (
     combination_result,
     combine,
     evaluate_combines,
-    materialize_pattern,
 )
 from .dsl import Document, emit_dsl, parse, resolve
 from .emitters import (
@@ -82,6 +81,6 @@ __all__ = [
     "build_network", "build_pattern", "check_refinement", "combination_result",
     "combine", "default_taxonomy", "emit_abox", "emit_dot", "emit_dsl",
     "emit_json", "emit_manchester", "evaluate_combines", "find_homomorphisms",
-    "infer_refinement", "isomorphic", "load_catalog", "materialize_pattern",
-    "parse", "parse_taxonomy", "pattern_from_json", "resolve",
+    "infer_refinement", "isomorphic", "load_catalog", "parse",
+    "parse_taxonomy", "pattern_from_json", "resolve",
 ]

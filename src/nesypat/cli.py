@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .catalog import Catalog, load_catalog
-from .colimit import combination_result, evaluate_combines, materialize_pattern
+from .colimit import combination_result, evaluate_combines
 from .dsl import Document, PatternDecl, emit_dsl, parse, resolve
 from .emitters import emit_abox, emit_dot, emit_json
 from .errors import CatalogMissError, Diagnostic, NesyError
@@ -103,7 +103,7 @@ def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
             payload = combination_result(lib, pattern_name)
             pattern = payload.pattern
         else:
-            pattern = payload = materialize_pattern(lib, pattern_name)
+            pattern = payload = lib.pattern(pattern_name)
         if fmt == "dot":
             out.write(emit_dot(pattern))
         elif fmt == "json":
@@ -127,8 +127,8 @@ def cmd_infer(path: str, from_name: str, to_name: str, catalog: Catalog,
     out = out or sys.stdout
 
     def show(lib: Library) -> None:
-        src = materialize_pattern(lib, from_name)
-        tgt = materialize_pattern(lib, to_name)
+        src = lib.pattern(from_name)
+        tgt = lib.pattern(to_name)
         refinement = infer_refinement(f"{from_name}->{to_name}", src, tgt)
         for a, b in sorted(refinement.node_map.items()):
             print(f"{a} |-> {b}", file=out)

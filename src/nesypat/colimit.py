@@ -180,15 +180,6 @@ def combination_result(lib: Library, name: str) -> CombinationResult:
     return _evaluate(lib, (name,), patterns)
 
 
-def materialize_pattern(lib: Library, name: str) -> Pattern:
-    """Look up a pattern, computing its combination when combine-defined."""
-    if name in lib.patterns:
-        return lib.patterns[name]
-    if name in lib.combine_defs:
-        return combination_result(lib, name).pattern
-    raise UnknownNameError(f"unknown pattern {name!r}")
-
-
 def _evaluate(lib: Library, names,
               patterns: dict[str, Pattern]) -> CombinationResult | None:
     """Combine the combine-defined ``names`` and, first, every

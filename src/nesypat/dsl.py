@@ -364,8 +364,12 @@ class _Parser:
 
 
 def parse(text: str, source_name: str = "<input>") -> Document:
-    """Parse source text into a Document AST."""
-    return _Parser(Lexer(text)).document()
+    """Parse source text into a Document AST.  A ParseError carries
+    ``source_name``."""
+    try:
+        return _Parser(Lexer(text)).document()
+    except NesyError as e:
+        raise e.in_file(source_name)
 
 
 # -- resolver -----------------------------------------------------------------

@@ -43,6 +43,12 @@ class NesyError(Exception):
             self.col = col
         return self
 
+    def in_file(self, name: str) -> "NesyError":
+        """Record the file a positioned error lies in and return self."""
+        if self.line is not None:
+            self.source_name = name
+        return self
+
     def in_decl(self, name: str) -> "NesyError":
         """Record the failing declaration, prefix its name to the message
         and return self."""

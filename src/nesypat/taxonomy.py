@@ -260,59 +260,24 @@ class Taxonomy:
 
     # -- construction ----------------------------------------------------
 
-    def extend(self, fragment: str, diagnostics: list[Diagnostic] | None = None,
-               source_name: str = "<fragment>") -> "Taxonomy":
+    def extend(self, fragment: str,
+               diagnostics: list[Diagnostic] | None = None) -> "Taxonomy":
         """Return this taxonomy plus the classes/edges of a Manchester fragment.
 
-        Bare names in the fragment resolve against existing local names
-        first; new class frames mint IRIs in this taxonomy's namespace.
-        A ``SubClassOf`` target that is neither known nor declared in the
-        fragment raises UnknownClassError.
+        Names resolve against this taxonomy first, a bare name by local
+        name; new classes get IRIs in this taxonomy's namespace unless
+        the fragment declares its own ``:`` prefix, and new classes
+        with no superclass go below the top.  A ``SubClassOf`` target
+        that is neither known nor declared in the fragment raises
+        UnknownClassError.
         """
         fragment = fragment.strip()
         if not fragment:
             return self
-        decls, edge_names, frag_ns, prefixes, where = _parse_manchester(
-            fragment, diagnostics, source_name, default_ns=self.namespace)
-
-        def resolve(name: str, *, declare: bool) -> ClassRef:
-            iri = _expand(name, prefixes)
-            if iri is not None:
-                if iri in self._index:
-                    return self._order[self._index[iri]]
-                if iri in new_by_iri:
-                    return new_by_iri[iri]
-                if not declare:
-                    raise UnknownClassError(f"unknown class <{iri}> in extension")
-                c = _mint(iri, _local_name_of(iri), taken, where[name])
-            else:
-                norm = name.replace(" ", "_")
-                if norm in self._by_local:
-                    return self._by_local[norm]
-                if norm in new_by_local:
-                    return new_by_local[norm]
-                if not declare:
-                    raise UnknownClassError(f"unknown class {norm!r} in extension")
-                c = new_by_local[norm] = _mint(frag_ns + norm, norm, taken,
-                                               where[name])
-            new_by_iri[c.iri] = c
-            return c
-
-        new_by_local: dict[str, ClassRef] = {}  # bare names declared here
-        new_by_iri: dict[str, ClassRef] = {}  # every class declared here
-        taken = dict(self._by_local)
-        declared = [resolve(n, declare=True) for n in decls]
-        edges = set(self.subclass_edges)
-        has_super: set[ClassRef] = set()
-        for sub_name, sup_name in edge_names:
-            sub = resolve(sub_name, declare=False)
-            sup = resolve(sup_name, declare=False)
-            edges.add((sub, sup))
-            has_super.add(sub)
-        for c in declared:
-            if c not in self.classes and c not in has_super and c != self.top:
-                edges.add((c, self.top))
-        return Taxonomy(self.classes | set(new_by_iri.values()), edges,
+        added, edges, roots, _ = _read_classes(fragment, diagnostics,
+                                               "<fragment>", self)
+        edges.update((c, self.top) for c in roots)
+        return Taxonomy(self.classes.union(added), self.subclass_edges | edges,
                         self.top, self.namespace)
 
     # -- equality --------------------------------------------------------
@@ -375,6 +340,7 @@ _ENTRY_KEYWORDS = {
     "SubClassOf", "EquivalentTo", "DisjointWith", "DisjointUnionOf",
     "HasKey", "Annotations",
 }
+_KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 
 
 class _Tok(NamedTuple):
@@ -408,7 +374,7 @@ _UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
                  '"': "unterminated string literal"}
 
 
-def _tokenize_manchester(text: str, source_name: str) -> list[_Tok]:
+def _tokenize_manchester(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, line_start = 1, 0  # line_start: offset of the line's first character
     for m in _MANCHESTER_RE.finditer(text):
@@ -437,10 +403,10 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
 
     Returns (declared class names, (sub, super) name pairs, namespace,
     prefix map, the token each name first starts at).  Names keep
-    prefixes as ``pfx:Name`` so the caller can expand them; bare and
-    quoted names are space-normalized.
+    prefixes as ``pfx:Name`` (``:Name`` for the empty prefix) so the
+    caller can expand them; bare and quoted names are space-normalized.
     """
-    toks = _tokenize_manchester(text, source_name)
+    toks = _tokenize_manchester(text)
     pos = 0
     prefixes: dict[str, str] = {}
     namespace = default_ns
@@ -481,6 +447,13 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
             advance()
         return t
 
+    def at_name() -> bool:
+        t = peek()
+        if t.kind == "colon":  # ``:Name``, a name with the empty prefix
+            nxt = toks[pos + 1]
+            return nxt.kind == "name" and _is_adjacent(t, nxt)
+        return t.kind in ("name", "quoted", "iri")
+
     def parse_name() -> str:
         t = peek()
         if t.kind == "quoted":
@@ -500,6 +473,9 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
                                      line=t.line, col=t.col)
                 advance()
                 name = f"{t.value}:{t2.value}"
+        elif at_name():
+            advance()
+            name = ":" + advance().value
         else:
             raise ParseError(f"expected a class name, found {t.value!r}",
                              line=t.line, col=t.col,
@@ -507,13 +483,10 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
         where.setdefault(name, t)
         return name
 
-    def skip_entry(kw: _Tok) -> None:
+    def skip_entry() -> None:
         while True:
             t = peek()
-            if t.kind == "eof":
-                return
-            if t.kind == "name" and (t.value in _FRAME_KEYWORDS
-                                     or t.value in _ENTRY_KEYWORDS):
+            if t.kind == "eof" or _is_keyword(t):
                 return
             advance()
 
@@ -545,7 +518,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
         if kw == "Import":
             t = eat_keyword()
             warn("imports are not honored", t)
-            if peek().kind in ("iri", "name", "quoted"):
+            if at_name():
                 parse_name()
             continue
         if kw == "Class":
@@ -562,27 +535,22 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
                 if entry != "SubClassOf":
                     eat_keyword()
                     warn(f"{entry} entries are skipped", tok)
-                    skip_entry(tok)
+                    skip_entry()
                     continue
                 eat_keyword()
                 while True:
                     t = peek()
-                    if t.kind == "name" and (t.value in _FRAME_KEYWORDS
-                                             or t.value in _ENTRY_KEYWORDS):
+                    if _is_keyword(t):
                         break
-                    if t.kind not in ("name", "quoted", "iri"):
+                    if not at_name():
                         warn("unsupported class expression skipped", t)
-                        skip_entry(t)
+                        skip_entry()
                         break
                     sup = parse_name()
                     nxt = peek()
-                    simple = (nxt.kind in ("comma", "eof")
-                              or (nxt.kind == "name"
-                                  and (nxt.value in _FRAME_KEYWORDS
-                                       or nxt.value in _ENTRY_KEYWORDS)))
-                    if not simple:
+                    if nxt.kind not in ("comma", "eof") and not _is_keyword(nxt):
                         warn("complex class expression skipped", t)
-                        skip_entry(t)
+                        skip_entry()
                         break
                     edges.append((subject, sup))
                     if peek().kind == "comma":
@@ -593,7 +561,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
         if kw is not None:
             tok = eat_keyword()
             warn(f"{kw} frames are skipped", tok)
-            skip_entry(tok)
+            skip_entry()
             continue
         t = peek()
         raise ParseError(f"malformed frame near {t.value!r}",
@@ -611,56 +579,81 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
 
     Only Prefix declarations, the Ontology header, and Class frames with
     named SubClassOf entries are interpreted; anything else produces a
-    warning diagnostic.  Superclass targets that are never declared are
-    declared implicitly.  Classes with no superclass entry get an edge to
-    the top class; the top is the declared NeSy_Pattern_Element if
-    present, else the unique root, else a fresh synthesized root.  An
-    error placed in ``text`` carries ``source_name``.
+    warning diagnostic.  A class may be written bare, prefixed or as an
+    ``<IRI>``; every spelling of one IRI names one class.  Superclass
+    targets that are never declared are declared implicitly.  Classes
+    with no superclass entry get an edge to the top class; the top is
+    the declared NeSy_Pattern_Element if present, else the unique root,
+    else a fresh synthesized root.  An error placed in ``text`` carries
+    ``source_name``.
     """
     try:
-        return _read_taxonomy(text, diagnostics, source_name)
+        added, edges, roots, namespace = _read_classes(text, diagnostics,
+                                                       source_name)
     except NesyError as e:
-        if e.line is not None:
-            e.source_name = source_name
-        raise
-
-
-def _read_taxonomy(text: str, diagnostics: list[Diagnostic] | None,
-                   source_name: str) -> Taxonomy:
-    decls, edge_names, namespace, prefixes, where = _parse_manchester(
-        text, diagnostics, source_name)
-
-    refs: dict[str, ClassRef] = {}
-    taken: dict[str, ClassRef] = {}
-
-    def intern(name: str) -> ClassRef:
-        if name not in refs:
-            iri = _expand(name, prefixes)
-            if iri is None:
-                refs[name] = _mint(namespace + name, name, taken, where[name])
-            else:
-                refs[name] = _mint(iri, _local_name_of(iri), taken, where[name])
-        return refs[name]
-
-    declared = [intern(n) for n in decls]
-    edges = {(intern(a), intern(b)) for a, b in edge_names}
-    order = list(refs.values())
-    classes = set(order)
-
-    top = next((c for c in order if c.local_name == TOP_LOCAL_NAME), None)
+        raise e.in_file(source_name)
+    top = next((c for c in added if c.local_name == TOP_LOCAL_NAME), None)
     if top is None:
-        with_super = {sub for sub, _ in edges}
-        roots = [c for c in order if c not in with_super]
-        if len(roots) == 1 and classes:
-            top = roots[0]
+        top = (roots[0] if len(roots) == 1
+               else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
+    edges.update((c, top) for c in roots if c != top)
+    return Taxonomy({top, *added}, edges, top, namespace)
+
+
+def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
+                  source_name: str, base: Taxonomy | None = None):
+    """Turn the names of Manchester text into classes and subclass edges,
+    on top of ``base`` if given.
+
+    Each distinct spelling is expanded once, and classes are keyed by
+    IRI.  A name resolves to a class of ``base`` (a bare name by local
+    name, any name by IRI), else to a class the text already added;
+    else it is minted, a bare name in the text's namespace.  Without a
+    base, a ``SubClassOf`` target is declared by its use; with one, a
+    target the text does not declare raises UnknownClassError.
+
+    Returns (the added classes in the order they are first named, the
+    stated edges, the added classes with no superclass, the namespace).
+    """
+    decls, edge_names, namespace, prefixes, where = _parse_manchester(
+        text, diagnostics, source_name,
+        None if base is None else base.namespace)
+    index = {} if base is None else base._index
+    by_local = {} if base is None else base._by_local
+    taken = dict(by_local)
+    added: dict[str, ClassRef] = {}  # IRI -> class the text adds
+    refs: dict[str, ClassRef] = {}  # spelling -> class
+
+    def resolve(name: str, declare: bool) -> ClassRef:
+        c = refs.get(name)
+        if c is not None:
+            return c
+        iri = _expand(name, prefixes)
+        bare = iri is None
+        if bare:
+            iri, local = namespace + name, name
         else:
-            top = ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME)
-            classes.add(top)
+            local = _local_name_of(iri)
+        if bare and name in by_local:
+            c = by_local[name]
+        elif iri in index:
+            c = base._order[index[iri]]
+        elif iri in added:
+            c = added[iri]
+        elif declare:
+            c = added[iri] = _mint(iri, local, taken, where[name])
+        else:
+            shown = repr(name) if bare else f"<{iri}>"
+            raise UnknownClassError(f"unknown class {shown} in extension")
+        refs[name] = c
+        return c
+
+    for name in decls:
+        resolve(name, True)
+    edges = {(resolve(a, True), resolve(b, base is None)) for a, b in edge_names}
     has_super = {sub for sub, _ in edges}
-    for c in order:
-        if c not in has_super and c != top:
-            edges.add((c, top))
-    return Taxonomy(classes, edges, top, namespace)
+    roots = [c for c in added.values() if c not in has_super]
+    return list(added.values()), edges, roots, namespace
 
 
 def _expand(name: str, prefixes: dict[str, str]) -> str | None:
@@ -711,3 +704,7 @@ def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:
 
 def _is_adjacent(a: _Tok, b: _Tok) -> bool:
     return a.line == b.line and a.col + len(a.value) == b.col
+
+
+def _is_keyword(t: _Tok) -> bool:
+    return t.kind == "name" and t.value in _KEYWORDS

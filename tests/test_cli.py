@@ -200,6 +200,14 @@ class TestCmdInfer:
         assert code == 0
         assert out == "anon1 |-> anon3\n"
 
+    def test_into_combine_defined_pattern(self):
+        code, out, err = run(cmd_infer, FIG, "Train", "SemanticGenerateAndTrain",
+                             Catalog.default())
+        assert code == 0
+        assert out == ("anon1 |-> Train.anon1\n"
+                       "anon2 |-> Train.anon2\n"
+                       "anon3 |-> Model.anon1\n")
+
     def test_ambiguous_lists_witnesses(self, tmp_path):
         doc = tmp_path / "amb.nesy"
         doc.write_text(

@@ -17,7 +17,6 @@ from nesypat.colimit import (
     combination_result,
     combine,
     evaluate_combines,
-    materialize_pattern,
 )
 from nesypat.dsl import parse, resolve
 from nesypat.errors import (
@@ -351,7 +350,6 @@ class TestEvaluator:
         assert lib.patterns["Mid"] is mid
         assert lib.pattern("Mid") is mid
         assert count_combines == ["N1"]
-        assert materialize_pattern(lib, "Mid") is mid
 
     @pytest.mark.parametrize("names", [("A", "B"), ("A", "B", "C")])
     def test_cycle_named_in_message(self, t, names):

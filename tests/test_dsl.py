@@ -93,6 +93,11 @@ class TestParse:
         assert (e.value.line, e.value.col) == (2, 1)
         assert set(e.value.expected) == {"pattern", "refinement", "network"}
 
+    def test_error_names_its_source(self):
+        with pytest.raises(ParseError) as e:
+            parse("logic Nope", "doc.nesy")
+        assert (e.value.source_name, e.value.line, e.value.col) == ("doc.nesy", 1, 7)
+
     def test_unterminated_pattern(self):
         with pytest.raises(ParseError) as e:
             parse("logic NeSyPatterns\npattern P = data x Model;")

@@ -178,6 +178,15 @@ class TestParseTaxonomy:
         assert t.leq(cat, t.lookup("Animal"))
         assert t.top == t.lookup("Animal")  # unique root becomes top
 
+    @pytest.mark.parametrize("animal", ["<urn:zoo#Animal>", "z:Animal", ":Animal"])
+    def test_every_spelling_names_one_class(self, animal):
+        t = parse_taxonomy("Prefix: : <urn:zoo#>\nPrefix: z: <urn:zoo#>\n"
+                           f"Class: Animal\nClass: Cat SubClassOf: {animal}")
+        assert t == parse_taxonomy("Prefix: : <urn:zoo#>\n"
+                                   "Class: Animal\nClass: Cat SubClassOf: Animal")
+        assert t.top == t.lookup("Animal")
+        assert len(t.classes) == 2
+
     def test_quoted_names_normalize_spaces(self):
         t = parse_taxonomy("Class: 'Semantic Model' SubClassOf: Model")
         assert t.has_local("Semantic_Model")
@@ -214,7 +223,7 @@ class TestParseTaxonomy:
 
     def test_misc_tokens_keep_values_and_positions(self):
         toks = _tokenize_manchester(
-            "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F", "<t>")
+            "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F")
         misc = [(k.value, k.line, k.col) for k in toks if k.kind == "misc"]
         assert misc == [("12.5e-3", 2, 18), ("(", 2, 26), (")", 2, 28),
                         ("7", 2, 30), (";", 2, 32), ("0x1F", 2, 34)]
@@ -227,7 +236,7 @@ class TestParseTaxonomy:
         assert (e.value.line, e.value.col) == (5, 3)
 
     def test_position_after_iri_spanning_lines(self):
-        toks = _tokenize_manchester("Class: <urn:x#\nA> Class: B", "<t>")
+        toks = _tokenize_manchester("Class: <urn:x#\nA> Class: B")
         assert [(t.kind, t.value, t.line, t.col) for t in toks[2:4]] == [
             ("iri", "urn:x#\nA", 1, 8), ("name", "Class", 2, 4)]
 

@@ -1,12 +1,14 @@
 """Property tests of the taxonomy lattice operations, judged by the
-brute-force oracles in ``helpers``."""
+brute-force oracles in ``helpers``, and of the Manchester reader."""
 
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
 from helpers import glb_oracle, random_taxonomy, reachable_oracle
-from nesypat.taxonomy import ClassRef, Taxonomy
+from nesypat.emitters import emit_manchester
+from nesypat.taxonomy import ClassRef, Taxonomy, parse_taxonomy
 
 SETTINGS = settings(deadline=None)
 
@@ -28,11 +30,17 @@ def banded_chain(rng: random.Random, depth: int, band: int) -> Taxonomy:
 
 
 @st.composite
-def taxonomies(draw):
+def banded_chains(draw):
     rng = draw(st.randoms(use_true_random=False))
-    if draw(st.booleans()):
-        return random_taxonomy(rng, draw(st.integers(1, 12)))
     return banded_chain(rng, draw(st.integers(1, 12)), draw(st.integers(0, 6)))
+
+
+@st.composite
+def taxonomies(draw):
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        return random_taxonomy(rng, draw(st.integers(1, 12)))
+    return draw(banded_chains())
 
 
 @st.composite
@@ -75,11 +83,11 @@ def test_maximal_lower_bounds_are_the_maximal_elements(case):
 
 
 @st.composite
-def extensions(draw):
+def extensions(draw, bases=taxonomies()):
     """A taxonomy and a Manchester fragment that adds new classes below
     old and new ones, and perhaps a subclass axiom between old classes
     that closes no cycle."""
-    t = draw(taxonomies())
+    t = draw(bases)
     rng = draw(st.randoms(use_true_random=False))
     names = sorted(c.local_name for c in t.classes)
     frames = []
@@ -106,3 +114,35 @@ def test_extend_is_monotone_and_leaves_the_base_alone(case):
     assert all(ext.leq(a, b) for a, b in order)
     assert (t.classes, t.subclass_edges, t.top, hash(t)) == state
     assert order == {(a, b) for a in t.classes for b in t.classes if t.leq(a, b)}
+
+
+#: A class name in ``emit_manchester`` text of the generated taxonomies.
+_CLASS_NAME = re.compile(r"\b(?:M|[BCK][0-9]+)\b")
+
+
+@st.composite
+def respellings(draw):
+    """The Manchester text of a taxonomy, and the same text with each
+    class name written bare, as ``:Name`` or as ``<IRI>`` at random."""
+    t = draw(taxonomies())
+    rng = draw(st.randoms(use_true_random=False))
+    text = emit_manchester(t)
+    spellings = ("{}", ":{}", "<" + t.namespace + "{}>")
+    return t, text, _CLASS_NAME.sub(
+        lambda m: rng.choice(spellings).format(m.group()), text)
+
+
+@SETTINGS
+@given(respellings())
+def test_every_spelling_of_a_class_names_that_class(case):
+    t, text, respelled = case
+    assert parse_taxonomy(respelled) == parse_taxonomy(text) == t
+
+
+@SETTINGS
+@given(extensions(banded_chains()))
+def test_extending_a_read_taxonomy_is_reading_both_texts(case):
+    t, fragment = case
+    text = emit_manchester(t)
+    assert (parse_taxonomy(text).extend(fragment)
+            == parse_taxonomy(text + "\n" + fragment))
