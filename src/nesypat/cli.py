@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .catalog import Catalog, load_catalog
 from .colimit import combination_result, evaluate_combines
-from .dsl import Document, PatternDecl, emit_dsl, parse, resolve
+from .dsl import _pattern_positions, emit_dsl, parse, resolve
 from .emitters import emit_abox, emit_dot, emit_json
 from .errors import CatalogMissError, Diagnostic, NesyError
 from .library import Library
@@ -44,14 +44,10 @@ def _error_diag(e: NesyError, fallback: tuple[int, int] = (1, 1)) -> Diagnostic:
     return Diagnostic("error", e.message, line, col, e.source_name or _DOCUMENT)
 
 
-def _decl_positions(doc: Document) -> dict[str, tuple[int, int]]:
-    return {d.name: (d.line, d.col) for d in doc.declarations
-            if isinstance(d, PatternDecl)}
-
-
 def _run(path: str, catalog: Catalog, err, action) -> int:
     """Read, parse and resolve a document, print its warnings, then call
-    ``action(lib)``; map every failure to a diagnostic and an exit code.
+    ``action(lib, positions)``, where ``positions`` maps each pattern name
+    to its declaration; map every failure to a diagnostic and an exit code.
 
     An error from ``action`` is placed at the declaration of the pattern
     it arose in, else at 1:1.
@@ -73,11 +69,11 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
         return EXIT_CHECK_FAILED
     for w in warnings:
         _print_diag(err, path, w)
+    positions = _pattern_positions(doc)
     try:
-        action(lib)
+        action(lib, positions)
     except NesyError as e:
-        position = _decl_positions(doc).get(e.decl, (1, 1))
-        _print_diag(err, path, _error_diag(e, position))
+        _print_diag(err, path, _error_diag(e, positions.get(e.decl, (1, 1))))
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -85,7 +81,8 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
 def cmd_check(path: str, catalog: Catalog, out=None, err=None) -> int:
     """Parse and resolve a document, check every refinement and network,
     and evaluate all combine-definitions."""
-    return _run(path, catalog, err or sys.stderr, evaluate_combines)
+    return _run(path, catalog, err or sys.stderr,
+                lambda lib, positions: evaluate_combines(lib))
 
 
 def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
@@ -98,7 +95,7 @@ def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
         print(f"nesypat: error: unknown format {fmt!r}", file=err)
         return EXIT_CHECK_FAILED
 
-    def show(lib: Library) -> None:
+    def show(lib: Library, positions) -> None:
         if pattern_name in lib.combine_defs:
             payload = combination_result(lib, pattern_name)
             pattern = payload.pattern
@@ -114,8 +111,9 @@ def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
         else:
             abox_warnings: list[Diagnostic] = []
             rendered = emit_abox(pattern, abox_warnings).render()
+            line, col = positions[pattern_name]
             for w in abox_warnings:
-                _print_diag(err, path, w)
+                _print_diag(err, path, w._replace(line=line, col=col))
             out.write(rendered)
 
     return _run(path, catalog, err, show)
@@ -126,7 +124,7 @@ def cmd_infer(path: str, from_name: str, to_name: str, catalog: Catalog,
     """Infer the unique refinement map between two patterns of a document."""
     out = out or sys.stdout
 
-    def show(lib: Library) -> None:
+    def show(lib: Library, positions) -> None:
         src = lib.pattern(from_name)
         tgt = lib.pattern(to_name)
         refinement = infer_refinement(f"{from_name}->{to_name}", src, tgt)

@@ -210,32 +210,32 @@ class Lexer:
 
 # -- parser -------------------------------------------------------------------
 
+def _unexpected(tok: Token, what: str, *expected: str) -> ParseError:
+    """``expected <what>, found <tok>``, placed at ``tok``."""
+    return ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
+                      line=tok.line, col=tok.col, expected=expected)
+
+
 class _Parser:
     def __init__(self, lexer: Lexer):
         self.lx = lexer
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str) -> Token:
         tok = self.lx.next()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {what or kind!r}, found {tok.value or 'end of input'!r}",
-                line=tok.line, col=tok.col, expected=(what or kind,))
+            raise _unexpected(tok, repr(kind), kind)
         return tok
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.lx.next()
         if tok.kind != "name" or tok.value != word:
-            raise ParseError(
-                f"expected {word!r}, found {tok.value or 'end of input'!r}",
-                line=tok.line, col=tok.col, expected=(word,))
+            raise _unexpected(tok, repr(word), word)
         return tok
 
     def expect_name(self, what: str = "a name") -> Token:
         tok = self.lx.next()
         if tok.kind != "name" or tok.value in _KEYWORDS:
-            raise ParseError(
-                f"expected {what}, found {tok.value or 'end of input'!r}",
-                line=tok.line, col=tok.col, expected=(what,))
+            raise _unexpected(tok, what, what)
         return tok
 
     def at_keyword(self, word: str) -> bool:
@@ -257,10 +257,8 @@ class _Parser:
             elif self.at_keyword("network"):
                 decls.append(self.network_decl())
             else:
-                raise ParseError(
-                    f"expected a declaration, found {tok.value or 'end of input'!r}",
-                    line=tok.line, col=tok.col,
-                    expected=("pattern", "refinement", "network"))
+                raise _unexpected(tok, "a declaration",
+                                  "pattern", "refinement", "network")
         return Document(tuple(decls))
 
     def pattern_decl(self) -> PatternDecl:
@@ -297,9 +295,7 @@ class _Parser:
                 frag = self.lx.scan_fragment()
                 return OntRef(base.value, frag.value, base.line, base.col,
                               frag.line, frag.col)
-            raise ParseError(
-                f"expected 'then' or '}}', found {tok.value or 'end of input'!r}",
-                line=tok.line, col=tok.col, expected=("then", "}"))
+            raise _unexpected(tok, "'then' or '}'", "then", "}")
         base = self.lx.scan_ontref()
         return OntRef(base.value, None, base.line, base.col)
 
@@ -314,9 +310,7 @@ class _Parser:
                 self.lx.next()
                 return Chain(tuple(refs))
             else:
-                raise ParseError(
-                    f"expected '->' or ';', found {tok.value or 'end of input'!r}",
-                    line=tok.line, col=tok.col, expected=("->", ";"))
+                raise _unexpected(tok, "'->' or ';'", "->", ";")
 
     def node_ref(self) -> NodeRef:
         first = self.expect_name("a node or class token")
@@ -386,12 +380,10 @@ def resolve(doc: Document, catalog: Catalog | None = None,
     """
     catalog = catalog or Catalog.default()
     lib = Library()
-    positions: dict[str, tuple[int, int]] = {}
     for decl in doc.declarations:
         try:
             if isinstance(decl, PatternDecl):
                 _resolve_pattern(decl, lib, catalog, diagnostics)
-                positions[decl.name] = (decl.line, decl.col)
             elif isinstance(decl, RefinementDecl):
                 _resolve_refinement(decl, lib)
             elif isinstance(decl, NetworkDecl):
@@ -401,8 +393,14 @@ def resolve(doc: Document, catalog: Catalog | None = None,
             else:  # pragma: no cover
                 raise TypeError(f"unknown declaration {decl!r}")
         except NesyError as e:
-            raise e.at(*positions.get(e.decl, (decl.line, decl.col)))
+            raise e.at(*_pattern_positions(doc).get(e.decl, (decl.line, decl.col)))
     return lib
+
+
+def _pattern_positions(doc: Document) -> dict[str, tuple[int, int]]:
+    """Where each pattern name is first declared in ``doc``."""
+    return {d.name: (d.line, d.col) for d in reversed(doc.declarations)
+            if isinstance(d, PatternDecl)}
 
 
 def _resolve_pattern(decl: PatternDecl, lib: Library,
@@ -468,11 +466,9 @@ def _taxonomy_for(ont: OntRef, lib: Library, catalog: Catalog,
         frag_diags: list[Diagnostic] = []
         try:
             taxonomy = base.extend(ont.extension, frag_diags)
-        except ParseError as e:
-            line, col = _shift(ont, e.line or 1, e.col or 1)
-            raise ParseError(e.message, line=line, col=col, expected=e.expected)
-        except NesyError as e:
-            raise e.at(ont.ext_line, ont.ext_col)
+        except NesyError as e:  # an unplaced one goes to the fragment's start
+            e.line, e.col = _shift(ont, e.line or 1, e.col or 1)
+            raise
         if diagnostics is not None:
             for d in frag_diags:
                 line, col = _shift(ont, d.line, d.col)

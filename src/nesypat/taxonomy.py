@@ -271,8 +271,7 @@ class Taxonomy:
         that is neither known nor declared in the fragment raises
         UnknownClassError.
         """
-        fragment = fragment.strip()
-        if not fragment:
+        if not fragment.strip():
             return self
         added, edges, roots, _ = _read_classes(fragment, diagnostics,
                                                "<fragment>", self)
@@ -610,7 +609,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     name, any name by IRI), else to a class the text already added;
     else it is minted, a bare name in the text's namespace.  Without a
     base, a ``SubClassOf`` target is declared by its use; with one, a
-    target the text does not declare raises UnknownClassError.
+    target the text does not declare raises UnknownClassError.  Every
+    error is placed at the token the failing name starts at.
 
     Returns (the added classes in the order they are first named, the
     stated edges, the added classes with no superclass, the namespace).
@@ -628,12 +628,19 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         c = refs.get(name)
         if c is not None:
             return c
-        iri = _expand(name, prefixes)
-        bare = iri is None
-        if bare:
-            iri, local = namespace + name, name
+        at = where[name]
+        bare = False
+        if name.startswith("<") and name.endswith(">"):
+            iri = name[1:-1]
+        elif ":" in name:
+            pfx, local = name.split(":", 1)
+            if pfx not in prefixes:
+                raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
+                                        line=at.line, col=at.col)
+            iri = prefixes[pfx] + local
         else:
-            local = _local_name_of(iri)
+            bare, iri = True, namespace + name
+        local = name if bare else _local_name_of(iri)
         if bare and name in by_local:
             c = by_local[name]
         elif iri in index:
@@ -641,10 +648,11 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         elif iri in added:
             c = added[iri]
         elif declare:
-            c = added[iri] = _mint(iri, local, taken, where[name])
+            c = added[iri] = _mint(iri, local, taken, at)
         else:
             shown = repr(name) if bare else f"<{iri}>"
-            raise UnknownClassError(f"unknown class {shown} in extension")
+            raise UnknownClassError(f"unknown class {shown} in extension",
+                                    line=at.line, col=at.col)
         refs[name] = c
         return c
 
@@ -654,19 +662,6 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     has_super = {sub for sub, _ in edges}
     roots = [c for c in added.values() if c not in has_super]
     return list(added.values()), edges, roots, namespace
-
-
-def _expand(name: str, prefixes: dict[str, str]) -> str | None:
-    """The IRI of a parsed ``<iri>`` or ``pfx:local`` name; None for a
-    bare name."""
-    if name.startswith("<") and name.endswith(">"):
-        return name[1:-1]
-    if ":" in name:
-        pfx, local = name.split(":", 1)
-        if pfx not in prefixes:
-            raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}")
-        return prefixes[pfx] + local
-    return None
 
 
 def _mint(iri: str, local: str, taken: dict[str, ClassRef], at: _Tok) -> ClassRef:

@@ -188,6 +188,16 @@ class TestCmdCombine:
                        "hasOutput(anon2,anon3)\n"
                        "anon3 : Model\n")
 
+    def test_abox_warning_placed_at_the_pattern(self, tmp_path):
+        doc = tmp_path / "abox.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn"
+                       " a : Data -> b : Model; end\n")
+        code, out, err = run(cmd_combine, str(doc), "P", "abox", Catalog.default())
+        assert code == 0
+        assert out == "a : Data\nconnectedTo(a,b)\nb : Model\n"
+        assert err == (f"{doc}:2:1: warning: edge ('a', 'b') joins two "
+                       "non-process nodes; using connectedTo\n")
+
     def test_unknown_pattern_exit_1(self):
         code, out, err = run(cmd_combine, FIG, "Nope", "json", Catalog.default())
         assert code == 1
@@ -329,6 +339,17 @@ class TestCatalog:
         code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
         assert code == 1
         assert err == f"{omn}:2:8: error: IRI <urn:x#> has no local name\n"
+
+    def test_undeclared_prefix_in_mapped_ontology_placed_at_the_name(self, tmp_path):
+        omn = tmp_path / "bad.omn"
+        omn.write_text("Prefix: : <urn:bad#>\nClass: A\nClass: B SubClassOf: q:A")
+        doc = tmp_path / "pre.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data urn:bad A; end")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"mappings": {"urn:bad": str(omn)}}))
+        code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
+        assert code == 1
+        assert err == f"{omn}:3:22: error: undeclared prefix 'q' in 'q:A'\n"
 
     def test_warning_in_mapped_ontology_names_that_file(self, tmp_path):
         omn = tmp_path / "warn.omn"

@@ -20,6 +20,7 @@ from nesypat.dsl import (
 )
 from nesypat.errors import (
     CatalogMissError,
+    CycleError,
     DuplicateNameError,
     LabelMismatchError,
     ParseError,
@@ -183,6 +184,47 @@ class TestResolve:
             resolve(doc, catalog)
         assert e.value.message == "IRI <urn:x#> has no local name"
         assert (e.value.line, e.value.col) == (4, 12)
+
+    @pytest.mark.parametrize("clause, error, message, line, col", [
+        ("then\n  Class: E SubClassOf: Nope }", UnknownClassError,
+         "unknown class 'Nope' in extension", 3, 24),
+        ("then Class: E SubClassOf: z:Nope }", UnknownClassError,
+         "undeclared prefix 'z' in 'z:Nope'", 2, 71),
+        ("then\n  Class: E SubClassOf: B\n  Class: B SubClassOf: E }", CycleError,
+         "subclass axioms form a cycle through B", 3, 3),
+    ])
+    def test_extension_error_placed_in_the_document(self, catalog, clause, error,
+                                                    message, line, col):
+        doc = parse("logic NeSyPatterns\n"
+                    f"pattern P = data {{ ontohub:NeSyPatterns.omn {clause} E; end")
+        with pytest.raises(error) as e:
+            resolve(doc, catalog)
+        assert type(e.value) is error
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize("decls, error, message, line", [
+        ("network N = A end\nnetwork N = B end",
+         DuplicateNameError, "network 'N' declared twice", 5),
+        ("refinement R = A refined to A end\nrefinement R = A refined to A end",
+         DuplicateNameError, "refinement 'R' declared twice", 5),
+        ("pattern C = combine M end",
+         UnknownNameError, "combine references unknown network 'M'", 4),
+        ("refinement R = A refined to B via x |-> b end",
+         UnknownNameError, "via clause maps unknown source node 'x'", 4),
+        ("refinement R = A refined to B via a |-> y end",
+         UnknownNameError, "via clause maps to unknown target node 'y'", 4),
+        ("refinement R = A refined to B via a |-> b, a |-> c end",
+         DuplicateNameError, "via clause maps source node 'a' twice", 4),
+    ])
+    def test_resolver_error_placed_at_its_declaration(self, catalog, decls, error,
+                                                      message, line):
+        text = ("logic NeSyPatterns\n"
+                "pattern A = data ontohub:NeSyPatterns.omn a : Model; end\n"
+                "pattern B = data ontohub:NeSyPatterns.omn b : Model; c : Model; end\n"
+                + decls)
+        with pytest.raises(error) as e:
+            resolve(parse(text), catalog)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, 1)
 
     def test_inferred_refinements(self, catalog):
         lib = resolve(parse(FIG_DOC), catalog)

@@ -5,8 +5,9 @@
 runs must give the same Document or the same ParseError.
 ``taxonomy._tokenize_manchester`` must give the same tokens or the same
 ParseError as ``helpers.reference_tokenize_manchester``.  On any text,
-``parse`` raises nothing but ParseError and ``parse_taxonomy`` nothing
-but NesyError.
+``parse`` raises nothing but ParseError, and ``parse_taxonomy`` and
+``Taxonomy.extend`` nothing but NesyError, placed unless it is a
+CycleError.
 """
 
 import re
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import ReferenceLexer, reference_tokenize_manchester
 from nesypat import dsl
 from nesypat.dsl import parse
-from nesypat.errors import NesyError, ParseError
-from nesypat.taxonomy import _tokenize_manchester, parse_taxonomy
+from nesypat.errors import CycleError, NesyError, ParseError
+from nesypat.taxonomy import _tokenize_manchester, default_taxonomy, parse_taxonomy
 
 SETTINGS = settings(deadline=None)
 DIFFERENTIAL = settings(deadline=None, max_examples=300)
@@ -154,10 +155,13 @@ def manchester_texts(draw):
 @SETTINGS
 @given(st.text() | manchester_texts())
 def test_parse_taxonomy_raises_only_nesy_errors(text):
-    try:
-        parse_taxonomy(text)
-    except NesyError:
-        pass
+    for read in (parse_taxonomy, default_taxonomy().extend):
+        try:
+            read(text)
+        except CycleError:
+            pass
+        except NesyError as e:
+            assert e.line >= 1 and e.col >= 1, (read, text)
 
 
 def tokens(tokenize, text):

@@ -211,6 +211,31 @@ class TestParseTaxonomy:
         assert t.leq(t.lookup("A"), t.lookup("B"))
         assert t.leq(t.lookup("B"), t.top)
 
+    @pytest.mark.parametrize("text, error, message, line, col", [
+        ("Class: ,", ParseError, "expected a class name, found ','", 1, 8),
+        ("Prefix: p: q", ParseError, "expected <IRI> in prefix declaration", 1, 12),
+        ("Class: A\nClass: B SubClassOf: q:A", UnknownClassError,
+         "undeclared prefix 'q' in 'q:A'", 2, 22),
+        ("Class: A\nClass: B SubClassOf: :A", UnknownClassError,
+         "undeclared prefix '' in ':A'", 2, 22),
+    ])
+    def test_error_placed_in_the_named_file(self, text, error, message, line, col):
+        with pytest.raises(error) as e:
+            parse_taxonomy(text, source_name="f.omn")
+        assert (e.value.message, e.value.line, e.value.col,
+                e.value.source_name) == (message, line, col, "f.omn")
+
+    def test_version_iri_is_read_past(self):
+        t = parse_taxonomy("Ontology: <urn:o> <urn:o/1>\nClass: A")
+        assert t.lookup("A").iri == "urn:o#A"
+
+    def test_unsupported_expression_skipped_with_warning(self):
+        diags = []
+        t = parse_taxonomy("Class: A SubClassOf: (B)\nClass: B", diagnostics=diags)
+        assert not t.leq(t.lookup("A"), t.lookup("B"))
+        assert [(d.message, d.line, d.col) for d in diags] == [
+            ("unsupported class expression skipped", 1, 22)]
+
     def test_malformed_frame_has_position(self):
         with pytest.raises(ParseError) as e:
             parse_taxonomy("Class: A\n  (")
@@ -297,6 +322,23 @@ class TestExtend:
     def test_unknown_target_rejected(self, default):
         with pytest.raises(UnknownClassError):
             default.extend("Class: X SubClassOf: NoSuchClass")
+
+    @pytest.mark.parametrize("fragment, message, line, col", [
+        ("Class: X SubClassOf: NoSuchClass",
+         "unknown class 'NoSuchClass' in extension", 1, 22),
+        ("\nClass: A SubClassOf: B", "unknown class 'B' in extension", 2, 22),
+        ("Class: E SubClassOf: p:X", "undeclared prefix 'p' in 'p:X'", 1, 22),
+    ])
+    def test_unknown_name_placed_at_the_name(self, default, fragment, message,
+                                             line, col):
+        with pytest.raises(UnknownClassError) as e:
+            default.extend(fragment)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+    def test_base_class_named_by_iri(self, default):
+        ext = default.extend(f"Class: E SubClassOf: <{default.namespace}Model>")
+        assert ext.leq(ext.lookup("E"), ext.lookup("Model"))
+        assert len(ext.classes) == len(default.classes) + 1
 
     def test_monotone(self, default):
         ext = default.extend("Class: Hybrid_Model SubClassOf: Semantic_Model, Statistical_Model")
