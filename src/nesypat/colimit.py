@@ -118,7 +118,9 @@ def combine(net: Network) -> CombinationResult:
                                                        key=lambda l: l.iri))
         labels[root] = inf
         name = min(f"{p}.{n}" for p, n in members)
-        while name in used_names:  # defensive; qualified names are unique
+        # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
+        # node 'b.c' both qualify to 'a.b.c'.
+        while name in used_names:
             name += "_"
         used_names.add(name)
         class_name[root] = name

@@ -44,15 +44,9 @@ def build_network(name: str, members, lib) -> Network:
         else:
             raise UnknownNameError(
                 f"network {name!r} lists unknown member {member!r}")
-    for rname, r in refinements.items():
-        for p in (r.source, r.target):
-            existing = patterns.get(p.name)
-            if existing is None:
-                patterns[p.name] = p
-            elif existing != p:
-                raise NetworkTypeError(
-                    f"refinement {rname!r} connects a pattern named {p.name!r} "
-                    f"that differs from the network member of the same name")
+    for r in refinements.values():
+        patterns.setdefault(r.source.name, r.source)
+        patterns.setdefault(r.target.name, r.target)
     return validate_network(Network(
         name,
         {k: patterns[k] for k in sorted(patterns)},
@@ -68,7 +62,7 @@ def validate_network(net: Network) -> Network:
             if net.patterns.get(p.name) != p:
                 raise NetworkTypeError(
                     f"refinement {rname!r} in network {net.name!r} touches "
-                    f"non-member pattern {p.name!r}")
+                    f"a pattern {p.name!r} that is not the member of that name")
     if members:
         first = members[0]
         for p in members[1:]:

@@ -73,13 +73,6 @@ class Pattern:
     def __hash__(self):
         return hash(self._key())
 
-    def label_of(self, node_id: str) -> ClassRef:
-        try:
-            return self.labels[node_id]
-        except KeyError:
-            raise UnknownNodeError(
-                f"pattern {self.name!r} has no node {node_id!r}") from None
-
     def __repr__(self):
         return (f"Pattern({self.name!r}, {len(self.nodes)} nodes, "
                 f"{len(self.edges)} edges)")

@@ -19,7 +19,8 @@ of down-sets, whose highest bit is a maximal lower bound.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
@@ -71,10 +72,6 @@ class ClassRef:
 
     def __reduce__(self):  # copy and pickle through the constructor
         return ClassRef, (self.iri, self.local_name)
-
-    @classmethod
-    def from_iri(cls, iri: str) -> "ClassRef":
-        return cls(iri, _local_name_of(iri))
 
     def __eq__(self, other):
         return isinstance(other, ClassRef) and self.iri == other.iri
@@ -189,7 +186,8 @@ class Taxonomy:
         return c in self.classes
 
     def lookup(self, token: str) -> ClassRef:
-        """Resolve a DSL class token (spaces already normalized) to a class."""
+        """Resolve a DSL class token to the class of that local name; a
+        space in the token stands for ``_``."""
         token = token.replace(" ", "_")
         try:
             return self._by_local[token]
@@ -298,34 +296,19 @@ class Taxonomy:
         return f"Taxonomy({len(self.classes)} classes, top={self.top.local_name})"
 
 
+@cache
 def default_taxonomy() -> Taxonomy:
-    """The bundled pattern-element hierarchy.
+    """The bundled pattern-element hierarchy, read from
+    ``corpus/nesy_patterns.omn`` once per process.
 
     Top is NeSy_Pattern_Element with Instance, Model, Process and Actor
     below it; Data and Symbol are instances, Statistical_Model and
     Semantic_Model are models, and Training, Deduction and Transformation
     are processes.
     """
-    def c(name: str) -> ClassRef:
-        return ClassRef(DEFAULT_NAMESPACE + name, name)
-
-    top = c(TOP_LOCAL_NAME)
-    tree = {
-        "Instance": TOP_LOCAL_NAME,
-        "Model": TOP_LOCAL_NAME,
-        "Process": TOP_LOCAL_NAME,
-        "Actor": TOP_LOCAL_NAME,
-        "Data": "Instance",
-        "Symbol": "Instance",
-        "Statistical_Model": "Model",
-        "Semantic_Model": "Model",
-        "Training": "Process",
-        "Deduction": "Process",
-        "Transformation": "Process",
-    }
-    classes = {top} | {c(n) for n in tree}
-    edges = {(c(sub), c(sup)) for sub, sup in tree.items()}
-    return Taxonomy(classes, edges, top)
+    path = Path(__file__).with_name("corpus") / "nesy_patterns.omn"
+    return parse_taxonomy(path.read_text(encoding="utf-8"),
+                          source_name=str(path))
 
 
 # -- Manchester-subset reader ---------------------------------------------
@@ -396,24 +379,64 @@ def _tokenize_manchester(text: str) -> list[_Tok]:
     return toks
 
 
-def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
-                      source_name: str, default_ns: str | None = None):
-    """Parse the Manchester subset into raw declaration and edge name lists.
+def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
+                   source_name: str = "<ontology>") -> Taxonomy:
+    """Build a Taxonomy from Manchester-subset source text.
 
-    Returns (declared class names, (sub, super) name pairs, namespace,
-    prefix map, the token each name first starts at).  Names keep
-    prefixes as ``pfx:Name`` (``:Name`` for the empty prefix) so the
-    caller can expand them; bare and quoted names are space-normalized.
+    Only Prefix declarations, the Ontology header, and Class frames with
+    named SubClassOf entries are interpreted; anything else produces a
+    warning diagnostic.  A class may be written bare, quoted (a bare
+    name whatever it holds), prefixed or as an ``<IRI>``; every spelling
+    of one IRI names one class.  Superclass
+    targets that are never declared are declared implicitly.  Classes
+    with no superclass entry get an edge to the top class; the top is
+    the declared NeSy_Pattern_Element if present, else the unique root,
+    else a fresh synthesized root.  An error placed in ``text`` carries
+    ``source_name``.
+    """
+    try:
+        added, edges, roots, namespace = _read_classes(text, diagnostics,
+                                                       source_name)
+    except NesyError as e:
+        raise e.in_file(source_name)
+    top = next((c for c in added if c.local_name == TOP_LOCAL_NAME), None)
+    if top is None:
+        top = (roots[0] if len(roots) == 1
+               else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
+    edges.update((c, top) for c in roots if c != top)
+    return Taxonomy({top, *added}, edges, top, namespace)
+
+
+def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
+                  source_name: str, base: Taxonomy | None = None):
+    """Read the frames of Manchester text into classes and subclass
+    edges, on top of ``base`` if given.
+
+    Each name is read as a key: ``(None, local)`` for a bare or quoted
+    name (a quoted name is a label whatever it holds; its spaces become
+    ``_``), ``(prefix, local)`` for a prefixed one (prefix ``""`` for
+    ``:Name``), and the IRI itself, a ``str``, for an ``<IRI>``.  Keys
+    are resolved once the whole text is read, because prefixes, the
+    namespace and ``Class`` frames may come after a name is used.  Each
+    distinct key is resolved once, and classes are keyed by IRI.  A key
+    resolves to a class of ``base`` (a bare name by local name, any name
+    by IRI), else to a class the text already added; else it is minted,
+    a bare name in the text's namespace.  Without a base, a
+    ``SubClassOf`` target is declared by its use; with one, a target the
+    text does not declare raises UnknownClassError.  Every error is
+    placed at the token the failing name first starts at.
+
+    Returns (the added classes in the order they are first named, the
+    stated edges, the added classes with no superclass, the namespace).
     """
     toks = _tokenize_manchester(text)
     pos = 0
     prefixes: dict[str, str] = {}
-    namespace = default_ns
+    namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
-    declared: list[str] = []
-    declared_set: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    where: dict[str, _Tok] = {}
+    declared: list = []  # keys of Class frames, in order, with repeats
+    edge_keys: list[tuple] = []
+    where: dict = {}  # key -> the token it first starts at
 
     def warn(msg: str, tok: _Tok) -> None:
         if diagnostics is not None:
@@ -453,17 +476,17 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
             return nxt.kind == "name" and _is_adjacent(t, nxt)
         return t.kind in ("name", "quoted", "iri")
 
-    def parse_name() -> str:
+    def parse_name() -> tuple | str:
         t = peek()
         if t.kind == "quoted":
             advance()
-            name = t.value.replace(" ", "_")
+            key = (None, t.value.replace(" ", "_"))
         elif t.kind == "iri":
             advance()
-            name = "<" + t.value + ">"
+            key = t.value
         elif t.kind == "name":
             advance()
-            name = t.value
+            key = (None, t.value)
             if peek().kind == "colon" and _is_adjacent(t, toks[pos]):
                 colon = advance()
                 t2 = peek()
@@ -471,16 +494,16 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
                     raise ParseError("malformed prefixed name",
                                      line=t.line, col=t.col)
                 advance()
-                name = f"{t.value}:{t2.value}"
+                key = (t.value, t2.value)
         elif at_name():
             advance()
-            name = ":" + advance().value
+            key = ("", advance().value)
         else:
             raise ParseError(f"expected a class name, found {t.value!r}",
                              line=t.line, col=t.col,
                              expected=("name", "quoted name", "IRI"))
-        where.setdefault(name, t)
-        return name
+        where.setdefault(key, t)
+        return key
 
     def skip_entry() -> None:
         while True:
@@ -523,9 +546,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
         if kw == "Class":
             eat_keyword()
             subject = parse_name()
-            if subject not in declared_set:
-                declared_set.add(subject)
-                declared.append(subject)
+            declared.append(subject)
             while True:
                 entry = at_keyword(_ENTRY_KEYWORDS)
                 if entry is None:
@@ -551,7 +572,7 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
                         warn("complex class expression skipped", t)
                         skip_entry()
                         break
-                    edges.append((subject, sup))
+                    edge_keys.append((subject, sup))
                     if peek().kind == "comma":
                         advance()
                         continue
@@ -569,96 +590,49 @@ def _parse_manchester(text: str, diagnostics: list[Diagnostic] | None,
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
-    return declared, edges, namespace, prefixes, where
-
-
-def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
-                   source_name: str = "<ontology>") -> Taxonomy:
-    """Build a Taxonomy from Manchester-subset source text.
-
-    Only Prefix declarations, the Ontology header, and Class frames with
-    named SubClassOf entries are interpreted; anything else produces a
-    warning diagnostic.  A class may be written bare, prefixed or as an
-    ``<IRI>``; every spelling of one IRI names one class.  Superclass
-    targets that are never declared are declared implicitly.  Classes
-    with no superclass entry get an edge to the top class; the top is
-    the declared NeSy_Pattern_Element if present, else the unique root,
-    else a fresh synthesized root.  An error placed in ``text`` carries
-    ``source_name``.
-    """
-    try:
-        added, edges, roots, namespace = _read_classes(text, diagnostics,
-                                                       source_name)
-    except NesyError as e:
-        raise e.in_file(source_name)
-    top = next((c for c in added if c.local_name == TOP_LOCAL_NAME), None)
-    if top is None:
-        top = (roots[0] if len(roots) == 1
-               else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
-    edges.update((c, top) for c in roots if c != top)
-    return Taxonomy({top, *added}, edges, top, namespace)
-
-
-def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
-                  source_name: str, base: Taxonomy | None = None):
-    """Turn the names of Manchester text into classes and subclass edges,
-    on top of ``base`` if given.
-
-    Each distinct spelling is expanded once, and classes are keyed by
-    IRI.  A name resolves to a class of ``base`` (a bare name by local
-    name, any name by IRI), else to a class the text already added;
-    else it is minted, a bare name in the text's namespace.  Without a
-    base, a ``SubClassOf`` target is declared by its use; with one, a
-    target the text does not declare raises UnknownClassError.  Every
-    error is placed at the token the failing name starts at.
-
-    Returns (the added classes in the order they are first named, the
-    stated edges, the added classes with no superclass, the namespace).
-    """
-    decls, edge_names, namespace, prefixes, where = _parse_manchester(
-        text, diagnostics, source_name,
-        None if base is None else base.namespace)
     index = {} if base is None else base._index
     by_local = {} if base is None else base._by_local
     taken = dict(by_local)
     added: dict[str, ClassRef] = {}  # IRI -> class the text adds
-    refs: dict[str, ClassRef] = {}  # spelling -> class
+    refs: dict = {}  # key -> class
 
-    def resolve(name: str, declare: bool) -> ClassRef:
-        c = refs.get(name)
+    def resolve(key, declare: bool) -> ClassRef:
+        c = refs.get(key)
         if c is not None:
             return c
-        at = where[name]
+        at = where[key]
         bare = False
-        if name.startswith("<") and name.endswith(">"):
-            iri = name[1:-1]
-        elif ":" in name:
-            pfx, local = name.split(":", 1)
-            if pfx not in prefixes:
+        if key.__class__ is str:  # an <IRI>
+            iri = key
+        else:
+            pfx, local = key
+            if pfx is None:
+                bare, iri = True, namespace + local
+            elif pfx in prefixes:
+                iri = prefixes[pfx] + local
+            else:
+                name = f"{pfx}:{local}"
                 raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
                                         line=at.line, col=at.col)
-            iri = prefixes[pfx] + local
-        else:
-            bare, iri = True, namespace + name
-        local = name if bare else _local_name_of(iri)
-        if bare and name in by_local:
-            c = by_local[name]
+        if bare and local in by_local:
+            c = by_local[local]
         elif iri in index:
             c = base._order[index[iri]]
         elif iri in added:
             c = added[iri]
         elif declare:
-            c = added[iri] = _mint(iri, local, taken, at)
+            c = added[iri] = _mint(iri, local if bare else _local_name_of(iri),
+                                   taken, at)
         else:
-            shown = repr(name) if bare else f"<{iri}>"
+            shown = repr(local) if bare else f"<{iri}>"
             raise UnknownClassError(f"unknown class {shown} in extension",
                                     line=at.line, col=at.col)
-        refs[name] = c
+        refs[key] = c
         return c
 
-    for name in decls:
-        resolve(name, True)
-    edges = {(resolve(a, True), resolve(b, base is None)) for a, b in edge_names}
+    for key in declared:
+        resolve(key, True)
+    edges = {(resolve(a, True), resolve(b, base is None)) for a, b in edge_keys}
     has_super = {sub for sub, _ in edges}
     roots = [c for c in added.values() if c not in has_super]
     return list(added.values()), edges, roots, namespace

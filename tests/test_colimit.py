@@ -23,6 +23,7 @@ from nesypat.errors import (
     CyclicCombineError,
     DegenerateLoopError,
     UndefinedColimitError,
+    UnknownNameError,
 )
 from nesypat.library import Library
 from nesypat.network import Network
@@ -82,6 +83,14 @@ class TestCombine:
         assert result.classes["Model.m0"] == {
             ("Model", "m0"), ("Train", "m"), ("SemanticDeduction", "sm")}
         assert result.pattern.labels["Model.m0"].local_name == "Semantic_Model"
+
+    def test_equal_qualified_names_get_distinct_ids(self, t):
+        ab = pat(t, "a.b", [("c", "Model")])
+        a = pat(t, "a", [("b.c", "Data")])
+        result = combine(net_of("N", [ab, a], []))
+        assert result.injections == {"a": {"b.c": "a.b.c"},
+                                     "a.b": {"c": "a.b.c_"}}
+        assert sorted(result.pattern.labels) == ["a.b.c", "a.b.c_"]
 
     def test_single_pattern_network_is_isomorphic_copy(self, t):
         train = pat(t, "Train",
@@ -322,6 +331,12 @@ class TestEvaluator:
         assert res.pattern.name == "SemanticGenerateAndTrain"
         assert len(res.pattern.nodes) == 6
         assert "SemanticGenerateAndTrain" not in lib.patterns  # input untouched
+
+    def test_combination_result_of_a_plain_pattern_is_rejected(self):
+        lib = resolve(parse(FIG_DOC), Catalog.default())
+        with pytest.raises(UnknownNameError,
+                           match="pattern 'Train' is not combine-defined"):
+            combination_result(lib, "Train")
 
     def test_materialized_dependencies_not_recombined(self, t, count_combines):
         base = pat(t, "Base", [("m", "Model")])

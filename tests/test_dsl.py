@@ -311,6 +311,16 @@ class TestEmitDsl:
         assert isomorphic(lib.patterns["SemanticGenerateAndTrain"],
                           lib2.patterns["SemanticGenerateAndTrain"])
 
+    def test_refinement_into_combined_pattern_is_emitted_without_via(self, catalog):
+        text = (FIG_DOC
+                + "pattern Tr = data ontohub:NeSyPatterns.omn t : Training; end\n"
+                  "refinement R9 = Tr refined to SemanticGenerateAndTrain end\n")
+        emitted = emit_dsl(resolve(parse(text), catalog))
+        assert ("\nrefinement R9 = Tr refined to SemanticGenerateAndTrain end\n"
+                in emitted)
+        lib2 = resolve(parse(emitted), Catalog.default())
+        assert lib2.refinements["R9"].node_map == {"t": "Train.anon2"}
+
     def test_keyword_node_ids_are_renamed(self):
         t = default_taxonomy()
         p = build_pattern("P", t, [("end", t.lookup("Model")),

@@ -14,6 +14,7 @@ from nesypat.emitters import (
     emit_manchester,
     pattern_from_json,
 )
+from nesypat.errors import UnknownClassError
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.taxonomy import default_taxonomy, parse_taxonomy
 
@@ -157,6 +158,13 @@ class TestEmitAbox:
         triples = emit_abox(p, diags)
         assert ("connectedTo", "s", "d") in triples.links
         assert any(d.severity == "warning" for d in diags)
+
+    def test_taxonomy_without_process_is_rejected(self):
+        t2 = parse_taxonomy("Class: Thing Class: Stone SubClassOf: Thing")
+        p = build_pattern("rock", t2, [("s", t2.lookup("Stone"))], [])
+        with pytest.raises(UnknownClassError,
+                           match="ABox translation needs a Process class"):
+            emit_abox(p)
 
     def test_counts_match_pattern(self, t):
         rng = random.Random(73)

@@ -191,6 +191,19 @@ class TestParseTaxonomy:
         t = parse_taxonomy("Class: 'Semantic Model' SubClassOf: Model")
         assert t.has_local("Semantic_Model")
 
+    def test_quoted_name_holding_a_colon_is_a_bare_name(self):
+        t = parse_taxonomy("Class: 'a:b'")
+        (c,) = t.classes
+        assert c.local_name == "a:b"
+        assert c.iri == t.namespace + "a:b"
+
+    def test_quoted_iri_is_a_bare_name(self):
+        t = parse_taxonomy("Class: '<urn:x#A>' Class: B SubClassOf: A")
+        assert len(t.classes) == 4
+        assert t.has_local("<urn:x#A>")
+        assert t.lookup("A").iri == t.namespace + "A"
+        assert t.leq(t.lookup("B"), t.lookup("A"))
+
     def test_unknown_entries_warned_and_skipped(self):
         diags = []
         t = parse_taxonomy(
