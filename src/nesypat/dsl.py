@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
     UnknownNameError,
+    _positions,
 )
 from .library import Library
 from .network import build_network
@@ -38,6 +39,10 @@ _KEYWORDS = frozenset({
     "then", "refined", "to", "via", "end",
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
+#: A Manchester IRI, quoted name or string literal (group 1), as
+#: ``taxonomy`` tokenizes them, or a run of whitespace.
+_SPACE_OUTSIDE_QUOTES_RE = re.compile(
+    r"""(<[^>]*>|'[^'\n]*'|"[^"\\]*(?:\\.[^"\\]*)*")|\s+""")
 
 
 # -- AST --------------------------------------------------------------------
@@ -62,10 +67,13 @@ class OntRef(NamedTuple):
     ext_col: int = 0
 
     def key(self) -> str:
-        """Normalized clause text, used to index Library.taxonomies."""
+        """Normalized clause text, used to index Library.taxonomies.
+        Whitespace is collapsed, except inside the IRIs, quoted names and
+        string literals of the extension, where it is part of a name."""
         if self.extension is None:
             return self.base
-        collapsed = " ".join(self.extension.split())
+        collapsed = _SPACE_OUTSIDE_QUOTES_RE.sub(
+            lambda m: m[1] or " ", self.extension).strip()
         return f"{{ {self.base} then {collapsed} }}"
 
 
@@ -98,14 +106,7 @@ class Document(NamedTuple):
     declarations: tuple
 
 
-# -- lexer --------------------------------------------------------------------
-
-class Token(NamedTuple):
-    kind: str  # "name", one of _SYMBOLS, "ontref", "fragment" or "eof"
-    value: str
-    line: int
-    col: int
-
+# -- reader -------------------------------------------------------------------
 
 #: Whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line comments.
 _TRIVIA = r"(?:\s|%%[^\n]*)*"
@@ -118,137 +119,90 @@ _ONTREF_RE = re.compile(r"[^\s{}]*")
 _BRACE_RE = re.compile(r"[{}]")
 
 
-class Lexer:
-    """Regex lexer with two parser-driven raw modes: ontology references
-    (maximal non-space runs, so CURIEs and URLs stay whole) and Manchester
-    fragments (raw text up to the matching brace).
+class _Parser:
+    """Recursive descent over token lists.
 
-    Positions are 1-based; only ``"\n"`` starts a line, and a column
-    counts characters from the start of its line.
+    A token is a ``(kind, value, offset)`` tuple, its kind ``"name"``, a
+    symbol, ``"eof"`` or ``"error"`` (an unexpected character, an error
+    once the parser reaches it).  The text is tokenized a segment at a
+    time, each up to and including a ``data`` or ``then``, after which
+    the parser may read raw text: an ontology reference (a maximal
+    non-space run, so CURIEs and URLs stay whole) or a Manchester
+    fragment (up to the matching brace).  Other segments end at the end
+    of the text or at an unexpected character.  Positions come from
+    offsets, and only for what a node or an error keeps.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0  # offset of the first character of ``line``
-        self._peeked: Token | None = None
+        self.at = _positions(text)
+        self.scan(0)
 
-    def _move_to(self, end: int) -> None:
-        """Advance to offset ``end``, counting the newlines passed."""
-        text, pos = self.text, self.pos
-        last_nl = text.rfind("\n", pos, end)
-        if last_nl >= 0:
-            self.line += text.count("\n", pos, last_nl) + 1
-            self.line_start = last_nl + 1
-        self.pos = end
+    def scan(self, start: int) -> None:
+        """Tokenize the segment that starts at offset ``start``."""
+        text = self.text
+        toks: list[tuple[str, str, int]] = []
+        append = toks.append
+        for m in _TOKEN_RE.finditer(text, start):
+            kind = m.lastgroup
+            if kind is None:
+                end = m.end()
+                append(("error", text[end], end) if end < len(text)
+                       else ("eof", "", end))
+                break
+            value = m[kind]
+            append((value if kind == "symbol" else kind, value, m.start(kind)))
+            if value == "data" or value == "then":
+                break
+        self.toks, self.i, self.end = toks, 0, m.end()
 
-    def _skip_trivia(self) -> int:
-        """Move past whitespace and comments; return the new offset."""
-        self._move_to(_TRIVIA_RE.match(self.text, self.pos).end())
-        return self.pos
+    def error(self, message: str, offset: int, expected=()) -> ParseError:
+        line, col = self.at(offset)
+        return ParseError(message, line=line, col=col, expected=expected)
 
-    def _lex(self) -> Token:
-        m = _TOKEN_RE.match(self.text, self.pos)
-        kind = m.lastgroup
-        value = m.group(kind) if kind else ""
-        start = m.end() - len(value)
-        self._move_to(start)
-        col = start - self.line_start + 1
-        if kind is None and start < len(self.text):
-            raise ParseError(f"unexpected character {self.text[start]!r}",
-                             line=self.line, col=col)
-        self.pos = m.end()
-        return Token(value if kind == "symbol" else kind or "eof",
-                     value, self.line, col)
+    def unexpected(self, tok, what: str, *expected: str) -> ParseError:
+        """``expected <what>, found <tok>``, placed at ``tok``."""
+        kind, value, offset = tok
+        if kind == "error":
+            return self.error(f"unexpected character {value!r}", offset)
+        return self.error(f"expected {what}, found {value or 'end of input'!r}",
+                          offset, expected)
 
-    def peek(self) -> Token:
-        if self._peeked is None:
-            self._peeked = self._lex()
-        return self._peeked
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
 
-    def next(self) -> Token:
-        tok = self._peeked
-        if tok is None:
-            return self._lex()
-        self._peeked = None
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise self.unexpected(tok, repr(kind), kind)
+        self.i += 1
         return tok
 
-    def _rewind_peek(self) -> None:
-        """Put the peeked token back.  Tokens do not span lines, so only
-        the offset moves."""
-        if self._peeked is not None:
-            self.pos -= len(self._peeked.value)
-            self._peeked = None
-
-    def scan_ontref(self) -> Token:
-        self._rewind_peek()
-        start = self._skip_trivia()
-        col = start - self.line_start + 1
-        end = _ONTREF_RE.match(self.text, start).end()
-        if end == start:
-            raise ParseError("expected an ontology reference",
-                             line=self.line, col=col, expected=("CURIE", "IRI"))
-        self.pos = end
-        return Token("ontref", self.text[start:end], self.line, col)
-
-    def scan_fragment(self) -> Token:
-        """Raw text from here to the brace closing the data clause."""
-        self._rewind_peek()
-        start = self._skip_trivia()
-        line, col = self.line, start - self.line_start + 1
-        depth = 1
-        for m in _BRACE_RE.finditer(self.text, start):
-            depth += 1 if m.group() == "{" else -1
-            if depth == 0:
-                end = m.start()
-                self._move_to(end + 1)  # past the closing brace
-                return Token("fragment", self.text[start:end], line, col)
-        raise ParseError("unterminated data clause, expected '}'",
-                         line=line, col=col, expected=("}",))
-
-
-# -- parser -------------------------------------------------------------------
-
-def _unexpected(tok: Token, what: str, *expected: str) -> ParseError:
-    """``expected <what>, found <tok>``, placed at ``tok``."""
-    return ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
-                      line=tok.line, col=tok.col, expected=expected)
-
-
-class _Parser:
-    def __init__(self, lexer: Lexer):
-        self.lx = lexer
-
-    def expect(self, kind: str) -> Token:
-        tok = self.lx.next()
-        if tok.kind != kind:
-            raise _unexpected(tok, repr(kind), kind)
+    def expect_keyword(self, word: str) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        if tok[0] != "name" or tok[1] != word:
+            raise self.unexpected(tok, repr(word), word)
+        self.i += 1
         return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.lx.next()
-        if tok.kind != "name" or tok.value != word:
-            raise _unexpected(tok, repr(word), word)
-        return tok
-
-    def expect_name(self, what: str = "a name") -> Token:
-        tok = self.lx.next()
-        if tok.kind != "name" or tok.value in _KEYWORDS:
-            raise _unexpected(tok, what, what)
-        return tok
+    def expect_name(self, what: str = "a name") -> str:
+        tok = self.toks[self.i]
+        if tok[0] != "name" or tok[1] in _KEYWORDS:
+            raise self.unexpected(tok, what, what)
+        self.i += 1
+        return tok[1]
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.lx.peek()
-        return tok.kind == "name" and tok.value == word
+        tok = self.toks[self.i]
+        return tok[0] == "name" and tok[1] == word
 
     def document(self) -> Document:
         self.expect_keyword("logic")
         self.expect_keyword(LOGIC_NAME)
         decls = []
         while True:
-            tok = self.lx.peek()
-            if tok.kind == "eof":
+            tok = self.peek()
+            if tok[0] == "eof":
                 break
             if self.at_keyword("pattern"):
                 decls.append(self.pattern_decl())
@@ -257,111 +211,142 @@ class _Parser:
             elif self.at_keyword("network"):
                 decls.append(self.network_decl())
             else:
-                raise _unexpected(tok, "a declaration",
-                                  "pattern", "refinement", "network")
+                raise self.unexpected(tok, "a declaration",
+                                      "pattern", "refinement", "network")
         return Document(tuple(decls))
 
     def pattern_decl(self) -> PatternDecl:
-        kw = self.expect_keyword("pattern")
-        name = self.expect_name("a pattern name").value
+        line, col = self.at(self.expect_keyword("pattern")[2])
+        name = self.expect_name("a pattern name")
         self.expect("=")
         if self.at_keyword("combine"):
-            self.lx.next()
-            net = self.expect_name("a network name").value
+            self.i += 1
+            net = self.expect_name("a network name")
             self.expect_keyword("end")
-            return PatternDecl(name, None, (), net, kw.line, kw.col)
+            return PatternDecl(name, None, (), net, line, col)
         self.expect_keyword("data")
         ont = self.data_clause()
-        chains = []
-        while not self.at_keyword("end"):
-            tok = self.lx.peek()
-            if tok.kind == "eof":
-                raise ParseError("unterminated pattern, expected 'end'",
-                                 line=tok.line, col=tok.col, expected=("end",))
-            chains.append(self.chain())
-        self.lx.next()  # end
-        return PatternDecl(name, ont, tuple(chains), None, kw.line, kw.col)
+        return PatternDecl(name, ont, self.chains(), None, line, col)
 
     def data_clause(self) -> OntRef:
-        if self.lx.peek().kind == "{":
-            self.lx.next()
-            base = self.lx.scan_ontref()
-            tok = self.lx.peek()
-            if tok.kind == "}":
-                self.lx.next()
-                return OntRef(base.value, None, base.line, base.col)
-            if tok.kind == "name" and tok.value == "then":
-                self.lx.next()
-                frag = self.lx.scan_fragment()
-                return OntRef(base.value, frag.value, base.line, base.col,
-                              frag.line, frag.col)
-            raise _unexpected(tok, "'then' or '}'", "then", "}")
-        base = self.lx.scan_ontref()
-        return OntRef(base.value, None, base.line, base.col)
+        """The ontology reference after ``data``, which ends a segment,
+        read raw, optionally braced and extended after ``then``."""
+        text = self.text
+        m = _TOKEN_RE.match(text, self.end)  # the token after ``data``
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        if kind is None and start < len(text):
+            raise self.error(f"unexpected character {text[start]!r}", start)
+        braced = text.startswith("{", start)
+        if braced:
+            start = _TRIVIA_RE.match(text, start + 1).end()
+        end = _ONTREF_RE.match(text, start).end()
+        if end == start:
+            raise self.error("expected an ontology reference", start,
+                             ("CURIE", "IRI"))
+        line, col = self.at(start)
+        self.scan(end)
+        base = text[start:end]
+        if not braced:
+            return OntRef(base, None, line, col)
+        tok = self.peek()
+        if tok[0] == "}":
+            self.i += 1
+            return OntRef(base, None, line, col)
+        if tok[0] != "name" or tok[1] != "then":
+            raise self.unexpected(tok, "'then' or '}'", "then", "}")
+        # ``then`` ends its segment: the fragment runs from there to the
+        # brace closing the data clause.
+        start = _TRIVIA_RE.match(text, self.end).end()
+        depth = 1
+        for m in _BRACE_RE.finditer(text, start):
+            depth += 1 if m[0] == "{" else -1
+            if depth == 0:
+                frag_line, frag_col = self.at(start)
+                self.scan(m.end())
+                return OntRef(base, text[start:m.start()], line, col,
+                              frag_line, frag_col)
+        raise self.error("unterminated data clause, expected '}'", start, ("}",))
 
-    def chain(self) -> Chain:
-        refs = [self.node_ref()]
+    def chains(self) -> tuple[Chain, ...]:
+        """The chains of a pattern body, up to and including its ``end``."""
+        toks, i, at = self.toks, self.i, self.at
+        chains = []
         while True:
-            tok = self.lx.peek()
-            if tok.kind == "->":
-                self.lx.next()
-                refs.append(self.node_ref())
-            elif tok.kind == ";":
-                self.lx.next()
-                return Chain(tuple(refs))
-            else:
-                raise _unexpected(tok, "'->' or ';'", "->", ";")
-
-    def node_ref(self) -> NodeRef:
-        first = self.expect_name("a node or class token")
-        if self.lx.peek().kind == ":":
-            self.lx.next()
-            cls = self.expect_name("a class token")
-            return NodeRef(first.value, cls.value, first.line, first.col)
-        return NodeRef(None, first.value, first.line, first.col)
+            kind, value, off = toks[i]
+            if kind == "name" and value == "end":
+                break
+            if kind == "eof":
+                raise self.error("unterminated pattern, expected 'end'", off,
+                                 ("end",))
+            refs = []
+            while True:  # one node reference, then '->' or ';'
+                kind, value, off = tok = toks[i]
+                if kind != "name" or value in _KEYWORDS:
+                    what = "a node or class token"
+                    raise self.unexpected(tok, what, what)
+                line, col = at(off)
+                if toks[i + 1][0] == ":":
+                    cls = toks[i + 2]
+                    if cls[0] != "name" or cls[1] in _KEYWORDS:
+                        raise self.unexpected(cls, "a class token", "a class token")
+                    refs.append(NodeRef(value, cls[1], line, col))
+                    i += 3
+                else:
+                    refs.append(NodeRef(None, value, line, col))
+                    i += 1
+                sep = toks[i][0]
+                i += 1
+                if sep == ";":
+                    break
+                if sep != "->":
+                    raise self.unexpected(toks[i - 1], "'->' or ';'", "->", ";")
+            chains.append(Chain(tuple(refs)))
+        self.i = i + 1
+        return tuple(chains)
 
     def refinement_decl(self) -> RefinementDecl:
-        kw = self.expect_keyword("refinement")
-        name = self.expect_name("a refinement name").value
+        line, col = self.at(self.expect_keyword("refinement")[2])
+        name = self.expect_name("a refinement name")
         self.expect("=")
-        source = self.expect_name("a pattern name").value
+        source = self.expect_name("a pattern name")
         self.expect_keyword("refined")
         self.expect_keyword("to")
-        target = self.expect_name("a pattern name").value
+        target = self.expect_name("a pattern name")
         explicit = None
         if self.at_keyword("via"):
-            self.lx.next()
+            self.i += 1
             pairs = [self.map_pair()]
-            while self.lx.peek().kind == ",":
-                self.lx.next()
+            while self.peek()[0] == ",":
+                self.i += 1
                 pairs.append(self.map_pair())
             explicit = tuple(pairs)
         self.expect_keyword("end")
-        return RefinementDecl(name, source, target, explicit, kw.line, kw.col)
+        return RefinementDecl(name, source, target, explicit, line, col)
 
     def map_pair(self) -> tuple[str, str]:
-        a = self.expect_name("a source node id").value
+        a = self.expect_name("a source node id")
         self.expect("|->")
-        b = self.expect_name("a target node id").value
+        b = self.expect_name("a target node id")
         return (a, b)
 
     def network_decl(self) -> NetworkDecl:
-        kw = self.expect_keyword("network")
-        name = self.expect_name("a network name").value
+        line, col = self.at(self.expect_keyword("network")[2])
+        name = self.expect_name("a network name")
         self.expect("=")
-        members = [self.expect_name("a member name").value]
-        while self.lx.peek().kind == ",":
-            self.lx.next()
-            members.append(self.expect_name("a member name").value)
+        members = [self.expect_name("a member name")]
+        while self.peek()[0] == ",":
+            self.i += 1
+            members.append(self.expect_name("a member name"))
         self.expect_keyword("end")
-        return NetworkDecl(name, tuple(members), kw.line, kw.col)
+        return NetworkDecl(name, tuple(members), line, col)
 
 
 def parse(text: str, source_name: str = "<input>") -> Document:
     """Parse source text into a Document AST.  A ParseError carries
     ``source_name``."""
     try:
-        return _Parser(Lexer(text)).document()
+        return _Parser(text).document()
     except NesyError as e:
         raise e.in_file(source_name)
 

@@ -5,6 +5,28 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+def _positions(text: str):
+    """A function from an offset into ``text`` to its 1-based
+    ``(line, col)``: only ``"\\n"`` starts a line, and a column counts
+    characters from the start of its line.  Offsets asked in increasing
+    order cost only the text between them; a smaller offset starts again
+    from the top."""
+    seen, line, line_start = 0, 1, 0  # line_start: offset of line's first char
+
+    def at(offset: int) -> tuple[int, int]:
+        nonlocal seen, line, line_start
+        if offset < seen:
+            seen, line, line_start = 0, 1, 0
+        last_nl = text.rfind("\n", seen, offset)
+        if last_nl >= 0:
+            line += text.count("\n", seen, last_nl) + 1
+            line_start = last_nl + 1
+        seen = offset
+        return line, offset - line_start + 1
+
+    return at
+
+
 class Diagnostic(NamedTuple):
     """One user-facing message, printable as ``file:line:col: severity: message``."""
 

@@ -19,9 +19,8 @@ of down-sets, whose highest bit is a maximal lower bound.
 from __future__ import annotations
 
 import re
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import (
     CycleError,
@@ -29,6 +28,7 @@ from .errors import (
     NesyError,
     ParseError,
     UnknownClassError,
+    _positions,
 )
 
 #: Namespace of the bundled pattern-element ontology.
@@ -325,57 +325,39 @@ _ENTRY_KEYWORDS = {
 _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 
 
-class _Tok(NamedTuple):
-    kind: str  # name, quoted, iri, colon, comma, misc, eof
-    value: str
-    line: int
-    col: int
-
-
-# Alternatives are tried in order.  ``bad`` catches an opening ``<``,
-# ``'`` or ``"`` whose token alternative failed; ``misc`` lexes numbers,
-# parentheses and annotation operators, which only appear inside entries
-# the parser skips.  Whitespace matches nothing and is passed over.
+# Whitespace (group 1), then one token; alternatives are tried in order.
+# ``misc`` lexes string literals, numbers, parentheses and annotation
+# operators, which only appear inside entries the parser skips.  ``bad``
+# catches an opening ``<``, ``'`` or ``"`` whose token alternative
+# failed, and takes the rest of the text with it, so it can only be the
+# last match.  Every character but whitespace starts an alternative, so
+# a search that ends at the last other character never backtracks over
+# whitespace.
 _MANCHESTER_RE = re.compile(r"""
-    (?P<newline>\n)
-  | <(?P<iri>[^>]*)>
+    (\s*)
+    (?: <(?P<iri>[^>]*)>
   | '(?P<quoted>[^'\n]*)'
-  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
-  | (?P<bad>[<'"])
   | (?P<colon>:)
   | (?P<comma>,)
   | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<misc>[0-9][A-Za-z0-9_.\-]*|\S)
+  | (?P<misc>"[^"\\]*(?:\\.[^"\\]*)*"|[0-9][A-Za-z0-9_.\-]*|[^\s<'"])
+  | (?P<bad>[<'"]).* )
 """, re.VERBOSE | re.DOTALL)
-
-#: Builds a ``_Tok`` from a 4-tuple without the Python-level ``__new__``
-#: that ``NamedTuple`` generates; the tokenizer makes one per match.
-_new_tok = partial(tuple.__new__, _Tok)
 
 _UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
                  '"': "unterminated string literal"}
 
 
-def _tokenize_manchester(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0  # line_start: offset of the line's first character
-    for m in _MANCHESTER_RE.finditer(text):
-        kind = m.lastgroup
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        if kind == "bad":
-            raise ParseError(_UNTERMINATED[m.group()],
-                             line=line, col=start - line_start + 1)
-        value = m.group(kind)
-        toks.append(_new_tok(("misc" if kind == "string" else kind, value,
-                              line, start - line_start + 1)))
-        if "\n" in value:  # an IRI or a string literal spanning lines
-            line += value.count("\n")
-            line_start = text.rfind("\n", start, m.end()) + 1
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
+def _tokenize_manchester(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, value, offset)`` tuples, the
+    kind one of iri, quoted, colon, comma, name, misc and eof."""
+    toks = [(m.lastgroup, m[m.lastgroup], m.end(1))
+            for m in _MANCHESTER_RE.finditer(text, 0, len(text.rstrip()))]
+    if toks and toks[-1][0] == "bad":
+        _, value, offset = toks[-1]
+        line, col = _positions(text)(offset)
+        raise ParseError(_UNTERMINATED[value], line=line, col=col)
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -430,163 +412,88 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     stated edges, the added classes with no superclass, the namespace).
     """
     toks = _tokenize_manchester(text)
-    pos = 0
+    position = _positions(text)
     prefixes: dict[str, str] = {}
     namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
     declared: list = []  # keys of Class frames, in order, with repeats
     edge_keys: list[tuple] = []
-    where: dict = {}  # key -> the token it first starts at
+    where: dict = {}  # key -> offset of the token it first starts at
 
-    def warn(msg: str, tok: _Tok) -> None:
+    def warn(msg: str, offset: int) -> None:
         if diagnostics is not None:
-            diagnostics.append(Diagnostic("warning", msg, tok.line, tok.col,
+            line, col = position(offset)
+            diagnostics.append(Diagnostic("warning", msg, line, col,
                                           source_name))
 
-    def peek() -> _Tok:
-        return toks[pos]
-
-    def advance() -> _Tok:
-        nonlocal pos
-        t = toks[pos]
-        if t.kind != "eof":
-            pos += 1
-        return t
-
-    def at_keyword(words) -> str | None:
-        t = peek()
-        if t.kind == "name" and t.value in words:
-            nxt = toks[pos + 1] if pos + 1 < len(toks) else None
-            # A keyword may be followed by ':' (standard) or a name/quoted/IRI
-            # (the colon-less form used in inline extensions).
-            if nxt is not None and nxt.kind in ("colon", "name", "quoted", "iri"):
-                return t.value
-        return None
-
-    def eat_keyword() -> _Tok:
-        t = advance()
-        if peek().kind == "colon":
-            advance()
-        return t
-
-    def at_name() -> bool:
-        t = peek()
-        if t.kind == "colon":  # ``:Name``, a name with the empty prefix
-            nxt = toks[pos + 1]
-            return nxt.kind == "name" and _is_adjacent(t, nxt)
-        return t.kind in ("name", "quoted", "iri")
-
-    def parse_name() -> tuple | str:
-        t = peek()
-        if t.kind == "quoted":
-            advance()
-            key = (None, t.value.replace(" ", "_"))
-        elif t.kind == "iri":
-            advance()
-            key = t.value
-        elif t.kind == "name":
-            advance()
-            key = (None, t.value)
-            if peek().kind == "colon" and _is_adjacent(t, toks[pos]):
-                colon = advance()
-                t2 = peek()
-                if not (t2.kind == "name" and _is_adjacent(colon, t2)):
-                    raise ParseError("malformed prefixed name",
-                                     line=t.line, col=t.col)
-                advance()
-                key = (t.value, t2.value)
-        elif at_name():
-            advance()
-            key = ("", advance().value)
-        else:
-            raise ParseError(f"expected a class name, found {t.value!r}",
-                             line=t.line, col=t.col,
-                             expected=("name", "quoted name", "IRI"))
-        where.setdefault(key, t)
-        return key
-
-    def skip_entry() -> None:
-        while True:
-            t = peek()
-            if t.kind == "eof" or _is_keyword(t):
-                return
-            advance()
-
-    while peek().kind != "eof":
-        kw = at_keyword(_FRAME_KEYWORDS)
-        if kw == "Prefix":
-            eat_keyword()
+    i = 0
+    while toks[i][0] != "eof":
+        _, kw, offset = toks[i]
+        after = _keyword_end(toks, i, _FRAME_KEYWORDS)
+        if after is None:
+            line, col = position(offset)
+            raise ParseError(f"malformed frame near {kw!r}", line=line, col=col,
+                             expected=tuple(sorted(_FRAME_KEYWORDS)))
+        i = after
+        if kw == "Class":
+            subject, i = _read_name(toks, i, where, position)
+            if subject is None:
+                line, col = position(toks[i][2])
+                raise ParseError(f"expected a class name, found {toks[i][1]!r}",
+                                 line=line, col=col,
+                                 expected=("name", "quoted name", "IRI"))
+            declared.append(subject)
+            while (after := _keyword_end(toks, i, _ENTRY_KEYWORDS)) is not None:
+                _, entry, offset = toks[i]
+                i = after
+                if entry != "SubClassOf":
+                    warn(f"{entry} entries are skipped", offset)
+                    i = _skip_entry(toks, i)
+                    continue
+                while not _is_keyword(toks[i]):
+                    offset = toks[i][2]
+                    sup, i = _read_name(toks, i, where, position)
+                    if sup is None:
+                        warn("unsupported class expression skipped", offset)
+                        i = _skip_entry(toks, i)
+                        break
+                    nxt = toks[i]
+                    if nxt[0] != "comma" and nxt[0] != "eof" and not _is_keyword(nxt):
+                        warn("complex class expression skipped", offset)
+                        i = _skip_entry(toks, i)
+                        break
+                    edge_keys.append((subject, sup))
+                    if nxt[0] != "comma":
+                        break
+                    i += 1
+        elif kw == "Prefix":
             pfx = ""
-            if peek().kind == "name":
-                pfx = advance().value
-            if peek().kind == "colon":
-                advance()
-            t = peek()
-            if t.kind != "iri":
+            if toks[i][0] == "name":
+                pfx = toks[i][1]
+                i += 1
+            if toks[i][0] == "colon":
+                i += 1
+            kind, iri, offset = toks[i]
+            if kind != "iri":
+                line, col = position(offset)
                 raise ParseError("expected <IRI> in prefix declaration",
-                                 line=t.line, col=t.col, expected=("IRI",))
-            iri = advance().value
+                                 line=line, col=col, expected=("IRI",))
+            i += 1
             prefixes[pfx] = iri
             if pfx == "":
                 namespace = iri
-            continue
-        if kw == "Ontology":
-            eat_keyword()
-            if peek().kind == "iri":
-                ontology_iri = advance().value
-                if peek().kind == "iri":  # optional version IRI
-                    advance()
-            continue
-        if kw == "Import":
-            t = eat_keyword()
-            warn("imports are not honored", t)
-            if at_name():
-                parse_name()
-            continue
-        if kw == "Class":
-            eat_keyword()
-            subject = parse_name()
-            declared.append(subject)
-            while True:
-                entry = at_keyword(_ENTRY_KEYWORDS)
-                if entry is None:
-                    break
-                tok = peek()
-                if entry != "SubClassOf":
-                    eat_keyword()
-                    warn(f"{entry} entries are skipped", tok)
-                    skip_entry()
-                    continue
-                eat_keyword()
-                while True:
-                    t = peek()
-                    if _is_keyword(t):
-                        break
-                    if not at_name():
-                        warn("unsupported class expression skipped", t)
-                        skip_entry()
-                        break
-                    sup = parse_name()
-                    nxt = peek()
-                    if nxt.kind not in ("comma", "eof") and not _is_keyword(nxt):
-                        warn("complex class expression skipped", t)
-                        skip_entry()
-                        break
-                    edge_keys.append((subject, sup))
-                    if peek().kind == "comma":
-                        advance()
-                        continue
-                    break
-            continue
-        if kw is not None:
-            tok = eat_keyword()
-            warn(f"{kw} frames are skipped", tok)
-            skip_entry()
-            continue
-        t = peek()
-        raise ParseError(f"malformed frame near {t.value!r}",
-                         line=t.line, col=t.col,
-                         expected=tuple(sorted(_FRAME_KEYWORDS)))
+        elif kw == "Ontology":
+            if toks[i][0] == "iri":
+                ontology_iri = toks[i][1]
+                i += 1
+                if toks[i][0] == "iri":  # optional version IRI
+                    i += 1
+        elif kw == "Import":
+            warn("imports are not honored", offset)
+            _, i = _read_name(toks, i, where, position)
+        else:
+            warn(f"{kw} frames are skipped", offset)
+            i = _skip_entry(toks, i)
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
@@ -600,7 +507,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         c = refs.get(key)
         if c is not None:
             return c
-        at = where[key]
+        offset = where[key]
         bare = False
         if key.__class__ is str:  # an <IRI>
             iri = key
@@ -612,8 +519,9 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 iri = prefixes[pfx] + local
             else:
                 name = f"{pfx}:{local}"
+                line, col = position(offset)
                 raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
-                                        line=at.line, col=at.col)
+                                        line=line, col=col)
         if bare and local in by_local:
             c = by_local[local]
         elif iri in index:
@@ -622,11 +530,12 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
             c = added[iri]
         elif declare:
             c = added[iri] = _mint(iri, local if bare else _local_name_of(iri),
-                                   taken, at)
+                                   taken, position, offset)
         else:
             shown = repr(local) if bare else f"<{iri}>"
+            line, col = position(offset)
             raise UnknownClassError(f"unknown class {shown} in extension",
-                                    line=at.line, col=at.col)
+                                    line=line, col=col)
         refs[key] = c
         return c
 
@@ -638,10 +547,12 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     return list(added.values()), edges, roots, namespace
 
 
-def _mint(iri: str, local: str, taken: dict[str, ClassRef], at: _Tok) -> ClassRef:
+def _mint(iri: str, local: str, taken: dict[str, ClassRef],
+          position, offset: int) -> ClassRef:
     """A class read from Manchester text, recorded in ``taken`` by local
     name.  A local name that is empty, holds whitespace or is taken by
-    another IRI is a ParseError at ``at``, the token the name starts at."""
+    another IRI is a ParseError at ``position(offset)``, where the name
+    starts."""
     if not _LOCAL_NAME_RE.fullmatch(local):
         problem = "whitespace in its local name" if local else "no local name"
     else:
@@ -651,7 +562,8 @@ def _mint(iri: str, local: str, taken: dict[str, ClassRef], at: _Tok) -> ClassRe
             return ref
         problem = f"the local name {local!r} of <{other.iri}>"
     shown = iri if iri.isprintable() else repr(iri)[1:-1]  # keep it one line
-    raise ParseError(f"IRI <{shown}> has {problem}", line=at.line, col=at.col)
+    line, col = position(offset)
+    raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
 
 
 def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:
@@ -671,9 +583,64 @@ def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:
     return path[seen[i]:]
 
 
-def _is_adjacent(a: _Tok, b: _Tok) -> bool:
-    return a.line == b.line and a.col + len(a.value) == b.col
+def _keyword_end(toks: list, i: int, words) -> int | None:
+    """The index after the keyword of ``words`` at ``toks[i]`` and its
+    ':', or None if no such keyword starts there.  A keyword is followed
+    by ':' (standard) or by a name, quoted name or IRI (the colon-less
+    form used in inline extensions)."""
+    kind, value, _ = toks[i]
+    if kind == "name" and value in words:
+        after = toks[i + 1][0]
+        if after == "colon":
+            return i + 2
+        if after == "name" or after == "quoted" or after == "iri":
+            return i + 1
+    return None
 
 
-def _is_keyword(t: _Tok) -> bool:
-    return t.kind == "name" and t.value in _KEYWORDS
+def _read_name(toks: list, i: int, where: dict, position):
+    """The key of the class name at ``toks[i]`` (see ``_read_classes``)
+    and the index after it, or ``(None, i)`` if no name starts there.
+    The offset a key is first read at goes to ``where``."""
+    tok = toks[i]
+    kind, value, offset = tok
+    if kind == "name":
+        key = (None, value)
+        i += 1
+        colon = toks[i]
+        if colon[0] == "colon" and _is_adjacent(tok, colon):
+            local = toks[i + 1]
+            if local[0] != "name" or not _is_adjacent(colon, local):
+                line, col = position(offset)
+                raise ParseError("malformed prefixed name", line=line, col=col)
+            key = (value, local[1])
+            i += 2
+    elif kind == "quoted":
+        key = (None, value.replace(" ", "_"))
+        i += 1
+    elif kind == "iri":
+        key = value
+        i += 1
+    elif kind == "colon" and toks[i + 1][0] == "name" and _is_adjacent(tok, toks[i + 1]):
+        key = ("", toks[i + 1][1])  # ``:Name``, a name with the empty prefix
+        i += 2
+    else:
+        return None, i
+    where.setdefault(key, offset)
+    return key, i
+
+
+def _skip_entry(toks: list, i: int) -> int:
+    """The index of the next keyword or of the end, from ``i`` on."""
+    while toks[i][0] != "eof" and not _is_keyword(toks[i]):
+        i += 1
+    return i
+
+
+def _is_adjacent(a: tuple, b: tuple) -> bool:
+    """Whether token ``b`` starts where token ``a`` ends."""
+    return a[2] + len(a[1]) == b[2]
+
+
+def _is_keyword(t: tuple) -> bool:
+    return t[0] == "name" and t[1] in _KEYWORDS

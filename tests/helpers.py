@@ -11,6 +11,17 @@ import random
 import re
 from dataclasses import dataclass
 
+from nesypat.dsl import (
+    LOGIC_NAME,
+    Chain,
+    Document,
+    NetworkDecl,
+    NodeRef,
+    OntRef,
+    PatternDecl,
+    RefinementDecl,
+    _KEYWORDS,
+)
 from nesypat.errors import ParseError
 from nesypat.pattern import Pattern, build_pattern
 from nesypat.taxonomy import ClassRef, Taxonomy
@@ -192,10 +203,11 @@ def equivalence_classes_oracle(elements, pairs):
     return {frozenset(c) for c in classes}
 
 
-# -- reference lexers --------------------------------------------------------
+# -- reference readers -------------------------------------------------------
 #
 # The per-character tokenizers that the regex lexers in ``dsl`` and
-# ``taxonomy`` replaced, kept as the judge of positions and errors.
+# ``taxonomy`` replaced, and the parser that drove the first one through
+# ``peek``/``next``, kept as the judge of results, positions and errors.
 
 _REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
@@ -211,7 +223,8 @@ class ReferenceToken:
 
 class ReferenceLexer:
     """The pattern-language lexer as it was before it moved to regexes:
-    one ``_advance`` per character.  Drop-in for ``dsl.Lexer``."""
+    one ``_advance`` per character, read through ``peek`` and ``next``
+    and two raw modes."""
 
     def __init__(self, text: str, source_name: str = "<input>"):
         self.text = text
@@ -308,6 +321,159 @@ class ReferenceLexer:
             self._advance()
         raise ParseError("unterminated data clause, expected '}'",
                          line=line, col=col, expected=("}",))
+
+
+def reference_parse(text: str) -> Document:
+    """``parse`` as it was before its reader moved to token lists: the
+    recursive-descent parser below, driving ``ReferenceLexer``."""
+    return ReferenceParser(ReferenceLexer(text)).document()
+
+
+def _unexpected(tok, what: str, *expected: str) -> ParseError:
+    """``expected <what>, found <tok>``, placed at ``tok``."""
+    return ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
+                      line=tok.line, col=tok.col, expected=expected)
+
+
+class ReferenceParser:
+    def __init__(self, lexer):
+        self.lx = lexer
+
+    def expect(self, kind: str) -> ReferenceToken:
+        tok = self.lx.next()
+        if tok.kind != kind:
+            raise _unexpected(tok, repr(kind), kind)
+        return tok
+
+    def expect_keyword(self, word: str) -> ReferenceToken:
+        tok = self.lx.next()
+        if tok.kind != "name" or tok.value != word:
+            raise _unexpected(tok, repr(word), word)
+        return tok
+
+    def expect_name(self, what: str = "a name") -> ReferenceToken:
+        tok = self.lx.next()
+        if tok.kind != "name" or tok.value in _KEYWORDS:
+            raise _unexpected(tok, what, what)
+        return tok
+
+    def at_keyword(self, word: str) -> bool:
+        tok = self.lx.peek()
+        return tok.kind == "name" and tok.value == word
+
+    def document(self) -> Document:
+        self.expect_keyword("logic")
+        self.expect_keyword(LOGIC_NAME)
+        decls = []
+        while True:
+            tok = self.lx.peek()
+            if tok.kind == "eof":
+                break
+            if self.at_keyword("pattern"):
+                decls.append(self.pattern_decl())
+            elif self.at_keyword("refinement"):
+                decls.append(self.refinement_decl())
+            elif self.at_keyword("network"):
+                decls.append(self.network_decl())
+            else:
+                raise _unexpected(tok, "a declaration",
+                                  "pattern", "refinement", "network")
+        return Document(tuple(decls))
+
+    def pattern_decl(self) -> PatternDecl:
+        kw = self.expect_keyword("pattern")
+        name = self.expect_name("a pattern name").value
+        self.expect("=")
+        if self.at_keyword("combine"):
+            self.lx.next()
+            net = self.expect_name("a network name").value
+            self.expect_keyword("end")
+            return PatternDecl(name, None, (), net, kw.line, kw.col)
+        self.expect_keyword("data")
+        ont = self.data_clause()
+        chains = []
+        while not self.at_keyword("end"):
+            tok = self.lx.peek()
+            if tok.kind == "eof":
+                raise ParseError("unterminated pattern, expected 'end'",
+                                 line=tok.line, col=tok.col, expected=("end",))
+            chains.append(self.chain())
+        self.lx.next()  # end
+        return PatternDecl(name, ont, tuple(chains), None, kw.line, kw.col)
+
+    def data_clause(self) -> OntRef:
+        if self.lx.peek().kind == "{":
+            self.lx.next()
+            base = self.lx.scan_ontref()
+            tok = self.lx.peek()
+            if tok.kind == "}":
+                self.lx.next()
+                return OntRef(base.value, None, base.line, base.col)
+            if tok.kind == "name" and tok.value == "then":
+                self.lx.next()
+                frag = self.lx.scan_fragment()
+                return OntRef(base.value, frag.value, base.line, base.col,
+                              frag.line, frag.col)
+            raise _unexpected(tok, "'then' or '}'", "then", "}")
+        base = self.lx.scan_ontref()
+        return OntRef(base.value, None, base.line, base.col)
+
+    def chain(self) -> Chain:
+        refs = [self.node_ref()]
+        while True:
+            tok = self.lx.peek()
+            if tok.kind == "->":
+                self.lx.next()
+                refs.append(self.node_ref())
+            elif tok.kind == ";":
+                self.lx.next()
+                return Chain(tuple(refs))
+            else:
+                raise _unexpected(tok, "'->' or ';'", "->", ";")
+
+    def node_ref(self) -> NodeRef:
+        first = self.expect_name("a node or class token")
+        if self.lx.peek().kind == ":":
+            self.lx.next()
+            cls = self.expect_name("a class token")
+            return NodeRef(first.value, cls.value, first.line, first.col)
+        return NodeRef(None, first.value, first.line, first.col)
+
+    def refinement_decl(self) -> RefinementDecl:
+        kw = self.expect_keyword("refinement")
+        name = self.expect_name("a refinement name").value
+        self.expect("=")
+        source = self.expect_name("a pattern name").value
+        self.expect_keyword("refined")
+        self.expect_keyword("to")
+        target = self.expect_name("a pattern name").value
+        explicit = None
+        if self.at_keyword("via"):
+            self.lx.next()
+            pairs = [self.map_pair()]
+            while self.lx.peek().kind == ",":
+                self.lx.next()
+                pairs.append(self.map_pair())
+            explicit = tuple(pairs)
+        self.expect_keyword("end")
+        return RefinementDecl(name, source, target, explicit, kw.line, kw.col)
+
+    def map_pair(self) -> tuple[str, str]:
+        a = self.expect_name("a source node id").value
+        self.expect("|->")
+        b = self.expect_name("a target node id").value
+        return (a, b)
+
+    def network_decl(self) -> NetworkDecl:
+        kw = self.expect_keyword("network")
+        name = self.expect_name("a network name").value
+        self.expect("=")
+        members = [self.expect_name("a member name").value]
+        while self.lx.peek().kind == ",":
+            self.lx.next()
+            members.append(self.expect_name("a member name").value)
+        self.expect_keyword("end")
+        return NetworkDecl(name, tuple(members), kw.line, kw.col)
 
 
 _REF_MANCHESTER_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,15 @@ from nesypat.taxonomy import default_taxonomy
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 FIG_DOC = (CORPUS / "semantic_generate_and_train.nesy").read_text()
 EMBEDDING_DOC = (CORPUS / "embedding.nesy").read_text()
+# Two inline extensions that differ only in the spaces of a quoted name.
+QUOTED_SPACES_DOC = """logic NeSyPatterns
+pattern A = data { ontohub:NeSyPatterns.omn then Class: 'x  y' SubClassOf: Model }
+  a : x__y;
+end
+pattern B = data { ontohub:NeSyPatterns.omn then Class: 'x y' SubClassOf: Model }
+  b : x_y;
+end
+"""
 
 
 @pytest.fixture()
@@ -119,6 +129,20 @@ class TestParse:
             assert 1 <= e.value.line <= len(lines)
             assert e.value.col >= 1
 
+    def test_5000_chain_parse_memory(self):
+        # One chain is one segment of 20,000 tokens, all held while it is
+        # parsed: about 2 MiB on top of the 1.2 MiB the Document keeps.
+        text = ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
+                + " -> ".join(f"n{i} : Data" for i in range(5000)) + ";\nend\n")
+        tracemalloc.start()
+        try:
+            doc = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(doc.declarations[0].chains[0].refs) == 5000
+        assert peak < 4 * 2**20
+
 
 class TestResolve:
     def test_fig_document_patterns(self, catalog):
@@ -175,6 +199,12 @@ class TestResolve:
         assert t.leq(t.lookup("Embedding"), t.lookup("Process"))
         embed_nodes = [n for n in p.nodes if n.label.local_name == "Embedding"]
         assert len(embed_nodes) == 1
+
+    def test_extensions_differing_inside_quotes_are_kept_apart(self, catalog):
+        lib = resolve(parse(QUOTED_SPACES_DOC), catalog)
+        assert lib.patterns["A"].labels["a"].local_name == "x__y"
+        assert lib.patterns["B"].labels["b"].local_name == "x_y"
+        assert len(lib.taxonomies) == 2
 
     def test_extension_iri_without_local_name_is_placed(self, catalog):
         doc = parse("logic NeSyPatterns\n"
@@ -302,6 +332,12 @@ class TestEmitDsl:
         lib = resolve(parse(EMBEDDING_DOC), catalog)
         lib2 = resolve(parse(emit_dsl(lib)), Catalog.default())
         assert isomorphic(lib.patterns["Embedding"], lib2.patterns["Embedding"])
+
+    def test_quoted_whitespace_roundtrip(self, catalog):
+        lib = resolve(parse(QUOTED_SPACES_DOC), catalog)
+        lib2 = resolve(parse(emit_dsl(lib)), Catalog.default())
+        for name in "AB":
+            assert isomorphic(lib.patterns[name], lib2.patterns[name]), name
 
     def test_evaluated_library_emits_combine_form(self, catalog):
         lib = evaluate_combines(resolve(parse(FIG_DOC), catalog))

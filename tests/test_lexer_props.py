@@ -1,9 +1,9 @@
-"""Property tests of the two lexers and the readers behind them.
+"""Property tests of the two readers.
 
-``dsl._Parser`` runs once with ``dsl.Lexer`` and once with
-``helpers.ReferenceLexer``, the per-character lexer it replaced; both
-runs must give the same Document or the same ParseError.
-``taxonomy._tokenize_manchester`` must give the same tokens or the same
+``dsl.parse`` must give the same Document or the same ParseError as
+``helpers.reference_parse``, the peek/next parser over the
+per-character lexer it replaced.  ``taxonomy._tokenize_manchester``
+must give the same tokens, at the same line and column, or the same
 ParseError as ``helpers.reference_tokenize_manchester``.  On any text,
 ``parse`` raises nothing but ParseError, and ``parse_taxonomy`` and
 ``Taxonomy.extend`` nothing but NesyError, placed unless it is a
@@ -14,20 +14,23 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import ReferenceLexer, reference_tokenize_manchester
-from nesypat import dsl
+from helpers import reference_parse, reference_tokenize_manchester
 from nesypat.dsl import parse
-from nesypat.errors import CycleError, NesyError, ParseError
+from nesypat.errors import CycleError, NesyError, ParseError, _positions
 from nesypat.taxonomy import _tokenize_manchester, default_taxonomy, parse_taxonomy
 
 SETTINGS = settings(deadline=None)
-DIFFERENTIAL = settings(deadline=None, max_examples=300)
+# At least 300 examples, more under a profile that asks for more.
+DIFFERENTIAL = settings(deadline=None,
+                        max_examples=max(300, settings().max_examples))
 
 DECLARATIONS = [
     "pattern P = data ontohub:NeSyPatterns.omn x : Model -> y : Data; Symbol; end",
     "pattern Q = data { ontohub:NeSyPatterns.omn then Class: E\n"
     "  SubClassOf: Model %% {\n} e : E -> Data; end",
     "pattern R = data { https://ontohub.org/meta/NeSyPatterns.omn } a : Actor; end",
+    "pattern F = data { o:x then Class: F { SubClassOf: {Model} } %% }\n}\n"
+    "  f : F -> g : Data -> Symbol; end",
     "pattern C = combine N end",
     "refinement S = P refined to Q via x |-> e, y |-> e end",
     "refinement T = P refined to Q end",
@@ -41,6 +44,9 @@ PIECES = [
     # stray characters, comments, fragments
     "|", "-", "@", "%", "%%", "%% note\n", "%%}{", "é", "0", ">",
     "{ o:x then Class: B\n SubClassOf: Data }", "{ {", "then",
+    "{ o:x then { a { b } } }", "%% data\n", "%% then {\n", "%%{ then",
+    # chains across the end of a segment
+    "x -> data -> y;", "a : then b;", "p -> then { q }",
     # whitespace, including Unicode spaces that str.isspace accepts
     " ", "\n", "\t", "\r", "\r\n", "\x1c", "\x85", "\xa0", " ",
 ]
@@ -64,15 +70,15 @@ def dsl_texts(draw):
     return "".join(units)
 
 
-def outcome(lexer):
+def outcome(read, text):
     try:
-        return dsl._Parser(lexer).document()
+        return read(text)
     except ParseError as e:
         return ("ParseError", e.message, e.line, e.col, e.expected)
 
 
 def check_same_parse(text):
-    assert outcome(dsl.Lexer(text)) == outcome(ReferenceLexer(text)), text
+    assert outcome(parse, text) == outcome(reference_parse, text), text
 
 
 @DIFFERENTIAL
@@ -102,9 +108,9 @@ def test_unexpected_character_after_data():
     # The lookahead after `data` lexes `@` as a token, so the error is an
     # unexpected character, not a malformed ontology reference.
     text = "logic NeSyPatterns\npattern P = data @x"
-    for lexer in (dsl.Lexer(text), ReferenceLexer(text)):
-        assert outcome(lexer) == ("ParseError", "unexpected character '@'",
-                                  2, 18, ())
+    for read in (parse, reference_parse):
+        assert outcome(read, text) == ("ParseError", "unexpected character '@'",
+                                       2, 18, ())
 
 
 MANCHESTER_PIECES = [
@@ -166,9 +172,16 @@ def test_parse_taxonomy_raises_only_nesy_errors(text):
 
 def tokens(tokenize, text):
     try:
-        return [tuple(t) for t in tokenize(text)]
+        return list(tokenize(text))
     except ParseError as e:
         return ("ParseError", e.message, e.line, e.col, e.expected)
+
+
+def positioned(text):
+    """``_tokenize_manchester``'s tokens with offsets as line and column."""
+    at = _positions(text)
+    return [(kind, value, *at(offset))
+            for kind, value, offset in _tokenize_manchester(text)]
 
 
 @DIFFERENTIAL
@@ -176,5 +189,5 @@ def tokens(tokenize, text):
        | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
                   max_size=20).map("".join))
 def test_manchester_tokens_match_reference(text):
-    got = tokens(_tokenize_manchester, text)
+    got = tokens(positioned, text)
     assert got == tokens(reference_tokenize_manchester, text), text

@@ -1,10 +1,11 @@
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from helpers import glb_oracle, random_taxonomy, reachable_oracle
-from nesypat.errors import CycleError, ParseError, UnknownClassError
+from nesypat.errors import CycleError, ParseError, UnknownClassError, _positions
 from nesypat.taxonomy import (
     ClassRef,
     TOP_LOCAL_NAME,
@@ -260,9 +261,11 @@ class TestParseTaxonomy:
         assert t.leq(t.lookup("A"), t.lookup("C"))
 
     def test_misc_tokens_keep_values_and_positions(self):
-        toks = _tokenize_manchester(
-            "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F")
-        misc = [(k.value, k.line, k.col) for k in toks if k.kind == "misc"]
+        text = "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F"
+        at = _positions(text)
+        misc = [(value, *at(offset))
+                for kind, value, offset in _tokenize_manchester(text)
+                if kind == "misc"]
         assert misc == [("12.5e-3", 2, 18), ("(", 2, 26), (")", 2, 28),
                         ("7", 2, 30), (";", 2, 32), ("0x1F", 2, 34)]
 
@@ -274,9 +277,22 @@ class TestParseTaxonomy:
         assert (e.value.line, e.value.col) == (5, 3)
 
     def test_position_after_iri_spanning_lines(self):
-        toks = _tokenize_manchester("Class: <urn:x#\nA> Class: B")
-        assert [(t.kind, t.value, t.line, t.col) for t in toks[2:4]] == [
+        text = "Class: <urn:x#\nA> Class: B"
+        at = _positions(text)
+        assert [(kind, value, *at(offset)) for kind, value, offset
+                in _tokenize_manchester(text)[2:4]] == [
             ("iri", "urn:x#\nA", 1, 8), ("name", "Class", 2, 4)]
+
+    def test_trailing_whitespace_is_read_once(self):
+        # A token's leading whitespace is part of its match; were the
+        # search to run into trailing whitespace, it would backtrack
+        # over the run at each of its characters (about 40 s here).
+        text = "Class: A" + " \n\t" * 7000
+        start = time.process_time()
+        toks = _tokenize_manchester(text)
+        assert time.process_time() - start < 1.0
+        assert toks == [("name", "Class", 0), ("colon", ":", 5),
+                        ("name", "A", 7), ("eof", "", len(text))]
 
 
 class TestUnusableLocalNames:
