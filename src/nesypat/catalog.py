@@ -75,7 +75,7 @@ class Catalog:
             path = Path(self.mappings[iri])
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise CatalogMissError(f"cannot read mapped file {path}: {e}")
             taxonomy = parse_taxonomy(text, diagnostics, source_name=str(path))
         elif iri in BUILTIN_IRIS:
@@ -107,7 +107,7 @@ def load_catalog(path) -> Catalog:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CatalogMissError(f"cannot read catalog {path}: {e}")
     except json.JSONDecodeError as e:
         raise CatalogMissError(f"malformed catalog {path}: {e}")

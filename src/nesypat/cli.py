@@ -54,7 +54,7 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"nesypat: error: cannot read {path}: {e}", file=err)
         return EXIT_IO
     warnings: list[Diagnostic] = []

@@ -97,11 +97,13 @@ def combine(net: Network) -> CombinationResult:
     if taxonomy is None:
         raise ValueError(f"network {net.name!r} has no member patterns")
 
+    smallest = {root: min(f"{p}.{n}" for p, n in members)
+                for root, members in groups.items()}
     class_name: dict[int, str] = {}
     used_names: set[str] = set()
     labels: dict[int, ClassRef] = {}
-    for root, members in sorted(groups.items(),
-                                key=lambda kv: min(f"{p}.{n}" for p, n in kv[1])):
+    for root in sorted(groups, key=smallest.__getitem__):
+        members = groups[root]
         member_labels = {net.patterns[p].labels[n] for p, n in members}
         inf = taxonomy.infimum(member_labels)
         if inf is None:
@@ -117,7 +119,7 @@ def combine(net: Network) -> CombinationResult:
                 members=sorted(members), labels=sorted(member_labels,
                                                        key=lambda l: l.iri))
         labels[root] = inf
-        name = min(f"{p}.{n}" for p, n in members)
+        name = smallest[root]
         # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
         # node 'b.c' both qualify to 'a.b.c'.
         while name in used_names:

@@ -30,7 +30,7 @@ from .library import Library
 from .network import build_network
 from .pattern import Pattern, build_pattern
 from .refinement import Refinement, check_refinement, infer_refinement
-from .taxonomy import ClassRef, Taxonomy, default_taxonomy
+from .taxonomy import _IRI, _QUOTED, _STRING, ClassRef, Taxonomy, default_taxonomy
 
 LOGIC_NAME = "NeSyPatterns"
 
@@ -39,10 +39,9 @@ _KEYWORDS = frozenset({
     "then", "refined", "to", "via", "end",
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
-#: A Manchester IRI, quoted name or string literal (group 1), as
-#: ``taxonomy`` tokenizes them, or a run of whitespace.
-_SPACE_OUTSIDE_QUOTES_RE = re.compile(
-    r"""(<[^>]*>|'[^'\n]*'|"[^"\\]*(?:\\.[^"\\]*)*")|\s+""")
+#: A Manchester IRI, quoted name or string literal (group 1), or a run
+#: of whitespace.
+_SPACE_OUTSIDE_QUOTES_RE = re.compile(rf"({_IRI}|{_QUOTED}|{_STRING})|\s+")
 
 
 # -- AST --------------------------------------------------------------------

@@ -11,9 +11,10 @@ Everything else is skipped with a warning.
 The order is encoded as in Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
 implementation of lattice operations" (TOPLAS 1989): classes get bit
 indices in a topological order found by Kahn's algorithm, subclasses
-first, and each class's up-set and down-set is an ``int`` bitset built
-in one pass of ORs.  ``leq`` is then a bit test and ``infimum`` an AND
-of down-sets, whose highest bit is a maximal lower bound.
+first, and each class's down-set (itself and its subclasses) is an
+``int`` bitset built in one pass of ORs.  ``leq`` is then a bit test
+and ``infimum`` an AND of down-sets, whose highest bit is a maximal
+lower bound.  These n * n bits take about 12 MiB for 10,000 classes.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Taxonomy:
     """
 
     __slots__ = ("classes", "subclass_edges", "top", "namespace",
-                 "_index", "_order", "_up", "_down", "_by_local", "_hash")
+                 "_index", "_order", "_down", "_by_local", "_hash")
 
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
@@ -141,18 +142,9 @@ class Taxonomy:
             name = by_iri[min(_find_cycle(subs, waiting))].local_name
             raise CycleError(f"subclass axioms form a cycle through {name}")
 
-        bit = [0] * n
+        down = [0] * n  # by position; bit k is the class topo[k]
         for k, i in enumerate(topo):
-            bit[i] = k
-        up = [0] * n
-        for i in reversed(topo):
-            b = 1 << bit[i]
-            for p in parents[i]:
-                b |= up[p]
-            up[i] = b
-        down = [0] * n
-        for i in topo:
-            b = 1 << bit[i]
+            b = 1 << k
             for s in subs[i]:
                 b |= down[s]
             down[i] = b
@@ -160,12 +152,11 @@ class Taxonomy:
         order = [by_iri[i] for i in topo]
         object.__setattr__(self, "_index", {c.iri: k for k, c in enumerate(order)})
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_up", [up[i] for i in topo])
         object.__setattr__(self, "_down", [down[i] for i in topo])
 
         t = pos[top.iri]
         if down[t] != (1 << n) - 1:
-            stray = next(i for i in range(n) if not down[t] >> bit[i] & 1)
+            stray = min(topo[k] for k in range(n) if not down[t] >> k & 1)
             raise ValueError(
                 f"class {by_iri[stray].local_name} does not reach the top class")
 
@@ -201,7 +192,7 @@ class Taxonomy:
         """True iff ``a`` is ``b`` or a (transitive) subclass of ``b``."""
         index = self._index
         try:
-            return bool(self._up[index[a.iri]] >> index[b.iri] & 1)
+            return bool(self._down[index[b.iri]] >> index[a.iri] & 1)
         except KeyError:
             self._require(a)
             self._require(b)
@@ -273,8 +264,8 @@ class Taxonomy:
             return self
         added, edges, roots, _ = _read_classes(fragment, diagnostics,
                                                "<fragment>", self)
-        edges.update((c, self.top) for c in roots)
-        return Taxonomy(self.classes.union(added), self.subclass_edges | edges,
+        edges += [(c, self.top) for c in roots]
+        return Taxonomy(self.classes.union(added), self.subclass_edges.union(edges),
                         self.top, self.namespace)
 
     # -- equality --------------------------------------------------------
@@ -325,6 +316,12 @@ _ENTRY_KEYWORDS = {
 _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 
 
+#: The Manchester tokens that may hold whitespace, shared with ``dsl``:
+#: an ``<IRI>``, a ``'quoted name'`` and a ``"string literal"``.
+_IRI = r"<(?P<iri>[^>]*)>"
+_QUOTED = r"'(?P<quoted>[^'\n]*)'"
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+
 # Whitespace (group 1), then one token; alternatives are tried in order.
 # ``misc`` lexes string literals, numbers, parentheses and annotation
 # operators, which only appear inside entries the parser skips.  ``bad``
@@ -333,14 +330,14 @@ _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 # last match.  Every character but whitespace starts an alternative, so
 # a search that ends at the last other character never backtracks over
 # whitespace.
-_MANCHESTER_RE = re.compile(r"""
+_MANCHESTER_RE = re.compile(rf"""
     (\s*)
-    (?: <(?P<iri>[^>]*)>
-  | '(?P<quoted>[^'\n]*)'
+    (?: {_IRI}
+  | {_QUOTED}
   | (?P<colon>:)
   | (?P<comma>,)
   | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<misc>"[^"\\]*(?:\\.[^"\\]*)*"|[0-9][A-Za-z0-9_.\-]*|[^\s<'"])
+  | (?P<misc>{_STRING}|[0-9][A-Za-z0-9_.\-]*|[^\s<'"])
   | (?P<bad>[<'"]).* )
 """, re.VERBOSE | re.DOTALL)
 
@@ -385,7 +382,7 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
     if top is None:
         top = (roots[0] if len(roots) == 1
                else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
-    edges.update((c, top) for c in roots if c != top)
+    edges += [(c, top) for c in roots if c != top]
     return Taxonomy({top, *added}, edges, top, namespace)
 
 
@@ -408,7 +405,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     text does not declare raises UnknownClassError.  Every error is
     placed at the token the failing name first starts at.
 
-    Returns (the added classes in the order they are first named, the
+    Returns (the added classes in the order first named, a list of the
     stated edges, the added classes with no superclass, the namespace).
     """
     toks = _tokenize_manchester(text)
@@ -541,9 +538,9 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     for key in declared:
         resolve(key, True)
-    edges = {(resolve(a, True), resolve(b, base is None)) for a, b in edge_keys}
-    has_super = {sub for sub, _ in edges}
-    roots = [c for c in added.values() if c not in has_super]
+    edges = [(resolve(a, True), resolve(b, base is None)) for a, b in edge_keys]
+    has_super = {sub.iri for sub, _ in edges}
+    roots = [c for c in added.values() if c.iri not in has_super]
     return list(added.values()), edges, roots, namespace
 
 

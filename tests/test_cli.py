@@ -64,6 +64,14 @@ class TestCmdCheck:
         code, out, err = run(cmd_check, "/nonexistent/x.nesy", Catalog.default())
         assert code == 2
 
+    def test_non_utf8_document_is_exit_2(self, tmp_path):
+        doc = tmp_path / "bad.nesy"
+        doc.write_bytes(b"logic NeSyPatterns\n\xff")
+        code, out, err = run(cmd_check, str(doc), Catalog.default())
+        assert code == 2
+        assert err.startswith(f"nesypat: error: cannot read {doc}: ")
+        assert "internal error" not in err
+
     def test_diagnostics_deterministic(self):
         a = run(cmd_check, CLASH, Catalog.default())
         b = run(cmd_check, CLASH, Catalog.default())
@@ -317,6 +325,18 @@ class TestCatalog:
         with pytest.raises(CatalogMissError):
             load_catalog(cat_file)
 
+    def test_non_utf8_mapped_file_is_exit_2(self, tmp_path):
+        omn = tmp_path / "bad.omn"
+        omn.write_bytes(b"Class: A\n\xff")
+        doc = tmp_path / "doc.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data urn:bad A; end")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"mappings": {"urn:bad": str(omn)}}))
+        code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
+        assert code == 2
+        assert err.startswith(f"nesypat: error: cannot read mapped file {omn}: ")
+        assert "internal error" not in err
+
     def test_mapped_ontology_with_unusable_iri_is_a_check_failure(self, tmp_path):
         omn = tmp_path / "bad.omn"
         omn.write_text("Class: A\nClass: <urn:x#>")
@@ -397,6 +417,14 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("[1,2,3]")
         assert main(["check", FIG, "--catalog", str(bad)]) == 2
+
+    def test_non_utf8_catalog_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"prefixes": {"\xff": "urn:x#"}}')
+        assert main(["check", FIG, "--catalog", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"nesypat: error: cannot read catalog {bad}: ")
+        assert "internal error" not in err
 
     def test_internal_error_is_one_line(self, monkeypatch, capsys):
         def crash(*args):

@@ -424,12 +424,13 @@ class TestDeepChains:
         assert not t.leq(top, ks[5000])
         assert t.infimum({ks[1], ks[4999]}) == ks[4999]
 
-    def test_3000_chain_build_memory(self):
-        ks, edges, top = chain(3000)
+    @pytest.mark.parametrize("n, mib", [(3000, 10), (10000, 16)])
+    def test_chain_build_memory(self, n, mib):
+        ks, edges, top = chain(n)
         tracemalloc.start()
         try:
             Taxonomy(ks, edges, top)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < mib * 2**20
