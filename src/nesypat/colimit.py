@@ -21,7 +21,7 @@ from .errors import (
 )
 from .library import Library
 from .network import Network, validate_network
-from .pattern import Pattern, PatternNode
+from .pattern import Pattern
 from .taxonomy import ClassRef
 
 
@@ -100,8 +100,7 @@ def combine(net: Network) -> CombinationResult:
     smallest = {root: min(f"{p}.{n}" for p, n in members)
                 for root, members in groups.items()}
     class_name: dict[int, str] = {}
-    used_names: set[str] = set()
-    labels: dict[int, ClassRef] = {}
+    labels: dict[str, ClassRef] = {}
     for root in sorted(groups, key=smallest.__getitem__):
         members = groups[root]
         member_labels = {net.patterns[p].labels[n] for p, n in members}
@@ -118,13 +117,12 @@ def combine(net: Network) -> CombinationResult:
                 f"{why}",
                 members=sorted(members), labels=sorted(member_labels,
                                                        key=lambda l: l.iri))
-        labels[root] = inf
         name = smallest[root]
         # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
         # node 'b.c' both qualify to 'a.b.c'.
-        while name in used_names:
+        while name in labels:
             name += "_"
-        used_names.add(name)
+        labels[name] = inf
         class_name[root] = name
 
     edges: set[tuple[str, str]] = set()
@@ -140,9 +138,7 @@ def combine(net: Network) -> CombinationResult:
                     members=sorted(groups[ra]))
             edges.add((class_name[ra], class_name[rb]))
 
-    nodes = frozenset(PatternNode(class_name[root], labels[root])
-                      for root in groups)
-    pattern = Pattern(f"combine({net.name})", taxonomy, nodes, frozenset(edges))
+    pattern = Pattern(f"combine({net.name})", taxonomy, labels, frozenset(edges))
 
     injections: dict[str, dict[str, str]] = {}
     for pname in sorted(net.patterns):
@@ -234,7 +230,7 @@ def _evaluate(lib: Library, names,
             raise e.in_decl(name)
         p = result.pattern
         result = result._replace(
-            pattern=Pattern(name, p.taxonomy, p.nodes, p.edges))
+            pattern=Pattern(name, p.taxonomy, p.labels, p.edges))
         patterns[name] = result.pattern
     return result
 

@@ -399,9 +399,10 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
         return
 
     taxonomy = _taxonomy_for(decl.ont, lib, catalog, diagnostics)
+    # Anonymous nodes take the next anonN that no reference names.
+    named = {ref.name for chain in decl.chains for ref in chain.refs}
     anon = 0
-    declared: dict[str, ClassRef] = {}
-    node_decls: list[tuple[str, ClassRef]] = []
+    labels: dict[str, ClassRef] = {}
     edge_decls: list[tuple[str, str]] = []
     for chain in decl.chains:
         prev = None
@@ -410,20 +411,18 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                 cls = taxonomy.lookup(ref.cls)
             except NesyError as e:
                 raise e.at(ref.line, ref.col)
-            if ref.name is None:
+            node_id = ref.name
+            if node_id is None:
                 anon += 1
+                while f"anon{anon}" in named:
+                    anon += 1
                 node_id = f"anon{anon}"
-                node_decls.append((node_id, cls))
-            else:
-                node_id = ref.name
-                if node_id in declared and declared[node_id] != cls:
-                    raise LabelMismatchError(
-                        f"node {node_id!r} was declared with class "
-                        f"{declared[node_id].local_name!r} but recurs "
-                        f"with {ref.cls!r}", line=ref.line, col=ref.col)
-                if node_id not in declared:
-                    node_decls.append((node_id, cls))
-                    declared[node_id] = cls
+            elif node_id in labels and labels[node_id] != cls:
+                raise LabelMismatchError(
+                    f"node {node_id!r} was declared with class "
+                    f"{labels[node_id].local_name!r} but recurs "
+                    f"with {ref.cls!r}", line=ref.line, col=ref.col)
+            labels[node_id] = cls
             if prev is not None:
                 if prev == node_id:
                     raise SelfLoopError(
@@ -432,7 +431,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                 edge_decls.append((prev, node_id))
             prev = node_id
     lib.patterns[decl.name] = build_pattern(decl.name, taxonomy,
-                                            node_decls, edge_decls)
+                                            labels.items(), edge_decls)
 
 
 def _taxonomy_for(ont: OntRef, lib: Library, catalog: Catalog,

@@ -173,21 +173,22 @@ def emit_abox(p: Pattern, diagnostics: list[Diagnostic] | None = None) -> AboxTr
     links: list[tuple[str, str, str]] = []
     lines: list[str] = []
     emitted: set[str] = set()
-
-    def visit(nid: str) -> None:
+    # Depth-first from each id in order: an edge's link fact comes right
+    # before its target's subtree, the next edge's after it.
+    stack: list[tuple[str | None, str]] = [
+        (None, nid) for nid in reversed(p.sorted_ids)]
+    while stack:
+        a, nid = stack.pop()
+        if a is not None:
+            rel = relation(a, nid)
+            links.append((rel, a, nid))
+            lines.append(f"{rel}({a},{nid})")
         if nid in emitted:
-            return
+            continue
         emitted.add(nid)
         memberships.append((nid, p.labels[nid]))
         lines.append(f"{nid} : {p.labels[nid].local_name}")
-        for b in sorted(out_edges[nid]):
-            rel = relation(nid, b)
-            links.append((rel, nid, b))
-            lines.append(f"{rel}({nid},{b})")
-            visit(b)
-
-    for nid in p.sorted_ids:
-        visit(nid)
+        stack.extend((nid, b) for b in sorted(out_edges[nid], reverse=True))
     return AboxTriples(tuple(memberships), tuple(links), tuple(lines))
 
 

@@ -36,45 +36,49 @@ class Pattern:
 
     Simple means: no parallel edges (edges form a set) and no self-loops.
     Instances are immutable; construct through :func:`build_pattern`,
-    which validates the invariants.  Two patterns are equal when their
-    name, taxonomy, nodes and edges are.  ``labels`` maps each node id to
-    its class and ``sorted_ids`` lists the ids in order.
+    which validates the invariants.  ``labels`` maps each node id to its
+    class and is the one node map, kept as the dict given; ``nodes``
+    builds the same map as a frozenset of PatternNode on each access.
+    Two patterns are equal when their name, taxonomy, labels and edges
+    are.  ``sorted_ids`` lists the ids in order.
     """
 
-    __slots__ = ("name", "taxonomy", "nodes", "edges", "labels", "sorted_ids")
+    __slots__ = ("name", "taxonomy", "labels", "edges", "sorted_ids")
 
     name: str
     taxonomy: Taxonomy
-    nodes: frozenset[PatternNode]
-    edges: frozenset[tuple[str, str]]
     labels: dict[str, ClassRef]
+    edges: frozenset[tuple[str, str]]
     sorted_ids: tuple[str, ...]
 
     def __init__(self, name: str, taxonomy: Taxonomy,
-                 nodes: frozenset[PatternNode], edges: frozenset[tuple[str, str]]):
-        labels = {n.id: n.label for n in nodes}
+                 labels: dict[str, ClassRef], edges: frozenset[tuple[str, str]]):
         for attr, value in (("name", name), ("taxonomy", taxonomy),
-                            ("nodes", nodes), ("edges", edges),
-                            ("labels", labels),
+                            ("labels", labels), ("edges", edges),
                             ("sorted_ids", tuple(sorted(labels)))):
             object.__setattr__(self, attr, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
 
-    def _key(self) -> tuple:
-        return (self.name, self.taxonomy, self.nodes, self.edges)
+    @property
+    def nodes(self) -> frozenset[PatternNode]:
+        return frozenset(PatternNode(i, l) for i, l in self.labels.items())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        # Tuples compare items by identity first, so a shared taxonomy is
+        # not compared class by class.
+        return ((self.name, self.taxonomy, self.labels, self.edges)
+                == (other.name, other.taxonomy, other.labels, other.edges))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.name, self.taxonomy, frozenset(self.labels.items()),
+                     self.edges))
 
     def __repr__(self):
-        return (f"Pattern({self.name!r}, {len(self.nodes)} nodes, "
+        return (f"Pattern({self.name!r}, {len(self.labels)} nodes, "
                 f"{len(self.edges)} edges)")
 
 
@@ -104,8 +108,7 @@ def build_pattern(name: str, taxonomy: Taxonomy, node_decls, edge_decls) -> Patt
             if endpoint not in labels:
                 raise UnknownNodeError(f"edge endpoint {endpoint!r} is not a node")
         edges.add((a, b))
-    nodes = frozenset(PatternNode(i, l) for i, l in labels.items())
-    return Pattern(name, taxonomy, nodes, frozenset(edges))
+    return Pattern(name, taxonomy, labels, frozenset(edges))
 
 
 def isomorphic(p: Pattern, q: Pattern) -> bool:
@@ -116,7 +119,7 @@ def isomorphic(p: Pattern, q: Pattern) -> bool:
     out-degree and in-degree.  An injective edge-preserving map between
     patterns with equal node and edge counts is such a bijection.
     """
-    if len(p.nodes) != len(q.nodes) or len(p.edges) != len(q.edges):
+    if len(p.labels) != len(q.labels) or len(p.edges) != len(q.edges):
         return False
     buckets: dict[tuple, int] = {}
     for j, sig in enumerate(_signatures(q)):

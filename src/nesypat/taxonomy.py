@@ -94,7 +94,7 @@ class Taxonomy:
     """
 
     __slots__ = ("classes", "subclass_edges", "top", "namespace",
-                 "_index", "_order", "_down", "_by_local", "_hash")
+                 "_index", "_order", "_down", "_by_local")
 
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
@@ -106,7 +106,6 @@ class Taxonomy:
         object.__setattr__(self, "subclass_edges", edges)
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "namespace", namespace)
-        object.__setattr__(self, "_hash", None)
 
         # Positions follow IRI order, so the build and its messages do not
         # depend on set iteration order.  Dicts are keyed by IRI (ClassRef
@@ -277,11 +276,7 @@ class Taxonomy:
                 and self.top == other.top)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash",
-                hash((self.classes, self.subclass_edges, self.top)))
-        return self._hash
+        return hash((self.classes, self.subclass_edges, self.top))
 
     def __repr__(self):
         return f"Taxonomy({len(self.classes)} classes, top={self.top.local_name})"

@@ -72,6 +72,14 @@ class TestCmdCheck:
         assert err.startswith(f"nesypat: error: cannot read {doc}: ")
         assert "internal error" not in err
 
+    def test_reference_neither_curie_nor_iri_is_exit_2(self, tmp_path):
+        doc = tmp_path / "foo.nesy"
+        doc.write_text("logic NeSyPatterns\npattern P = data foo Model; end\n")
+        code, out, err = run(cmd_check, str(doc), Catalog.default())
+        assert code == 2 and out == ""
+        assert err == ("nesypat: error: ontology reference 'foo' is neither "
+                       "a CURIE with a known prefix nor an IRI\n")
+
     def test_diagnostics_deterministic(self):
         a = run(cmd_check, CLASH, Catalog.default())
         b = run(cmd_check, CLASH, Catalog.default())
@@ -416,6 +424,14 @@ class TestMain:
     def test_bad_catalog_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1,2,3]")
+        assert main(["check", FIG, "--catalog", str(bad)]) == 2
+
+    def test_non_string_mapping_is_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mappings": {"https://x.org/a.omn": 1}}))
+        with pytest.raises(CatalogMissError,
+                           match="prefixes and mappings must map strings to strings"):
+            load_catalog(bad)
         assert main(["check", FIG, "--catalog", str(bad)]) == 2
 
     def test_non_utf8_catalog_is_exit_2(self, tmp_path, capsys):

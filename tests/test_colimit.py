@@ -277,6 +277,12 @@ class TestEvaluateCombines:
         with pytest.raises(CyclicCombineError):
             evaluate_combines(lib)
 
+    def test_unknown_network_rejected(self):
+        with pytest.raises(UnknownNameError) as e:
+            evaluate_combines(Library(combine_defs={"X": "Missing"}))
+        assert e.value.message == ("combine-defined pattern 'X' references "
+                                   "unknown network 'Missing'")
+
     def test_error_prefixed_with_pattern_name(self, t):
         model = pat(t, "M", [("m0", "Model")])
         sem = pat(t, "A", [("x", "Semantic_Model")])

@@ -109,6 +109,12 @@ class TestParse:
             parse("logic Nope", "doc.nesy")
         assert (e.value.source_name, e.value.line, e.value.col) == ("doc.nesy", 1, 7)
 
+    def test_empty_braces_are_no_ontology_reference(self):
+        with pytest.raises(ParseError) as e:
+            parse("logic NeSyPatterns\npattern P = data { } Model; end")
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "expected an ontology reference", 2, 20)
+
     def test_unterminated_pattern(self):
         with pytest.raises(ParseError) as e:
             parse("logic NeSyPatterns\npattern P = data x Model;")
@@ -171,6 +177,24 @@ class TestResolve:
         assert len(p.nodes) == 1 and not p.edges
         (node,) = p.nodes
         assert node.id == "anon1"
+
+    @pytest.mark.parametrize("body, labels, edges", [
+        ("Model;\nanon1 : Model -> Training;",
+         {"anon1": "Model", "anon2": "Model", "anon3": "Training"},
+         {("anon1", "anon3")}),
+        ("Model -> anon1 : Model;",
+         {"anon1": "Model", "anon2": "Model"}, {("anon2", "anon1")}),
+        ("Model;\nanon1 : Data -> Training;",
+         {"anon1": "Data", "anon2": "Model", "anon3": "Training"},
+         {("anon1", "anon3")}),
+    ], ids=["same-class", "chained", "other-class"])
+    def test_anonymous_node_skips_names_in_use(self, catalog, body, labels, edges):
+        lib = resolve(parse(
+            "logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
+            f"{body}\nend"), catalog)
+        p = lib.patterns["P"]
+        assert {i: c.local_name for i, c in p.labels.items()} == labels
+        assert p.edges == edges
 
     def test_label_mismatch_detected(self, catalog):
         with pytest.raises(LabelMismatchError) as e:

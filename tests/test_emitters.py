@@ -16,7 +16,7 @@ from nesypat.emitters import (
 )
 from nesypat.errors import UnknownClassError
 from nesypat.pattern import build_pattern, isomorphic
-from nesypat.taxonomy import default_taxonomy, parse_taxonomy
+from nesypat.taxonomy import ClassRef, Taxonomy, default_taxonomy, parse_taxonomy
 
 FIG_DOC_TEXT = None
 
@@ -175,6 +175,16 @@ class TestEmitAbox:
             assert len(triples.links) == len(p.edges)
             assert len(triples.lines) == len(p.nodes) + len(p.edges)
 
+    def test_10000_node_chain(self, t):
+        ids = [f"n{i}" for i in range(10000)]
+        p = pat(t, "chain", [(i, ("Data", "Training")[k % 2])
+                             for k, i in enumerate(ids)], zip(ids, ids[1:]))
+        lines = emit_abox(p).lines
+        assert len(lines) == 19999
+        assert lines[:4] == ("n0 : Data", "providesInput(n0,n1)",
+                             "n1 : Training", "hasOutput(n1,n2)")
+        assert lines[-1] == "n9999 : Training"
+
 
 class TestEmitManchester:
     def test_default_roundtrip_order_isomorphic(self, t):
@@ -206,6 +216,17 @@ class TestEmitManchester:
         hybrid = back.lookup("Hybrid_Model")
         assert back.leq(hybrid, back.lookup("Semantic_Model"))
         assert back.leq(hybrid, back.lookup("Statistical_Model"))
+
+    def test_names_outside_the_namespace_written_as_iris(self):
+        top = ClassRef("urn:t#Top", "Top")
+        odd = ClassRef("urn:other/ns#Odd", "Odd")
+        dashed = ClassRef("urn:t#my-class", "my-class")
+        t = Taxonomy({top, odd, dashed}, {(odd, top), (dashed, odd)}, top, "urn:t#")
+        text = emit_manchester(t)
+        assert "Class: <urn:other/ns#Odd>\n    SubClassOf: Top" in text
+        assert "Class: <urn:t#my-class>\n    SubClassOf: <urn:other/ns#Odd>" in text
+        back = parse_taxonomy(text)
+        assert back == t and back.namespace == t.namespace
 
     def test_bundled_omn_file_matches_default(self, t):
         from pathlib import Path

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,7 @@ from nesypat.errors import (
     UnknownLabelError,
     UnknownNodeError,
 )
-from nesypat.pattern import build_pattern, isomorphic
+from nesypat.pattern import PatternNode, build_pattern, isomorphic
 from nesypat.taxonomy import ClassRef, default_taxonomy
 
 
@@ -63,6 +64,29 @@ class TestBuildPattern:
                           [("a", t.lookup("Symbol")), ("b", t.lookup("Training"))],
                           [("a", "b"), ("a", "b")])
         assert len(p.edges) == 1
+
+    def test_equal_patterns_hash_equal(self, t):
+        p = chain_pattern(t, "p", ["Symbol", "Training", "Model"])
+        q = chain_pattern(t, "p", ["Symbol", "Training", "Model"])
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert p != chain_pattern(t, "q", ["Symbol", "Training", "Model"])
+        assert p.nodes == {PatternNode(i, l) for i, l in p.labels.items()}
+
+    def test_10000_chain_retained_memory(self, t):
+        # Measured 1.3 MiB on Python 3.11; a second node map as a set of
+        # PatternNode tuples takes it to 2.4 MiB.
+        ids = [f"n{i}" for i in range(10000)]
+        nodes = [(i, t.lookup(("Data", "Training")[k % 2]))
+                 for k, i in enumerate(ids)]
+        edges = list(zip(ids, ids[1:]))
+        tracemalloc.start()
+        try:
+            p = build_pattern("chain", t, nodes, edges)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(p.labels) == 10000 and len(p.edges) == 9999
+        assert retained < 1.8 * 2**20
 
     def test_invariants_on_random_patterns(self, t):
         rng = random.Random(3)

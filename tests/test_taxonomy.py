@@ -239,6 +239,15 @@ class TestParseTaxonomy:
         assert (e.value.message, e.value.line, e.value.col,
                 e.value.source_name) == (message, line, col, "f.omn")
 
+    def test_error_placed_before_a_warning_read_first(self):
+        diags = []
+        with pytest.raises(UnknownClassError) as e:
+            parse_taxonomy("Class: q:C\n  EquivalentTo: B\n", diags)
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "undeclared prefix 'q' in 'q:C'", 1, 8)
+        assert [(d.message, d.line, d.col) for d in diags] == [
+            ("EquivalentTo entries are skipped", 2, 3)]
+
     def test_version_iri_is_read_past(self):
         t = parse_taxonomy("Ontology: <urn:o> <urn:o/1>\nClass: A")
         assert t.lookup("A").iri == "urn:o#A"
