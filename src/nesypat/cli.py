@@ -34,8 +34,7 @@ _DOCUMENT = "<input>"
 def _print_diag(err, path: str, d: Diagnostic) -> None:
     """Print ``d`` against its own file, or against the document at
     ``path`` when it names none."""
-    file = path if d.file == _DOCUMENT else d.file
-    print(f"{file}:{d.line}:{d.col}: {d.severity}: {d.message}", file=err)
+    print(d._replace(file=path) if d.file == _DOCUMENT else d, file=err)
 
 
 def _error_diag(e: NesyError, fallback: tuple[int, int] = (1, 1)) -> Diagnostic:

@@ -90,12 +90,9 @@ def combine(net: Network) -> CombinationResult:
     for i, member in enumerate(arena):
         groups.setdefault(uf.find(i), []).append(member)
 
-    taxonomy = None
-    for p in net.patterns.values():
-        taxonomy = p.taxonomy
-        break
-    if taxonomy is None:
+    if not net.patterns:
         raise ValueError(f"network {net.name!r} has no member patterns")
+    taxonomy = next(iter(net.patterns.values())).taxonomy
 
     smallest = {root: min(f"{p}.{n}" for p, n in members)
                 for root, members in groups.items()}

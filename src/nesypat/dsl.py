@@ -14,7 +14,7 @@ import heapq
 import re
 from typing import NamedTuple
 
-from .catalog import Catalog
+from .catalog import BUILTIN_IRIS, Catalog
 from .errors import (
     Diagnostic,
     DuplicateNameError,
@@ -617,8 +617,8 @@ def _data_key_for(lib: Library, p: Pattern) -> str:
     for key in sorted(lib.taxonomies):
         if lib.taxonomies[key] == p.taxonomy:
             return key
-    if p.taxonomy.same_classes(default_taxonomy()):
-        return "https://ontohub.org/meta/NeSyPatterns.omn"
+    if p.taxonomy == default_taxonomy():
+        return BUILTIN_IRIS[0]
     raise ValueError(
         f"pattern {p.name!r} uses a taxonomy with no registered ontology "
         f"reference; cannot emit a data clause")

@@ -9,7 +9,7 @@ from .colimit import CombinationResult
 from .errors import Diagnostic, UnknownClassError
 from .network import Network
 from .pattern import Pattern, build_pattern
-from .taxonomy import ClassRef, Taxonomy
+from .taxonomy import _KEYWORDS, ClassRef, Taxonomy
 
 #: Node shape per the label's child-of-top ancestor, checked in this order.
 _SHAPES = (
@@ -199,10 +199,13 @@ _SIMPLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def emit_manchester(t: Taxonomy) -> str:
     """Write a taxonomy as Manchester-subset text that reads back
-    order-isomorphic: same classes, same subsumption relation."""
+    order-isomorphic: same classes, same subsumption relation.  A class
+    named by a Manchester keyword is written as its ``<IRI>``."""
     def ref(c: ClassRef) -> str:
-        if c.iri == t.namespace + c.local_name and _SIMPLE_NAME.match(c.local_name):
-            return c.local_name
+        local = c.local_name
+        if (c.iri == t.namespace + local and _SIMPLE_NAME.match(local)
+                and local not in _KEYWORDS):
+            return local
         return f"<{c.iri}>"
 
     blocks = [f"Prefix: : <{t.namespace}>"]

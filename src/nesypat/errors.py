@@ -130,7 +130,7 @@ class CatalogMissError(NesyError):
 
 
 class TaxonomyMismatchError(NesyError):
-    """Two patterns that must share a taxonomy have different class sets."""
+    """Two patterns that must share one taxonomy do not."""
 
 
 class NetworkTypeError(NesyError):

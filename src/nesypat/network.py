@@ -13,9 +13,9 @@ class Network(NamedTuple):
     """A set of member patterns plus refinements between them.
 
     Every refinement's source and target must be members, and all member
-    patterns must share one taxonomy (equal class sets).  Both maps are
-    keyed by name in sorted order, so membership is independent of how
-    the members were listed.
+    patterns must share one taxonomy (equal classes, subclass edges and
+    top).  Both maps are keyed by name in sorted order, so membership is
+    independent of how the members were listed.
     """
 
     name: str
@@ -66,8 +66,8 @@ def validate_network(net: Network) -> Network:
     if members:
         first = members[0]
         for p in members[1:]:
-            if not p.taxonomy.same_classes(first.taxonomy):
+            if p.taxonomy != first.taxonomy:
                 raise TaxonomyMismatchError(
                     f"patterns {first.name!r} and {p.name!r} in network "
-                    f"{net.name!r} use different class sets")
+                    f"{net.name!r} use different taxonomies")
     return net

@@ -43,10 +43,10 @@ class Refinement(NamedTuple):
                 f"{self.target.name})")
 
 
-def _require_same_classes(src: Pattern, tgt: Pattern) -> None:
-    if not src.taxonomy.same_classes(tgt.taxonomy):
+def _require_same_taxonomy(src: Pattern, tgt: Pattern) -> None:
+    if src.taxonomy != tgt.taxonomy:
         raise TaxonomyMismatchError(
-            f"patterns {src.name!r} and {tgt.name!r} use different class sets")
+            f"patterns {src.name!r} and {tgt.name!r} use different taxonomies")
 
 
 def check_refinement(src: Pattern, tgt: Pattern, node_map) -> list[Violation]:
@@ -56,7 +56,7 @@ def check_refinement(src: Pattern, tgt: Pattern, node_map) -> list[Violation]:
     image that is not a target node), source edges whose image is not a
     target edge, and image labels that are not below the source label.
     """
-    _require_same_classes(src, tgt)
+    _require_same_taxonomy(src, tgt)
     t = src.taxonomy
     violations: list[Violation] = []
     for n in src.sorted_ids:
@@ -99,7 +99,7 @@ def find_homomorphisms(src: Pattern, tgt: Pattern,
     a map found, and no test or benchmark document needs a tenth of the
     budget.
     """
-    _require_same_classes(src, tgt)
+    _require_same_taxonomy(src, tgt)
     t = src.taxonomy
     by_label: dict[ClassRef, int] = {}
     for j, m in enumerate(tgt.sorted_ids):

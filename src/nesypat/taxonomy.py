@@ -243,9 +243,6 @@ class Taxonomy:
         if c not in self.classes:
             raise UnknownClassError(f"class {c.local_name!r} is not in this taxonomy")
 
-    def same_classes(self, other: "Taxonomy") -> bool:
-        return self.classes == other.classes
-
     # -- construction ----------------------------------------------------
 
     def extend(self, fragment: str,
@@ -270,10 +267,10 @@ class Taxonomy:
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Taxonomy)
-                and self.classes == other.classes
-                and self.subclass_edges == other.subclass_edges
-                and self.top == other.top)
+        return self is other or (isinstance(other, Taxonomy)
+                                 and self.classes == other.classes
+                                 and self.subclass_edges == other.subclass_edges
+                                 and self.top == other.top)
 
     def __hash__(self):
         return hash((self.classes, self.subclass_edges, self.top))
@@ -545,10 +542,11 @@ def _mint(iri: str, local: str, taken: dict[str, ClassRef],
     name.  A local name that is empty, holds whitespace or is taken by
     another IRI is a ParseError at ``position(offset)``, where the name
     starts."""
-    if not _LOCAL_NAME_RE.fullmatch(local):
+    try:
+        ref = ClassRef(iri, local)
+    except ValueError:
         problem = "whitespace in its local name" if local else "no local name"
     else:
-        ref = ClassRef(iri, local)
         other = taken.setdefault(local, ref)
         if other.iri == iri:
             return ref

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     equivalence_classes_oracle,
@@ -22,14 +24,17 @@ from nesypat.dsl import parse, resolve
 from nesypat.errors import (
     CyclicCombineError,
     DegenerateLoopError,
+    TaxonomyMismatchError,
     UndefinedColimitError,
     UnknownNameError,
 )
 from nesypat.library import Library
 from nesypat.network import Network
-from nesypat.pattern import build_pattern, isomorphic
+from nesypat.pattern import Pattern, build_pattern, isomorphic
 from nesypat.refinement import Refinement, check_refinement
-from nesypat.taxonomy import default_taxonomy
+from nesypat.taxonomy import Taxonomy, default_taxonomy
+
+SETTINGS = settings(deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +239,104 @@ class TestCombineInvariants:
             b = combine(shuffled)
             assert isomorphic(a.pattern, b.pattern)
             assert a.pattern == b.pattern  # naming is order-independent too
+
+
+# A plain pattern and one over an inline extension of the same ontology
+# that adds an axiom but no class; ``{name}`` names the plain one.
+MIXED_DOC = """logic NeSyPatterns
+pattern {name} = data ontohub:NeSyPatterns.omn
+  a : Symbol;
+end
+pattern B = data {{ ontohub:NeSyPatterns.omn then Class: Symbol SubClassOf: Model }}
+  b : Model;
+end
+refinement R = B refined to {name} end
+network N = {name}, B, R end
+pattern C = combine N end
+"""
+
+
+@pytest.mark.parametrize("name", ["A", "Z"])
+def test_members_over_two_taxonomies_never_combine(name):
+    with pytest.raises(TaxonomyMismatchError) as e:
+        evaluate_combines(resolve(parse(MIXED_DOC.format(name=name)),
+                                  Catalog.default()))
+    assert (e.value.message, e.value.line, e.value.col) == (
+        f"patterns 'B' and {name!r} use different taxonomies", 8, 1)
+
+
+@st.composite
+def random_networks(draw):
+    return make_random_network(draw(st.randoms(use_true_random=False)))
+
+
+def with_members(net, patterns):
+    """``net`` with each member ``p`` and its refinements' ends replaced
+    by ``patterns[p]``."""
+    return Network(
+        net.name,
+        {p.name: p for p in sorted(patterns.values(), key=lambda p: p.name)},
+        {k: r._replace(source=patterns[r.source.name],
+                       target=patterns[r.target.name])
+         for k, r in net.refinements.items()})
+
+
+def renamed(net, names):
+    """``net`` with each member ``p`` renamed ``names[p]``."""
+    return with_members(net, {old: Pattern(names[old], p.taxonomy, p.labels, p.edges)
+                              for old, p in net.patterns.items()})
+
+
+def outcome(net):
+    """The combined pattern, or the class of the error that stops it."""
+    try:
+        return combine(net).pattern
+    except (UndefinedColimitError, DegenerateLoopError) as e:
+        return type(e)
+
+
+@SETTINGS
+@given(random_networks())
+def test_renaming_members_changes_no_combination(net):
+    old = sorted(net.patterns)
+    names = dict(zip(old, [f"q{i}" for i in reversed(range(len(old)))]))
+    a, b = outcome(net), outcome(renamed(net, names))
+    if isinstance(a, Pattern):
+        assert isinstance(b, Pattern) and isomorphic(a, b)
+    else:
+        assert a is b
+
+
+@SETTINGS
+@given(random_networks(), st.data())
+def test_one_member_over_an_extra_axiom_never_combines(net, data):
+    assume(len(net.patterns) >= 2)
+    t = next(iter(net.patterns.values())).taxonomy
+    by_iri = sorted(t.classes, key=lambda c: c.iri)
+    incomparable = [(a, b) for a in by_iri for b in by_iri
+                    if not t.leq(a, b) and not t.leq(b, a)]
+    assume(incomparable)
+    edge = data.draw(st.sampled_from(incomparable))
+    variant = Taxonomy(t.classes, t.subclass_edges | {edge}, t.top, t.namespace)
+    odd = net.patterns[data.draw(st.sampled_from(sorted(net.patterns)))]
+    mixed = with_members(net, {
+        **net.patterns, odd.name: Pattern(odd.name, variant, odd.labels, odd.edges)})
+    names = sorted(mixed.patterns)
+    for order in itertools.permutations(names):
+        with pytest.raises(TaxonomyMismatchError):
+            combine(renamed(mixed, dict(zip(names, order))))
+
+
+@SETTINGS
+@given(random_networks())
+def test_identities_and_composites_are_refinements(net):
+    for p in net.patterns.values():
+        assert check_refinement(p, p, {n: n for n in p.sorted_ids}) == []
+    for r in net.refinements.values():
+        for s in net.refinements.values():
+            if r.target.name == s.source.name:
+                composite = {n: s.node_map[img] for n, img in r.node_map.items()}
+                assert check_refinement(r.source, s.target, composite) == []
 
 
 class TestUnionFind:

@@ -32,7 +32,7 @@ from nesypat.errors import (
 from nesypat.library import Library
 from nesypat.network import Network
 from nesypat.pattern import build_pattern, isomorphic
-from nesypat.taxonomy import default_taxonomy
+from nesypat.taxonomy import Taxonomy, default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 FIG_DOC = (CORPUS / "semantic_generate_and_train.nesy").read_text()
@@ -389,6 +389,15 @@ class TestEmitDsl:
         text = emit_dsl(Library(patterns={"P": p}))
         assert "  n_end_2 : Model -> n_end : Data;" in text
         assert isomorphic(p, resolve(parse(text)).patterns["P"])
+
+    def test_taxonomy_of_no_data_clause_rejected(self):
+        # The bundled classes with one more axiom: no data clause names it.
+        d = default_taxonomy()
+        symbol, model = d.lookup("Symbol"), d.lookup("Model")
+        variant = Taxonomy(d.classes, d.subclass_edges | {(symbol, model)}, d.top)
+        p = build_pattern("P", variant, [("s", symbol)], [])
+        with pytest.raises(ValueError, match="no registered ontology reference"):
+            emit_dsl(Library(patterns={"P": p}))
 
     def test_emission_is_deterministic(self, catalog):
         lib = resolve(parse(FIG_DOC), catalog)

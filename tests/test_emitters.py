@@ -16,7 +16,13 @@ from nesypat.emitters import (
 )
 from nesypat.errors import UnknownClassError
 from nesypat.pattern import build_pattern, isomorphic
-from nesypat.taxonomy import ClassRef, Taxonomy, default_taxonomy, parse_taxonomy
+from nesypat.taxonomy import (
+    _KEYWORDS,
+    ClassRef,
+    Taxonomy,
+    default_taxonomy,
+    parse_taxonomy,
+)
 
 FIG_DOC_TEXT = None
 
@@ -227,6 +233,14 @@ class TestEmitManchester:
         assert "Class: <urn:t#my-class>\n    SubClassOf: <urn:other/ns#Odd>" in text
         back = parse_taxonomy(text)
         assert back == t and back.namespace == t.namespace
+
+    @pytest.mark.parametrize("keyword", sorted(_KEYWORDS))
+    def test_keyword_names_written_as_iris(self, keyword):
+        t = parse_taxonomy(f"Prefix: : <urn:t#>\nClass: '{keyword}'\n"
+                           f"Class: B SubClassOf: '{keyword}'\n")
+        text = emit_manchester(t)
+        assert f"SubClassOf: <urn:t#{keyword}>" in text
+        assert parse_taxonomy(text) == t
 
     def test_bundled_omn_file_matches_default(self, t):
         from pathlib import Path

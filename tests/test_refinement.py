@@ -13,6 +13,7 @@ from nesypat.errors import (
     SearchBudgetError,
     TaxonomyMismatchError,
 )
+from nesypat.dsl import parse, resolve
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.refinement import check_refinement, find_homomorphisms, infer_refinement
 from nesypat.taxonomy import default_taxonomy
@@ -75,6 +76,19 @@ class TestCheckRefinement:
         q = build_pattern("q", other, [("m", other.lookup("Model"))], [])
         with pytest.raises(TaxonomyMismatchError):
             check_refinement(q, train, {"m": "m"})
+
+    def test_extension_adding_only_an_axiom_is_another_taxonomy(self):
+        # Symbol <= Model holds in the target's taxonomy only, so the
+        # refinement is not checked in either one.
+        doc = ("logic NeSyPatterns\n"
+               "pattern A = data ontohub:NeSyPatterns.omn a : Model; end\n"
+               "pattern B = data { ontohub:NeSyPatterns.omn then "
+               "Class: Symbol SubClassOf: Model } b : Symbol; end\n"
+               "refinement R = A refined to B end\n")
+        with pytest.raises(TaxonomyMismatchError) as e:
+            resolve(parse(doc))
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "patterns 'A' and 'B' use different taxonomies", 4, 1)
 
 
 class TestFindHomomorphisms:

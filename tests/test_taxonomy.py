@@ -72,6 +72,12 @@ class TestLeq:
         stranger = ClassRef("urn:other#X", "X")
         with pytest.raises(UnknownClassError):
             default.leq(stranger, default.top)
+        for query in (lambda: default.leq(default.top, stranger),
+                      lambda: default.infimum([default.lookup("Model"), stranger]),
+                      lambda: default.maximal_lower_bounds([stranger])):
+            with pytest.raises(UnknownClassError,
+                               match="class 'X' is not in this taxonomy"):
+                query()
 
     def test_matches_reachability_oracle_on_random_dags(self):
         rng = random.Random(7)
@@ -116,6 +122,10 @@ class TestInfimum:
             "Class: Hybrid_Model SubClassOf: Semantic_Model SubClassOf: Statistical_Model")
         got = ext.infimum({cls(ext, "Semantic_Model"), cls(ext, "Statistical_Model")})
         assert got == cls(ext, "Hybrid_Model")
+
+    def test_empty_label_set_rejected(self, default):
+        with pytest.raises(ValueError, match="infimum of an empty label set"):
+            default.infimum([])
 
     def test_permutation_and_duplication_invariance(self, default):
         a, b = cls(default, "Model"), cls(default, "Semantic_Model")
@@ -188,6 +198,10 @@ class TestParseTaxonomy:
         assert t.top == t.lookup("Animal")
         assert len(t.classes) == 2
 
+    def test_iri_without_fragment_named_by_its_last_segment(self):
+        t = parse_taxonomy("Class: <urn:x/ns/Foo>\n")
+        assert t.lookup("Foo").iri == "urn:x/ns/Foo"
+
     def test_quoted_names_normalize_spaces(self):
         t = parse_taxonomy("Class: 'Semantic Model' SubClassOf: Model")
         assert t.has_local("Semantic_Model")
@@ -232,6 +246,8 @@ class TestParseTaxonomy:
          "undeclared prefix 'q' in 'q:A'", 2, 22),
         ("Class: A\nClass: B SubClassOf: :A", UnknownClassError,
          "undeclared prefix '' in ':A'", 2, 22),
+        ("Prefix: p: <urn:p#>\nClass: p:<urn:q>\n", ParseError,
+         "malformed prefixed name", 2, 8),
     ])
     def test_error_placed_in_the_named_file(self, text, error, message, line, col):
         with pytest.raises(error) as e:
@@ -407,6 +423,21 @@ class TestTaxonomyInvariants:
         top = ClassRef("urn:x#T", "T")
         with pytest.raises(ValueError):
             Taxonomy({a, top}, set(), top)
+
+    def test_top_must_be_a_class(self):
+        model = default_taxonomy().lookup("Model")
+        with pytest.raises(ValueError, match="top class must be a member of classes"):
+            Taxonomy({model}, set(), ClassRef("urn:other#X", "X"))
+
+    def test_duplicate_local_name_rejected(self):
+        a, b = ClassRef("urn:a#T", "T"), ClassRef("urn:b#T", "T")
+        with pytest.raises(ValueError,
+                           match="duplicate local name 'T' for distinct IRIs"):
+            Taxonomy({a, b}, {(b, a)}, a)
+
+    def test_class_local_name_without_whitespace(self):
+        with pytest.raises(ValueError, match="bad local name 'a b'"):
+            ClassRef("urn:x#a b", "a b")
 
     def test_cycle_error_names_a_class_on_the_cycle(self):
         # Z1 <-> Z2 <= A <= top; top and A sort before the cycle, and the
