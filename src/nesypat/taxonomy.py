@@ -15,6 +15,14 @@ first, and each class's down-set (itself and its subclasses) is an
 ``int`` bitset built in one pass of ORs.  ``leq`` is then a bit test
 and ``infimum`` an AND of down-sets, whose highest bit is a maximal
 lower bound.  These n * n bits take about 12 MiB for 10,000 classes.
+
+Reading and building run on integer ids.  The reader tokenizes with one
+``findall`` pass, gives each class an id, keeps its superclasses as
+lists of ids and makes its ``ClassRef`` once.  One builder turns such
+arrays into the down-sets, for ``parse_taxonomy``, for ``extend`` (the
+base's arrays followed by the fragment's) and for ``Taxonomy(...)``.
+No class is hashed on the way; ``classes`` and ``subclass_edges`` are
+built on first access.
 """
 
 from __future__ import annotations
@@ -90,90 +98,113 @@ class Taxonomy:
     ``subclass_edges`` holds (sub, super) pairs; ``leq`` is their
     reflexive-transitive closure.  Construction validates that the edge
     graph is acyclic, that all endpoints are declared classes, and that
-    every class reaches ``top``.
+    every class reaches ``top``.  ``classes`` and ``subclass_edges`` are
+    built on first access.
     """
 
-    __slots__ = ("classes", "subclass_edges", "top", "namespace",
-                 "_index", "_order", "_down", "_by_local")
+    __slots__ = ("top", "namespace", "_refs", "_parents", "_down", "_bit",
+                 "_topo", "_index", "_by_local", "_classes", "_edges")
 
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
-        classes = frozenset(classes)
-        edges = frozenset(subclass_edges)
-        if top not in classes:
+        ids: dict[str, int] = {}
+        refs: list[ClassRef] = []
+        for c in classes:
+            if c.iri not in ids:
+                ids[c.iri] = len(refs)
+                refs.append(c)
+        if top.iri not in ids:
             raise ValueError("top class must be a member of classes")
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "subclass_edges", edges)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "namespace", namespace)
-
-        # Positions follow IRI order, so the build and its messages do not
-        # depend on set iteration order.  Dicts are keyed by IRI (ClassRef
-        # equality is IRI equality): a str caches its hash, a ClassRef
-        # computes it in Python on every lookup.
-        by_iri = sorted(classes, key=_iri)
-        pos = {c.iri: i for i, c in enumerate(by_iri)}
-        n = len(by_iri)
-        parents: list[list[int]] = [[] for _ in range(n)]
-        subs: list[list[int]] = [[] for _ in range(n)]
-        for sub, sup in edges:
+        parents: list[list[int]] = [[] for _ in refs]
+        for sub, sup in subclass_edges:
             try:
-                s, p = pos[sub.iri], pos[sup.iri]
+                parents[ids[sub.iri]].append(ids[sup.iri])
             except KeyError:
                 raise ValueError(
                     f"edge endpoint not declared: {sub!r} <= {sup!r}") from None
-            parents[s].append(p)
-            subs[p].append(s)
+        self._build(refs, parents, ids[top.iri], namespace)
+
+    def _build(self, refs: list[ClassRef], parents: list[list[int]], top: int,
+               namespace: str) -> None:
+        """Set up the taxonomy of the classes ``refs`` with superclasses
+        ``parents`` (both by id, an index into ``refs``) and top
+        ``top``.  The order found does not depend on the order of
+        ``refs``, and an error names the class that comes first by IRI.
+        """
+        n = len(refs)
+        subs: list[list[int]] = [[] for _ in range(n)]
+        for s, ps in enumerate(parents):
+            for p in ps:
+                subs[p].append(s)
 
         # Kahn's algorithm, subclasses first: a class is placed once all
-        # of its subclasses are.
+        # of its subclasses are, and the k-th class placed gets bit k.
         waiting = [len(x) for x in subs]
         ready = [i for i in range(n) if not waiting[i]]
         topo: list[int] = []
+        down = [0] * n  # by id
         while ready:
             i = ready.pop()
+            b = 1 << len(topo)
+            for s in subs[i]:
+                b |= down[s]
+            down[i] = b
             topo.append(i)
             for p in parents[i]:
                 waiting[p] -= 1
                 if not waiting[p]:
                     ready.append(p)
         if len(topo) < n:
-            name = by_iri[min(_find_cycle(subs, waiting))].local_name
+            iri = [c.iri for c in refs].__getitem__
+            name = refs[min(_find_cycle(subs, waiting, iri), key=iri)].local_name
             raise CycleError(f"subclass axioms form a cycle through {name}")
-
-        down = [0] * n  # by position; bit k is the class topo[k]
-        for k, i in enumerate(topo):
-            b = 1 << k
-            for s in subs[i]:
-                b |= down[s]
-            down[i] = b
-
-        order = [by_iri[i] for i in topo]
-        object.__setattr__(self, "_index", {c.iri: k for k, c in enumerate(order)})
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_down", [down[i] for i in topo])
-
-        t = pos[top.iri]
-        if down[t] != (1 << n) - 1:
-            stray = min(topo[k] for k in range(n) if not down[t] >> k & 1)
-            raise ValueError(
-                f"class {by_iri[stray].local_name} does not reach the top class")
+        if down[top] != (1 << n) - 1:
+            stray = min((refs[i] for k, i in enumerate(topo) if not down[top] >> k & 1),
+                        key=_iri)
+            raise ValueError(f"class {stray.local_name} does not reach the top class")
 
         by_local: dict[str, ClassRef] = {}
-        for c in by_iri:
-            if c.local_name in by_local:
+        for c in refs:
+            if by_local.setdefault(c.local_name, c) is not c:
+                seen: set[str] = set()
+                for c in sorted(refs, key=_iri):  # name the first by IRI
+                    if c.local_name in seen:
+                        break
+                    seen.add(c.local_name)
                 raise ValueError(
                     f"duplicate local name {c.local_name!r} for distinct IRIs")
-            by_local[c.local_name] = c
-        object.__setattr__(self, "_by_local", by_local)
+        bit = [0] * n
+        for k, i in enumerate(topo):
+            bit[i] = k
+        for name, value in (("top", refs[top]), ("namespace", namespace),
+                            ("_refs", refs), ("_parents", parents),
+                            ("_down", down), ("_bit", bit), ("_topo", topo),
+                            ("_index", {c.iri: i for i, c in enumerate(refs)}),
+                            ("_by_local", by_local), ("_classes", None),
+                            ("_edges", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Taxonomy is immutable")
 
+    @property
+    def classes(self) -> frozenset:
+        if self._classes is None:
+            object.__setattr__(self, "_classes", frozenset(self._refs))
+        return self._classes
+
+    @property
+    def subclass_edges(self) -> frozenset:
+        if self._edges is None:
+            refs = self._refs
+            object.__setattr__(self, "_edges", frozenset(
+                (refs[s], refs[p]) for s, ps in enumerate(self._parents) for p in ps))
+        return self._edges
+
     # -- queries ---------------------------------------------------------
 
     def __contains__(self, c: ClassRef) -> bool:
-        return c in self.classes
+        return isinstance(c, ClassRef) and c.iri in self._index
 
     def lookup(self, token: str) -> ClassRef:
         """Resolve a DSL class token to the class of that local name; a
@@ -191,7 +222,7 @@ class Taxonomy:
         """True iff ``a`` is ``b`` or a (transitive) subclass of ``b``."""
         index = self._index
         try:
-            return bool(self._down[index[b.iri]] >> index[a.iri] & 1)
+            return bool(self._down[index[b.iri]] >> self._bit[index[a.iri]] & 1)
         except KeyError:
             self._require(a)
             self._require(b)
@@ -208,10 +239,10 @@ class Taxonomy:
         lower = self._lower_bounds(labels)
         if not lower:
             return None
-        m = lower.bit_length() - 1
+        m = self._topo[lower.bit_length() - 1]
         if lower & ~self._down[m]:
             return None
-        return self._order[m]
+        return self._refs[m]
 
     def maximal_lower_bounds(self, labels) -> list[ClassRef]:
         """The maximal common lower bounds of a non-empty label set,
@@ -220,8 +251,8 @@ class Taxonomy:
         lower = self._lower_bounds(labels)
         found = []
         while lower:
-            m = lower.bit_length() - 1
-            found.append(self._order[m])
+            m = self._topo[lower.bit_length() - 1]
+            found.append(self._refs[m])
             lower &= ~self._down[m]
         return sorted(found, key=_iri)
 
@@ -240,7 +271,7 @@ class Taxonomy:
         return lower
 
     def _require(self, c: ClassRef) -> None:
-        if c not in self.classes:
+        if c not in self:
             raise UnknownClassError(f"class {c.local_name!r} is not in this taxonomy")
 
     # -- construction ----------------------------------------------------
@@ -258,25 +289,26 @@ class Taxonomy:
         """
         if not fragment.strip():
             return self
-        added, edges, roots, _ = _read_classes(fragment, diagnostics,
-                                               "<fragment>", self)
-        edges += [(c, self.top) for c in roots]
-        return Taxonomy(self.classes.union(added), self.subclass_edges.union(edges),
-                        self.top, self.namespace)
+        refs, parents, top, _ = _read_classes(fragment, diagnostics,
+                                              "<fragment>", self)
+        t = object.__new__(Taxonomy)
+        t._build(refs, parents, top, self.namespace)
+        return t
 
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Taxonomy)
+                                 and self.top == other.top
+                                 and len(self._refs) == len(other._refs)
                                  and self.classes == other.classes
-                                 and self.subclass_edges == other.subclass_edges
-                                 and self.top == other.top)
+                                 and self.subclass_edges == other.subclass_edges)
 
     def __hash__(self):
-        return hash((self.classes, self.subclass_edges, self.top))
+        return hash((self.top.iri, len(self._refs)))
 
     def __repr__(self):
-        return f"Taxonomy({len(self.classes)} classes, top={self.top.local_name})"
+        return f"Taxonomy({len(self._refs)} classes, top={self.top.local_name})"
 
 
 @cache
@@ -310,44 +342,71 @@ _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 
 #: The Manchester tokens that may hold whitespace, shared with ``dsl``:
 #: an ``<IRI>``, a ``'quoted name'`` and a ``"string literal"``.
-_IRI = r"<(?P<iri>[^>]*)>"
-_QUOTED = r"'(?P<quoted>[^'\n]*)'"
+_IRI = r"<[^>]*>"
+_QUOTED = r"'[^'\n]*'"
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_CLOSED_RE = re.compile(f"{_IRI}|{_QUOTED}|{_STRING}")
 
-# Whitespace (group 1), then one token; alternatives are tried in order.
-# ``misc`` lexes string literals, numbers, parentheses and annotation
-# operators, which only appear inside entries the parser skips.  ``bad``
-# catches an opening ``<``, ``'`` or ``"`` whose token alternative
-# failed, and takes the rest of the text with it, so it can only be the
-# last match.  Every character but whitespace starts an alternative, so
-# a search that ends at the last other character never backtracks over
-# whitespace.
+# Whitespace (group 1), then one token (group 2); alternatives are tried
+# in order.  Names, numbers, string literals and single characters
+# other than ``<``, ``'`` and ``"`` follow the three tokens that may
+# hold whitespace; the last alternative catches an opening ``<``, ``'``
+# or ``"`` whose token failed, and takes the rest of the text with it,
+# so it can only be the last match.  Every character but whitespace
+# starts an alternative, so a search that ends at the last other
+# character never backtracks over whitespace.
 _MANCHESTER_RE = re.compile(rf"""
     (\s*)
-    (?: {_IRI}
-  | {_QUOTED}
-  | (?P<colon>:)
-  | (?P<comma>,)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<misc>{_STRING}|[0-9][A-Za-z0-9_.\-]*|[^\s<'"])
-  | (?P<bad>[<'"]).* )
+    ( {_IRI} | {_QUOTED} | {_STRING}
+    | [A-Za-z_][A-Za-z0-9_\-]*
+    | [0-9][A-Za-z0-9_.\-]*
+    | [^\s<'"]
+    | [<'"].* )
 """, re.VERBOSE | re.DOTALL)
 
 _UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
                  '"': "unterminated string literal"}
 
+#: The first characters of a name, and of a name, quoted name or IRI.
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_CLASS_START = _NAME_START | {"'", "<"}
 
-def _tokenize_manchester(text: str) -> list[tuple[str, str, int]]:
-    """The tokens of ``text`` as ``(kind, value, offset)`` tuples, the
-    kind one of iri, quoted, colon, comma, name, misc and eof."""
-    toks = [(m.lastgroup, m[m.lastgroup], m.end(1))
-            for m in _MANCHESTER_RE.finditer(text, 0, len(text.rstrip()))]
-    if toks and toks[-1][0] == "bad":
-        _, value, offset = toks[-1]
-        line, col = _positions(text)(offset)
-        raise ParseError(_UNTERMINATED[value], line=line, col=col)
-    toks.append(("eof", "", len(text)))
+
+def _tokenize_manchester(text: str) -> list[tuple[str, str]]:
+    """The tokens of ``text`` as ``(whitespace before, token)`` pairs,
+    ending with ``(trailing whitespace, "")``.  A token's first
+    character tells its kind: ``<`` an IRI, ``'`` a quoted name, ``:``
+    and ``,`` themselves, a letter or ``_`` a name, and anything else a
+    token that only skipped entries hold."""
+    end = len(text.rstrip())
+    toks = _MANCHESTER_RE.findall(text, 0, end)
+    if toks:
+        last = toks[-1][1]
+        if last[0] in _UNTERMINATED and not _CLOSED_RE.fullmatch(last):
+            line, col = _positions(text)(end - len(last))
+            raise ParseError(_UNTERMINATED[last[0]], line=line, col=col)
+    toks.append((text[end:], ""))
     return toks
+
+
+def _placer(text: str, spaces: tuple[str, ...], vals: tuple[str, ...]):
+    """A function from a token's index to its ``(line, col)``, given the
+    whitespace before each token and the tokens.  The offsets are
+    worked out on the first call, since only a warning or an error
+    needs one."""
+    offsets: list[int] = []
+    position = _positions(text)
+
+    def place(i: int) -> tuple[int, int]:
+        if not offsets:
+            at = 0
+            for ws, tok in zip(spaces, vals):
+                at += len(ws)
+                offsets.append(at)
+                at += len(tok)
+        return position(offsets[i])
+
+    return place
 
 
 def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
@@ -361,21 +420,17 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
     of one IRI names one class.  Superclass
     targets that are never declared are declared implicitly.  Classes
     with no superclass entry get an edge to the top class; the top is
-    the declared NeSy_Pattern_Element if present, else the unique root,
-    else a fresh synthesized root.  An error placed in ``text`` carries
-    ``source_name``.
+    the NeSy_Pattern_Element read if it states no superclass, else the
+    unique root, else a fresh root NeSy_Pattern_Element in the text's
+    namespace.  An error placed in ``text`` carries ``source_name``.
     """
     try:
-        added, edges, roots, namespace = _read_classes(text, diagnostics,
-                                                       source_name)
+        arrays = _read_classes(text, diagnostics, source_name)
     except NesyError as e:
         raise e.in_file(source_name)
-    top = next((c for c in added if c.local_name == TOP_LOCAL_NAME), None)
-    if top is None:
-        top = (roots[0] if len(roots) == 1
-               else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
-    edges += [(c, top) for c in roots if c != top]
-    return Taxonomy({top, *added}, edges, top, namespace)
+    t = object.__new__(Taxonomy)
+    t._build(*arrays)
+    return t
 
 
 def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
@@ -386,117 +441,155 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     Each name is read as a key: ``(None, local)`` for a bare or quoted
     name (a quoted name is a label whatever it holds; its spaces become
     ``_``), ``(prefix, local)`` for a prefixed one (prefix ``""`` for
-    ``:Name``), and the IRI itself, a ``str``, for an ``<IRI>``.  Keys
-    are resolved once the whole text is read, because prefixes, the
-    namespace and ``Class`` frames may come after a name is used.  Each
-    distinct key is resolved once, and classes are keyed by IRI.  A key
-    resolves to a class of ``base`` (a bare name by local name, any name
-    by IRI), else to a class the text already added; else it is minted,
-    a bare name in the text's namespace.  Without a base, a
-    ``SubClassOf`` target is declared by its use; with one, a target the
-    text does not declare raises UnknownClassError.  Every error is
-    placed at the token the failing name first starts at.
+    ``:Name``), and the IRI itself, a ``str``, for an ``<IRI>``.  Each
+    distinct key gets an int id and the index of the token it is first
+    read at.  Keys are resolved once the whole text is read, because
+    prefixes, the namespace and ``Class`` frames may come after a name
+    is used: each key once, to a class id.  A key resolves to a class
+    of ``base`` (a bare name by local name, any name by IRI), else to a
+    class the text already added; else it is minted, a bare name in the
+    text's namespace, with the next id after the base's.  Without a
+    base, a ``SubClassOf`` target is declared by its use; with one, a
+    target the text does not declare raises UnknownClassError.  Every
+    error is placed at the token the failing name first starts at.
 
-    Returns (the added classes in the order first named, a list of the
-    stated edges, the added classes with no superclass, the namespace).
+    Returns the classes by id, the base's first; each class's
+    superclass ids, an added class with none below the top; the top's
+    id; and the namespace.
     """
-    toks = _tokenize_manchester(text)
-    position = _positions(text)
+    spaces, vals = zip(*_tokenize_manchester(text))
+    place = _placer(text, spaces, vals)
     prefixes: dict[str, str] = {}
     namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
-    declared: list = []  # keys of Class frames, in order, with repeats
-    edge_keys: list[tuple] = []
-    where: dict = {}  # key -> offset of the token it first starts at
+    ids: dict = {}  # key -> key id
+    keys: list = []  # key id -> key
+    first: list[int] = []  # key id -> index of the token it is first read at
+    declared: list[int] = []  # key ids of Class frames, in order, with repeats
+    edges: list[tuple[int, int]] = []  # key id pairs
 
-    def warn(msg: str, offset: int) -> None:
+    def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
-            line, col = position(offset)
+            line, col = place(i)
             diagnostics.append(Diagnostic("warning", msg, line, col,
                                           source_name))
 
+    def read_name(i: int) -> tuple[int, int]:
+        """The key id of the class name at token ``i`` and the index
+        after it, or ``(-1, i)`` if no name starts there."""
+        tok = vals[i]
+        c = tok[:1]
+        if c in _NAME_START:
+            if vals[i + 1] == ":" and not spaces[i + 1]:
+                local = vals[i + 2]
+                if spaces[i + 2] or local[:1] not in _NAME_START:
+                    line, col = place(i)
+                    raise ParseError("malformed prefixed name", line=line, col=col)
+                key, after = (tok, local), i + 3
+            else:
+                key, after = (None, tok), i + 1
+        elif c == "'":
+            key, after = (None, tok[1:-1].replace(" ", "_")), i + 1
+        elif c == "<":
+            key, after = tok[1:-1], i + 1
+        elif c == ":" and not spaces[i + 1] and vals[i + 1][:1] in _NAME_START:
+            key, after = ("", vals[i + 1]), i + 2  # ``:Name``, the empty prefix
+        else:
+            return -1, i
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(keys)
+            keys.append(key)
+            first.append(i)
+        return k, after
+
     i = 0
-    while toks[i][0] != "eof":
-        _, kw, offset = toks[i]
-        after = _keyword_end(toks, i, _FRAME_KEYWORDS)
-        if after is None:
-            line, col = position(offset)
-            raise ParseError(f"malformed frame near {kw!r}", line=line, col=col,
-                             expected=tuple(sorted(_FRAME_KEYWORDS)))
-        i = after
+    eof = len(vals) - 1
+    while i < eof:
+        # A keyword is followed by ':' (standard) or by a name, quoted
+        # name or IRI (the colon-less form used in inline extensions).
+        start, kw, after = i, vals[i], vals[i + 1]
+        if kw not in _FRAME_KEYWORDS or (after != ":" and after[:1] not in _CLASS_START):
+            line, col = place(start)
+            value = kw[1:-1] if kw[0] in "<'" else kw  # an IRI or quoted name
+            raise ParseError(f"malformed frame near {value!r}", line=line,
+                             col=col, expected=tuple(sorted(_FRAME_KEYWORDS)))
+        i += 2 if after == ":" else 1
         if kw == "Class":
-            subject, i = _read_name(toks, i, where, position)
-            if subject is None:
-                line, col = position(toks[i][2])
-                raise ParseError(f"expected a class name, found {toks[i][1]!r}",
+            subject, i = read_name(i)
+            if subject < 0:
+                line, col = place(i)
+                raise ParseError(f"expected a class name, found {vals[i]!r}",
                                  line=line, col=col,
                                  expected=("name", "quoted name", "IRI"))
             declared.append(subject)
-            while (after := _keyword_end(toks, i, _ENTRY_KEYWORDS)) is not None:
-                _, entry, offset = toks[i]
-                i = after
+            while vals[i] in _ENTRY_KEYWORDS and (
+                    (after := vals[i + 1]) == ":" or after[:1] in _CLASS_START):
+                entry, at = vals[i], i
+                i += 2 if after == ":" else 1
                 if entry != "SubClassOf":
-                    warn(f"{entry} entries are skipped", offset)
-                    i = _skip_entry(toks, i)
+                    warn(f"{entry} entries are skipped", at)
+                    i = _skip_entry(vals, i)
                     continue
-                while not _is_keyword(toks[i]):
-                    offset = toks[i][2]
-                    sup, i = _read_name(toks, i, where, position)
-                    if sup is None:
-                        warn("unsupported class expression skipped", offset)
-                        i = _skip_entry(toks, i)
+                while vals[i] not in _KEYWORDS:
+                    at = i
+                    sup, i = read_name(i)
+                    if sup < 0:
+                        warn("unsupported class expression skipped", at)
+                        i = _skip_entry(vals, i)
                         break
-                    nxt = toks[i]
-                    if nxt[0] != "comma" and nxt[0] != "eof" and not _is_keyword(nxt):
-                        warn("complex class expression skipped", offset)
-                        i = _skip_entry(toks, i)
+                    nxt = vals[i]
+                    if nxt != "," and nxt and nxt not in _KEYWORDS:
+                        warn("complex class expression skipped", at)
+                        i = _skip_entry(vals, i)
                         break
-                    edge_keys.append((subject, sup))
-                    if nxt[0] != "comma":
+                    edges.append((subject, sup))
+                    if nxt != ",":
                         break
                     i += 1
         elif kw == "Prefix":
             pfx = ""
-            if toks[i][0] == "name":
-                pfx = toks[i][1]
+            if vals[i][:1] in _NAME_START:
+                pfx = vals[i]
                 i += 1
-            if toks[i][0] == "colon":
+            if vals[i] == ":":
                 i += 1
-            kind, iri, offset = toks[i]
-            if kind != "iri":
-                line, col = position(offset)
+            iri = vals[i]
+            if iri[:1] != "<":
+                line, col = place(i)
                 raise ParseError("expected <IRI> in prefix declaration",
                                  line=line, col=col, expected=("IRI",))
             i += 1
-            prefixes[pfx] = iri
+            prefixes[pfx] = iri = iri[1:-1]
             if pfx == "":
                 namespace = iri
         elif kw == "Ontology":
-            if toks[i][0] == "iri":
-                ontology_iri = toks[i][1]
+            if vals[i][:1] == "<":
+                ontology_iri = vals[i][1:-1]
                 i += 1
-                if toks[i][0] == "iri":  # optional version IRI
+                if vals[i][:1] == "<":  # optional version IRI
                     i += 1
         elif kw == "Import":
-            warn("imports are not honored", offset)
-            _, i = _read_name(toks, i, where, position)
+            warn("imports are not honored", start)
+            _, i = read_name(i)
         else:
-            warn(f"{kw} frames are skipped", offset)
-            i = _skip_entry(toks, i)
+            warn(f"{kw} frames are skipped", start)
+            i = _skip_entry(vals, i)
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
     index = {} if base is None else base._index
     by_local = {} if base is None else base._by_local
     taken = dict(by_local)
-    added: dict[str, ClassRef] = {}  # IRI -> class the text adds
-    refs: dict = {}  # key -> class
+    refs: list[ClassRef] = [] if base is None else base._refs.copy()
+    parents: list[list[int]] = [] if base is None else base._parents.copy()
+    n = len(refs)
+    added: dict[str, int] = {}  # IRI -> id of a class the text adds
+    cls = [-1] * len(keys)  # key id -> class id
 
-    def resolve(key, declare: bool) -> ClassRef:
-        c = refs.get(key)
-        if c is not None:
-            return c
-        offset = where[key]
+    def resolve(k: int, declare: bool) -> int:
+        """The class id of key ``k``, read for the first time."""
+        key = keys[k]
         bare = False
         if key.__class__ is str:  # an <IRI>
             iri = key
@@ -508,39 +601,67 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 iri = prefixes[pfx] + local
             else:
                 name = f"{pfx}:{local}"
-                line, col = position(offset)
+                line, col = place(first[k])
                 raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
                                         line=line, col=col)
         if bare and local in by_local:
-            c = by_local[local]
+            c = index[by_local[local].iri]
         elif iri in index:
-            c = base._order[index[iri]]
+            c = index[iri]
         elif iri in added:
             c = added[iri]
         elif declare:
-            c = added[iri] = _mint(iri, local if bare else _local_name_of(iri),
-                                   taken, position, offset)
+            c = added[iri] = len(refs)
+            refs.append(_mint(iri, local if bare else _local_name_of(iri),
+                              taken, place, first[k]))
+            parents.append([])
         else:
             shown = repr(local) if bare else f"<{iri}>"
-            line, col = position(offset)
+            line, col = place(first[k])
             raise UnknownClassError(f"unknown class {shown} in extension",
                                     line=line, col=col)
-        refs[key] = c
+        cls[k] = c
         return c
 
-    for key in declared:
-        resolve(key, True)
-    edges = [(resolve(a, True), resolve(b, base is None)) for a, b in edge_keys]
-    has_super = {sub.iri for sub, _ in edges}
-    roots = [c for c in added.values() if c.iri not in has_super]
-    return list(added.values()), edges, roots, namespace
+    for k in declared:
+        if cls[k] < 0:
+            resolve(k, True)
+    declare = base is None
+    for a, b in edges:
+        a = cls[a] if cls[a] >= 0 else resolve(a, True)
+        b = cls[b] if cls[b] >= 0 else resolve(b, declare)
+        if a < n:  # a class of the base: its list stays the base's
+            parents[a] = parents[a] + [b]
+        else:
+            parents[a].append(b)
+
+    roots = [j for j in range(n, len(refs)) if not parents[j]]
+    if base is not None:
+        top = index[base.top.iri]
+    else:
+        top = next((j for j in roots if refs[j].local_name == TOP_LOCAL_NAME), None)
+        if top is None and len(roots) == 1:
+            top = roots[0]
+        elif top is None:
+            iri = namespace + TOP_LOCAL_NAME
+            top = added.get(iri)
+            if top is None:  # a fresh root, unless a class below one has its name
+                other = taken.get(TOP_LOCAL_NAME)
+                at = first[cls.index(added[other.iri])] if other else 0
+                top = len(refs)
+                refs.append(_mint(iri, TOP_LOCAL_NAME, taken, place, at))
+                parents.append([])
+    for j in roots:
+        if j != top:
+            parents[j].append(top)
+    return refs, parents, top, namespace
 
 
 def _mint(iri: str, local: str, taken: dict[str, ClassRef],
-          position, offset: int) -> ClassRef:
+          place, at: int) -> ClassRef:
     """A class read from Manchester text, recorded in ``taken`` by local
     name.  A local name that is empty, holds whitespace or is taken by
-    another IRI is a ParseError at ``position(offset)``, where the name
+    another IRI is a ParseError at ``place(at)``, where the name
     starts."""
     try:
         ref = ClassRef(iri, local)
@@ -552,85 +673,30 @@ def _mint(iri: str, local: str, taken: dict[str, ClassRef],
             return ref
         problem = f"the local name {local!r} of <{other.iri}>"
     shown = iri if iri.isprintable() else repr(iri)[1:-1]  # keep it one line
-    line, col = position(offset)
+    line, col = place(at)
     raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
 
 
-def _find_cycle(subs: list[list[int]], waiting: list[int]) -> list[int]:
+def _find_cycle(subs: list[list[int]], waiting: list[int], key) -> list[int]:
     """A cycle among the classes Kahn's algorithm left over.
 
     Every class left over still waits for a subclass that is left over
     too, so walking down such subclasses from any of them must repeat a
-    class; the walk from the repeat on is the cycle.
+    class; the walk from the repeat on is the cycle.  The walk starts
+    at, and steps to, the class left over that is least by ``key``.
     """
-    i = next(k for k, w in enumerate(waiting) if w)
+    i = min((k for k, w in enumerate(waiting) if w), key=key)
     seen: dict[int, int] = {}
     path: list[int] = []
     while i not in seen:
         seen[i] = len(path)
         path.append(i)
-        i = min(s for s in subs[i] if waiting[s])
+        i = min((s for s in subs[i] if waiting[s]), key=key)
     return path[seen[i]:]
 
 
-def _keyword_end(toks: list, i: int, words) -> int | None:
-    """The index after the keyword of ``words`` at ``toks[i]`` and its
-    ':', or None if no such keyword starts there.  A keyword is followed
-    by ':' (standard) or by a name, quoted name or IRI (the colon-less
-    form used in inline extensions)."""
-    kind, value, _ = toks[i]
-    if kind == "name" and value in words:
-        after = toks[i + 1][0]
-        if after == "colon":
-            return i + 2
-        if after == "name" or after == "quoted" or after == "iri":
-            return i + 1
-    return None
-
-
-def _read_name(toks: list, i: int, where: dict, position):
-    """The key of the class name at ``toks[i]`` (see ``_read_classes``)
-    and the index after it, or ``(None, i)`` if no name starts there.
-    The offset a key is first read at goes to ``where``."""
-    tok = toks[i]
-    kind, value, offset = tok
-    if kind == "name":
-        key = (None, value)
-        i += 1
-        colon = toks[i]
-        if colon[0] == "colon" and _is_adjacent(tok, colon):
-            local = toks[i + 1]
-            if local[0] != "name" or not _is_adjacent(colon, local):
-                line, col = position(offset)
-                raise ParseError("malformed prefixed name", line=line, col=col)
-            key = (value, local[1])
-            i += 2
-    elif kind == "quoted":
-        key = (None, value.replace(" ", "_"))
-        i += 1
-    elif kind == "iri":
-        key = value
-        i += 1
-    elif kind == "colon" and toks[i + 1][0] == "name" and _is_adjacent(tok, toks[i + 1]):
-        key = ("", toks[i + 1][1])  # ``:Name``, a name with the empty prefix
-        i += 2
-    else:
-        return None, i
-    where.setdefault(key, offset)
-    return key, i
-
-
-def _skip_entry(toks: list, i: int) -> int:
+def _skip_entry(vals: tuple, i: int) -> int:
     """The index of the next keyword or of the end, from ``i`` on."""
-    while toks[i][0] != "eof" and not _is_keyword(toks[i]):
+    while vals[i] and vals[i] not in _KEYWORDS:
         i += 1
     return i
-
-
-def _is_adjacent(a: tuple, b: tuple) -> bool:
-    """Whether token ``b`` starts where token ``a`` ends."""
-    return a[2] + len(a[1]) == b[2]
-
-
-def _is_keyword(t: tuple) -> bool:
-    return t[0] == "name" and t[1] in _KEYWORDS

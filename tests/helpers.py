@@ -22,9 +22,20 @@ from nesypat.dsl import (
     RefinementDecl,
     _KEYWORDS,
 )
-from nesypat.errors import ParseError
+from nesypat.errors import (
+    Diagnostic,
+    NesyError,
+    ParseError,
+    UnknownClassError,
+    _positions,
+)
 from nesypat.pattern import Pattern, build_pattern
-from nesypat.taxonomy import ClassRef, Taxonomy
+from nesypat.taxonomy import (
+    DEFAULT_NAMESPACE,
+    TOP_LOCAL_NAME,
+    ClassRef,
+    Taxonomy,
+)
 
 
 # -- taxonomy oracles ------------------------------------------------------
@@ -557,3 +568,293 @@ def reference_tokenize_manchester(text: str) -> list[tuple[str, str, int, int]]:
         col += length
     toks.append(("eof", "", line, col))
     return toks
+
+
+# -- reference Manchester reader --------------------------------------------
+#
+# The Manchester reader over ``(kind, value, offset)`` tokens and
+# ``ClassRef`` pairs that the integer-id reader in ``taxonomy`` replaced,
+# kept as the judge of its taxonomies, warnings and errors.  It reads a
+# base taxonomy only through ``_index``, ``_refs`` and ``_by_local``
+# (an IRI's id, the class of an id, the class of a local name) and
+# builds through the public ``Taxonomy`` constructor.
+
+_REF_FRAME_KEYWORDS = {
+    "Class", "Datatype", "ObjectProperty", "DataProperty",
+    "AnnotationProperty", "Individual", "NamedIndividual",
+    "Prefix", "Ontology", "Import",
+}
+_REF_ENTRY_KEYWORDS = {
+    "SubClassOf", "EquivalentTo", "DisjointWith", "DisjointUnionOf",
+    "HasKey", "Annotations",
+}
+_REF_KEYWORDS = _REF_FRAME_KEYWORDS | _REF_ENTRY_KEYWORDS
+
+_REF_MANCHESTER_RE = re.compile(r"""
+    (\s*)
+    (?: <(?P<iri>[^>]*)>
+  | '(?P<quoted>[^'\n]*)'
+  | (?P<colon>:)
+  | (?P<comma>,)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<misc>"[^"\\]*(?:\\.[^"\\]*)*"|[0-9][A-Za-z0-9_.\-]*|[^\s<'"])
+  | (?P<bad>[<'"]).* )
+""", re.VERBOSE | re.DOTALL)
+
+_REF_UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
+                     '"': "unterminated string literal"}
+
+
+def _ref_tokenize_manchester(text: str) -> list[tuple[str, str, int]]:
+    toks = [(m.lastgroup, m[m.lastgroup], m.end(1))
+            for m in _REF_MANCHESTER_RE.finditer(text, 0, len(text.rstrip()))]
+    if toks and toks[-1][0] == "bad":
+        _, value, offset = toks[-1]
+        line, col = _positions(text)(offset)
+        raise ParseError(_REF_UNTERMINATED[value], line=line, col=col)
+    toks.append(("eof", "", len(text)))
+    return toks
+
+
+def reference_parse_taxonomy(text: str, diagnostics=None,
+                             source_name: str = "<ontology>") -> Taxonomy:
+    """The parent reader's ``parse_taxonomy``: a declared
+    NeSy_Pattern_Element is the top whether or not it states a
+    superclass."""
+    try:
+        added, edges, roots, namespace = _ref_read_classes(text, diagnostics,
+                                                           source_name)
+    except NesyError as e:
+        raise e.in_file(source_name)
+    top = next((c for c in added if c.local_name == TOP_LOCAL_NAME), None)
+    if top is None:
+        top = (roots[0] if len(roots) == 1
+               else ClassRef(namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME))
+    edges += [(c, top) for c in roots if c != top]
+    return Taxonomy({top, *added}, edges, top, namespace)
+
+
+def reference_extend(base: Taxonomy, fragment: str, diagnostics=None) -> Taxonomy:
+    """The parent reader's ``Taxonomy.extend``."""
+    if not fragment.strip():
+        return base
+    added, edges, roots, _ = _ref_read_classes(fragment, diagnostics,
+                                               "<fragment>", base)
+    edges += [(c, base.top) for c in roots]
+    return Taxonomy(base.classes.union(added), base.subclass_edges.union(edges),
+                    base.top, base.namespace)
+
+
+def _ref_read_classes(text: str, diagnostics, source_name: str,
+                      base: Taxonomy | None = None):
+    toks = _ref_tokenize_manchester(text)
+    position = _positions(text)
+    prefixes: dict[str, str] = {}
+    namespace = None if base is None else base.namespace
+    ontology_iri: str | None = None
+    declared: list = []
+    edge_keys: list[tuple] = []
+    where: dict = {}
+
+    def warn(msg: str, offset: int) -> None:
+        if diagnostics is not None:
+            line, col = position(offset)
+            diagnostics.append(Diagnostic("warning", msg, line, col,
+                                          source_name))
+
+    i = 0
+    while toks[i][0] != "eof":
+        _, kw, offset = toks[i]
+        after = _ref_keyword_end(toks, i, _REF_FRAME_KEYWORDS)
+        if after is None:
+            line, col = position(offset)
+            raise ParseError(f"malformed frame near {kw!r}", line=line, col=col,
+                             expected=tuple(sorted(_REF_FRAME_KEYWORDS)))
+        i = after
+        if kw == "Class":
+            subject, i = _ref_read_name(toks, i, where, position)
+            if subject is None:
+                line, col = position(toks[i][2])
+                raise ParseError(f"expected a class name, found {toks[i][1]!r}",
+                                 line=line, col=col,
+                                 expected=("name", "quoted name", "IRI"))
+            declared.append(subject)
+            while (after := _ref_keyword_end(toks, i, _REF_ENTRY_KEYWORDS)) is not None:
+                _, entry, offset = toks[i]
+                i = after
+                if entry != "SubClassOf":
+                    warn(f"{entry} entries are skipped", offset)
+                    i = _ref_skip_entry(toks, i)
+                    continue
+                while not _ref_is_keyword(toks[i]):
+                    offset = toks[i][2]
+                    sup, i = _ref_read_name(toks, i, where, position)
+                    if sup is None:
+                        warn("unsupported class expression skipped", offset)
+                        i = _ref_skip_entry(toks, i)
+                        break
+                    nxt = toks[i]
+                    if nxt[0] != "comma" and nxt[0] != "eof" and not _ref_is_keyword(nxt):
+                        warn("complex class expression skipped", offset)
+                        i = _ref_skip_entry(toks, i)
+                        break
+                    edge_keys.append((subject, sup))
+                    if nxt[0] != "comma":
+                        break
+                    i += 1
+        elif kw == "Prefix":
+            pfx = ""
+            if toks[i][0] == "name":
+                pfx = toks[i][1]
+                i += 1
+            if toks[i][0] == "colon":
+                i += 1
+            kind, iri, offset = toks[i]
+            if kind != "iri":
+                line, col = position(offset)
+                raise ParseError("expected <IRI> in prefix declaration",
+                                 line=line, col=col, expected=("IRI",))
+            i += 1
+            prefixes[pfx] = iri
+            if pfx == "":
+                namespace = iri
+        elif kw == "Ontology":
+            if toks[i][0] == "iri":
+                ontology_iri = toks[i][1]
+                i += 1
+                if toks[i][0] == "iri":
+                    i += 1
+        elif kw == "Import":
+            warn("imports are not honored", offset)
+            _, i = _ref_read_name(toks, i, where, position)
+        else:
+            warn(f"{kw} frames are skipped", offset)
+            i = _ref_skip_entry(toks, i)
+
+    if namespace is None:
+        namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
+    index = {} if base is None else base._index
+    by_local = {} if base is None else base._by_local
+    taken = dict(by_local)
+    added: dict[str, ClassRef] = {}
+    refs: dict = {}
+
+    def resolve(key, declare: bool) -> ClassRef:
+        c = refs.get(key)
+        if c is not None:
+            return c
+        offset = where[key]
+        bare = False
+        if key.__class__ is str:
+            iri = key
+        else:
+            pfx, local = key
+            if pfx is None:
+                bare, iri = True, namespace + local
+            elif pfx in prefixes:
+                iri = prefixes[pfx] + local
+            else:
+                name = f"{pfx}:{local}"
+                line, col = position(offset)
+                raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
+                                        line=line, col=col)
+        if bare and local in by_local:
+            c = by_local[local]
+        elif iri in index:
+            c = base._refs[index[iri]]
+        elif iri in added:
+            c = added[iri]
+        elif declare:
+            c = added[iri] = _ref_mint(iri, local if bare else _ref_local_name_of(iri),
+                                       taken, position, offset)
+        else:
+            shown = repr(local) if bare else f"<{iri}>"
+            line, col = position(offset)
+            raise UnknownClassError(f"unknown class {shown} in extension",
+                                    line=line, col=col)
+        refs[key] = c
+        return c
+
+    for key in declared:
+        resolve(key, True)
+    edges = [(resolve(a, True), resolve(b, base is None)) for a, b in edge_keys]
+    has_super = {sub.iri for sub, _ in edges}
+    roots = [c for c in added.values() if c.iri not in has_super]
+    return list(added.values()), edges, roots, namespace
+
+
+def _ref_local_name_of(iri: str) -> str:
+    if "#" in iri:
+        frag = iri.rsplit("#", 1)[1]
+    else:
+        frag = iri.rstrip("/").rsplit("/", 1)[-1]
+    return frag.replace(" ", "_")
+
+
+def _ref_mint(iri: str, local: str, taken: dict, position, offset: int) -> ClassRef:
+    try:
+        ref = ClassRef(iri, local)
+    except ValueError:
+        problem = "whitespace in its local name" if local else "no local name"
+    else:
+        other = taken.setdefault(local, ref)
+        if other.iri == iri:
+            return ref
+        problem = f"the local name {local!r} of <{other.iri}>"
+    shown = iri if iri.isprintable() else repr(iri)[1:-1]
+    line, col = position(offset)
+    raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
+
+
+def _ref_keyword_end(toks: list, i: int, words) -> int | None:
+    kind, value, _ = toks[i]
+    if kind == "name" and value in words:
+        after = toks[i + 1][0]
+        if after == "colon":
+            return i + 2
+        if after == "name" or after == "quoted" or after == "iri":
+            return i + 1
+    return None
+
+
+def _ref_read_name(toks: list, i: int, where: dict, position):
+    tok = toks[i]
+    kind, value, offset = tok
+    if kind == "name":
+        key = (None, value)
+        i += 1
+        colon = toks[i]
+        if colon[0] == "colon" and _ref_is_adjacent(tok, colon):
+            local = toks[i + 1]
+            if local[0] != "name" or not _ref_is_adjacent(colon, local):
+                line, col = position(offset)
+                raise ParseError("malformed prefixed name", line=line, col=col)
+            key = (value, local[1])
+            i += 2
+    elif kind == "quoted":
+        key = (None, value.replace(" ", "_"))
+        i += 1
+    elif kind == "iri":
+        key = value
+        i += 1
+    elif kind == "colon" and toks[i + 1][0] == "name" and _ref_is_adjacent(tok, toks[i + 1]):
+        key = ("", toks[i + 1][1])
+        i += 2
+    else:
+        return None, i
+    where.setdefault(key, offset)
+    return key, i
+
+
+def _ref_skip_entry(toks: list, i: int) -> int:
+    while toks[i][0] != "eof" and not _ref_is_keyword(toks[i]):
+        i += 1
+    return i
+
+
+def _ref_is_adjacent(a: tuple, b: tuple) -> bool:
+    return a[2] + len(a[1]) == b[2]
+
+
+def _ref_is_keyword(t: tuple) -> bool:
+    return t[0] == "name" and t[1] in _REF_KEYWORDS

@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_pattern, random_taxonomy
 from nesypat.catalog import Catalog
@@ -18,6 +19,7 @@ from nesypat.errors import UnknownClassError
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.taxonomy import (
     _KEYWORDS,
+    TOP_LOCAL_NAME,
     ClassRef,
     Taxonomy,
     default_taxonomy,
@@ -204,17 +206,25 @@ class TestEmitManchester:
                 assert t.leq(t.lookup(a), t.lookup(b)) == \
                     back.leq(back.lookup(a), back.lookup(b))
 
-    def test_random_taxonomies_roundtrip(self):
-        rng = random.Random(79)
-        for _ in range(15):
-            t = random_taxonomy(rng, rng.randint(1, 10))
-            back = parse_taxonomy(emit_manchester(t))
-            assert {c.local_name for c in back.classes} == \
-                {c.local_name for c in t.classes}
-            for a in t.classes:
-                for b in t.classes:
-                    assert t.leq(a, b) == back.leq(
-                        back.lookup(a.local_name), back.lookup(b.local_name))
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 10), st.integers(0, 9))
+    def test_random_taxonomies_roundtrip(self, rng, n, renamed):
+        t = random_taxonomy(rng, n)
+        if 0 < renamed < n:  # a class below the top named NeSy_Pattern_Element
+            old = t.lookup(f"C{renamed}")
+            new = ClassRef(t.namespace + TOP_LOCAL_NAME, TOP_LOCAL_NAME)
+            swap = {old: new}
+            t = Taxonomy([swap.get(c, c) for c in t.classes],
+                         [(swap.get(a, a), swap.get(b, b)) for a, b in t.subclass_edges],
+                         t.top, t.namespace)
+        assert parse_taxonomy(emit_manchester(t)) == t
+
+    def test_top_element_name_below_the_top_reads_back(self):
+        top = ClassRef("urn:t#T", "T")
+        nesy = ClassRef("urn:t#" + TOP_LOCAL_NAME, TOP_LOCAL_NAME)
+        t = Taxonomy({top, nesy}, {(nesy, top)}, top, "urn:t#")
+        back = parse_taxonomy(emit_manchester(t))
+        assert back == t
 
     def test_extended_taxonomy_roundtrip(self, t):
         ext = t.extend("Class: Hybrid_Model SubClassOf: Semantic_Model, Statistical_Model")

@@ -7,17 +7,32 @@ must give the same tokens, at the same line and column, or the same
 ParseError as ``helpers.reference_tokenize_manchester``.  On any text,
 ``parse`` raises nothing but ParseError, and ``parse_taxonomy`` and
 ``Taxonomy.extend`` nothing but NesyError, placed unless it is a
-CycleError.
+CycleError.  ``parse_taxonomy`` and ``Taxonomy.extend`` must read the
+same taxonomy and warnings, or raise the same error at the same place,
+as ``helpers.reference_parse_taxonomy`` and ``helpers.reference_extend``,
+but for one fix: a NeSy_Pattern_Element that states a superclass is no
+longer taken as the top.
 """
 
 import re
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_parse, reference_tokenize_manchester
+from helpers import (
+    _ref_read_classes,
+    reference_extend,
+    reference_parse,
+    reference_parse_taxonomy,
+    reference_tokenize_manchester,
+)
 from nesypat.dsl import parse
 from nesypat.errors import CycleError, NesyError, ParseError, _positions
-from nesypat.taxonomy import _tokenize_manchester, default_taxonomy, parse_taxonomy
+from nesypat.taxonomy import (
+    TOP_LOCAL_NAME,
+    _tokenize_manchester,
+    default_taxonomy,
+    parse_taxonomy,
+)
 
 SETTINGS = settings(deadline=None)
 # At least 300 examples, more under a profile that asks for more.
@@ -178,10 +193,22 @@ def tokens(tokenize, text):
 
 
 def positioned(text):
-    """``_tokenize_manchester``'s tokens with offsets as line and column."""
+    """``_tokenize_manchester``'s tokens as ``(kind, value, line, col)``,
+    the kind told by the token's first character."""
     at = _positions(text)
-    return [(kind, value, *at(offset))
-            for kind, value, offset in _tokenize_manchester(text)]
+    out, offset = [], 0
+    for ws, tok in _tokenize_manchester(text):
+        offset += len(ws)
+        first = tok[:1]
+        if first in ("<", "'"):
+            kind, value = {"<": "iri", "'": "quoted"}[first], tok[1:-1]
+        else:
+            kind = {"": "eof", ":": "colon", ",": "comma"}.get(
+                first, "name" if re.match(r"[A-Za-z_]", tok) else "misc")
+            value = tok
+        out.append((kind, value, *at(offset)))
+        offset += len(tok)
+    return out
 
 
 @DIFFERENTIAL
@@ -191,3 +218,61 @@ def positioned(text):
 def test_manchester_tokens_match_reference(text):
     got = tokens(positioned, text)
     assert got == tokens(reference_tokenize_manchester, text), text
+
+
+MANCHESTER_TEXTS = (manchester_texts()
+                    | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
+                               max_size=20).map("".join))
+
+
+def read_outcome(read, text):
+    """What ``read(text, diagnostics)`` gives: the taxonomy's classes,
+    edges, top and namespace and the warnings, or the error's class,
+    message, position and file."""
+    diags = []
+    try:
+        t = read(text, diags)
+    except NesyError as e:
+        return (type(e).__name__, e.message, e.line, e.col, e.source_name)
+    return ({(c.iri, c.local_name) for c in t.classes},
+            {(a.iri, b.iri) for a, b in t.subclass_edges},
+            (t.top.iri, t.top.local_name), t.namespace, diags)
+
+
+def states_top_superclass(text):
+    """Whether ``text`` reads to a class named NeSy_Pattern_Element that
+    states a superclass, which the reference takes as the top all the
+    same."""
+    try:
+        added, _, roots, _ = _ref_read_classes(text, None, "<t>")
+    except NesyError:
+        return False
+    return any(c.local_name == TOP_LOCAL_NAME and c not in roots for c in added)
+
+
+@DIFFERENTIAL
+@given(MANCHESTER_TEXTS)
+def test_parse_taxonomy_matches_reference(text):
+    def read(fn):
+        return read_outcome(lambda t, d: fn(t, d, source_name="f.omn"), text)
+
+    got, want = read(parse_taxonomy), read(reference_parse_taxonomy)
+    if states_top_superclass(text):
+        # The reference then sends every other root below a class that is
+        # below one of them, which always closes a cycle.
+        assert want[0] == "CycleError", text
+    else:
+        assert got == want, text
+
+
+@DIFFERENTIAL
+@given(manchester_texts(), MANCHESTER_TEXTS)
+def test_extend_matches_reference(base_text, fragment):
+    try:
+        base = parse_taxonomy(base_text)
+    except NesyError:
+        base = default_taxonomy()
+    for b in (base, default_taxonomy()):
+        got = read_outcome(b.extend, fragment)
+        want = read_outcome(lambda t, d: reference_extend(b, t, d), fragment)
+        assert got == want, (base_text, fragment)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -234,6 +235,20 @@ class TestParseTaxonomy:
         assert not t.leq(t.lookup("A"), t.lookup("B"))
         assert any("class expression" in d.message for d in diags)
 
+    def test_top_element_name_below_a_root_is_not_the_top(self):
+        t = parse_taxonomy(f"Class: {TOP_LOCAL_NAME} SubClassOf: A")
+        assert t.top == t.lookup("A")
+        assert t.leq(t.lookup(TOP_LOCAL_NAME), t.top)
+        # With two roots, the fresh root would be the class below one.
+        with pytest.raises(CycleError):
+            parse_taxonomy(f"Class: {TOP_LOCAL_NAME} SubClassOf: A\nClass: B")
+        with pytest.raises(ParseError) as e:
+            parse_taxonomy("Prefix: x: <urn:x#>\n"
+                           f"Class: x:{TOP_LOCAL_NAME} SubClassOf: A\nClass: B")
+        assert (e.value.message, e.value.line, e.value.col) == (
+            f"IRI <{default_taxonomy().namespace}{TOP_LOCAL_NAME}> has the local "
+            f"name '{TOP_LOCAL_NAME}' of <urn:x#{TOP_LOCAL_NAME}>", 2, 8)
+
     def test_undeclared_superclass_is_auto_declared(self):
         t = parse_taxonomy("Class: A SubClassOf: B")
         assert t.leq(t.lookup("A"), t.lookup("B"))
@@ -288,9 +303,12 @@ class TestParseTaxonomy:
     def test_misc_tokens_keep_values_and_positions(self):
         text = "Class: A\n  Annotations: v 12.5e-3 (x) 7 ; 0x1F"
         at = _positions(text)
-        misc = [(value, *at(offset))
-                for kind, value, offset in _tokenize_manchester(text)
-                if kind == "misc"]
+        misc, offset = [], 0
+        for ws, tok in _tokenize_manchester(text):
+            offset += len(ws)
+            if re.match(r"[^A-Za-z_:,<']", tok):
+                misc.append((tok, *at(offset)))
+            offset += len(tok)
         assert misc == [("12.5e-3", 2, 18), ("(", 2, 26), (")", 2, 28),
                         ("7", 2, 30), (";", 2, 32), ("0x1F", 2, 34)]
 
@@ -304,9 +322,12 @@ class TestParseTaxonomy:
     def test_position_after_iri_spanning_lines(self):
         text = "Class: <urn:x#\nA> Class: B"
         at = _positions(text)
-        assert [(kind, value, *at(offset)) for kind, value, offset
-                in _tokenize_manchester(text)[2:4]] == [
-            ("iri", "urn:x#\nA", 1, 8), ("name", "Class", 2, 4)]
+        placed, offset = [], 0
+        for ws, tok in _tokenize_manchester(text):
+            offset += len(ws)
+            placed.append((tok, *at(offset)))
+            offset += len(tok)
+        assert placed[2:4] == [("<urn:x#\nA>", 1, 8), ("Class", 2, 4)]
 
     def test_trailing_whitespace_is_read_once(self):
         # A token's leading whitespace is part of its match; were the
@@ -316,8 +337,7 @@ class TestParseTaxonomy:
         start = time.process_time()
         toks = _tokenize_manchester(text)
         assert time.process_time() - start < 1.0
-        assert toks == [("name", "Class", 0), ("colon", ":", 5),
-                        ("name", "A", 7), ("eof", "", len(text))]
+        assert toks == [("", "Class"), ("", ":"), (" ", "A"), (text[8:], "")]
 
 
 class TestUnusableLocalNames:
@@ -474,3 +494,65 @@ class TestDeepChains:
         finally:
             tracemalloc.stop()
         assert peak < mib * 2**20
+
+    def test_chain_extend_memory(self):
+        # A 10,000-class chain extended below its bottom by 10,000 more:
+        # 34 MiB measured, most of it the 20,000 classes' down-sets.
+        ks, edges, top = chain(10000)
+        base = Taxonomy(ks, edges, top)
+        tracemalloc.start()
+        try:
+            ext = base.extend(chain_fragment("E", 10000, "K10000"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        e1, e5000, e10000 = (ext.lookup(f"E{i}") for i in (1, 5000, 10000))
+        assert ext.leq(e10000, top) and ext.leq(e1, ks[10000])
+        assert not ext.leq(ks[10000], e1)
+        assert ext.infimum({ks[5000], e5000}) == e5000
+        assert ext.infimum({ks[1], ks[10000], e1}) == e1
+        assert ext.maximal_lower_bounds({top, e5000}) == [e5000]
+        assert len(ext.classes) == 20001
+
+
+def chain_fragment(name, n, below):
+    """Manchester frames of the chain {name}{n} < ... < {name}1 < {below}."""
+    return "\n".join(f"Class: {name}{i} SubClassOf: {f'{name}{i - 1}' if i > 1 else below}"
+                     for i in range(1, n + 1))
+
+
+def chain_and_band_text(depth=200, band=120):
+    """A chain K{depth} < ... < K1 < Top and band classes, each below two
+    chain classes, as Manchester text: 321 classes by default."""
+    rng = random.Random(5)
+    lines = ["Prefix: : <urn:deep#>", "Class: Top", chain_fragment("K", depth, "Top")]
+    for j in range(band):
+        a, b = rng.sample(range(1, depth + 1), 2)
+        lines.append(f"Class: B{j} SubClassOf: K{a}, K{b}")
+    return "\n".join(lines)
+
+
+class TestIntegerIds:
+    """Reading and extending run on ids: no ClassRef is hashed, and the
+    class and edge sets are built only when asked for."""
+
+    def test_reading_hashes_no_class(self, monkeypatch):
+        ks, edges, top = chain(10000)
+        base = Taxonomy(ks, edges, top)
+        hashed = []
+        real_hash = ClassRef.__hash__
+
+        def counting_hash(c):
+            hashed.append(c)
+            return real_hash(c)
+
+        monkeypatch.setattr(ClassRef, "__hash__", counting_hash)
+        t = parse_taxonomy(chain_and_band_text())
+        ext = base.extend(chain_fragment("E", 300, "K10000"))
+        assert hashed == []
+        assert repr(t) == "Taxonomy(321 classes, top=Top)"
+        assert ext.leq(ext.lookup("E300"), ks[1]) and not ext.leq(ks[1], ext.lookup("E1"))
+        assert base._classes is None and base._edges is None
+        monkeypatch.undo()
+        assert len(ext.classes) == 10301 and (ext.lookup("E1"), ks[10000]) in ext.subclass_edges
