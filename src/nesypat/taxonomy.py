@@ -345,7 +345,7 @@ _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 _IRI = r"<[^>]*>"
 _QUOTED = r"'[^'\n]*'"
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-_CLOSED_RE = re.compile(f"{_IRI}|{_QUOTED}|{_STRING}")
+_CLOSED = f"{_IRI}|{_QUOTED}|{_STRING}"  # compiled on first use only
 
 # Whitespace (group 1), then one token (group 2); alternatives are tried
 # in order.  Names, numbers, string literals and single characters
@@ -382,7 +382,7 @@ def _tokenize_manchester(text: str) -> list[tuple[str, str]]:
     toks = _MANCHESTER_RE.findall(text, 0, end)
     if toks:
         last = toks[-1][1]
-        if last[0] in _UNTERMINATED and not _CLOSED_RE.fullmatch(last):
+        if last[0] in _UNTERMINATED and not re.fullmatch(_CLOSED, last):
             line, col = _positions(text)(end - len(last))
             raise ParseError(_UNTERMINATED[last[0]], line=line, col=col)
     toks.append((text[end:], ""))
@@ -643,9 +643,12 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         if top is None and len(roots) == 1:
             top = roots[0]
         elif top is None:
+            # A fresh root, or the class of its IRI, which is then below a
+            # root: a cycle.  _mint rejects a fresh root whose name a
+            # class below a root has.
             iri = namespace + TOP_LOCAL_NAME
             top = added.get(iri)
-            if top is None:  # a fresh root, unless a class below one has its name
+            if top is None:
                 other = taken.get(TOP_LOCAL_NAME)
                 at = first[cls.index(added[other.iri])] if other else 0
                 top = len(refs)

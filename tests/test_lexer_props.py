@@ -211,18 +211,16 @@ def positioned(text):
     return out
 
 
-@DIFFERENTIAL
-@given(manchester_texts()
-       | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
-                  max_size=20).map("".join))
-def test_manchester_tokens_match_reference(text):
-    got = tokens(positioned, text)
-    assert got == tokens(reference_tokenize_manchester, text), text
-
-
 MANCHESTER_TEXTS = (manchester_texts()
                     | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
                                max_size=20).map("".join))
+
+
+@DIFFERENTIAL
+@given(MANCHESTER_TEXTS)
+def test_manchester_tokens_match_reference(text):
+    got = tokens(positioned, text)
+    assert got == tokens(reference_tokenize_manchester, text), text
 
 
 def read_outcome(read, text):
