@@ -618,7 +618,7 @@ def _ref_tokenize_manchester(text: str) -> list[tuple[str, str, int]]:
 
 def reference_parse_taxonomy(text: str, diagnostics=None,
                              source_name: str = "<ontology>") -> Taxonomy:
-    """The parent reader's ``parse_taxonomy``: a declared
+    """The replaced reader's ``parse_taxonomy``: a declared
     NeSy_Pattern_Element is the top whether or not it states a
     superclass."""
     try:
@@ -635,7 +635,7 @@ def reference_parse_taxonomy(text: str, diagnostics=None,
 
 
 def reference_extend(base: Taxonomy, fragment: str, diagnostics=None) -> Taxonomy:
-    """The parent reader's ``Taxonomy.extend``."""
+    """The replaced reader's ``Taxonomy.extend``."""
     if not fragment.strip():
         return base
     added, edges, roots, _ = _ref_read_classes(fragment, diagnostics,
