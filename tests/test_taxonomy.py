@@ -421,6 +421,15 @@ class TestExtend:
                 if default.leq(a, b):
                     assert ext.leq(a, b)
 
+    def test_axiom_on_a_base_class_leaves_the_base_alone(self):
+        ks, edges, top = chain(3)
+        x = ClassRef("urn:chain#X", "X")
+        base = Taxonomy([*ks, x], edges | {(x, top)}, top)
+        ext = base.extend("Class: X SubClassOf: K3")
+        assert ext.leq(x, ks[3]) and not base.leq(x, ks[3])
+        assert base.subclass_edges == edges | {(x, top)}
+        assert ext.subclass_edges == base.subclass_edges | {(x, ks[3])}
+
     def test_new_root_goes_under_top(self, default):
         ext = default.extend("Class: Gadget")
         assert ext.leq(ext.lookup("Gadget"), ext.top)
