@@ -478,6 +478,20 @@ class TestTaxonomyInvariants:
                      {(z1, z2), (z2, z1), (z2, a), (a, top)}, top)
         assert e.value.message == "subclass axioms form a cycle through Z1"
 
+    def test_errors_name_the_first_class_by_iri(self):
+        # Ids follow the order classes are read or given in; the class an
+        # error names does not.
+        with pytest.raises(CycleError) as e:
+            parse_taxonomy("Class: Z2 SubClassOf: Z1\nClass: Z1 SubClassOf: Z2")
+        assert e.value.message == "subclass axioms form a cycle through Z1"
+        top, a, b = (ClassRef(f"urn:x#{n}", n) for n in "TAB")
+        with pytest.raises(ValueError, match="class A does not reach the top class"):
+            Taxonomy([top, b, a], [], top)
+        t1, t2, u1, u2 = (ClassRef(f"urn:{ns}#{n}", n)
+                          for ns, n in ("bT", "cT", "aU", "dU"))
+        with pytest.raises(ValueError, match="duplicate local name 'T'"):
+            Taxonomy([u2, u1, t1, t2], [(u2, t1), (u1, t1), (t2, t1)], t1)
+
     def test_self_loop_is_a_cycle(self):
         a, top = ClassRef("urn:x#A", "A"), ClassRef("urn:x#T", "T")
         with pytest.raises(CycleError) as e:
