@@ -30,7 +30,8 @@ from .library import Library
 from .network import build_network
 from .pattern import Pattern, build_pattern
 from .refinement import Refinement, check_refinement, infer_refinement
-from .taxonomy import _IRI, _QUOTED, _STRING, ClassRef, Taxonomy, default_taxonomy
+from .taxonomy import (_IRI, _NAME_START, _QUOTED, _STRING, ClassRef, Taxonomy,
+                       default_taxonomy)
 
 LOGIC_NAME = "NeSyPatterns"
 
@@ -39,9 +40,9 @@ _KEYWORDS = frozenset({
     "then", "refined", "to", "via", "end",
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
-#: A Manchester IRI, quoted name or string literal (group 1), or a run
-#: of whitespace.
-_SPACE_OUTSIDE_QUOTES_RE = re.compile(rf"({_IRI}|{_QUOTED}|{_STRING})|\s+")
+#: A run of non-space text in which a Manchester IRI, quoted name or
+#: string literal keeps its whitespace (compiled on first use only).
+_WORD = rf"(?:[^\s<'\"]+|{_IRI}|{_QUOTED}|{_STRING}|\S)+"
 
 
 # -- AST --------------------------------------------------------------------
@@ -66,14 +67,16 @@ class OntRef(NamedTuple):
     ext_col: int = 0
 
     def key(self) -> str:
-        """Normalized clause text, used to index Library.taxonomies.
-        Whitespace is collapsed, except inside the IRIs, quoted names and
-        string literals of the extension, where it is part of a name."""
-        if self.extension is None:
+        """Normalized clause text, used to index Library.taxonomies: the
+        words of the extension joined by single spaces.  An IRI, quoted
+        name or string literal in a word keeps its whitespace; without
+        any of ``<'"`` the words are those of ``str.split``."""
+        ext = self.extension
+        if ext is None:
             return self.base
-        collapsed = _SPACE_OUTSIDE_QUOTES_RE.sub(
-            lambda m: m[1] or " ", self.extension).strip()
-        return f"{{ {self.base} then {collapsed} }}"
+        words = (re.findall(_WORD, ext) if "<" in ext or "'" in ext or '"' in ext
+                 else ext.split())
+        return f"{{ {self.base} then {' '.join(words)} }}"
 
 
 class PatternDecl(NamedTuple):
@@ -107,220 +110,239 @@ class Document(NamedTuple):
 
 # -- reader -------------------------------------------------------------------
 
-#: Whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line comments.
-_TRIVIA = r"(?:\s|%%[^\n]*)*"
-_TRIVIA_RE = re.compile(_TRIVIA)
-#: Trivia, then a symbol or a name if one starts there.
-_TOKEN_RE = re.compile(
-    _TRIVIA + "(?:(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS))
-    + r")|(?P<name>[A-Za-z_][A-Za-z0-9_]*))?")
+#: Trivia is whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line
+#: comments.  A token is a name, a symbol or any other character but
+#: whitespace, an error once the parser reaches it.  A tokenizing pass ends
+#: at a ``then`` name token (``_THEN_RE`` also finds the word in comments).
+_TRIVIA_RE = re.compile(r"\s*(?:%%[^\n]*\s*)*")
+_COMMENT_RE = re.compile(r"%%[^\n]*")
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\|->|->|\S)")
+_THEN_RE = re.compile(r"then(?<![A-Za-z0-9_]then)(?![A-Za-z0-9_])")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
-_BRACE_RE = re.compile(r"[{}]")
+
+
+def _stray(value: str) -> bool:
+    """Whether a token is a character that starts no symbol or name."""
+    return value != "" and value not in _SYMBOLS and value[0] not in _NAME_START
 
 
 class _Parser:
-    """Recursive descent over token lists.
-
-    A token is a ``(kind, value, offset)`` tuple, its kind ``"name"``, a
-    symbol, ``"eof"`` or ``"error"`` (an unexpected character, an error
-    once the parser reaches it).  The text is tokenized a segment at a
-    time, each up to and including a ``data`` or ``then``, after which
-    the parser may read raw text: an ontology reference (a maximal
-    non-space run, so CURIEs and URLs stay whole) or a Manchester
-    fragment (up to the matching brace).  Other segments end at the end
-    of the text or at an unexpected character.  Positions come from
-    offsets, and only for what a node or an error keeps.
+    """Recursive descent over tokens read by index from ``toks``, where
+    one C-level ``split`` of the text (comments blanked out) puts token
+    ``k`` (an odd index; ``""`` at the end) behind trivia ``k - 1``.
+    Offsets are summed on from the last token placed (``placed``, at
+    ``offset``), only where a node, a declaration, a raw read or an
+    error keeps a position.  The ontology reference after ``data`` (a
+    maximal non-space run, so CURIEs and URLs stay whole) and the
+    fragment after ``then`` (up to the matching brace) are read raw, by
+    offset.  No token spans whitespace or a brace, so reading goes on at
+    the first token behind them, unless a ``%%`` in the raw text began a
+    comment that runs on past its end or the pass ended at the ``then``:
+    only then is the rest tokenized again.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.at = _positions(text)
-        self.scan(0)
+        self.tokenize(0)
 
-    def scan(self, start: int) -> None:
-        """Tokenize the segment that starts at offset ``start``."""
-        text = self.text
-        toks: list[tuple[str, str, int]] = []
-        append = toks.append
-        for m in _TOKEN_RE.finditer(text, start):
-            kind = m.lastgroup
-            if kind is None:
+    def tokenize(self, pos: int) -> None:
+        """Tokenize from offset ``pos`` to the end of the text or of the
+        next ``then`` token, which only a raw read goes on behind."""
+        text, end = self.text, len(self.text)
+        for m in _THEN_RE.finditer(text, pos):
+            if text.find("%%", text.rfind("\n", pos, m.start()) + 1 or pos,
+                         m.start()) < 0:
                 end = m.end()
-                append(("error", text[end], end) if end < len(text)
-                       else ("eof", "", end))
                 break
-            value = m[kind]
-            append((value if kind == "symbol" else kind, value, m.start(kind)))
-            if value == "data" or value == "then":
-                break
-        self.toks, self.i, self.end = toks, 0, m.end()
+        segment = text[pos:end]
+        if "%%" in segment:  # blank out comments: trivia, of the same length
+            segment = _COMMENT_RE.sub(lambda m: " " * len(m[0]), segment)
+        toks = _TOKEN_RE.split(segment)
+        toks.append("")
+        self.toks, self.end = toks, end
+        self.k = self.placed = 1
+        self.offset = pos + len(toks[0])
+
+    def place(self, k: int) -> int:
+        """The offset of token ``k``, at or behind the last token placed."""
+        self.offset += sum(map(len, self.toks[self.placed:k]))
+        self.placed = k
+        return self.offset
+
+    def resume(self, pos: int) -> None:
+        """Go on reading behind raw text that ends at offset ``pos``."""
+        toks, k, offset = self.toks, self.placed, self.offset
+        if pos < self.end:
+            while offset < pos:
+                offset += len(toks[k]) + len(toks[k + 1])
+                k += 2
+            if _TRIVIA_RE.match(self.text, pos).end() == offset:
+                self.k = self.placed = k
+                self.offset = offset
+                return
+        self.tokenize(pos)
 
     def error(self, message: str, offset: int, expected=()) -> ParseError:
         line, col = self.at(offset)
         return ParseError(message, line=line, col=col, expected=expected)
 
-    def unexpected(self, tok, what: str, *expected: str) -> ParseError:
-        """``expected <what>, found <tok>``, placed at ``tok``."""
-        kind, value, offset = tok
-        if kind == "error":
+    def unexpected(self, k: int, what: str, *expected: str) -> ParseError:
+        """``expected <what>, found <token k>``, placed at that token."""
+        value, offset = self.toks[k], self.place(k)
+        if _stray(value):
             return self.error(f"unexpected character {value!r}", offset)
         return self.error(f"expected {what}, found {value or 'end of input'!r}",
                           offset, expected)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise self.unexpected(tok, repr(kind), kind)
-        self.i += 1
-        return tok
-
-    def expect_keyword(self, word: str) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        if tok[0] != "name" or tok[1] != word:
-            raise self.unexpected(tok, repr(word), word)
-        self.i += 1
-        return tok
+    def expect(self, token: str) -> None:
+        if self.toks[self.k] != token:
+            raise self.unexpected(self.k, repr(token), token)
+        self.k += 2
 
     def expect_name(self, what: str = "a name") -> str:
-        tok = self.toks[self.i]
-        if tok[0] != "name" or tok[1] in _KEYWORDS:
-            raise self.unexpected(tok, what, what)
-        self.i += 1
-        return tok[1]
+        value = self.toks[self.k]
+        if value[:1] not in _NAME_START or value in _KEYWORDS:
+            raise self.unexpected(self.k, what, what)
+        self.k += 2
+        return value
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.toks[self.i]
-        return tok[0] == "name" and tok[1] == word
+    def declaration(self) -> tuple[int, int]:
+        """Step over a declaration's keyword; return its position."""
+        k = self.k
+        self.k = k + 2
+        return self.at(self.place(k))
 
     def document(self) -> Document:
-        self.expect_keyword("logic")
-        self.expect_keyword(LOGIC_NAME)
+        self.expect("logic")
+        self.expect(LOGIC_NAME)
         decls = []
         while True:
-            tok = self.peek()
-            if tok[0] == "eof":
-                break
-            if self.at_keyword("pattern"):
+            value = self.toks[self.k]
+            if value == "pattern":
                 decls.append(self.pattern_decl())
-            elif self.at_keyword("refinement"):
+            elif value == "refinement":
                 decls.append(self.refinement_decl())
-            elif self.at_keyword("network"):
+            elif value == "network":
                 decls.append(self.network_decl())
+            elif not value:
+                return Document(tuple(decls))
             else:
-                raise self.unexpected(tok, "a declaration",
+                raise self.unexpected(self.k, "a declaration",
                                       "pattern", "refinement", "network")
-        return Document(tuple(decls))
 
     def pattern_decl(self) -> PatternDecl:
-        line, col = self.at(self.expect_keyword("pattern")[2])
+        line, col = self.declaration()
         name = self.expect_name("a pattern name")
         self.expect("=")
-        if self.at_keyword("combine"):
-            self.i += 1
+        if self.toks[self.k] == "combine":
+            self.k += 2
             net = self.expect_name("a network name")
-            self.expect_keyword("end")
+            self.expect("end")
             return PatternDecl(name, None, (), net, line, col)
-        self.expect_keyword("data")
+        self.expect("data")
         ont = self.data_clause()
         return PatternDecl(name, ont, self.chains(), None, line, col)
 
     def data_clause(self) -> OntRef:
-        """The ontology reference after ``data``, which ends a segment,
-        read raw, optionally braced and extended after ``then``."""
-        text = self.text
-        m = _TOKEN_RE.match(text, self.end)  # the token after ``data``
-        kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        if kind is None and start < len(text):
-            raise self.error(f"unexpected character {text[start]!r}", start)
-        braced = text.startswith("{", start)
-        if braced:
-            start = _TRIVIA_RE.match(text, start + 1).end()
+        """The ontology reference after ``data``, optionally braced and
+        extended after ``then``; the token after ``data`` must lex."""
+        text, k = self.text, self.k
+        if _stray(self.toks[k]):
+            raise self.unexpected(k, "an ontology reference")
+        braced = self.toks[k] == "{"
+        start = self.place(k + 2 * braced)
         end = _ONTREF_RE.match(text, start).end()
         if end == start:
             raise self.error("expected an ontology reference", start,
                              ("CURIE", "IRI"))
         line, col = self.at(start)
-        self.scan(end)
         base = text[start:end]
+        self.resume(end)
         if not braced:
             return OntRef(base, None, line, col)
-        tok = self.peek()
-        if tok[0] == "}":
-            self.i += 1
+        k = self.k
+        if self.toks[k] == "}":
+            self.k = k + 2
             return OntRef(base, None, line, col)
-        if tok[0] != "name" or tok[1] != "then":
-            raise self.unexpected(tok, "'then' or '}'", "then", "}")
-        # ``then`` ends its segment: the fragment runs from there to the
-        # brace closing the data clause.
-        start = _TRIVIA_RE.match(text, self.end).end()
+        if self.toks[k] != "then":
+            raise self.unexpected(k, "'then' or '}'", "then", "}")
+        # The fragment runs to the brace that closes the data clause.
+        start = end = _TRIVIA_RE.match(text, self.offset + 4).end()
         depth = 1
-        for m in _BRACE_RE.finditer(text, start):
-            depth += 1 if m[0] == "{" else -1
-            if depth == 0:
-                frag_line, frag_col = self.at(start)
-                self.scan(m.end())
-                return OntRef(base, text[start:m.start()], line, col,
-                              frag_line, frag_col)
-        raise self.error("unterminated data clause, expected '}'", start, ("}",))
+        while depth:
+            close = text.find("}", end)
+            if close < 0:
+                raise self.error("unterminated data clause, expected '}'",
+                                 start, ("}",))
+            depth += text.count("{", end, close) - 1
+            end = close + 1
+        frag_line, frag_col = self.at(start)
+        self.resume(end)
+        return OntRef(base, text[start:close], line, col, frag_line, frag_col)
 
     def chains(self) -> tuple[Chain, ...]:
-        """The chains of a pattern body, up to and including its ``end``."""
-        toks, i, at = self.toks, self.i, self.at
+        """The chains of a pattern body, up to and including its ``end``.
+        ``offset`` is kept at the end of the last token read."""
+        toks, k, at = self.toks, self.k, self.at
+        offset = self.place(k) - len(toks[k - 1])
+        new = tuple.__new__  # NodeRef(...) without its Python-level __new__
         chains = []
         while True:
-            kind, value, off = toks[i]
-            if kind == "name" and value == "end":
+            value = toks[k]
+            if value == "end":
                 break
-            if kind == "eof":
-                raise self.error("unterminated pattern, expected 'end'", off,
-                                 ("end",))
+            if not value:
+                raise self.error("unterminated pattern, expected 'end'",
+                                 self.place(k), ("end",))
             refs = []
             while True:  # one node reference, then '->' or ';'
-                kind, value, off = tok = toks[i]
-                if kind != "name" or value in _KEYWORDS:
+                value = toks[k]
+                if value[:1] not in _NAME_START or value in _KEYWORDS:
                     what = "a node or class token"
-                    raise self.unexpected(tok, what, what)
-                line, col = at(off)
-                if toks[i + 1][0] == ":":
-                    cls = toks[i + 2]
-                    if cls[0] != "name" or cls[1] in _KEYWORDS:
-                        raise self.unexpected(cls, "a class token", "a class token")
-                    refs.append(NodeRef(value, cls[1], line, col))
-                    i += 3
+                    raise self.unexpected(k, what, what)
+                offset += len(toks[k - 1])
+                line, col = at(offset)
+                offset += len(value)
+                if toks[k + 2] == ":":
+                    cls = toks[k + 4]
+                    if cls[:1] not in _NAME_START or cls in _KEYWORDS:
+                        raise self.unexpected(k + 4, "a class token",
+                                              "a class token")
+                    refs.append(new(NodeRef, (value, cls, line, col)))
+                    offset += len(toks[k + 1]) + 1 + len(toks[k + 3]) + len(cls)
+                    k += 6
                 else:
-                    refs.append(NodeRef(None, value, line, col))
-                    i += 1
-                sep = toks[i][0]
-                i += 1
+                    refs.append(new(NodeRef, (None, value, line, col)))
+                    k += 2
+                sep = toks[k]
+                offset += len(toks[k - 1]) + len(sep)
+                k += 2
                 if sep == ";":
                     break
                 if sep != "->":
-                    raise self.unexpected(toks[i - 1], "'->' or ';'", "->", ";")
-            chains.append(Chain(tuple(refs)))
-        self.i = i + 1
+                    raise self.unexpected(k - 2, "'->' or ';'", "->", ";")
+            chains.append(new(Chain, (tuple(refs),)))
+        self.placed, self.offset, self.k = k, offset + len(toks[k - 1]), k + 2
         return tuple(chains)
 
     def refinement_decl(self) -> RefinementDecl:
-        line, col = self.at(self.expect_keyword("refinement")[2])
+        line, col = self.declaration()
         name = self.expect_name("a refinement name")
         self.expect("=")
         source = self.expect_name("a pattern name")
-        self.expect_keyword("refined")
-        self.expect_keyword("to")
+        self.expect("refined")
+        self.expect("to")
         target = self.expect_name("a pattern name")
         explicit = None
-        if self.at_keyword("via"):
-            self.i += 1
+        if self.toks[self.k] == "via":
+            self.k += 2
             pairs = [self.map_pair()]
-            while self.peek()[0] == ",":
-                self.i += 1
+            while self.toks[self.k] == ",":
+                self.k += 2
                 pairs.append(self.map_pair())
             explicit = tuple(pairs)
-        self.expect_keyword("end")
+        self.expect("end")
         return RefinementDecl(name, source, target, explicit, line, col)
 
     def map_pair(self) -> tuple[str, str]:
@@ -330,14 +352,14 @@ class _Parser:
         return (a, b)
 
     def network_decl(self) -> NetworkDecl:
-        line, col = self.at(self.expect_keyword("network")[2])
+        line, col = self.declaration()
         name = self.expect_name("a network name")
         self.expect("=")
         members = [self.expect_name("a member name")]
-        while self.peek()[0] == ",":
-            self.i += 1
+        while self.toks[self.k] == ",":
+            self.k += 2
             members.append(self.expect_name("a member name"))
-        self.expect_keyword("end")
+        self.expect("end")
         return NetworkDecl(name, tuple(members), line, col)
 
 
