@@ -40,8 +40,7 @@ _KEYWORDS = frozenset({
     "then", "refined", "to", "via", "end",
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
-#: A run of non-space text in which a Manchester IRI, quoted name or
-#: string literal keeps its whitespace (compiled on first use only).
+#: A word in which an IRI, quoted name or string literal keeps its spaces.
 _WORD = rf"(?:[^\s<'\"]+|{_IRI}|{_QUOTED}|{_STRING}|\S)+"
 
 
@@ -68,9 +67,7 @@ class OntRef(NamedTuple):
 
     def key(self) -> str:
         """Normalized clause text, used to index Library.taxonomies: the
-        words of the extension joined by single spaces.  An IRI, quoted
-        name or string literal in a word keeps its whitespace; without
-        any of ``<'"`` the words are those of ``str.split``."""
+        extension's words (see ``_WORD``) joined by single spaces."""
         ext = self.extension
         if ext is None:
             return self.base
@@ -113,7 +110,8 @@ class Document(NamedTuple):
 #: Trivia is whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line
 #: comments.  A token is a name, a symbol or any other character but
 #: whitespace, an error once the parser reaches it.  A tokenizing pass ends
-#: at a ``then`` name token (``_THEN_RE`` also finds the word in comments).
+#: at a ``then`` name token, since a valid one is followed by a fragment
+#: that is read raw (``_THEN_RE`` also finds the word in comments).
 _TRIVIA_RE = re.compile(r"\s*(?:%%[^\n]*\s*)*")
 _COMMENT_RE = re.compile(r"%%[^\n]*")
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\|->|->|\S)")
@@ -127,19 +125,16 @@ def _stray(value: str) -> bool:
 
 
 class _Parser:
-    """Recursive descent over tokens read by index from ``toks``, where
-    one C-level ``split`` of the text (comments blanked out) puts token
-    ``k`` (an odd index; ``""`` at the end) behind trivia ``k - 1``.
-    Offsets are summed on from the last token placed (``placed``, at
-    ``offset``), only where a node, a declaration, a raw read or an
-    error keeps a position.  The ontology reference after ``data`` (a
-    maximal non-space run, so CURIEs and URLs stay whole) and the
-    fragment after ``then`` (up to the matching brace) are read raw, by
-    offset.  No token spans whitespace or a brace, so reading goes on at
-    the first token behind them, unless a ``%%`` in the raw text began a
-    comment that runs on past its end or the pass ended at the ``then``:
-    only then is the rest tokenized again.
-    """
+    """Recursive descent over ``toks``: one C-level ``split`` of the text
+    (comments blanked out) puts token ``k`` (odd; ``""`` at the end)
+    behind trivia ``k - 1``.  Offsets are summed on from the last token
+    placed, only where a node, a declaration, a raw read or an error
+    keeps a position.  The ontology reference after ``data`` (a maximal
+    non-space run, so CURIEs and URLs stay whole) and the fragment after
+    ``then`` (to the matching brace) are read raw, by offset.  No token
+    spans whitespace or a brace, so reading goes on at the first token
+    behind them, unless a ``%%`` in the raw text began a comment that
+    runs on past its end or the pass ended at the ``then``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -151,8 +146,8 @@ class _Parser:
         next ``then`` token, which only a raw read goes on behind."""
         text, end = self.text, len(self.text)
         for m in _THEN_RE.finditer(text, pos):
-            if text.find("%%", text.rfind("\n", pos, m.start()) + 1 or pos,
-                         m.start()) < 0:
+            line = text.rfind("\n", pos, m.start()) + 1 or pos
+            if text.find("%%", line, m.start()) < 0:  # not in a comment
                 end = m.end()
                 break
         segment = text[pos:end]
@@ -160,8 +155,7 @@ class _Parser:
             segment = _COMMENT_RE.sub(lambda m: " " * len(m[0]), segment)
         toks = _TOKEN_RE.split(segment)
         toks.append("")
-        self.toks, self.end = toks, end
-        self.k = self.placed = 1
+        self.toks, self.end, self.k, self.placed = toks, end, 1, 1
         self.offset = pos + len(toks[0])
 
     def place(self, k: int) -> int:
@@ -171,15 +165,16 @@ class _Parser:
         return self.offset
 
     def resume(self, pos: int) -> None:
-        """Go on reading behind raw text that ends at offset ``pos``."""
+        """Go on reading behind raw text that ends at offset ``pos``: at
+        the first token there, if this pass reaches past ``pos`` and the
+        trivia from ``pos`` ends at that token; else tokenize again."""
         toks, k, offset = self.toks, self.placed, self.offset
         if pos < self.end:
             while offset < pos:
                 offset += len(toks[k]) + len(toks[k + 1])
                 k += 2
             if _TRIVIA_RE.match(self.text, pos).end() == offset:
-                self.k = self.placed = k
-                self.offset = offset
+                self.k, self.placed, self.offset = k, k, offset
                 return
         self.tokenize(pos)
 

@@ -487,6 +487,23 @@ class ReferenceParser:
         return NetworkDecl(name, tuple(members), kw.line, kw.col)
 
 
+#: A Manchester IRI, quoted name or string literal (group 1), or a run
+#: of whitespace.
+_REF_SPACE_OUTSIDE_QUOTES_RE = re.compile(
+    r"""(<[^>]*>|'[^'\n]*'|"[^"\\]*(?:\\.[^"\\]*)*")|\s+""")
+
+
+def reference_ontref_key(ont: OntRef) -> str:
+    """``OntRef.key`` as it was before it joined words: one ``sub`` that
+    collapses each run of whitespace outside IRIs, quoted names and
+    string literals, through a Python callback."""
+    if ont.extension is None:
+        return ont.base
+    collapsed = _REF_SPACE_OUTSIDE_QUOTES_RE.sub(
+        lambda m: m[1] or " ", ont.extension).strip()
+    return f"{{ {ont.base} then {collapsed} }}"
+
+
 _REF_MANCHESTER_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 _REF_NUMBER_RE = re.compile(r"[0-9][A-Za-z0-9_.\-]*")
 

@@ -2,7 +2,8 @@
 
 ``dsl.parse`` must give the same Document or the same ParseError as
 ``helpers.reference_parse``, the peek/next parser over the
-per-character lexer it replaced.  ``taxonomy._tokenize_manchester``
+per-character lexer it replaced, and ``OntRef.key`` the same key as
+``helpers.reference_ontref_key``.  ``taxonomy._tokenize_manchester``
 must give the same tokens, at the same line and column, or the same
 ParseError as ``helpers.reference_tokenize_manchester``.  On any text,
 ``parse`` raises nothing but ParseError, and ``parse_taxonomy`` and
@@ -21,11 +22,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     _ref_read_classes,
     reference_extend,
+    reference_ontref_key,
     reference_parse,
     reference_parse_taxonomy,
     reference_tokenize_manchester,
 )
-from nesypat.dsl import parse
+from nesypat.dsl import OntRef, parse
 from nesypat.errors import CycleError, NesyError, ParseError, _positions
 from nesypat.taxonomy import (
     TOP_LOCAL_NAME,
@@ -50,6 +52,11 @@ DECLARATIONS = [
     "refinement S = P refined to Q via x |-> e, y |-> e end",
     "refinement T = P refined to Q end",
     "network N = P, Q, S end",
+    # an ontology reference that a comment runs on past, one that a then
+    # ends, and a then-fragment with a comment that runs on past its brace
+    "pattern O = data o:x%%y o : Model; end",
+    "pattern T = data { o:then } t : Model; end",
+    "pattern U = data { o:x then Class: U %% }\n u : U; end",
 ]
 PIECES = [
     # keywords, names and symbols
@@ -62,6 +69,8 @@ PIECES = [
     "{ o:x then { a { b } } }", "%% data\n", "%% then {\n", "%%{ then",
     # chains across the end of a segment
     "x -> data -> y;", "a : then b;", "p -> then { q }",
+    # raw text that runs past a comment's start or a then
+    "o:x%%y", "o:then", "%%then\n", "then%%",
     # whitespace, including Unicode spaces that str.isspace accepts
     " ", "\n", "\t", "\r", "\r\n", "\x1c", "\x85", "\xa0", " ",
 ]
@@ -214,6 +223,23 @@ def positioned(text):
 MANCHESTER_TEXTS = (manchester_texts()
                     | st.lists(st.sampled_from(MANCHESTER_PIECES) | st.text(max_size=3),
                                max_size=20).map("".join))
+
+
+#: Whitespace that ``str.isspace`` accepts, beyond that of MANCHESTER_PIECES.
+SPACES = ["\x0b", "\x0c", "\x1d", "\x1e", "\x1f", "\x85", "\u1680",
+          "\u2000", "\u2028", "\u2029", "\u202f", "\u3000"]
+
+
+@DIFFERENTIAL
+@given(MANCHESTER_TEXTS
+       | st.lists(st.sampled_from(MANCHESTER_PIECES + SPACES) | st.text(max_size=3),
+                  max_size=20).map("".join))
+def test_ontref_key_matches_reference(fragment):
+    # Unterminated <, ' and ", escaped quotes in string literals and
+    # Unicode spaces: the words OntRef.key joins must give the key the
+    # whitespace-collapsing sub gave.
+    for ont in (OntRef("o:x", fragment, 1, 1), OntRef(fragment, None, 1, 1)):
+        assert ont.key() == reference_ontref_key(ont), fragment
 
 
 @DIFFERENTIAL

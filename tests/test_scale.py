@@ -1,0 +1,79 @@
+"""Entry points at 10^4 nodes or declarations, each with a wall bound
+and a tracemalloc bound.
+
+The wall bounds leave room for a slow CI machine and still sit well
+under what a quadratic design takes: a reader that tokenized the rest
+of the text again behind each `data` clause took 0.6 s for 500 and 3 s
+for 1,000 of the declarations below (shared 2-vCPU VM).  The memory bounds leave half again or more over the
+peaks measured on Python 3.11.
+"""
+
+import time
+import tracemalloc
+
+from nesypat.dsl import parse
+
+
+def measure(fn):
+    """``fn()``'s result, the wall time of one call and the tracemalloc
+    peak of another."""
+    start = time.perf_counter()
+    fn()
+    wall = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, wall, peak
+
+
+def chain_document(n: int) -> str:
+    return ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
+            + " -> ".join(f"n{i} : {('Data', 'Training')[i % 2]}"
+                          for i in range(n))
+            + ";\nend\n")
+
+
+def clauses_document(n: int) -> str:
+    """``n`` patterns, each with its own `data` clause; one in ten
+    extends the ontology inline."""
+    blocks = ["logic NeSyPatterns"]
+    for i in range(n):
+        if i % 10:
+            data, cls = "ontohub:NeSyPatterns.omn", "Data"
+        else:
+            data = (f"{{ ontohub:NeSyPatterns.omn then Class: E{i} "
+                    "SubClassOf: Model }")
+            cls = f"E{i}"
+        blocks.append(f"pattern P{i} = data {data}\n  a : {cls} -> b : Model;\nend")
+    return "\n".join(blocks) + "\n"
+
+
+class TestReader:
+    def test_parse_10000_chain(self):
+        # 0.05 s and a 3.4 MiB peak measured.
+        text = chain_document(10000)
+        doc, wall, peak = measure(lambda: parse(text))
+        refs = doc.declarations[0].chains[0].refs
+        assert len(refs) == 10000
+        assert refs[-1] == ("n9999", "Training", 3, 178871)
+        assert wall < 2.0
+        assert peak < 5 * 2**20
+
+    def test_parse_2000_data_clauses(self):
+        # 0.06 s and a 1.4 MiB peak measured.
+        text = clauses_document(2000)
+        doc, wall, peak = measure(lambda: parse(text))
+        decls = doc.declarations
+        assert len(decls) == 2000
+        assert sum(d.ont.extension is not None for d in decls) == 200
+        last = decls[-1]
+        assert (last.name, last.line, last.col) == ("P1999", 5999, 1)
+        assert last.chains[0].refs[1][1:] == ("Model", 6000, 15)
+        ont = decls[1990].ont
+        assert ont.extension == "Class: E1990 SubClassOf: Model "
+        assert (ont.line, ont.col, ont.ext_line, ont.ext_col) == (5972, 24, 5972, 54)
+        assert wall < 2.0
+        assert peak < 3 * 2**20
