@@ -22,8 +22,7 @@ class Catalog:
     IRIs without a file mapping fall back to the built-in route for the
     bundled pattern-element ontology; anything else is fetched over HTTP
     only when ``allow_fetch`` is set, and is a CatalogMissError otherwise.
-    Both maps default to a new empty dict; catalogs are equal when their
-    maps, flag and resolved taxonomies are.
+    Both maps default to a new empty dict.
     """
 
     __slots__ = ("prefixes", "mappings", "allow_fetch", "_cache")
@@ -35,16 +34,6 @@ class Catalog:
         self.mappings = {} if mappings is None else mappings
         self.allow_fetch = allow_fetch
         self._cache: dict[str, Taxonomy] = {}
-
-    def _key(self) -> tuple:
-        return (self.prefixes, self.mappings, self.allow_fetch, self._cache)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # mutable
 
     def __repr__(self):
         return (f"Catalog(prefixes={self.prefixes!r}, "

@@ -19,8 +19,7 @@ class Library:
     materializes one into ``patterns`` on first use, as resolving does for
     every combine-defined pattern a later declaration references.
     ``colimit.evaluate_combines`` materializes all of them into a copy.
-    Each map defaults to a new empty dict; libraries are equal when all
-    five maps are.
+    Each map defaults to a new empty dict.
     """
 
     __slots__ = ("taxonomies", "patterns", "refinements", "networks",
@@ -36,17 +35,6 @@ class Library:
         self.refinements = {} if refinements is None else refinements
         self.networks = {} if networks is None else networks
         self.combine_defs = {} if combine_defs is None else combine_defs
-
-    def _key(self) -> tuple:
-        return (self.taxonomies, self.patterns, self.refinements,
-                self.networks, self.combine_defs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None  # mutable
 
     def __repr__(self):
         return (f"Library({len(self.patterns)} patterns, "

@@ -113,14 +113,21 @@ def build_pattern(name: str, taxonomy: Taxonomy, node_decls, edge_decls) -> Patt
 
 def isomorphic(p: Pattern, q: Pattern) -> bool:
     """True iff some bijection of node sets preserves labels and edges
-    exactly, in both directions.  Node ids play no role.
+    exactly, in both directions.  Node ids play no role in the answer.
 
-    Each node of ``p`` may only go to the nodes of ``q`` with its label,
-    out-degree and in-degree.  An injective edge-preserving map between
-    patterns with equal node and edge counts is such a bijection.
+    The identity on node ids is tried first: when both patterns have the
+    same edges and each node id labeled by the same class in both, it is
+    such a bijection, found in O(n + m) without a search.  Patterns read
+    back from ``emit_dsl`` keep their ids, so a round trip ends here.
+    Otherwise each node of ``p`` may only go to the nodes of ``q`` with
+    its label, out-degree and in-degree, and the map search looks for an
+    injective edge-preserving map, which between patterns with equal
+    node and edge counts is such a bijection.
     """
     if len(p.labels) != len(q.labels) or len(p.edges) != len(q.edges):
         return False
+    if p.edges == q.edges and p.labels == q.labels:
+        return True
     buckets: dict[tuple, int] = {}
     for j, sig in enumerate(_signatures(q)):
         buckets[sig] = buckets.get(sig, 0) | 1 << j
