@@ -2,7 +2,7 @@
 property tests, so a failure found in CI repeats on every run and prints
 the blob that reproduces it.  ``--hypothesis-profile=thorough`` does the
 same with 5000 examples a test, for a deeper search after a change to a
-reader.  Local runs keep the default random search."""
+reader or to the map search.  Local runs keep the default random search."""
 
 from hypothesis import settings
 

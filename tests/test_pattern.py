@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from helpers import isomorphic_oracle, random_pattern
+from nesypat.emitters import emit_manchester
 from nesypat.errors import (
     DuplicateNodeError,
     SelfLoopError,
@@ -11,7 +12,7 @@ from nesypat.errors import (
     UnknownNodeError,
 )
 from nesypat.pattern import PatternNode, build_pattern, isomorphic
-from nesypat.taxonomy import ClassRef, default_taxonomy
+from nesypat.taxonomy import ClassRef, default_taxonomy, parse_taxonomy
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,25 @@ class TestIsomorphic:
             return sorted((x.labels[a].iri, x.labels[b].iri) for a, b in x.edges)
         assert label_pairs(p) != label_pairs(q)
         assert not isomorphic(p, q) and not isomorphic(q, p)
+
+    def test_same_ids_swapped_edge(self, t):
+        # The identity on ids is no bijection here, but swapping a and b is.
+        data = t.lookup("Data")
+        nodes = [("a", data), ("b", data)]
+        p = build_pattern("p", t, nodes, [("a", "b")])
+        q = build_pattern("q", t, nodes, [("b", "a")])
+        assert isomorphic(p, q) and isomorphic(q, p)
+
+    def test_same_ids_decided_without_search(self, t, monkeypatch):
+        # A copy with the same ids, built over a taxonomy read back from
+        # its Manchester text, is decided before the map search, which
+        # would spend its budget writing the map down.
+        p = chain_pattern(t, "p", ["Symbol", "Training", "Model"])
+        u = parse_taxonomy(emit_manchester(t))
+        q = chain_pattern(u, "q", ["Symbol", "Training", "Model"])
+        assert u is not t and q.labels["n0"] is not p.labels["n0"]
+        monkeypatch.setattr("nesypat.pattern.SEARCH_BUDGET", 0)
+        assert isomorphic(p, q) and isomorphic(q, p)
 
     def test_5000_node_chain(self, t):
         labels = ["Data", "Training"] * 2500

@@ -11,7 +11,7 @@ peaks measured on Python 3.11.
 import time
 import tracemalloc
 
-from nesypat.dsl import parse
+from nesypat import Catalog, emit_dsl, isomorphic, parse, resolve
 
 
 def measure(fn):
@@ -29,9 +29,9 @@ def measure(fn):
     return result, wall, peak
 
 
-def chain_document(n: int) -> str:
+def chain_document(n: int, labels=("Data", "Training")) -> str:
     return ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
-            + " -> ".join(f"n{i} : {('Data', 'Training')[i % 2]}"
+            + " -> ".join(f"n{i} : {labels[i % len(labels)]}"
                           for i in range(n))
             + ";\nend\n")
 
@@ -77,3 +77,20 @@ class TestReader:
         assert (ont.line, ont.col, ont.ext_line, ont.ext_col) == (5972, 24, 5972, 54)
         assert wall < 2.0
         assert peak < 3 * 2**20
+
+
+class TestIsomorphic:
+    def test_10000_chain_against_its_round_trip(self):
+        # Both directions: 0.009 s and a 96-byte peak measured.  Before
+        # the identity on node ids was tried first, the map search built
+        # n-bit domains for the n equally labeled nodes: 0.65 s and a
+        # 40.0 MiB peak.
+        lib = resolve(parse(chain_document(10000, ("Training",))),
+                      Catalog.default())
+        back = resolve(parse(emit_dsl(lib)), Catalog.default())
+        p, q = lib.patterns["P"], back.patterns["P"]
+        assert len(q.labels) == 10000 and len(q.edges) == 9999
+        same, wall, peak = measure(lambda: (isomorphic(p, q), isomorphic(q, p)))
+        assert same == (True, True)
+        assert wall < 0.3
+        assert peak < 2**20

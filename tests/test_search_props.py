@@ -45,12 +45,16 @@ def cycles_into_dags(draw):
 @st.composite
 def isomorphism_pairs(draw):
     """Patterns of at most six nodes; half the time ``q`` is ``p``
-    renamed by a random permutation, with one edge possibly reversed."""
+    renamed by a random permutation, with one edge possibly reversed.
+    Half of those permute ``p``'s own ids, so that ``q`` shares them and
+    ``isomorphic`` tries the identity on ids first; the others give
+    ``q`` new ids."""
     p, q = draw(pattern_pairs(max_src=6, max_tgt=6))
     if draw(st.booleans()):
         rng = draw(st.randoms(use_true_random=False))
         ids = list(p.sorted_ids)
-        perm = dict(zip(ids, rng.sample([f"m{i}" for i in ids], len(ids))))
+        names = ids if draw(st.booleans()) else [f"m{i}" for i in ids]
+        perm = dict(zip(ids, rng.sample(names, len(ids))))
         edges = [(perm[a], perm[b]) for a, b in sorted(p.edges)]
         if edges and draw(st.booleans()):
             a, b = edges.pop()
