@@ -5,7 +5,8 @@ refinements and networks.  Pattern bodies name an ontology in a ``data``
 clause (optionally extending it inline after ``then``) and list chains
 of node references; ``x : Class`` introduces or re-references a named
 node, a bare class token creates a fresh anonymous node.  ``%%`` starts
-a line comment.
+a line comment.  The reader splits declaration heads into tokens and
+reads each node reference of a body with one regex match.
 """
 
 from __future__ import annotations
@@ -107,15 +108,19 @@ class Document(NamedTuple):
 
 # -- reader -------------------------------------------------------------------
 
-#: Trivia is whitespace (``\s`` is exactly ``str.isspace``) and ``%%`` line
-#: comments.  A token is a name, a symbol or any other character but
-#: whitespace, an error once the parser reaches it.  A tokenizing pass ends
-#: at a ``then`` name token, since a valid one is followed by a fragment
-#: that is read raw (``_THEN_RE`` also finds the word in comments).
-_TRIVIA_RE = re.compile(r"\s*(?:%%[^\n]*\s*)*")
-_COMMENT_RE = re.compile(r"%%[^\n]*")
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|\|->|->|\S)")
-_THEN_RE = re.compile(r"then(?<![A-Za-z0-9_]then)(?![A-Za-z0-9_])")
+#: Trivia is whitespace (``\s`` is exactly ``str.isspace``) and ``%%``
+#: comments, each to the end of its line.  A token is a name, a symbol or
+#: any other character but whitespace, an error once the parser reaches it.
+#: A node reference is a name, optionally ``:`` and a class name, then
+#: ``->`` or ``;``, each behind trivia; its names may still be keywords.
+_COMMENT = r"%%[^\n]*(?![^\n])"
+_TRIVIA = rf"\s*(?:{_COMMENT}(?:\s*{_COMMENT})*\s*|)"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TRIVIA_RE = re.compile(_TRIVIA)
+_COMMENT_RE = re.compile(_COMMENT)
+_TOKEN_RE = re.compile(rf"({_NAME}|\|->|->|\S)")
+_REF_RE = re.compile(rf"{_TRIVIA}({_NAME}){_TRIVIA}(?::{_TRIVIA}({_NAME}){_TRIVIA}|)(->|;)")
+_DATA_RE = re.compile(r"data(?<![A-Za-z0-9_]data)(?![A-Za-z0-9_])")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
 
 
@@ -124,17 +129,24 @@ def _stray(value: str) -> bool:
     return value != "" and value not in _SYMBOLS and value[0] not in _NAME_START
 
 
+def _is_name(value: str) -> bool:
+    return value[:1] in _NAME_START and value not in _KEYWORDS
+
+
 class _Parser:
-    """Recursive descent over ``toks``: one C-level ``split`` of the text
-    (comments blanked out) puts token ``k`` (odd; ``""`` at the end)
-    behind trivia ``k - 1``.  Offsets are summed on from the last token
-    placed, only where a node, a declaration, a raw read or an error
-    keeps a position.  The ontology reference after ``data`` (a maximal
-    non-space run, so CURIEs and URLs stay whole) and the fragment after
-    ``then`` (to the matching brace) are read raw, by offset.  No token
-    spans whitespace or a brace, so reading goes on at the first token
-    behind them, unless a ``%%`` in the raw text began a comment that
-    runs on past its end or the pass ended at the ``then``."""
+    """Recursive descent over declaration heads, which are tokenized,
+    and pattern bodies, which are not.  A head pass is one C-level
+    ``split`` of the text (comments blanked out) from an offset to the
+    next ``data`` token; token ``k`` (odd; ``""`` at the end) lies behind
+    trivia ``k - 1``, and offsets are summed on from the last token
+    placed, only where a declaration or an error keeps a position.  What
+    follows ``data`` is read raw, by offset: the ontology reference (a
+    maximal non-space run, so CURIEs and URLs stay whole), the fragment
+    after ``then`` (to the matching brace), and the body, one node
+    reference per match of ``_REF_RE``, its line carried on from the
+    newlines before it.  Where no reference matches, the text is
+    tokenized from there: the body's ``end``, or an error the tokens
+    place."""
 
     def __init__(self, text: str):
         self.text = text
@@ -143,9 +155,9 @@ class _Parser:
 
     def tokenize(self, pos: int) -> None:
         """Tokenize from offset ``pos`` to the end of the text or of the
-        next ``then`` token, which only a raw read goes on behind."""
+        next ``data`` token, which only raw text follows."""
         text, end = self.text, len(self.text)
-        for m in _THEN_RE.finditer(text, pos):
+        for m in _DATA_RE.finditer(text, pos):
             line = text.rfind("\n", pos, m.start()) + 1 or pos
             if text.find("%%", line, m.start()) < 0:  # not in a comment
                 end = m.end()
@@ -163,20 +175,6 @@ class _Parser:
         self.offset += sum(map(len, self.toks[self.placed:k]))
         self.placed = k
         return self.offset
-
-    def resume(self, pos: int) -> None:
-        """Go on reading behind raw text that ends at offset ``pos``: at
-        the first token there, if this pass reaches past ``pos`` and the
-        trivia from ``pos`` ends at that token; else tokenize again."""
-        toks, k, offset = self.toks, self.placed, self.offset
-        if pos < self.end:
-            while offset < pos:
-                offset += len(toks[k]) + len(toks[k + 1])
-                k += 2
-            if _TRIVIA_RE.match(self.text, pos).end() == offset:
-                self.k, self.placed, self.offset = k, k, offset
-                return
-        self.tokenize(pos)
 
     def error(self, message: str, offset: int, expected=()) -> ParseError:
         line, col = self.at(offset)
@@ -197,7 +195,7 @@ class _Parser:
 
     def expect_name(self, what: str = "a name") -> str:
         value = self.toks[self.k]
-        if value[:1] not in _NAME_START or value in _KEYWORDS:
+        if not _is_name(value):
             raise self.unexpected(self.k, what, what)
         self.k += 2
         return value
@@ -235,35 +233,38 @@ class _Parser:
             net = self.expect_name("a network name")
             self.expect("end")
             return PatternDecl(name, None, (), net, line, col)
-        self.expect("data")
-        ont = self.data_clause()
-        return PatternDecl(name, ont, self.chains(), None, line, col)
+        self.expect("data")  # the last token of this pass
+        ont, pos = self.data_clause(self.end)
+        return PatternDecl(name, ont, self.chains(pos), None, line, col)
 
-    def data_clause(self) -> OntRef:
-        """The ontology reference after ``data``, optionally braced and
-        extended after ``then``; the token after ``data`` must lex."""
-        text, k = self.text, self.k
-        if _stray(self.toks[k]):
-            raise self.unexpected(k, "an ontology reference")
-        braced = self.toks[k] == "{"
-        start = self.place(k + 2 * braced)
+    def data_clause(self, pos: int) -> tuple[OntRef, int]:
+        """The ontology reference at ``pos``, optionally braced and
+        extended after ``then``, and the offset behind it; the token at
+        ``pos`` must lex."""
+        text = self.text
+        start = _TRIVIA_RE.match(text, pos).end()
+        if _stray((_TOKEN_RE.match(text, start) or [""])[0]):
+            self.tokenize(start)
+            raise self.unexpected(1, "an ontology reference")
+        braced = text.startswith("{", start)
+        if braced:
+            start = _TRIVIA_RE.match(text, start + 1).end()
         end = _ONTREF_RE.match(text, start).end()
         if end == start:
             raise self.error("expected an ontology reference", start,
                              ("CURIE", "IRI"))
         line, col = self.at(start)
         base = text[start:end]
-        self.resume(end)
         if not braced:
-            return OntRef(base, None, line, col)
-        k = self.k
-        if self.toks[k] == "}":
-            self.k = k + 2
-            return OntRef(base, None, line, col)
-        if self.toks[k] != "then":
-            raise self.unexpected(k, "'then' or '}'", "then", "}")
+            return OntRef(base, None, line, col), end
+        pos = _TRIVIA_RE.match(text, end).end()
+        if text.startswith("}", pos):
+            return OntRef(base, None, line, col), pos + 1
+        if (_TOKEN_RE.match(text, pos) or [""])[0] != "then":
+            self.tokenize(pos)
+            raise self.unexpected(1, "'then' or '}'", "then", "}")
         # The fragment runs to the brace that closes the data clause.
-        start = end = _TRIVIA_RE.match(text, self.offset + 4).end()
+        start = end = _TRIVIA_RE.match(text, pos + 4).end()
         depth = 1
         while depth:
             close = text.find("}", end)
@@ -273,53 +274,52 @@ class _Parser:
             depth += text.count("{", end, close) - 1
             end = close + 1
         frag_line, frag_col = self.at(start)
-        self.resume(end)
-        return OntRef(base, text[start:close], line, col, frag_line, frag_col)
+        return (OntRef(base, text[start:close], line, col, frag_line, frag_col),
+                end)
 
-    def chains(self) -> tuple[Chain, ...]:
-        """The chains of a pattern body, up to and including its ``end``.
-        ``offset`` is kept at the end of the last token read."""
-        toks, k, at = self.toks, self.k, self.at
-        offset = self.place(k) - len(toks[k - 1])
+    def chains(self, pos: int) -> tuple[Chain, ...]:
+        """The chains of the pattern body at ``pos``, up to and including
+        its ``end``, behind which tokens are read on."""
+        text, match, rfind = self.text, _REF_RE.match, self.text.rfind
+        line, col = self.at(pos)
+        line_start = seen = pos - col + 1  # newlines before seen are counted
         new = tuple.__new__  # NodeRef(...) without its Python-level __new__
-        chains = []
-        while True:
-            value = toks[k]
-            if value == "end":
+        chains, refs = [], []
+        while (m := match(text, pos)) is not None:
+            name, cls, sep = m.groups()
+            if name in _KEYWORDS or cls in _KEYWORDS:
                 break
-            if not value:
+            start = m.start(1)
+            nl = rfind("\n", seen, start)
+            if nl >= 0:
+                line += text.count("\n", seen, nl) + 1
+                line_start = nl + 1
+            seen = start
+            col = start - line_start + 1
+            refs.append(new(NodeRef, (None, name, line, col) if cls is None
+                            else (name, cls, line, col)))
+            pos = m.end()
+            if sep == ";":
+                chains.append(new(Chain, (tuple(refs),)))
+                refs = []
+        # No reference at pos: the body's end, or an error.
+        self.tokenize(pos)
+        toks = self.toks
+        if not refs:
+            if toks[1] == "end":
+                self.k = 3
+                return tuple(chains)
+            if not toks[1]:
                 raise self.error("unterminated pattern, expected 'end'",
-                                 self.place(k), ("end",))
-            refs = []
-            while True:  # one node reference, then '->' or ';'
-                value = toks[k]
-                if value[:1] not in _NAME_START or value in _KEYWORDS:
-                    what = "a node or class token"
-                    raise self.unexpected(k, what, what)
-                offset += len(toks[k - 1])
-                line, col = at(offset)
-                offset += len(value)
-                if toks[k + 2] == ":":
-                    cls = toks[k + 4]
-                    if cls[:1] not in _NAME_START or cls in _KEYWORDS:
-                        raise self.unexpected(k + 4, "a class token",
-                                              "a class token")
-                    refs.append(new(NodeRef, (value, cls, line, col)))
-                    offset += len(toks[k + 1]) + 1 + len(toks[k + 3]) + len(cls)
-                    k += 6
-                else:
-                    refs.append(new(NodeRef, (None, value, line, col)))
-                    k += 2
-                sep = toks[k]
-                offset += len(toks[k - 1]) + len(sep)
-                k += 2
-                if sep == ";":
-                    break
-                if sep != "->":
-                    raise self.unexpected(k - 2, "'->' or ';'", "->", ";")
-            chains.append(new(Chain, (tuple(refs),)))
-        self.placed, self.offset, self.k = k, offset + len(toks[k - 1]), k + 2
-        return tuple(chains)
+                                 self.place(1), ("end",))
+        what = "a node or class token"
+        if not _is_name(toks[1]):
+            raise self.unexpected(1, what, what)
+        if toks[3] != ":":
+            raise self.unexpected(3, "'->' or ';'", "->", ";")
+        if not _is_name(toks[5]):
+            raise self.unexpected(5, "a class token", "a class token")
+        raise self.unexpected(7, "'->' or ';'", "->", ";")
 
     def refinement_decl(self) -> RefinementDecl:
         line, col = self.declaration()
@@ -420,21 +420,24 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
     named = {ref.name for chain in decl.chains for ref in chain.refs}
     anon = 0
     labels: dict[str, ClassRef] = {}
+    classes: dict[str, ClassRef] = {}  # each class token is looked up once
     edge_decls: list[tuple[str, str]] = []
     for chain in decl.chains:
         prev = None
         for ref in chain.refs:
-            try:
-                cls = taxonomy.lookup(ref.cls)
-            except NesyError as e:
-                raise e.at(ref.line, ref.col)
+            cls = classes.get(ref.cls)
+            if cls is None:
+                try:
+                    cls = classes[ref.cls] = taxonomy.lookup(ref.cls)
+                except NesyError as e:
+                    raise e.at(ref.line, ref.col)
             node_id = ref.name
             if node_id is None:
                 anon += 1
                 while f"anon{anon}" in named:
                     anon += 1
                 node_id = f"anon{anon}"
-            elif node_id in labels and labels[node_id] != cls:
+            elif labels.get(node_id, cls) is not cls:  # one object per class
                 raise LabelMismatchError(
                     f"node {node_id!r} was declared with class "
                     f"{labels[node_id].local_name!r} but recurs "
@@ -599,10 +602,6 @@ def _emit_order(lib: Library) -> list[tuple[str, str]]:
     return order
 
 
-def _safe_ids(p: Pattern) -> dict[str, str]:
-    return _safe_names(p.sorted_ids)
-
-
 def _safe_names(names) -> dict[str, str]:
     """Map each of ``names`` to a name ``parse`` accepts, one-to-one.
 
@@ -642,7 +641,7 @@ def _data_key_for(lib: Library, p: Pattern) -> str:
 
 
 def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str]) -> str:
-    ids = _safe_ids(p)
+    ids = _safe_names(p.sorted_ids)
     lines = [f"pattern {names[p.name]} = data {_data_key_for(lib, p)}"]
     for nid in p.sorted_ids:
         lines.append(f"  {ids[nid]} : {p.labels[nid].local_name};")
@@ -656,9 +655,9 @@ def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str]) -> str:
 def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str]) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
-    src_ids = _safe_ids(r.source) if r.source.name not in lib.combine_defs else None
-    tgt_ids = _safe_ids(r.target) if r.target.name not in lib.combine_defs else None
-    if src_ids is not None and tgt_ids is not None:
+    if r.source.name not in lib.combine_defs and r.target.name not in lib.combine_defs:
+        src_ids = _safe_names(r.source.sorted_ids)
+        tgt_ids = _safe_names(r.target.sorted_ids)
         pairs = ", ".join(f"{src_ids[a]} |-> {tgt_ids[b]}"
                           for a, b in sorted(r.node_map.items()))
         return f"{head} via {pairs} end"

@@ -61,6 +61,9 @@ class Pattern:
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor
+        return Pattern, (self.name, self.taxonomy, self.labels, self.edges)
+
     @property
     def nodes(self) -> frozenset[PatternNode]:
         return frozenset(PatternNode(i, l) for i, l in self.labels.items())

@@ -187,6 +187,9 @@ class Taxonomy:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Taxonomy is immutable")
 
+    def __reduce__(self):  # copy and pickle through the constructor
+        return Taxonomy, (self._refs, self.subclass_edges, self.top, self.namespace)
+
     @property
     def classes(self) -> frozenset:
         if self._classes is None:

@@ -9,7 +9,6 @@ from nesypat.catalog import Catalog
 from nesypat.dsl import (
     _KEYWORDS,
     _declared_names,
-    _safe_ids,
     _safe_names,
     emit_dsl,
     parse,
@@ -60,12 +59,13 @@ def test_emit_parse_resolve_round_trips(lib):
     for name, p in lib.patterns.items():
         q = lib2.patterns[name]
         assert isomorphic(p, q), name
-        assert set(q.labels) == set(_safe_ids(p).values())
+        assert set(q.labels) == set(_safe_names(p.sorted_ids).values())
     assert set(lib2.refinements) == set(lib.refinements)
     for name, r in lib.refinements.items():
         r2 = lib2.refinements[name]
         assert (r2.source.name, r2.target.name) == (r.source.name, r.target.name)
-        src_ids, tgt_ids = _safe_ids(r.source), _safe_ids(r.target)
+        src_ids = _safe_names(r.source.sorted_ids)
+        tgt_ids = _safe_names(r.target.sorted_ids)
         assert r2.node_map == {src_ids[a]: tgt_ids[b]
                                for a, b in r.node_map.items()}
 
@@ -134,7 +134,8 @@ def test_emit_renames_unparseable_declaration_names(lib):
         r2 = lib2.refinements[names[name]]
         assert (r2.source.name, r2.target.name) == (names[r.source.name],
                                                     names[r.target.name])
-        src_ids, tgt_ids = _safe_ids(r.source), _safe_ids(r.target)
+        src_ids = _safe_names(r.source.sorted_ids)
+        tgt_ids = _safe_names(r.target.sorted_ids)
         assert r2.node_map == {src_ids[a]: tgt_ids[b]
                                for a, b in r.node_map.items()}
     assert set(lib2.networks) == {names[n] for n in lib.networks}
