@@ -41,6 +41,10 @@ SETTINGS = settings(deadline=None)
 DIFFERENTIAL = settings(deadline=None,
                         max_examples=max(300, settings().max_examples))
 
+#: A reference split across lines around a comment; CRLF and Unicode
+#: spaces, and data and then in comments, inside a body.
+SPLIT_BODY = ("pattern V = data o:x\r\n  x\n : %% c\n Model ->\x85y\xa0:\x1cData;\r\n"
+              "  %% data then\r\n  Symbol\x1c->\xa0x; end")
 DECLARATIONS = [
     "pattern P = data ontohub:NeSyPatterns.omn x : Model -> y : Data; Symbol; end",
     "pattern Q = data { ontohub:NeSyPatterns.omn then Class: E\n"
@@ -57,6 +61,11 @@ DECLARATIONS = [
     "pattern O = data o:x%%y o : Model; end",
     "pattern T = data { o:then } t : Model; end",
     "pattern U = data { o:x then Class: U %% }\n u : U; end",
+    SPLIT_BODY,
+    # keywords as names in a body
+    "pattern W = data { o:x } w : Model; end : Model; end",
+    "pattern K = data o:x a : data; end",
+    "pattern E = data o:x a -> end; end",
 ]
 PIECES = [
     # keywords, names and symbols
@@ -71,6 +80,9 @@ PIECES = [
     "x -> data -> y;", "a : then b;", "p -> then { q }",
     # raw text that runs past a comment's start or a then
     "o:x%%y", "o:then", "%%then\n", "then%%",
+    # node references, whole, split around a comment or cut off
+    "x\n : %% c\n Model", "end : Model", "a : data", "x : Model ->",
+    "%% data then\n", "x :", ";\r\n",
     # whitespace, including Unicode spaces that str.isspace accepts
     " ", "\n", "\t", "\r", "\r\n", "\x1c", "\x85", "\xa0", " ",
 ]
@@ -116,6 +128,26 @@ def test_dsl_lexer_matches_reference(text):
        .map("".join))
 def test_dsl_lexer_matches_reference_on_pieces(text):
     check_same_parse(text)
+
+
+BODIES = ("logic NeSyPatterns\n" + DECLARATIONS[0] + "\n" + SPLIT_BODY
+          + "\r\n" + DECLARATIONS[3])
+
+
+def test_every_prefix_of_bodies_matches_reference():
+    # Each prefix cuts a body off somewhere: inside a name, a comment, a
+    # CRLF or between the parts of a node reference.
+    for end in range(len(BODIES) + 1):
+        check_same_parse(BODIES[:end])
+
+
+def test_body_positions_count_only_newlines():
+    # \r, \x85 and \x1c are trivia but start no line.
+    text = "logic NeSyPatterns\n" + SPLIT_BODY
+    refs = [r for c in parse(text).declarations[0].chains for r in c.refs]
+    assert [r[2:] for r in refs] == [(3, 3), (5, 11), (7, 3), (7, 13)]
+    assert refs == [r for c in reference_parse(text).declarations[0].chains
+                    for r in c.refs]
 
 
 @SETTINGS

@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from helpers import isomorphic_oracle, random_pattern
+from nesypat import Catalog, parse, resolve
 from nesypat.emitters import emit_manchester
 from nesypat.errors import (
     DuplicateNodeError,
@@ -217,3 +221,29 @@ class TestIsomorphic:
                 for c in pats:
                     if isomorphic(a, b) and isomorphic(b, c):
                         assert isomorphic(a, c)
+
+
+COPIES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+
+def corpus_library():
+    corpus = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
+    return resolve(parse((corpus / "hybrid_model.nesy").read_text()),
+                   Catalog.default())
+
+
+class TestCopy:
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_corpus_pattern_round_trips(self, copier):
+        for p in corpus_library().patterns.values():
+            back = copier(p)
+            assert back == p and hash(back) == hash(p)
+            assert back.sorted_ids == p.sorted_ids
+
+    def test_resolved_library_deep_copies(self):
+        lib = corpus_library()
+        back = copy.deepcopy(lib)
+        assert back.patterns and back.refinements
+        for attr in ("taxonomies", "patterns", "refinements", "networks",
+                     "combine_defs"):
+            assert getattr(back, attr) == getattr(lib, attr), attr

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import time
@@ -433,6 +435,25 @@ class TestExtend:
     def test_new_root_goes_under_top(self, default):
         ext = default.extend("Class: Gadget")
         assert ext.leq(ext.lookup("Gadget"), ext.top)
+
+
+
+COPIES = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+
+class TestCopy:
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_default_taxonomy_round_trips(self, default, copier):
+        back = copier(default)
+        assert back == default
+        assert back.leq(back.lookup("Transformation"), back.lookup("Process"))
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_extended_taxonomy_round_trips(self, default, copier):
+        ext = default.extend("Class: E SubClassOf: Model\nClass: F SubClassOf: E")
+        back = copier(ext)
+        assert back == ext and back != default
+        assert back.leq(back.lookup("F"), back.lookup("Model"))
 
 
 class TestTaxonomyInvariants:
