@@ -10,19 +10,20 @@ were merged into one class would be a self-loop and is an error.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     CyclicCombineError,
     DegenerateLoopError,
     NesyError,
     UndefinedColimitError,
+    UnknownClassError,
     UnknownNameError,
 )
 from .library import Library
 from .network import Network, validate_network
 from .pattern import Pattern
-from .taxonomy import ClassRef
+from .taxonomy import ClassRef, Taxonomy
 
 
 class UnionFind:
@@ -49,6 +50,15 @@ class UnionFind:
         self.parent[rj] = ri
         self.size[ri] += self.size[rj]
 
+    def roots(self) -> list[int]:
+        """The root of every element, in one pass that leaves every path
+        fully compressed; ``size`` of a root is its set's size."""
+        parent = self.parent
+        for i, p in enumerate(parent):
+            if parent[p] != p:
+                parent[i] = self.find(p)
+        return list(parent)
+
 
 class CombinationResult(NamedTuple):
     """The combined pattern plus how each member embeds into it.
@@ -63,90 +73,151 @@ class CombinationResult(NamedTuple):
     classes: dict[str, frozenset[tuple[str, str]]]
 
 
-def combine(net: Network) -> CombinationResult:
-    """Compute the combination of a type-correct network.
+def combine(net: Network, name: str | None = None) -> CombinationResult:
+    """Compute the combination of a type-correct network, a pattern
+    named ``name`` (``combine(<network name>)`` when None).
 
     Raises UndefinedColimitError when a merged class has no label
     infimum, and DegenerateLoopError when merging turns a member edge
-    into a self-loop.
+    into a self-loop; when several classes or edges fail, the error is
+    the one of the class with the smallest name, or of the smallest
+    (pattern, edge).
     """
     validate_network(net)
-    arena: list[tuple[str, str]] = []  # (pattern name, node id)
-    index: dict[tuple[str, str], int] = {}
-    for pname in sorted(net.patterns):
-        p = net.patterns[pname]
-        for nid in p.sorted_ids:
-            index[(pname, nid)] = len(arena)
-            arena.append((pname, nid))
-
-    uf = UnionFind(len(arena))
-    for rname in sorted(net.refinements):
-        r = net.refinements[rname]
-        for n, img in sorted(r.node_map.items()):
-            uf.union(index[(r.source.name, n)],
-                     index[(r.target.name, img)])
-
-    groups: dict[int, list[tuple[str, str]]] = {}
-    for i, member in enumerate(arena):
-        groups.setdefault(uf.find(i), []).append(member)
-
     if not net.patterns:
         raise ValueError(f"network {net.name!r} has no member patterns")
     taxonomy = next(iter(net.patterns.values())).taxonomy
 
-    smallest = {root: min(f"{p}.{n}" for p, n in members)
-                for root, members in groups.items()}
-    class_name: dict[int, str] = {}
+    # The arena: member patterns by name, each one's nodes by id.  Arena
+    # node k is members[k], labeled node_labels[k] and qualified as
+    # names[k]; index[p][n] is the arena node of pattern p's node n.
+    members: list[tuple[str, str]] = []
+    names: list[str] = []
+    node_labels: list[ClassRef] = []
+    index: dict[str, dict[str, int]] = {}
+    for pname in sorted(net.patterns):
+        p = net.patterns[pname]
+        ids = p.sorted_ids
+        index[pname] = dict(zip(ids, range(len(members), len(members) + len(ids))))
+        members += [(pname, nid) for nid in ids]
+        names += [f"{pname}.{nid}" for nid in ids]
+        node_labels += map(p.labels.__getitem__, ids)
+
+    uf = UnionFind(len(members))
+    for r in net.refinements.values():
+        src, tgt = index[r.source.name], index[r.target.name]
+        for n, img in r.node_map.items():
+            uf.union(src[n], tgt[img])
+    root = uf.roots()
+
+    # A class is named after its root: a singleton keeps its node's
+    # qualified name, a merged class takes its smallest member's.
+    size = uf.size
+    singles: list[int] = []
+    groups: dict[int, list[int]] = {}  # merged classes, members in arena order
+    for k, r in enumerate(root):
+        if size[r] > 1:
+            groups.setdefault(r, []).append(k)
+        else:
+            singles.append(k)
+
+    # A class with one label keeps it, as the taxonomy's own class; only
+    # one whose members carry several takes their infimum.
+    known: dict[str, ClassRef] = {}  # label IRI -> the taxonomy's class
+
+    def own(label: ClassRef) -> ClassRef | None:  # None when unknown
+        inf = known.get(label.iri)
+        if inf is None and label in taxonomy:
+            inf = known[label.iri] = taxonomy.infimum((label,))
+        return inf
+
+    merged_label: dict[int, ClassRef] = {}
     labels: dict[str, ClassRef] = {}
-    for root in sorted(groups, key=smallest.__getitem__):
-        members = groups[root]
-        member_labels = {net.patterns[p].labels[n] for p, n in members}
-        inf = taxonomy.infimum(member_labels)
+    failed: list[int] = []  # classes with an unknown label or no infimum
+    for k in singles:
+        inf = own(node_labels[k])
         if inf is None:
-            shown = ", ".join(sorted(l.local_name for l in member_labels))
-            bounds = taxonomy.maximal_lower_bounds(member_labels)
-            why = ("their maximal common lower bounds are "
-                   + ", ".join(b.local_name for b in bounds)
-                   if bounds else "they have no common lower bound")
-            raise UndefinedColimitError(
-                f"no infimum of labels {{{shown}}} for merged nodes "
-                f"{_render_members(members)}; the combination is not defined: "
-                f"{why}",
-                members=sorted(members), labels=sorted(member_labels,
-                                                       key=lambda l: l.iri))
-        name = smallest[root]
+            failed.append(k)
+        else:
+            labels[names[k]] = inf
+    for r, group in groups.items():
+        names[r] = min(map(names.__getitem__, group))
+        distinct = {node_labels[k].iri: node_labels[k] for k in group}
+        if len(distinct) == 1:
+            inf = own(node_labels[r])
+        else:
+            try:
+                inf = taxonomy.infimum(distinct.values())
+            except UnknownClassError:
+                inf = None
+        if inf is None:
+            failed.append(r)
+        else:
+            labels[names[r]] = merged_label[r] = inf
+
+    def first(r: int) -> tuple[str, int]:  # the order classes are named in
+        return names[r], groups[r][0] if r in groups else r
+
+    if failed:
+        r = min(failed, key=first)
+        group = groups.get(r, [r])
+        _raise_undefined(taxonomy, [members[k] for k in group],
+                         {node_labels[k] for k in group})
+    if len(labels) < len(singles) + len(groups):
         # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
-        # node 'b.c' both qualify to 'a.b.c'.
-        while name in labels:
-            name += "_"
-        labels[name] = inf
-        class_name[root] = name
+        # node 'b.c' both qualify to 'a.b.c'.  Then the classes are
+        # named in order, each clashing name getting '_' suffixes.
+        labels = {}
+        for r in sorted(singles + list(groups), key=first):
+            name_r = names[r]
+            while name_r in labels:
+                name_r += "_"
+            labels[name_r] = (merged_label[r] if r in groups
+                              else known[node_labels[r].iri])
+            names[r] = name_r
 
-    edges: set[tuple[str, str]] = set()
-    for pname in sorted(net.patterns):
-        p = net.patterns[pname]
-        for a, b in sorted(p.edges):
-            ra = uf.find(index[(pname, a)])
-            rb = uf.find(index[(pname, b)])
-            if ra == rb:
-                raise DegenerateLoopError(
-                    f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
-                    f"self-loop on merged node {_render_members(groups[ra])}",
-                    members=sorted(groups[ra]))
-            edges.add((class_name[ra], class_name[rb]))
+    class_name = [names[r] for r in root]  # by arena node
+    edges = {(class_name[pos[a]], class_name[pos[b]])
+             for pname, pos in index.items() for a, b in net.patterns[pname].edges}
+    if any((names[r], names[r]) in edges for r in groups):  # a self-loop
+        pname, a, b = min((pname, a, b) for pname, pos in index.items()
+                          for a, b in net.patterns[pname].edges
+                          if root[pos[a]] == root[pos[b]])
+        loop = [members[k] for k in groups[root[index[pname][a]]]]
+        raise DegenerateLoopError(
+            f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
+            f"self-loop on merged node {_render_members(loop)}",
+            members=sorted(loop))
 
-    pattern = Pattern(f"combine({net.name})", taxonomy, labels, frozenset(edges))
-
+    pattern = Pattern(f"combine({net.name})" if name is None else name,
+                      taxonomy, labels, frozenset(edges))
     injections: dict[str, dict[str, str]] = {}
-    for pname in sorted(net.patterns):
-        p = net.patterns[pname]
-        injections[pname] = {
-            nid: class_name[uf.find(index[(pname, nid)])]
-            for nid in p.sorted_ids
-        }
-    classes = {class_name[root]: frozenset(members)
-               for root, members in groups.items()}
+    start = 0
+    for pname, pos in index.items():
+        injections[pname] = dict(zip(pos, class_name[start:start + len(pos)]))
+        start += len(pos)
+    classes = {names[k]: frozenset((members[k],)) for k in singles}
+    for r, group in groups.items():
+        classes[names[r]] = frozenset([members[k] for k in group])
     return CombinationResult(pattern, injections, classes)
+
+
+def _raise_undefined(taxonomy: Taxonomy, members: list[tuple[str, str]],
+                     member_labels: set[ClassRef]) -> NoReturn:
+    """Raise the error of a class whose label is not defined: the
+    taxonomy's own for an unknown label, else UndefinedColimitError."""
+    taxonomy.infimum(member_labels)  # raises for an unknown label
+    shown = ", ".join(sorted(l.local_name for l in member_labels))
+    bounds = taxonomy.maximal_lower_bounds(member_labels)
+    why = ("their maximal common lower bounds are "
+           + ", ".join(b.local_name for b in bounds)
+           if bounds else "they have no common lower bound")
+    raise UndefinedColimitError(
+        f"no infimum of labels {{{shown}}} for merged nodes "
+        f"{_render_members(members)}; the combination is not defined: "
+        f"{why}",
+        members=sorted(members), labels=sorted(member_labels,
+                                               key=lambda l: l.iri))
 
 
 def evaluate_combines(lib: Library) -> Library:
@@ -222,12 +293,10 @@ def _evaluate(lib: Library, names,
                 f"combine-defined pattern {name!r} references unknown "
                 f"network {netname!r}")
         try:
-            result = combine(_refresh_members(lib.networks[netname], patterns))
+            result = combine(_refresh_members(lib.networks[netname], patterns),
+                             name)
         except NesyError as e:
             raise e.in_decl(name)
-        p = result.pattern
-        result = result._replace(
-            pattern=Pattern(name, p.taxonomy, p.labels, p.edges))
         patterns[name] = result.pattern
     return result
 

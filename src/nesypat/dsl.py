@@ -416,8 +416,9 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
         return
 
     taxonomy = _taxonomy_for(decl.ont, lib, catalog, diagnostics)
-    # Anonymous nodes take the next anonN that no reference names.
-    named = {ref.name for chain in decl.chains for ref in chain.refs}
+    # Anonymous nodes take the next anonN that no reference names; the
+    # names in use are gathered at the first anonymous node.
+    named: set[str] | None = None
     anon = 0
     labels: dict[str, ClassRef] = {}
     classes: dict[str, ClassRef] = {}  # each class token is looked up once
@@ -433,6 +434,8 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                     raise e.at(ref.line, ref.col)
             node_id = ref.name
             if node_id is None:
+                if named is None:
+                    named = {r.name for c in decl.chains for r in c.refs}
                 anon += 1
                 while f"anon{anon}" in named:
                     anon += 1
@@ -614,6 +617,10 @@ def _safe_names(names) -> dict[str, str]:
     mapping: dict[str, str] = {}
     used: set[str] = set()
     for name in sorted(taken):
+        # An ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
+        if name.isascii() and name.isidentifier() and name not in _KEYWORDS:
+            mapping[name] = name
+            continue
         safe = re.sub(r"[^A-Za-z0-9_]", "_", name)
         if safe in _KEYWORDS or not re.match(r"[A-Za-z_]", safe or "_"):
             safe = "n_" + safe

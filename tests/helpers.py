@@ -11,6 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 
+from nesypat.colimit import CombinationResult, UnionFind
 from nesypat.dsl import (
     LOGIC_NAME,
     Chain,
@@ -23,12 +24,15 @@ from nesypat.dsl import (
     _KEYWORDS,
 )
 from nesypat.errors import (
+    DegenerateLoopError,
     Diagnostic,
     NesyError,
     ParseError,
+    UndefinedColimitError,
     UnknownClassError,
     _positions,
 )
+from nesypat.network import Network, validate_network
 from nesypat.pattern import Pattern, build_pattern
 from nesypat.taxonomy import (
     DEFAULT_NAMESPACE,
@@ -212,6 +216,130 @@ def equivalence_classes_oracle(elements, pairs):
             ca |= cb
             classes.remove(cb)
     return {frozenset(c) for c in classes}
+
+
+# -- reference emitter names ----------------------------------------------
+
+def reference_safe_names(names) -> dict[str, str]:
+    """``dsl._safe_names`` as it was before valid names took a fast path:
+    map each of ``names`` to a name ``parse`` accepts, one-to-one.
+
+    A valid name maps to itself.  Otherwise characters outside the
+    identifier charset become ``_``, a keyword or a name that does not
+    start with a letter or ``_`` gets an ``n_`` prefix, and a suffix
+    ``_2``, ``_3``, ... keeps it apart from every other name.
+    """
+    taken = set(names)
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    for name in sorted(taken):
+        safe = re.sub(r"[^A-Za-z0-9_]", "_", name)
+        if safe in _KEYWORDS or not re.match(r"[A-Za-z_]", safe or "_"):
+            safe = "n_" + safe
+        if not safe:
+            safe = "n"
+        base = safe
+        k = 2
+        while safe in used or (safe != name and safe in taken):
+            safe = f"{base}_{k}"
+            k += 1
+        used.add(safe)
+        mapping[name] = safe
+    return mapping
+
+
+# -- reference combination -------------------------------------------------
+
+def reference_combine(net: Network) -> CombinationResult:
+    """``colimit.combine`` as it was before the integer arena, verbatim:
+    a union-find ``find`` per lookup, an infimum per class and the
+    classes sorted by name.
+
+    Raises UndefinedColimitError when a merged class has no label
+    infimum, and DegenerateLoopError when merging turns a member edge
+    into a self-loop.
+    """
+    validate_network(net)
+    arena: list[tuple[str, str]] = []  # (pattern name, node id)
+    index: dict[tuple[str, str], int] = {}
+    for pname in sorted(net.patterns):
+        p = net.patterns[pname]
+        for nid in p.sorted_ids:
+            index[(pname, nid)] = len(arena)
+            arena.append((pname, nid))
+
+    uf = UnionFind(len(arena))
+    for rname in sorted(net.refinements):
+        r = net.refinements[rname]
+        for n, img in sorted(r.node_map.items()):
+            uf.union(index[(r.source.name, n)],
+                     index[(r.target.name, img)])
+
+    groups: dict[int, list[tuple[str, str]]] = {}
+    for i, member in enumerate(arena):
+        groups.setdefault(uf.find(i), []).append(member)
+
+    if not net.patterns:
+        raise ValueError(f"network {net.name!r} has no member patterns")
+    taxonomy = next(iter(net.patterns.values())).taxonomy
+
+    smallest = {root: min(f"{p}.{n}" for p, n in members)
+                for root, members in groups.items()}
+    class_name: dict[int, str] = {}
+    labels: dict[str, ClassRef] = {}
+    for root in sorted(groups, key=smallest.__getitem__):
+        members = groups[root]
+        member_labels = {net.patterns[p].labels[n] for p, n in members}
+        inf = taxonomy.infimum(member_labels)
+        if inf is None:
+            shown = ", ".join(sorted(l.local_name for l in member_labels))
+            bounds = taxonomy.maximal_lower_bounds(member_labels)
+            why = ("their maximal common lower bounds are "
+                   + ", ".join(b.local_name for b in bounds)
+                   if bounds else "they have no common lower bound")
+            raise UndefinedColimitError(
+                f"no infimum of labels {{{shown}}} for merged nodes "
+                f"{_render_members(members)}; the combination is not defined: "
+                f"{why}",
+                members=sorted(members), labels=sorted(member_labels,
+                                                       key=lambda l: l.iri))
+        name = smallest[root]
+        # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
+        # node 'b.c' both qualify to 'a.b.c'.
+        while name in labels:
+            name += "_"
+        labels[name] = inf
+        class_name[root] = name
+
+    edges: set[tuple[str, str]] = set()
+    for pname in sorted(net.patterns):
+        p = net.patterns[pname]
+        for a, b in sorted(p.edges):
+            ra = uf.find(index[(pname, a)])
+            rb = uf.find(index[(pname, b)])
+            if ra == rb:
+                raise DegenerateLoopError(
+                    f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
+                    f"self-loop on merged node {_render_members(groups[ra])}",
+                    members=sorted(groups[ra]))
+            edges.add((class_name[ra], class_name[rb]))
+
+    pattern = Pattern(f"combine({net.name})", taxonomy, labels, frozenset(edges))
+
+    injections: dict[str, dict[str, str]] = {}
+    for pname in sorted(net.patterns):
+        p = net.patterns[pname]
+        injections[pname] = {
+            nid: class_name[uf.find(index[(pname, nid)])]
+            for nid in p.sorted_ids
+        }
+    classes = {class_name[root]: frozenset(members)
+               for root, members in groups.items()}
+    return CombinationResult(pattern, injections, classes)
+
+
+def _render_members(members) -> str:
+    return "{" + ", ".join(f"{p}.{n}" for p, n in sorted(members)) + "}"
 
 
 # -- reference readers -------------------------------------------------------

@@ -9,6 +9,7 @@ from helpers import (
     glb_oracle,
     make_random_network,
     random_pattern,
+    reference_combine,
 )
 from pathlib import Path
 
@@ -26,13 +27,14 @@ from nesypat.errors import (
     DegenerateLoopError,
     TaxonomyMismatchError,
     UndefinedColimitError,
+    UnknownClassError,
     UnknownNameError,
 )
 from nesypat.library import Library
 from nesypat.network import Network
 from nesypat.pattern import Pattern, build_pattern, isomorphic
 from nesypat.refinement import Refinement, check_refinement
-from nesypat.taxonomy import Taxonomy, default_taxonomy
+from nesypat.taxonomy import ClassRef, Taxonomy, default_taxonomy
 
 SETTINGS = settings(deadline=None)
 
@@ -339,6 +341,183 @@ def test_identities_and_composites_are_refinements(net):
                 assert check_refinement(r.source, s.target, composite) == []
 
 
+def assert_matches_reference(net):
+    """``combine(net)`` gives what ``reference_combine(net)`` gives: the
+    same pattern with the same label objects, injections and classes,
+    or an error of the same type, message, members and labels."""
+    try:
+        want = reference_combine(net)
+    except (UndefinedColimitError, DegenerateLoopError, UnknownClassError) as e:
+        with pytest.raises(type(e)) as got:
+            combine(net)
+        assert type(got.value) is type(e)
+        assert got.value.message == e.message
+        for attr in ("members", "labels"):
+            assert getattr(got.value, attr, None) == getattr(e, attr, None)
+        return
+    got = combine(net)
+    assert got.pattern == want.pattern
+    assert all(got.pattern.labels[n] is c for n, c in want.pattern.labels.items())
+    assert got.injections == want.injections
+    assert got.classes == want.classes
+
+
+@SETTINGS
+@given(random_networks())
+def test_combine_matches_reference(net):
+    assert_matches_reference(net)
+
+
+#: Pattern names and node ids whose qualified names clash ('a.b' + 'c'
+#: against 'a' + 'b.c') or sort apart from their pattern names ('-' sorts
+#: below '.').
+CLASHING_PATTERN_NAMES = ("a", "a.b", "A", "A-")
+CLASHING_NODE_IDS = ("c", "b.c", "c_", "b.c_", "-", "x", "x_")
+
+
+def respelled(net, pattern_names, node_ids):
+    """``net`` with each member ``p`` renamed ``pattern_names[p]`` and
+    its node ``n`` renamed ``node_ids[p][n]``, refinements following."""
+    patterns = {}
+    for old, p in net.patterns.items():
+        ids = node_ids[old]
+        patterns[old] = Pattern(pattern_names[old], p.taxonomy,
+                                {ids[n]: label for n, label in p.labels.items()},
+                                frozenset((ids[a], ids[b]) for a, b in p.edges))
+    refinements = {
+        k: Refinement(r.name, patterns[r.source.name], patterns[r.target.name],
+                      {node_ids[r.source.name][n]: node_ids[r.target.name][img]
+                       for n, img in r.node_map.items()})
+        for k, r in net.refinements.items()}
+    return Network(net.name, {p.name: p for p in patterns.values()}, refinements)
+
+
+@SETTINGS
+@given(random_networks(), st.data())
+def test_combine_matches_reference_on_clashing_names(net, data):
+    old = sorted(net.patterns)
+    pattern_names = dict(zip(old, data.draw(st.permutations(CLASHING_PATTERN_NAMES))))
+    node_ids = {p: dict(zip(net.patterns[p].sorted_ids,
+                            data.draw(st.permutations(CLASHING_NODE_IDS))))
+                for p in old}
+    assert_matches_reference(respelled(net, pattern_names, node_ids))
+
+
+NOPE = ClassRef("urn:elsewhere#Nope", "Nope")
+
+
+class TestAgainstReference:
+    def test_dotted_names_clash_inside_merged_classes(self, t):
+        # Pattern 'a' comes first in the arena, so its merged class takes
+        # 'a.b.c' and the singleton 'a.b.c' of 'a.b' takes 'a.b.c_',
+        # which the merged class named 'a.b.c_' then has to pass over.
+        a = pat(t, "a", [("b.c", "Data"), ("x", "Model")], [("b.c", "x")])
+        ab = pat(t, "a.b", [("c", "Training"), ("c_", "Model")], [("c", "c_")])
+        m1 = pat(t, "m1", [("u", "Data")])
+        m2 = pat(t, "m2", [("y", "Model")])
+        net = net_of("N", [a, ab, m1, m2],
+                     [Refinement("R", m2, ab, {"y": "c_"}),
+                      Refinement("S", m2, a, {"y": "x"}),
+                      Refinement("U", m1, a, {"u": "b.c"})])
+        assert_matches_reference(net)
+        result = combine(net)
+        assert result.injections == {"a": {"b.c": "a.b.c", "x": "a.b.c__"},
+                                     "a.b": {"c": "a.b.c_", "c_": "a.b.c__"},
+                                     "m1": {"u": "a.b.c"}, "m2": {"y": "a.b.c__"}}
+        assert {n: l.local_name for n, l in result.pattern.labels.items()} == {
+            "a.b.c": "Data", "a.b.c_": "Training", "a.b.c__": "Model"}
+        assert result.pattern.edges == {("a.b.c", "a.b.c__"), ("a.b.c_", "a.b.c__")}
+
+    def test_merged_name_below_the_first_member_by_arena(self, t):
+        # 'A' < 'A-' as pattern names, but 'A-.y' < 'A.x' as qualified ones.
+        a = pat(t, "A", [("x", "Model"), ("z", "Data")], [("z", "x")])
+        dash = pat(t, "A-", [("y", "Semantic_Model")])
+        net = net_of("N", [a, dash], [Refinement("R", a, dash, {"x": "y"})])
+        assert_matches_reference(net)
+        result = combine(net)
+        assert result.injections == {"A": {"x": "A-.y", "z": "A.z"},
+                                     "A-": {"y": "A-.y"}}
+        assert result.classes == {"A-.y": {("A", "x"), ("A-", "y")},
+                                  "A.z": {("A", "z")}}
+        assert result.pattern.labels["A-.y"].local_name == "Semantic_Model"
+
+    def test_name_argument_names_the_pattern(self, glued_model_network):
+        default, named = combine(glued_model_network), combine(glued_model_network, "G")
+        assert default.pattern.name == "combine(N)"
+        assert named.pattern.name == "G"
+        assert (named.pattern.labels, named.pattern.edges, named.injections,
+                named.classes) == (default.pattern.labels, default.pattern.edges,
+                                   default.injections, default.classes)
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_unknown_label_raises_as_before(self, t, merged):
+        odd = Pattern("Odd", t, {"o": NOPE}, frozenset())
+        model = pat(t, "M", [("m", "Model")])
+        refs = [Refinement("R", model, odd, {"m": "o"})] if merged else []
+        net = net_of("N", [model, odd], refs)
+        assert_matches_reference(net)
+        with pytest.raises(UnknownClassError,
+                           match="class 'Nope' is not in this taxonomy"):
+            combine(net)
+
+    def test_label_is_the_taxonomy_class(self, t):
+        # A label equal to a class by IRI but spelled otherwise comes out
+        # as the taxonomy's own class, merged or not.
+        alias = ClassRef(t.lookup("Model").iri, "Modell")
+        odd = Pattern("Odd", t, {"o": alias, "p": alias}, frozenset())
+        model = pat(t, "M", [("m", "Model")])
+        net = net_of("N", [model, odd], [Refinement("R", model, odd, {"m": "o"})])
+        assert_matches_reference(net)
+        labels = combine(net).pattern.labels
+        assert [labels[n] is t.lookup("Model") for n in sorted(labels)] == [True, True]
+
+    @pytest.mark.parametrize("merged", [False, True])
+    @pytest.mark.parametrize("odd_name, error", [
+        ("A", UnknownClassError), ("Z", UndefinedColimitError)])
+    def test_first_failing_class_by_name_raises(self, t, odd_name, error, merged):
+        # An unknown label in one class, alone or beside a known one, and
+        # no infimum in another: the class whose name sorts first decides
+        # the error.
+        odd = Pattern(odd_name, t, {"o": NOPE}, frozenset())
+        model = pat(t, "M", [("m0", "Model")])
+        sem = pat(t, "S", [("x", "Semantic_Model")])
+        stat = pat(t, "T", [("y", "Statistical_Model")])
+        members = [odd, model, sem, stat]
+        refs = [Refinement("RA", model, sem, {"m0": "x"}),
+                Refinement("RB", model, stat, {"m0": "y"})]
+        if merged:
+            known = pat(t, odd_name + "b", [("w", "Model")])
+            members.append(known)
+            refs.append(Refinement("RO", known, odd, {"w": "o"}))
+        net = net_of("N", members, refs)
+        assert_matches_reference(net)
+        with pytest.raises(error):
+            combine(net)
+
+    def test_first_unknown_label_by_class_name_raises(self, t):
+        # Pattern 'A' comes first in the arena, but 'A-.y' < 'A.x'.
+        a = Pattern("A", t, {"x": NOPE}, frozenset())
+        dash = Pattern("A-", t, {"y": ClassRef("urn:elsewhere#Gone", "Gone")},
+                       frozenset())
+        net = net_of("N", [a, dash], [])
+        assert_matches_reference(net)
+        with pytest.raises(UnknownClassError, match="'Gone'"):
+            combine(net)
+
+    def test_first_degenerate_edge_raises(self, t):
+        single = pat(t, "S", [("s0", "Model")])
+        edgy = pat(t, "T", [("x", "Model"), ("y", "Model"), ("z", "Model")],
+                   [("x", "y"), ("z", "y"), ("y", "z")])
+        net = net_of("Loop", [single, edgy],
+                     [Refinement("RX", single, edgy, {"s0": "x"}),
+                      Refinement("RY", single, edgy, {"s0": "y"}),
+                      Refinement("RZ", single, edgy, {"s0": "z"})])
+        assert_matches_reference(net)
+        with pytest.raises(DegenerateLoopError) as e:
+            combine(net)
+        assert e.value.message.startswith("edge ('x', 'y') of pattern 'T'")
+
+
 class TestUnionFind:
     def test_find_idempotent_and_union_joins(self):
         rng = random.Random(59)
@@ -349,6 +528,20 @@ class TestUnionFind:
             assert uf.find(i) == uf.find(j)
             k = rng.randrange(40)
             assert uf.find(k) == uf.find(uf.find(k))
+
+    def test_roots_are_the_finds_and_sizes_count_members(self):
+        rng = random.Random(61)
+        for n in (1, 2, 40):
+            uf, fresh = UnionFind(n), UnionFind(n)
+            for _ in range(rng.randrange(2 * n)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                uf.union(i, j)
+                fresh.union(i, j)
+            roots = uf.roots()
+            assert roots == [fresh.find(i) for i in range(n)]
+            assert uf.parent == roots  # every path fully compressed
+            for r in set(roots):
+                assert uf.size[r] == roots.count(r)
 
 
 class TestEvaluateCombines:
@@ -423,9 +616,9 @@ FIG_DOC = (Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 def count_combines(monkeypatch):
     calls = []
 
-    def counting(net):
+    def counting(net, name=None):
         calls.append(net.name)
-        return combine(net)
+        return combine(net, name)
 
     monkeypatch.setattr(colimit, "combine", counting)
     return calls

@@ -5,6 +5,7 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_safe_names
 from nesypat.catalog import Catalog
 from nesypat.dsl import (
     _KEYWORDS,
@@ -73,6 +74,12 @@ def test_emit_parse_resolve_round_trips(lib):
 #: Declaration names, most of which ``parse`` rejects.
 DECL_NAMES = ["P", "P-1", "P_1", "end", "n_end", "data", "combine", "1x",
               "n_1x", "", "n", "é", "x y", "N.1", "R", "_"]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(DECL_NAMES) | st.text(max_size=4)))
+def test_safe_names_match_reference(names):
+    assert list(_safe_names(names).items()) == list(reference_safe_names(names).items())
 
 
 @st.composite

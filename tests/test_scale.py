@@ -4,14 +4,23 @@ and a tracemalloc bound.
 The wall bounds leave room for a slow CI machine and still sit well
 under what a quadratic design takes: a reader that tokenized the rest
 of the text again behind each `data` clause took 0.6 s for 500 and 3 s
-for 1,000 of the declarations below (shared 2-vCPU VM).  The memory bounds leave half again or more over the
-peaks measured on Python 3.11.
+for 1,000 of the declarations below (shared 2-vCPU VM).  The memory
+bounds leave half again or more over the peaks measured on Python 3.11,
+except where a comment gives a tighter one and why.
 """
 
 import time
 import tracemalloc
 
-from nesypat import Catalog, emit_dsl, isomorphic, parse, resolve
+from nesypat import (
+    Catalog,
+    combination_result,
+    emit_dsl,
+    evaluate_combines,
+    isomorphic,
+    parse,
+    resolve,
+)
 
 
 def measure(fn):
@@ -34,6 +43,15 @@ def chain_document(n: int, labels=("Data", "Training")) -> str:
             + " -> ".join(f"n{i} : {labels[i % len(labels)]}"
                           for i in range(n))
             + ";\nend\n")
+
+
+def glued_chain_document(n: int) -> str:
+    """An ``n``-chain joined to a one-node pattern by a `via` map and
+    combined: the combination is the chain, one class merging two nodes."""
+    return (chain_document(n)
+            + "pattern H = data ontohub:NeSyPatterns.omn\n  h : Instance;\nend\n"
+            "refinement R = H refined to P via h |-> n0 end\n"
+            "network N = R end\npattern C = combine N end\n")
 
 
 def clauses_document(n: int) -> str:
@@ -109,3 +127,32 @@ class TestIsomorphic:
         assert same == (True, True)
         assert wall < 0.3
         assert peak < 2**20
+
+
+class TestCombine:
+    # 0.02-0.05 s and a 6.8-7.2 MiB peak measured on Python 3.10-3.13,
+    # where a union-find find per lookup, an infimum per class and the
+    # classes sorted by name took 0.05-0.1 s and 8.7-9.0 MiB.  Most of
+    # the peak is the result itself (a one-member frozenset per class),
+    # so the memory bound sits below the old peak instead of half again
+    # over the new one.
+    def test_evaluate_combines_of_10000_chain(self):
+        lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
+        out, wall, peak = measure(lambda: evaluate_combines(lib))
+        c = out.patterns["C"]
+        assert (c.name, len(c.labels), len(c.edges)) == ("C", 10000, 9999)
+        assert c.labels["H.h"].local_name == "Data"
+        assert ("H.h", "P.n1") in c.edges
+        assert wall < 1.0
+        assert peak < 8.5 * 2**20
+
+    def test_combination_result_of_10000_chain(self):
+        lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
+        res, wall, peak = measure(lambda: combination_result(lib, "C"))
+        assert res.pattern.name == "C"
+        assert res.classes["H.h"] == {("H", "h"), ("P", "n0")}
+        assert res.injections["P"]["n9999"] == "P.n9999"
+        assert res.injections["H"] == {"h": "H.h"}
+        assert len(res.classes) == 10000
+        assert wall < 1.0
+        assert peak < 8.5 * 2**20
