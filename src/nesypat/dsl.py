@@ -5,8 +5,9 @@ refinements and networks.  Pattern bodies name an ontology in a ``data``
 clause (optionally extending it inline after ``then``) and list chains
 of node references; ``x : Class`` introduces or re-references a named
 node, a bare class token creates a fresh anonymous node.  ``%%`` starts
-a line comment.  The reader splits declaration heads into tokens and
-reads each node reference of a body with one regex match.
+a line comment.  The reader goes through the text from one offset:
+one regex match per token of a declaration head, the data clause raw,
+and one regex match per node reference of a body.
 """
 
 from __future__ import annotations
@@ -109,18 +110,17 @@ class Document(NamedTuple):
 # -- reader -------------------------------------------------------------------
 
 #: Trivia is whitespace (``\s`` is exactly ``str.isspace``) and ``%%``
-#: comments, each to the end of its line.  A token is a name, a symbol or
-#: any other character but whitespace, an error once the parser reaches it.
-#: A node reference is a name, optionally ``:`` and a class name, then
-#: ``->`` or ``;``, each behind trivia; its names may still be keywords.
+#: comments, each to the end of its line.  A token, behind trivia, is a
+#: name, ``|->``, ``->``, any other character but whitespace (an error
+#: once the parser reaches it, unless it is a symbol), or ``""`` at the
+#: end.  A node reference is a name, optionally ``:`` and a class name,
+#: then ``->`` or ``;``, each behind trivia; its names may still be
+#: keywords.
 _COMMENT = r"%%[^\n]*(?![^\n])"
 _TRIVIA = rf"\s*(?:{_COMMENT}(?:\s*{_COMMENT})*\s*|)"
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_TRIVIA_RE = re.compile(_TRIVIA)
-_COMMENT_RE = re.compile(_COMMENT)
-_TOKEN_RE = re.compile(rf"({_NAME}|\|->|->|\S)")
+_TOKEN_RE = re.compile(rf"{_TRIVIA}({_NAME}|\|->|->|\S|\Z)")
 _REF_RE = re.compile(rf"{_TRIVIA}({_NAME}){_TRIVIA}(?::{_TRIVIA}({_NAME}){_TRIVIA}|)(->|;)")
-_DATA_RE = re.compile(r"data(?<![A-Za-z0-9_]data)(?![A-Za-z0-9_])")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
 
 
@@ -134,84 +134,61 @@ def _is_name(value: str) -> bool:
 
 
 class _Parser:
-    """Recursive descent over declaration heads, which are tokenized,
-    and pattern bodies, which are not.  A head pass is one C-level
-    ``split`` of the text (comments blanked out) from an offset to the
-    next ``data`` token; token ``k`` (odd; ``""`` at the end) lies behind
-    trivia ``k - 1``, and offsets are summed on from the last token
-    placed, only where a declaration or an error keeps a position.  What
-    follows ``data`` is read raw, by offset: the ontology reference (a
-    maximal non-space run, so CURIEs and URLs stay whole), the fragment
-    after ``then`` (to the matching brace), and the body, one node
-    reference per match of ``_REF_RE``, its line carried on from the
-    newlines before it.  Where no reference matches, the text is
-    tokenized from there: the body's ``end``, or an error the tokens
-    place."""
+    """Recursive descent from one offset into the text.  ``tok`` is the
+    match of ``_TOKEN_RE`` at that offset (the token is group 1), and
+    ``next`` matches the one behind it, so a token is matched only when
+    the parser reaches it.  What follows ``data`` is read raw, by
+    offset: the ontology reference (a maximal non-space run, so CURIEs
+    and URLs stay whole), the fragment after ``then`` (to the matching
+    brace), and the body, one node reference per match of ``_REF_RE``,
+    its line carried on from the newlines before it.  Where no reference
+    matches, tokens are matched on from there: the body's ``end``, or
+    the error they place."""
 
     def __init__(self, text: str):
         self.text = text
         self.at = _positions(text)
-        self.tokenize(0)
+        self.tok = _TOKEN_RE.match(text)
 
-    def tokenize(self, pos: int) -> None:
-        """Tokenize from offset ``pos`` to the end of the text or of the
-        next ``data`` token, which only raw text follows."""
-        text, end = self.text, len(self.text)
-        for m in _DATA_RE.finditer(text, pos):
-            line = text.rfind("\n", pos, m.start()) + 1 or pos
-            if text.find("%%", line, m.start()) < 0:  # not in a comment
-                end = m.end()
-                break
-        segment = text[pos:end]
-        if "%%" in segment:  # blank out comments: trivia, of the same length
-            segment = _COMMENT_RE.sub(lambda m: " " * len(m[0]), segment)
-        toks = _TOKEN_RE.split(segment)
-        toks.append("")
-        self.toks, self.end, self.k, self.placed = toks, end, 1, 1
-        self.offset = pos + len(toks[0])
-
-    def place(self, k: int) -> int:
-        """The offset of token ``k``, at or behind the last token placed."""
-        self.offset += sum(map(len, self.toks[self.placed:k]))
-        self.placed = k
-        return self.offset
+    def next(self) -> None:
+        self.tok = _TOKEN_RE.match(self.text, self.tok.end())
 
     def error(self, message: str, offset: int, expected=()) -> ParseError:
         line, col = self.at(offset)
         return ParseError(message, line=line, col=col, expected=expected)
 
-    def unexpected(self, k: int, what: str, *expected: str) -> ParseError:
-        """``expected <what>, found <token k>``, placed at that token."""
-        value, offset = self.toks[k], self.place(k)
+    def unexpected(self, what: str, *expected: str) -> ParseError:
+        """``expected <what>, found <tok>``, placed at that token."""
+        value, offset = self.tok[1], self.tok.start(1)
         if _stray(value):
             return self.error(f"unexpected character {value!r}", offset)
         return self.error(f"expected {what}, found {value or 'end of input'!r}",
                           offset, expected)
 
     def expect(self, token: str) -> None:
-        if self.toks[self.k] != token:
-            raise self.unexpected(self.k, repr(token), token)
-        self.k += 2
+        if self.tok[1] != token:
+            raise self.unexpected(repr(token), token)
+        self.next()
 
     def expect_name(self, what: str = "a name") -> str:
-        value = self.toks[self.k]
+        value = self.tok[1]
         if not _is_name(value):
-            raise self.unexpected(self.k, what, what)
-        self.k += 2
+            raise self.unexpected(what, what)
+        self.next()
         return value
 
     def declaration(self) -> tuple[int, int]:
         """Step over a declaration's keyword; return its position."""
-        k = self.k
-        self.k = k + 2
-        return self.at(self.place(k))
+        offset = self.tok.start(1)
+        self.next()
+        return self.at(offset)
 
     def document(self) -> Document:
         self.expect("logic")
         self.expect(LOGIC_NAME)
         decls = []
         while True:
-            value = self.toks[self.k]
+            value = self.tok[1]
             if value == "pattern":
                 decls.append(self.pattern_decl())
             elif value == "refinement":
@@ -221,50 +198,46 @@ class _Parser:
             elif not value:
                 return Document(tuple(decls))
             else:
-                raise self.unexpected(self.k, "a declaration",
+                raise self.unexpected("a declaration",
                                       "pattern", "refinement", "network")
 
     def pattern_decl(self) -> PatternDecl:
         line, col = self.declaration()
         name = self.expect_name("a pattern name")
         self.expect("=")
-        if self.toks[self.k] == "combine":
-            self.k += 2
+        if self.tok[1] == "combine":
+            self.next()
             net = self.expect_name("a network name")
             self.expect("end")
             return PatternDecl(name, None, (), net, line, col)
-        self.expect("data")  # the last token of this pass
-        ont, pos = self.data_clause(self.end)
+        self.expect("data")
+        ont, pos = self.data_clause()
         return PatternDecl(name, ont, self.chains(pos), None, line, col)
 
-    def data_clause(self, pos: int) -> tuple[OntRef, int]:
-        """The ontology reference at ``pos``, optionally braced and
-        extended after ``then``, and the offset behind it; the token at
-        ``pos`` must lex."""
-        text = self.text
-        start = _TRIVIA_RE.match(text, pos).end()
-        if _stray((_TOKEN_RE.match(text, start) or [""])[0]):
-            self.tokenize(start)
-            raise self.unexpected(1, "an ontology reference")
-        braced = text.startswith("{", start)
-        if braced:
-            start = _TRIVIA_RE.match(text, start + 1).end()
+    def data_clause(self) -> tuple[OntRef, int]:
+        """The ontology reference at ``tok``, which must lex, optionally
+        braced and extended after ``then``, and the offset behind it."""
+        text, value = self.text, self.tok[1]
+        if _stray(value):
+            raise self.unexpected("an ontology reference")
+        if value == "{":
+            self.next()
+        start = self.tok.start(1)
         end = _ONTREF_RE.match(text, start).end()
         if end == start:
             raise self.error("expected an ontology reference", start,
                              ("CURIE", "IRI"))
         line, col = self.at(start)
         base = text[start:end]
-        if not braced:
+        if value != "{":
             return OntRef(base, None, line, col), end
-        pos = _TRIVIA_RE.match(text, end).end()
-        if text.startswith("}", pos):
-            return OntRef(base, None, line, col), pos + 1
-        if (_TOKEN_RE.match(text, pos) or [""])[0] != "then":
-            self.tokenize(pos)
-            raise self.unexpected(1, "'then' or '}'", "then", "}")
+        self.tok = _TOKEN_RE.match(text, end)
+        if self.tok[1] == "}":
+            return OntRef(base, None, line, col), self.tok.end()
+        if self.tok[1] != "then":
+            raise self.unexpected("'then' or '}'", "then", "}")
         # The fragment runs to the brace that closes the data clause.
-        start = end = _TRIVIA_RE.match(text, pos + 4).end()
+        start = end = _TOKEN_RE.match(text, self.tok.end()).start(1)
         depth = 1
         while depth:
             close = text.find("}", end)
@@ -303,23 +276,19 @@ class _Parser:
                 chains.append(new(Chain, (tuple(refs),)))
                 refs = []
         # No reference at pos: the body's end, or an error.
-        self.tokenize(pos)
-        toks = self.toks
+        self.tok = _TOKEN_RE.match(text, pos)
         if not refs:
-            if toks[1] == "end":
-                self.k = 3
+            if self.tok[1] == "end":
+                self.next()
                 return tuple(chains)
-            if not toks[1]:
+            if not self.tok[1]:
                 raise self.error("unterminated pattern, expected 'end'",
-                                 self.place(1), ("end",))
-        what = "a node or class token"
-        if not _is_name(toks[1]):
-            raise self.unexpected(1, what, what)
-        if toks[3] != ":":
-            raise self.unexpected(3, "'->' or ';'", "->", ";")
-        if not _is_name(toks[5]):
-            raise self.unexpected(5, "a class token", "a class token")
-        raise self.unexpected(7, "'->' or ';'", "->", ";")
+                                 self.tok.start(1), ("end",))
+        self.expect_name("a node or class token")
+        if self.tok[1] == ":":
+            self.next()
+            self.expect_name("a class token")
+        raise self.unexpected("'->' or ';'", "->", ";")
 
     def refinement_decl(self) -> RefinementDecl:
         line, col = self.declaration()
@@ -330,11 +299,11 @@ class _Parser:
         self.expect("to")
         target = self.expect_name("a pattern name")
         explicit = None
-        if self.toks[self.k] == "via":
-            self.k += 2
+        if self.tok[1] == "via":
+            self.next()
             pairs = [self.map_pair()]
-            while self.toks[self.k] == ",":
-                self.k += 2
+            while self.tok[1] == ",":
+                self.next()
                 pairs.append(self.map_pair())
             explicit = tuple(pairs)
         self.expect("end")
@@ -351,8 +320,8 @@ class _Parser:
         name = self.expect_name("a network name")
         self.expect("=")
         members = [self.expect_name("a member name")]
-        while self.toks[self.k] == ",":
-            self.k += 2
+        while self.tok[1] == ",":
+            self.next()
             members.append(self.expect_name("a member name"))
         self.expect("end")
         return NetworkDecl(name, tuple(members), line, col)

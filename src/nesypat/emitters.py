@@ -40,9 +40,12 @@ def emit_dot(p: Pattern) -> str:
     output is deterministic.
     """
     lines = [f"digraph {_dot_quote(p.name)} {{"]
+    shapes: dict[ClassRef, str] = {}  # each distinct label's, worked out once
     for nid in p.sorted_ids:
         label = p.labels[nid]
-        shape = _shape_for(p.taxonomy, label)
+        shape = shapes.get(label)
+        if shape is None:
+            shape = shapes[label] = _shape_for(p.taxonomy, label)
         text = f"{nid} : {label.local_name}"
         lines.append(f"  {_dot_quote(nid)} [label={_dot_quote(text)}, "
                      f"shape={shape}];")

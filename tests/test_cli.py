@@ -204,6 +204,12 @@ class TestCmdCombine:
                        "hasOutput(anon2,anon3)\n"
                        "anon3 : Model\n")
 
+    def test_unknown_format_fails_and_writes_nothing(self):
+        code, out, err = run(cmd_combine, FIG, "Train", "svg", Catalog.default())
+        assert code == 1
+        assert err == "nesypat: error: unknown format 'svg'\n"
+        assert out == ""
+
     def test_abox_warning_placed_at_the_pattern(self, tmp_path):
         doc = tmp_path / "abox.nesy"
         doc.write_text("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn"

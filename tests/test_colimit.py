@@ -109,6 +109,10 @@ class TestCombine:
         assert sorted(inj) == ["m", "s", "tr"]
         assert len(set(inj.values())) == 3
 
+    def test_network_without_members_rejected(self):
+        with pytest.raises(ValueError, match="network 'E' has no member patterns"):
+            combine(Network("E", {}, {}))
+
     def test_no_refinements_gives_disjoint_union(self, t):
         rng = random.Random(41)
         for _ in range(10):

@@ -240,6 +240,12 @@ class TestCopy:
             assert back == p and hash(back) == hash(p)
             assert back.sorted_ids == p.sorted_ids
 
+    def test_attributes_cannot_be_assigned(self):
+        p = next(iter(corpus_library().patterns.values()))
+        with pytest.raises(AttributeError, match="Pattern is immutable"):
+            p.name = "Other"
+        assert p.name != "Other"
+
     def test_resolved_library_deep_copies(self):
         lib = corpus_library()
         back = copy.deepcopy(lib)

@@ -448,6 +448,12 @@ class TestCopy:
         assert back == default
         assert back.leq(back.lookup("Transformation"), back.lookup("Process"))
 
+    def test_class_ref_attributes_cannot_be_assigned(self, default):
+        model = default.lookup("Model")
+        with pytest.raises(AttributeError, match="ClassRef is immutable"):
+            model.local_name = "Other"
+        assert model.local_name == "Model"
+
     @pytest.mark.parametrize("copier", COPIES)
     def test_extended_taxonomy_round_trips(self, default, copier):
         ext = default.extend("Class: E SubClassOf: Model\nClass: F SubClassOf: E")
