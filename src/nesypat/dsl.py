@@ -30,7 +30,7 @@ from .errors import (
 )
 from .library import Library
 from .network import build_network
-from .pattern import Pattern, build_pattern
+from .pattern import Pattern
 from .refinement import Refinement, check_refinement, infer_refinement
 from .taxonomy import (_IRI, _NAME_START, _QUOTED, _STRING, ClassRef, Taxonomy,
                        default_taxonomy)
@@ -391,7 +391,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
     anon = 0
     labels: dict[str, ClassRef] = {}
     classes: dict[str, ClassRef] = {}  # each class token is looked up once
-    edge_decls: list[tuple[str, str]] = []
+    edges: list[tuple[str, str]] = []
     for chain in decl.chains:
         prev = None
         for ref in chain.refs:
@@ -420,10 +420,10 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                     raise SelfLoopError(
                         f"chain creates a self-loop on node {node_id!r}",
                         line=ref.line, col=ref.col)
-                edge_decls.append((prev, node_id))
+                edges.append((prev, node_id))
             prev = node_id
-    lib.patterns[decl.name] = build_pattern(decl.name, taxonomy,
-                                            labels.items(), edge_decls)
+    # Every label and edge is checked above; no validating pass follows.
+    lib.patterns[decl.name] = Pattern(decl.name, taxonomy, labels, frozenset(edges))
 
 
 def _taxonomy_for(ont: OntRef, lib: Library, catalog: Catalog,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
 from .colimit import CombinationResult
@@ -197,17 +196,15 @@ def emit_abox(p: Pattern, diagnostics: list[Diagnostic] | None = None) -> AboxTr
 
 # -- Manchester ---------------------------------------------------------------
 
-_SIMPLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 def emit_manchester(t: Taxonomy) -> str:
     """Write a taxonomy as Manchester-subset text that reads back
     order-isomorphic: same classes, same subsumption relation.  A class
     named by a Manchester keyword is written as its ``<IRI>``."""
     def ref(c: ClassRef) -> str:
         local = c.local_name
-        if (c.iri == t.namespace + local and _SIMPLE_NAME.match(local)
-                and local not in _KEYWORDS):
+        # An ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
+        if (c.iri == t.namespace + local and local.isascii()
+                and local.isidentifier() and local not in _KEYWORDS):
             return local
         return f"<{c.iri}>"
 

@@ -35,9 +35,11 @@ class Pattern:
     """A named simple directed graph with class-labeled nodes.
 
     Simple means: no parallel edges (edges form a set) and no self-loops.
-    Instances are immutable; construct through :func:`build_pattern`,
-    which validates the invariants.  ``labels`` maps each node id to its
-    class and is the one node map, kept as the dict given; ``nodes``
+    Instances are immutable.  The constructor checks nothing: input that
+    nothing has checked goes through :func:`build_pattern`, which does,
+    while ``dsl.resolve`` and ``colimit.combine`` call it directly on
+    nodes and edges they have checked.  ``labels`` maps each node id to
+    its class and is the one node map, kept as the dict given; ``nodes``
     builds the same map as a frozenset of PatternNode on each access.
     Two patterns are equal when their name, taxonomy, labels and edges
     are.  ``sorted_ids`` lists the ids in order.
@@ -86,7 +88,7 @@ class Pattern:
 
 
 def build_pattern(name: str, taxonomy: Taxonomy, node_decls, edge_decls) -> Pattern:
-    """Construct a validated Pattern.
+    """Construct a validated Pattern from input nothing has checked yet.
 
     ``node_decls`` is an iterable of (node id, ClassRef); re-declaring an
     id with the same label is idempotent, with a different label it is a

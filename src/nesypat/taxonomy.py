@@ -184,7 +184,7 @@ class Taxonomy:
                             ("_edges", None)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("Taxonomy is immutable")
 
     def __reduce__(self):  # copy and pickle through the constructor

@@ -160,6 +160,17 @@ class TestResolve:
         assert labels == ["Deduction", "Semantic_Model", "Symbol", "Symbol"]
         assert len(sd.edges) == 3
 
+    def test_reprs_of_resolved_library(self, catalog):
+        lib = resolve(parse(FIG_DOC), catalog)
+        assert repr(lib) == ("Library(3 patterns, 2 refinements, 1 networks, "
+                             "1 combine-defined)")
+        assert repr(lib.patterns["Train"]) == "Pattern('Train', 3 nodes, 2 edges)"
+        assert repr(lib.refinements["R1"]) == "Refinement('R1': Model -> Train)"
+        assert repr(lib.networks["N"]) == "Network('N', 3 patterns, 2 refinements)"
+        assert repr(catalog) == ("Catalog(prefixes={'ontohub': "
+                                 "'https://ontohub.org/meta/'}, mappings={}, "
+                                 "allow_fetch=False)")
+
     def test_named_node_shared_across_chains(self, catalog):
         lib = resolve(parse(
             "logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"

@@ -152,3 +152,69 @@ def test_emit_renames_unparseable_declaration_names(lib):
         assert set(net2.refinements) == {names[r] for r in net.refinements}
     assert lib2.combine_defs == {names[c]: names[n]
                                  for c, n in lib.combine_defs.items()}
+
+
+CLASSES = ["Data", "Training", "Model", "Symbol", "Instance"]
+
+
+@st.composite
+def pattern_documents(draw):
+    """Documents of one to three patterns whose bodies mix anonymous and
+    recurring named nodes (some named ``anonN``), repeat their first
+    chain, and in some extend the ontology inline by ``Extra``.  Returns
+    the text and each pattern's node classes and edges, with anonymous
+    nodes named as ``resolve`` names them."""
+    blocks, expected = ["logic NeSyPatterns"], {}
+    for i in range(draw(st.integers(1, 3))):
+        extended = draw(st.booleans())
+        classes = CLASSES + ["Extra"] * extended
+        ids = draw(st.lists(st.sampled_from(["a", "b", "c", "anon1", "anon3"]),
+                            min_size=1, unique=True))
+        cls_of = {n: draw(st.sampled_from(classes)) for n in ids}
+        ref = st.sampled_from(ids) | st.sampled_from(classes).map(lambda c: (c,))
+        chains = draw(st.lists(st.lists(ref, min_size=1, max_size=4),
+                               min_size=1, max_size=4))
+        # Drop a named node that follows itself: that would be a self-loop.
+        chains = [[r for k, r in enumerate(c)
+                   if k == 0 or isinstance(r, tuple) or r != c[k - 1]]
+                  for c in chains]
+        chains.append(chains[0])
+        named = {r for c in chains for r in c if not isinstance(r, tuple)}
+        anon, labels, edges = 0, {}, set()
+        for chain in chains:
+            prev = None
+            for r in chain:
+                if isinstance(r, tuple):
+                    anon += 1
+                    while f"anon{anon}" in named:
+                        anon += 1
+                    node, labels[f"anon{anon}"] = f"anon{anon}", r[0]
+                else:
+                    node, labels[r] = r, cls_of[r]
+                if prev is not None:
+                    edges.add((prev, node))
+                prev = node
+        expected[f"P{i}"] = (labels, edges)
+        data = ("{ ontohub:NeSyPatterns.omn then Class: Extra SubClassOf: Model }"
+                if extended else "ontohub:NeSyPatterns.omn")
+        body = "\n".join(
+            "  " + " -> ".join(r[0] if isinstance(r, tuple) else f"{r} : {cls_of[r]}"
+                               for r in chain) + ";"
+            for chain in chains)
+        blocks.append(f"pattern P{i} = data {data}\n{body}\nend")
+    return "\n".join(blocks) + "\n", expected
+
+
+@SETTINGS
+@given(pattern_documents())
+def test_resolved_patterns_pass_build_pattern(case):
+    """``resolve`` builds each pattern without ``build_pattern``; the
+    validating constructor accepts it and gives an equal one."""
+    text, expected = case
+    lib = resolve(parse(text), Catalog.default())
+    assert set(lib.patterns) == set(expected)
+    for name, p in lib.patterns.items():
+        labels, edges = expected[name]
+        assert {n: c.local_name for n, c in p.labels.items()} == labels
+        assert p.edges == edges
+        assert p == build_pattern(p.name, p.taxonomy, p.labels.items(), p.edges)

@@ -131,6 +131,10 @@ class TestEmitJson:
         b = emit_json(fig_lib.patterns["Train"])
         assert a == b
 
+    def test_rejects_other_values(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            emit_json(object())
+
     def test_roundtrip_through_reader(self, t):
         rng = random.Random(71)
         for _ in range(20):

@@ -9,16 +9,22 @@ bounds leave half again or more over the peaks measured on Python 3.11,
 except where a comment gives a tighter one and why.
 """
 
+import json
 import time
 import tracemalloc
 
 from nesypat import (
     Catalog,
     combination_result,
+    emit_abox,
+    emit_dot,
     emit_dsl,
+    emit_json,
+    emit_manchester,
     evaluate_combines,
     isomorphic,
     parse,
+    parse_taxonomy,
     resolve,
 )
 
@@ -67,6 +73,12 @@ def clauses_document(n: int) -> str:
             cls = f"E{i}"
         blocks.append(f"pattern P{i} = data {data}\n  a : {cls} -> b : Model;\nend")
     return "\n".join(blocks) + "\n"
+
+
+def class_chain_text(n: int) -> str:
+    """Manchester text of the chain K(n-1) < ... < K1 < K0."""
+    return ("Prefix: : <urn:chain#>\nOntology: <urn:chain>\nClass: K0\n"
+            + "\n".join(f"Class: K{i} SubClassOf: K{i - 1}" for i in range(1, n)))
 
 
 class TestReader:
@@ -156,3 +168,115 @@ class TestCombine:
         assert len(res.classes) == 10000
         assert wall < 1.0
         assert peak < 8.5 * 2**20
+
+
+class TestResolve:
+    # 0.005 s and a 1.36 MiB peak measured for the chain, 0.01 s and
+    # 1.36 MiB for its printed form, when the resolver builds the pattern
+    # it has checked.  A second, validating pass over every node and edge
+    # took 0.01 and 0.016 s with a 2.59 MiB peak for each, so the memory
+    # bound sits below that old peak.
+    def test_resolve_10000_chain(self):
+        doc = parse(chain_document(10000))
+        lib, wall, peak = measure(lambda: resolve(doc, Catalog.default()))
+        p = lib.patterns["P"]
+        assert (len(p.labels), len(p.edges)) == (10000, 9999)
+        assert p.labels["n9999"].local_name == "Training"
+        assert ("n9998", "n9999") in p.edges
+        assert wall < 0.5
+        assert peak < 2.2 * 2**20
+
+    def test_resolve_emit_dsl_of_10000_chain(self):
+        lib = resolve(parse(chain_document(10000)), Catalog.default())
+        doc = parse(emit_dsl(lib))
+        back, wall, peak = measure(lambda: resolve(doc, Catalog.default()))
+        assert back.patterns["P"] == lib.patterns["P"]
+        assert wall < 0.5
+        assert peak < 2.2 * 2**20
+
+    def test_resolve_infers_the_one_map_of_10000_chain(self):
+        # 0.035 s and a 4.5 MiB peak measured.  The chain's labels
+        # alternate, so its one map into the 2-cycle is forced by n0.
+        doc = parse(chain_document(10000)
+                    + "pattern L = data ontohub:NeSyPatterns.omn\n"
+                    "  a : Data -> b : Training -> a : Data;\nend\n"
+                    "refinement R = P refined to L end\n")
+        lib, wall, peak = measure(lambda: resolve(doc, Catalog.default()))
+        node_map = lib.refinements["R"].node_map
+        assert len(node_map) == 10000
+        assert (node_map["n0"], node_map["n9999"]) == ("a", "b")
+        assert set(node_map.values()) == {"a", "b"}
+        assert wall < 1.0
+        assert peak < 7 * 2**20
+
+
+class TestEmit:
+    @staticmethod
+    def chain():
+        return resolve(parse(chain_document(10000)), Catalog.default())
+
+    def test_emit_json_of_10000_chain(self):
+        # 0.02 s and a 5.6 MiB peak measured.
+        p = self.chain().patterns["P"]
+        text, wall, peak = measure(lambda: emit_json(p))
+        obj = json.loads(text)
+        assert (len(obj["nodes"]), len(obj["edges"])) == (10000, 9999)
+        assert obj["nodes"][-1] == {"id": "n9999", "label": "Training"}
+        assert wall < 1.0
+        assert peak < 8.5 * 2**20
+
+    def test_emit_dot_of_10000_chain(self):
+        # 0.02-0.03 s and a 3.1 MiB peak measured.
+        p = self.chain().patterns["P"]
+        text, wall, peak = measure(lambda: emit_dot(p))
+        lines = text.splitlines()
+        assert len(lines) == 20001
+        assert lines[1] == '  "n0" [label="n0 : Data", shape=box];'
+        assert lines[-2] == '  "n9998" -> "n9999";'
+        assert wall < 1.0
+        assert peak < 4.7 * 2**20
+
+    def test_emit_abox_of_10000_chain(self):
+        # 0.03 s and a 4.7 MiB peak measured.
+        p = self.chain().patterns["P"]
+        abox, wall, peak = measure(lambda: emit_abox(p))
+        assert (len(abox.memberships), len(abox.links)) == (10000, 9999)
+        assert abox.lines[:4] == ("n0 : Data", "providesInput(n0,n1)",
+                                  "n1 : Training", "hasOutput(n1,n2)")
+        assert abox.lines[-1] == "n9999 : Training"
+        assert wall < 1.0
+        assert peak < 7 * 2**20
+
+    def test_emit_dsl_of_10000_chain(self):
+        # 0.015 s and a 2.3 MiB peak measured.
+        lib = self.chain()
+        text, wall, peak = measure(lambda: emit_dsl(lib))
+        lines = text.splitlines()
+        assert len(lines) == 20003
+        assert lines[-2:] == ["  n9998 : Data -> n9999 : Training;", "end"]
+        assert wall < 1.0
+        assert peak < 3.5 * 2**20
+
+
+class TestTaxonomy:
+    def test_parse_taxonomy_of_10000_class_chain(self):
+        # 0.1 s and a 11.9 MiB peak measured, most of it the classes'
+        # down-sets (n^2 / 2 bits).
+        text = class_chain_text(10000)
+        t, wall, peak = measure(lambda: parse_taxonomy(text))
+        k0, k9999 = t.lookup("K0"), t.lookup("K9999")
+        assert len(t.classes) == 10000 and t.top == k0
+        assert t.leq(k9999, k0) and not t.leq(k0, k9999)
+        assert wall < 2.0
+        assert peak < 18 * 2**20
+
+    def test_emit_manchester_of_10000_class_chain(self):
+        # 0.05-0.07 s and a 2.8 MiB peak measured.
+        t = parse_taxonomy(class_chain_text(10000))
+        text, wall, peak = measure(lambda: emit_manchester(t))
+        lines = text.splitlines()
+        assert len(lines) == 30000
+        assert lines[:3] == ["Prefix: : <urn:chain#>", "", "Class: K0"]
+        assert lines[-2:] == ["Class: K9999", "    SubClassOf: K9998"]
+        assert wall < 1.0
+        assert peak < 4.2 * 2**20

@@ -454,6 +454,12 @@ class TestCopy:
             model.local_name = "Other"
         assert model.local_name == "Model"
 
+    def test_taxonomy_attributes_cannot_be_assigned(self, default):
+        top = default.top
+        with pytest.raises(AttributeError, match="Taxonomy is immutable"):
+            default.top = default.lookup("Model")
+        assert default.top is top
+
     @pytest.mark.parametrize("copier", COPIES)
     def test_extended_taxonomy_round_trips(self, default, copier):
         ext = default.extend("Class: E SubClassOf: Model\nClass: F SubClassOf: E")
