@@ -16,8 +16,12 @@ first, and each class's down-set (itself and its subclasses) is an
 and ``infimum`` an AND of down-sets, whose highest bit is a maximal
 lower bound.  These n * n bits take about 12 MiB for 10,000 classes.
 
-Reading and building run on integer ids.  The reader tokenizes with one
-``findall`` pass, gives each class an id, keeps its superclasses as
+Reading and building run on integer ids.  The reader reads each frame
+of plain names (``Class: A SubClassOf: B, C``, a simple ``Prefix`` or
+``Ontology`` header) with one regex match.  At the first frame that
+pattern does not read, it splits the rest of the text into tokens with
+one ``findall`` pass and walks them, so every warning and error is
+placed as before.  It gives each class an id, keeps its superclasses as
 lists of ids and makes its ``ClassRef`` once.  One builder turns such
 arrays into the down-sets, for ``parse_taxonomy``, for ``extend`` (the
 base's arrays followed by the fragment's) and for ``Taxonomy(...)``.
@@ -90,6 +94,20 @@ class ClassRef:
 
     def __repr__(self):
         return f"ClassRef({self.local_name})"
+
+
+_new_ref = object.__new__
+_set_iri = ClassRef.iri.__set__
+_set_local_name = ClassRef.local_name.__set__
+
+
+def _class_ref(iri: str, local_name: str) -> ClassRef:
+    """A ClassRef whose local name is known to be usable, made without
+    the constructor's check."""
+    ref = _new_ref(ClassRef)
+    _set_iri(ref, iri)
+    _set_local_name(ref, local_name)
+    return ref
 
 
 class Taxonomy:
@@ -227,9 +245,7 @@ class Taxonomy:
         try:
             return bool(self._down[index[b.iri]] >> self._bit[index[a.iri]] & 1)
         except KeyError:
-            self._require(a)
-            self._require(b)
-            raise
+            raise self._unknown(a, b) from None
 
     def infimum(self, labels) -> ClassRef | None:
         """Greatest common lower bound of a non-empty label set, or None.
@@ -267,15 +283,16 @@ class Taxonomy:
             try:
                 lower &= down[index[x.iri]]
             except KeyError:
-                self._require(x)
-                raise
+                raise self._unknown(x) from None
         if lower == -1:
             raise ValueError("infimum of an empty label set")
         return lower
 
-    def _require(self, c: ClassRef) -> None:
-        if c not in self:
-            raise UnknownClassError(f"class {c.local_name!r} is not in this taxonomy")
+    def _unknown(self, *cs: ClassRef) -> UnknownClassError:
+        """The error for the first of ``cs`` that is not in this
+        taxonomy; a KeyError from ``_index`` means one of them is not."""
+        c = next(c for c in cs if c not in self)
+        return UnknownClassError(f"class {c.local_name!r} is not in this taxonomy")
 
     # -- construction ----------------------------------------------------
 
@@ -357,15 +374,16 @@ _CLOSED = f"{_IRI}|{_QUOTED}|{_STRING}"  # compiled on first use only
 # or ``"`` whose token failed, and takes the rest of the text with it,
 # so it can only be the last match.  Every character but whitespace
 # starts an alternative, so a search that ends at the last other
-# character never backtracks over whitespace.
-_MANCHESTER_RE = re.compile(rf"""
+# character never backtracks over whitespace.  Compiled on first use
+# only, as only text that ``_FRAME_RE`` does not read is tokenized.
+_MANCHESTER = rf"""
     (\s*)
     ( {_IRI} | {_QUOTED} | {_STRING}
     | [A-Za-z_][A-Za-z0-9_\-]*
     | [0-9][A-Za-z0-9_.\-]*
     | [^\s<'"]
     | [<'"].* )
-""", re.VERBOSE | re.DOTALL)
+"""
 
 _UNTERMINATED = {"<": "unterminated IRI", "'": "unterminated quoted name",
                  '"': "unterminated string literal"}
@@ -375,14 +393,31 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _CLASS_START = _NAME_START | {"'", "<"}
 
 
-def _tokenize_manchester(text: str) -> list[tuple[str, str]]:
-    """The tokens of ``text`` as ``(whitespace before, token)`` pairs,
-    ending with ``(trailing whitespace, "")``.  A token's first
-    character tells its kind: ``<`` an IRI, ``'`` a quoted name, ``:``
-    and ``,`` themselves, a letter or ``_`` a name, and anything else a
-    token that only skipped entries hold."""
+# One frame of plain names, in spellings the token walk reads the same
+# way.  The walk reads a keyword after ``Class`` as a name, but ends a
+# ``SubClassOf`` list at one.  A name can only be followed by ``,``, by
+# whitespace and ``SubClassOf`` or ``Class``, or by the end, so it is a
+# whole token and not the prefix of a prefixed name.  A Class frame
+# must be followed by the end or by ``Class``, where the walk ends it
+# too.
+_NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_SUPER = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_\-])){_NAME}"
+_FRAME_RE = re.compile(
+    rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
+    rf"(?:\s+SubClassOf(?:\s*:\s*|\s+)(?P<s>{_SUPER}(?:\s*,\s*{_SUPER})*))?"
+    r"(?=\s*\Z|\s+Class[\s:])"
+    rf"|Prefix\s*:\s*(?:(?P<p>{_NAME})\s*)?:\s*<(?P<i>[^>]*)>"
+    r"|Ontology\s*:\s*<(?P<o>[^>]*)>(?:\s*<[^>]*>)?)")
+
+
+def _tokenize_manchester(text: str, start: int = 0) -> list[tuple[str, str]]:
+    """The tokens of ``text`` from offset ``start`` on as ``(whitespace
+    before, token)`` pairs, ending with ``(trailing whitespace, "")``.
+    A token's first character tells its kind: ``<`` an IRI, ``'`` a
+    quoted name, ``:`` and ``,`` themselves, a letter or ``_`` a name,
+    and anything else a token that only skipped entries hold."""
     end = len(text.rstrip())
-    toks = _MANCHESTER_RE.findall(text, 0, end)
+    toks = re.compile(_MANCHESTER, re.VERBOSE | re.DOTALL).findall(text, start, end)
     if toks:
         last = toks[-1][1]
         if last[0] in _UNTERMINATED and not re.fullmatch(_CLOSED, last):
@@ -392,17 +427,18 @@ def _tokenize_manchester(text: str) -> list[tuple[str, str]]:
     return toks
 
 
-def _placer(text: str, spaces: tuple[str, ...], vals: tuple[str, ...]):
+def _placer(text: str, start: int, spaces: tuple[str, ...],
+            vals: tuple[str, ...]):
     """A function from a token's index to its ``(line, col)``, given the
-    whitespace before each token and the tokens.  The offsets are
-    worked out on the first call, since only a warning or an error
-    needs one."""
+    offset of the first token's whitespace, the whitespace before each
+    token and the tokens.  The offsets are worked out on the first call,
+    since only a warning or an error needs one."""
     offsets: list[int] = []
     position = _positions(text)
 
     def place(i: int) -> tuple[int, int]:
         if not offsets:
-            at = 0
+            at = start
             for ws, tok in zip(spaces, vals):
                 at += len(ws)
                 offsets.append(at)
@@ -441,35 +477,86 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     """Read the frames of Manchester text into classes and subclass
     edges, on top of ``base`` if given.
 
-    Each name is read as a key: ``(None, local)`` for a bare or quoted
-    name (a quoted name is a label whatever it holds; its spaces become
-    ``_``), ``(prefix, local)`` for a prefixed one (prefix ``""`` for
-    ``:Name``), and the IRI itself, a ``str``, for an ``<IRI>``.  Each
-    distinct key gets an int id and the index of the token it is first
-    read at.  Keys are resolved once the whole text is read, because
-    prefixes, the namespace and ``Class`` frames may come after a name
-    is used: each key once, to a class id.  A key resolves to a class
-    of ``base`` (a bare name by local name, any name by IRI), else to a
-    class the text already added; else it is minted, a bare name in the
-    text's namespace, with the next id after the base's.  Without a
-    base, a ``SubClassOf`` target is declared by its use; with one, a
-    target the text does not declare raises UnknownClassError.  Every
-    error is placed at the token the failing name first starts at.
+    Frames are read with one ``_FRAME_RE`` match each while they hold
+    only plain names: ``Class: A``, optionally with ``SubClassOf: B, C``,
+    ``Prefix: p: <IRI>`` and ``Ontology: <IRI>``, each keyword with or
+    without its colon.  At the first frame
+    it does not match (a quoted or prefixed name, an IRI, another entry,
+    a malformed frame) the rest of the text is split into tokens once
+    and walked token by token, which reads every frame the grammar
+    allows and places every warning and error.
+
+    Each name is read as a key: the local name itself, a ``str``, for a
+    bare or quoted name (a quoted name is a label whatever it holds; its
+    spaces become ``_``), ``(prefix, local)`` for a prefixed one (prefix
+    ``""`` for ``:Name``), and ``(None, iri)`` for an ``<IRI>``.  Each
+    distinct key gets an int id and the place it is first read at: the
+    offset of its name if a frame match read it, else the complement
+    ``~i`` of the index of its token.  Keys are resolved once the whole
+    text is read, because prefixes, the namespace and ``Class`` frames
+    may come after a name is used: each key once, to a class id.  A key
+    resolves to a class of ``base`` (a bare name by local name, any name
+    by IRI), else to a class the text already added; else it is minted,
+    a bare name in the text's namespace, with the next id after the
+    base's.  Without a base, a ``SubClassOf`` target is declared by its
+    use; with one, a target the text does not declare raises
+    UnknownClassError.  Every error is placed where the failing name
+    first starts.
 
     Returns the classes by id, the base's first; each class's
     superclass ids, an added class with none below the top; the top's
     id; and the namespace.
     """
-    spaces, vals = zip(*_tokenize_manchester(text))
-    place = _placer(text, spaces, vals)
     prefixes: dict[str, str] = {}
     namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
     ids: dict = {}  # key -> key id
     keys: list = []  # key id -> key
-    first: list[int] = []  # key id -> index of the token it is first read at
+    first: list[int] = []  # key id -> offset or ~(token index) it is first read at
     declared: list[int] = []  # key ids of Class frames, in order, with repeats
     edges: list[tuple[int, int]] = []  # key id pairs
+
+    def add_key(key, at: int) -> int:
+        k = ids[key] = len(keys)
+        keys.append(key)
+        first.append(at)
+        return k
+
+    pos = 0
+    match = _FRAME_RE.match
+    while m := match(text, pos):
+        pos = m.end()
+        name, sups, pfx, iri, ont = m.groups()
+        if name is not None:
+            subject = ids.get(name)
+            if subject is None:
+                subject = add_key(name, m.start(1))
+            declared.append(subject)
+            if sups is not None:
+                at = m.start(2)
+                for piece in sups.split(","):  # a name between whitespace
+                    sup = piece.strip()
+                    k = ids.get(sup)
+                    if k is None:
+                        k = add_key(sup, at + piece.index(sup))
+                    edges.append((subject, k))
+                    at += len(piece) + 1
+        elif iri is not None:
+            prefixes[pfx or ""] = iri
+            if not pfx:
+                namespace = iri
+        else:
+            ontology_iri = ont
+
+    # The token walk, from the first frame no match read.
+    spaces, vals = ("",), ("",)  # only the end: every frame was read
+    if text[pos:].strip():
+        spaces, vals = zip(*_tokenize_manchester(text, pos))
+    place = _placer(text, pos, spaces, vals)
+    position = _positions(text)
+
+    def where(at: int) -> tuple[int, int]:
+        return position(at) if at >= 0 else place(~at)
 
     def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
@@ -490,21 +577,17 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                     raise ParseError("malformed prefixed name", line=line, col=col)
                 key, after = (tok, local), i + 3
             else:
-                key, after = (None, tok), i + 1
+                key, after = tok, i + 1
         elif c == "'":
-            key, after = (None, tok[1:-1].replace(" ", "_")), i + 1
+            key, after = tok[1:-1].replace(" ", "_"), i + 1
         elif c == "<":
-            key, after = tok[1:-1], i + 1
+            key, after = (None, tok[1:-1]), i + 1
         elif c == ":" and not spaces[i + 1] and vals[i + 1][:1] in _NAME_START:
             key, after = ("", vals[i + 1]), i + 2  # ``:Name``, the empty prefix
         else:
             return -1, i
         k = ids.get(key)
-        if k is None:
-            k = ids[key] = len(keys)
-            keys.append(key)
-            first.append(i)
-        return k, after
+        return (add_key(key, ~i) if k is None else k), after
 
     i = 0
     eof = len(vals) - 1
@@ -593,18 +676,18 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     def resolve(k: int, declare: bool) -> int:
         """The class id of key ``k``, read for the first time."""
         key = keys[k]
-        bare = False
-        if key.__class__ is str:  # an <IRI>
-            iri = key
+        bare = key.__class__ is str
+        if bare:
+            local, iri = key, namespace + key
         else:
             pfx, local = key
-            if pfx is None:
-                bare, iri = True, namespace + local
+            if pfx is None:  # an <IRI>
+                iri = local
             elif pfx in prefixes:
                 iri = prefixes[pfx] + local
             else:
                 name = f"{pfx}:{local}"
-                line, col = place(first[k])
+                line, col = where(first[k])
                 raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
                                         line=line, col=col)
         if bare and local in by_local:
@@ -616,11 +699,11 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         elif declare:
             c = added[iri] = len(refs)
             refs.append(_mint(iri, local if bare else _local_name_of(iri),
-                              taken, place, first[k]))
+                              taken, where, first[k]))
             parents.append([])
         else:
             shown = repr(local) if bare else f"<{iri}>"
-            line, col = place(first[k])
+            line, col = where(first[k])
             raise UnknownClassError(f"unknown class {shown} in extension",
                                     line=line, col=col)
         cls[k] = c
@@ -655,7 +738,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 other = taken.get(TOP_LOCAL_NAME)
                 at = first[cls.index(added[other.iri])] if other else 0
                 top = len(refs)
-                refs.append(_mint(iri, TOP_LOCAL_NAME, taken, place, at))
+                refs.append(_mint(iri, TOP_LOCAL_NAME, taken, where, at))
                 parents.append([])
     for j in roots:
         if j != top:
@@ -664,22 +747,22 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
 
 def _mint(iri: str, local: str, taken: dict[str, ClassRef],
-          place, at: int) -> ClassRef:
+          where, at: int) -> ClassRef:
     """A class read from Manchester text, recorded in ``taken`` by local
     name.  A local name that is empty, holds whitespace or is taken by
-    another IRI is a ParseError at ``place(at)``, where the name
-    starts."""
-    try:
-        ref = ClassRef(iri, local)
-    except ValueError:
+    another IRI is a ParseError at ``where(at)``, where the name starts.
+    An offset ``at`` (not a token's ``~i``) means a frame match read the
+    name, so the local name is a name token and needs no check."""
+    if at < 0 and not _LOCAL_NAME_RE.fullmatch(local):
         problem = "whitespace in its local name" if local else "no local name"
     else:
+        ref = _class_ref(iri, local)
         other = taken.setdefault(local, ref)
         if other.iri == iri:
             return ref
         problem = f"the local name {local!r} of <{other.iri}>"
     shown = iri if iri.isprintable() else repr(iri)[1:-1]  # keep it one line
-    line, col = place(at)
+    line, col = where(at)
     raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
 
 

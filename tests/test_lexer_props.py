@@ -176,32 +176,67 @@ MANCHESTER_PIECES = [
     "12.5e-3", "0x1F", "(", ")", " ", "\n", "\r", "\t", "\x1c", "\xa0", "é",
     "\\", ">", "#",
 ]
+#: Plain names, which the frame pattern reads: a name token that is
+#: not a keyword and has no ``:`` right after it.
+PLAIN_NAMES = ["A", "B", "K0", "K1", "b-c", "_k", "Model", "NeSy_Pattern_Element"]
 CLASS_NAMES = [
     "A", "B", "Model", "NeSy_Pattern_Element", "'q n'", "''", "'a\tb'",
     "'<urn:x#>'", "<urn:x#A>", "<urn:y#A>", "<A>", "<urn:x#>", "<urn:x#a\tb>",
-    "<urn:x#a\nb>", "p:X", "q:Y",
+    "<urn:x#a\nb>", "p:X", "q:Y", "b-c", "K1", "Class", "SubClassOf", "Prefix",
 ]
 OTHER_FRAMES = [
     "Prefix: p: <urn:p#>", "Prefix: p: <urn:a\tb>", "Prefix: : <urn:d#>",
     "Ontology: <urn:o>", "Import: <urn:i>", "Individual: i",
     'Annotations: rdfs:comment "two\nlines"', "EquivalentTo: A and B",
 ]
+#: Keywords run into names, and keywords where a SubClassOf list holds
+#: names: no frame pattern may read these as the frames they look like.
+LOOKALIKES = [
+    "Class: A SubClassOf: Prefix", "Class: A SubClassOf: B, Class",
+    "Class: A SubClassOf: SubClassOf", "Class: Prefix SubClassOf: Class",
+    "Classy: A", "ClassA SubClassOf: B", "Class: A SubClassOfB", "Class: ASubClassOf: B",
+    "Class: AClass: B", "Class: A SubClassOf: BClass: C", "Prefixp: <urn:p#>",
+    "Ontology1 <urn:o>",
+]
+#: Spellings of ``Class:``, ``SubClassOf:`` and the comma between
+#: superclasses: with or without the colon and the spaces around it.
+CLASS_KEYWORDS = ["Class: ", "Class:", "Class ", "Class :", "Class\n  "]
+SUBCLASS_KEYWORDS = [" SubClassOf: ", "\n    SubClassOf: ", " SubClassOf ", " SubClassOf:"]
+COMMAS = [", ", ",", " , ", "\n  , "]
+
+
+@st.composite
+def class_frames(draw, names):
+    frame = draw(st.sampled_from(CLASS_KEYWORDS)) + draw(names)
+    supers = draw(st.lists(names, max_size=2))
+    if supers:
+        frame += (draw(st.sampled_from(SUBCLASS_KEYWORDS))
+                  + draw(st.sampled_from(COMMAS)).join(supers))
+    return frame
 
 
 @st.composite
 def manchester_texts(draw):
     """Class frames over names that may share a local name or have none,
-    other frames, and a few inserted, deleted or replaced pieces."""
+    other frames, and a few inserted, deleted or replaced pieces; or a
+    run of 5-15 frames of plain names, which the reader reads one match
+    each, with one other frame or piece at a drawn index, where it
+    switches to the token walk."""
+    if draw(st.booleans()):
+        frames = draw(st.lists(class_frames(st.sampled_from(PLAIN_NAMES)),
+                               min_size=5, max_size=15))
+        other = draw(class_frames(st.sampled_from(CLASS_NAMES))
+                     | st.sampled_from(OTHER_FRAMES) | st.sampled_from(LOOKALIKES)
+                     | st.sampled_from(MANCHESTER_PIECES))
+        frames.insert(draw(st.integers(0, len(frames))), other)
+        return "".join((draw(SEPARATORS) or "\n") + f for f in frames)
     names = st.sampled_from(CLASS_NAMES)
     units = []
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.booleans()):
-            frame = "Class: " + draw(names)
-            supers = draw(st.lists(names, max_size=2))
-            if supers:
-                frame += " SubClassOf: " + ", ".join(supers)
+            frame = draw(class_frames(names))
         else:
-            frame = draw(st.sampled_from(OTHER_FRAMES))
+            frame = draw(st.sampled_from(OTHER_FRAMES + LOOKALIKES))
         units += [draw(SEPARATORS) or "\n", frame]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(units)))
@@ -332,3 +367,24 @@ def test_extend_matches_reference(base_text, fragment):
         got = read_outcome(b.extend, fragment)
         want = read_outcome(lambda t, d: reference_extend(b, t, d), fragment)
         assert got == want, (base_text, fragment)
+
+
+def test_frame_lookalikes_at_every_position_match_reference():
+    # Each frame that the frame pattern must not read, or must read as
+    # the tokens do, at each place in a run of frames it reads: both
+    # readers, and extend over the default taxonomy and over the run.
+    run = ["Class: K0", "Class:K1 SubClassOf:K0", "Class K2 SubClassOf K1 , K0",
+           "Class : b-c\n  SubClassOf : K2", "Class: _k SubClassOf: b-c,K1"]
+    base = parse_taxonomy("\n".join(run))
+    for other in LOOKALIKES + OTHER_FRAMES + ["Class: A", "Class:p:X", "Class: 'q n'"]:
+        for k in range(len(run) + 1):
+            text = "\n".join(run[:k] + [other] + run[k:])
+            assert not states_top_superclass(text)
+            got = read_outcome(lambda t, d: parse_taxonomy(t, d, source_name="f.omn"), text)
+            want = read_outcome(lambda t, d: reference_parse_taxonomy(t, d, source_name="f.omn"),
+                                text)
+            assert got == want, text
+            for b in (base, default_taxonomy()):
+                got = read_outcome(b.extend, text)
+                want = read_outcome(lambda t, d: reference_extend(b, t, d), text)
+                assert got == want, text

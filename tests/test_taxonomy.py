@@ -7,7 +7,13 @@ import tracemalloc
 
 import pytest
 
-from helpers import glb_oracle, random_taxonomy, reachable_oracle
+from helpers import (
+    glb_oracle,
+    random_taxonomy,
+    reachable_oracle,
+    reference_parse_taxonomy,
+)
+from nesypat import taxonomy
 from nesypat.errors import CycleError, ParseError, UnknownClassError, _positions
 from nesypat.taxonomy import (
     ClassRef,
@@ -612,3 +618,47 @@ class TestIntegerIds:
         assert base._classes is None and base._edges is None
         monkeypatch.undo()
         assert len(ext.classes) == 10301 and (ext.lookup("E1"), ks[10000]) in ext.subclass_edges
+
+    def test_plain_frames_need_no_tokens_and_no_name_check(self, monkeypatch):
+        # Each frame of the chain-and-band text and of a 300-class chain
+        # below it is one frame match: nothing is tokenized, and no class
+        # goes through ClassRef's local-name check.
+        calls = []
+        real_tokenize, real_init = taxonomy._tokenize_manchester, ClassRef.__init__
+
+        def counting_tokenize(*args):
+            calls.append("tokenize")
+            return real_tokenize(*args)
+
+        def counting_init(self, *args):
+            calls.append("init")
+            real_init(self, *args)
+
+        monkeypatch.setattr(taxonomy, "_tokenize_manchester", counting_tokenize)
+        monkeypatch.setattr(ClassRef, "__init__", counting_init)
+        t = parse_taxonomy(chain_and_band_text())
+        ext = t.extend(chain_fragment("E", 300, "K200"))
+        assert calls == []
+        # A quoted name sends the reader to the token walk.
+        parse_taxonomy(chain_and_band_text() + "\nClass: 'q'")
+        assert calls == ["tokenize"]
+        monkeypatch.undo()
+        assert repr(t) == "Taxonomy(321 classes, top=Top)" and len(ext.classes) == 621
+        assert ext.leq(ext.lookup("E300"), t.lookup("K1"))
+        assert not ext.leq(t.lookup("B0"), ext.lookup("E1"))
+        assert t.lookup("K7") == ClassRef("urn:deep#K7", "K7")
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 150, 319, 320])
+    def test_annotations_in_frame_k_placed_as_reference(self, k):
+        # Frame k sends the reader from frame matches to the token walk;
+        # its warning, and the taxonomy, are the reference reader's.
+        lines = chain_and_band_text().split("\n")
+        head, sub, supers = lines[k + 1].partition(" SubClassOf: ")
+        lines[k + 1] = f'{head}\n  Annotations: rdfs:comment "frame {k}"{sub}{supers}'
+        text = "\n".join(lines)
+        got, want = [], []
+        t = parse_taxonomy(text, got, source_name="f.omn")
+        assert t == reference_parse_taxonomy(text, want, source_name="f.omn")
+        assert got == want
+        assert [(d.line, d.col, d.message) for d in got] == [
+            (k + 3, 3, "Annotations entries are skipped")]
