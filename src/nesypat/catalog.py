@@ -90,7 +90,8 @@ class Catalog:
 
 def load_catalog(path) -> Catalog:
     """Read a catalog file: JSON with "prefixes", "mappings" and
-    optionally "allow_fetch".  Mapped paths must exist and be readable."""
+    optionally "allow_fetch", a JSON boolean (default false).  Mapped
+    paths must exist and be readable."""
     import json
 
     path = Path(path)
@@ -104,7 +105,10 @@ def load_catalog(path) -> Catalog:
         raise CatalogMissError(f"malformed catalog {path}: expected a JSON object")
     prefixes = data.get("prefixes", {})
     mappings = data.get("mappings", {})
-    allow_fetch = bool(data.get("allow_fetch", False))
+    allow_fetch = data.get("allow_fetch", False)
+    if allow_fetch is not True and allow_fetch is not False:
+        raise CatalogMissError(
+            f"malformed catalog {path}: allow_fetch must be true or false")
     if (not isinstance(prefixes, dict)
             or not all(isinstance(v, str) for v in prefixes.values())
             or not isinstance(mappings, dict)

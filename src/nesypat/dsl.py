@@ -32,8 +32,7 @@ from .library import Library
 from .network import build_network
 from .pattern import Pattern
 from .refinement import Refinement, check_refinement, infer_refinement
-from .taxonomy import (_IRI, _NAME_START, _QUOTED, _STRING, ClassRef, Taxonomy,
-                       default_taxonomy)
+from .taxonomy import _CLOSED, _NAME_START, ClassRef, Taxonomy, default_taxonomy
 
 LOGIC_NAME = "NeSyPatterns"
 
@@ -43,7 +42,7 @@ _KEYWORDS = frozenset({
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
 #: A word in which an IRI, quoted name or string literal keeps its spaces.
-_WORD = rf"(?:[^\s<'\"]+|{_IRI}|{_QUOTED}|{_STRING}|\S)+"
+_WORD = rf"(?:[^\s<'\"]+|{_CLOSED}|\S)+"
 
 
 # -- AST --------------------------------------------------------------------
@@ -236,7 +235,9 @@ class _Parser:
             return OntRef(base, None, line, col), self.tok.end()
         if self.tok[1] != "then":
             raise self.unexpected("'then' or '}'", "then", "}")
-        # The fragment runs to the brace that closes the data clause.
+        # The fragment runs to the brace that closes the data clause.  An
+        # IRI, quoted name or string literal is text: braces in it do not
+        # count, and an opener whose token does not close is one character.
         start = end = _TOKEN_RE.match(text, self.tok.end()).start(1)
         depth = 1
         while depth:
@@ -244,6 +245,15 @@ class _Parser:
             if close < 0:
                 raise self.error("unterminated data clause, expected '}'",
                                  start, ("}",))
+            opener = min((at for at in (text.find("<", end, close),
+                                        text.find("'", end, close),
+                                        text.find('"', end, close)) if at >= 0),
+                         default=close)
+            if opener < close:
+                depth += text.count("{", end, opener)
+                token = re.compile(_CLOSED).match(text, opener)
+                end = token.end() if token else opener + 1
+                continue
             depth += text.count("{", end, close) - 1
             end = close + 1
         frag_line, frag_col = self.at(start)

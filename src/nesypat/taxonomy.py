@@ -22,11 +22,11 @@ of plain names (``Class: A SubClassOf: B, C``, a simple ``Prefix`` or
 pattern does not read, it splits the rest of the text into tokens with
 one ``findall`` pass and walks them, so every warning and error is
 placed as before.  It gives each class an id, keeps its superclasses as
-lists of ids and makes its ``ClassRef`` once.  One builder turns such
-arrays into the down-sets, for ``parse_taxonomy``, for ``extend`` (the
-base's arrays followed by the fragment's) and for ``Taxonomy(...)``.
-No class is hashed on the way; ``classes`` and ``subclass_edges`` are
-built on first access.
+lists of ids, makes its ``ClassRef`` once and enters it in the IRI index
+and local-name map the taxonomy keeps.  One builder turns such arrays
+into the down-sets, for ``parse_taxonomy``, for ``extend`` (the base's
+arrays and maps followed by the fragment's) and for ``Taxonomy(...)``.
+``classes`` and ``subclass_edges`` are built on first access.
 """
 
 from __future__ import annotations
@@ -126,11 +126,13 @@ class Taxonomy:
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
         ids: dict[str, int] = {}
+        by_local: dict[str, ClassRef] = {}
         refs: list[ClassRef] = []
         for c in classes:
             if c.iri not in ids:
                 ids[c.iri] = len(refs)
                 refs.append(c)
+                by_local.setdefault(c.local_name, c)
         if top.iri not in ids:
             raise ValueError("top class must be a member of classes")
         parents: list[list[int]] = [[] for _ in refs]
@@ -140,14 +142,29 @@ class Taxonomy:
             except KeyError:
                 raise ValueError(
                     f"edge endpoint not declared: {sub!r} <= {sup!r}") from None
-        self._build(refs, parents, ids[top.iri], namespace)
+        self._build(refs, parents, ids[top.iri], namespace, ids, by_local)
+        # Checks no read text fails: the reader puts every root below the
+        # top, and ``_mint`` rejects a taken local name first.
+        below = self._down[ids[top.iri]]
+        if below != (1 << len(refs)) - 1:
+            stray = min((refs[i] for k, i in enumerate(self._topo) if not below >> k & 1),
+                        key=_iri)
+            raise ValueError(f"class {stray.local_name} does not reach the top class")
+        if len(by_local) < len(refs):
+            seen: set[str] = set()
+            for c in sorted(refs, key=_iri):  # name the first by IRI
+                if c.local_name in seen:
+                    break
+                seen.add(c.local_name)
+            raise ValueError(f"duplicate local name {c.local_name!r} for distinct IRIs")
 
     def _build(self, refs: list[ClassRef], parents: list[list[int]], top: int,
-               namespace: str) -> None:
+               namespace: str, index: dict, by_local: dict) -> None:
         """Set up the taxonomy of the classes ``refs`` with superclasses
-        ``parents`` (both by id, an index into ``refs``) and top
-        ``top``.  The order found does not depend on the order of
-        ``refs``, and an error names the class that comes first by IRI.
+        ``parents`` (both by id, an index into ``refs``), top ``top``,
+        IRI index ``index`` (IRI to id) and local-name map ``by_local``.
+        The order found does not depend on the order of ``refs``, and a
+        cycle is reported through the class that comes first by IRI.
         """
         n = len(refs)
         subs: list[list[int]] = [[] for _ in range(n)]
@@ -176,30 +193,14 @@ class Taxonomy:
             iri = [c.iri for c in refs].__getitem__
             name = refs[min(_find_cycle(subs, waiting, iri), key=iri)].local_name
             raise CycleError(f"subclass axioms form a cycle through {name}")
-        if down[top] != (1 << n) - 1:
-            stray = min((refs[i] for k, i in enumerate(topo) if not down[top] >> k & 1),
-                        key=_iri)
-            raise ValueError(f"class {stray.local_name} does not reach the top class")
-
-        by_local: dict[str, ClassRef] = {}
-        for c in refs:
-            if by_local.setdefault(c.local_name, c) is not c:
-                seen: set[str] = set()
-                for c in sorted(refs, key=_iri):  # name the first by IRI
-                    if c.local_name in seen:
-                        break
-                    seen.add(c.local_name)
-                raise ValueError(
-                    f"duplicate local name {c.local_name!r} for distinct IRIs")
         bit = [0] * n
         for k, i in enumerate(topo):
             bit[i] = k
         for name, value in (("top", refs[top]), ("namespace", namespace),
                             ("_refs", refs), ("_parents", parents),
                             ("_down", down), ("_bit", bit), ("_topo", topo),
-                            ("_index", {c.iri: i for i, c in enumerate(refs)}),
-                            ("_by_local", by_local), ("_classes", None),
-                            ("_edges", None)):
+                            ("_index", index), ("_by_local", by_local),
+                            ("_classes", None), ("_edges", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -309,10 +310,10 @@ class Taxonomy:
         """
         if not fragment.strip():
             return self
-        refs, parents, top, _ = _read_classes(fragment, diagnostics,
-                                              "<fragment>", self)
+        refs, parents, top, _, index, by_local = _read_classes(
+            fragment, diagnostics, "<fragment>", self)
         t = object.__new__(Taxonomy)
-        t._build(refs, parents, top, self.namespace)
+        t._build(refs, parents, top, self.namespace, index, by_local)
         return t
 
     # -- equality --------------------------------------------------------
@@ -505,7 +506,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     Returns the classes by id, the base's first; each class's
     superclass ids, an added class with none below the top; the top's
-    id; and the namespace.
+    id; the namespace; and the IRI index and local-name map of all the
+    classes, the arguments of ``Taxonomy._build``.
     """
     prefixes: dict[str, str] = {}
     namespace = None if base is None else base.namespace
@@ -664,13 +666,12 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
-    index = {} if base is None else base._index
+    index = {} if base is None else dict(base._index)  # IRI -> class id
     by_local = {} if base is None else base._by_local
-    taken = dict(by_local)
+    taken = dict(by_local)  # by_local and the classes the text adds
     refs: list[ClassRef] = [] if base is None else base._refs.copy()
     parents: list[list[int]] = [] if base is None else base._parents.copy()
     n = len(refs)
-    added: dict[str, int] = {}  # IRI -> id of a class the text adds
     cls = [-1] * len(keys)  # key id -> class id
 
     def resolve(k: int, declare: bool) -> int:
@@ -694,10 +695,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
             c = index[by_local[local].iri]
         elif iri in index:
             c = index[iri]
-        elif iri in added:
-            c = added[iri]
         elif declare:
-            c = added[iri] = len(refs)
+            c = index[iri] = len(refs)
             refs.append(_mint(iri, local if bare else _local_name_of(iri),
                               taken, where, first[k]))
             parents.append([])
@@ -733,17 +732,17 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
             # root: a cycle.  _mint rejects a fresh root whose name a
             # class below a root has.
             iri = namespace + TOP_LOCAL_NAME
-            top = added.get(iri)
+            top = index.get(iri)
             if top is None:
                 other = taken.get(TOP_LOCAL_NAME)
-                at = first[cls.index(added[other.iri])] if other else 0
-                top = len(refs)
+                at = first[cls.index(index[other.iri])] if other else 0
+                top = index[iri] = len(refs)
                 refs.append(_mint(iri, TOP_LOCAL_NAME, taken, where, at))
                 parents.append([])
     for j in roots:
         if j != top:
             parents[j].append(top)
-    return refs, parents, top, namespace
+    return refs, parents, top, namespace, index, taken
 
 
 def _mint(iri: str, local: str, taken: dict[str, ClassRef],

@@ -350,6 +350,8 @@ def _render_members(members) -> str:
 
 _REF_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _REF_SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
+#: A Manchester IRI, quoted name or string literal.
+_REF_CLOSED_RE = re.compile(r"<[^>]*>|'[^'\n]*'|" r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
 
 @dataclass(frozen=True)
@@ -441,7 +443,9 @@ class ReferenceLexer:
         return ReferenceToken("ontref", self.text[start:self.pos], line, col)
 
     def scan_fragment(self) -> ReferenceToken:
-        """Raw text from here to the brace closing the data clause."""
+        """Raw text from here to the brace closing the data clause.  A
+        Manchester IRI, quoted name or string literal is stepped over
+        whole, so its braces do not count."""
         self._rewind_peek()
         self._skip_trivia()
         line, col = self.line, self.col
@@ -449,6 +453,9 @@ class ReferenceLexer:
         depth = 1
         while self.pos < len(self.text):
             ch = self.text[self.pos]
+            if ch in "<'\"" and (m := _REF_CLOSED_RE.match(self.text, self.pos)):
+                self._advance(m.end() - self.pos)
+                continue
             if ch == "{":
                 depth += 1
             elif ch == "}":

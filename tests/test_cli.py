@@ -332,6 +332,25 @@ class TestCatalog:
         with pytest.raises(CatalogMissError):
             load_catalog(bad)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_allow_fetch_must_be_a_boolean(self, tmp_path, capsys, value):
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"allow_fetch": value}))
+        with pytest.raises(CatalogMissError) as e:
+            load_catalog(cat_file)
+        assert e.value.message == (f"malformed catalog {cat_file}: "
+                                   "allow_fetch must be true or false")
+        assert main(["check", FIG, "--catalog", str(cat_file)]) == 2
+        assert capsys.readouterr().err == f"nesypat: error: {e.value.message}\n"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_allow_fetch_reads_a_boolean(self, tmp_path, value):
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps({"allow_fetch": value}))
+        assert load_catalog(cat_file).allow_fetch is value
+        cat_file.write_text("{}")
+        assert load_catalog(cat_file).allow_fetch is False
+
     def test_unreadable_mapped_file_rejected(self, tmp_path):
         cat_file = tmp_path / "catalog.json"
         cat_file.write_text(json.dumps(

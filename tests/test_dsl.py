@@ -241,6 +241,25 @@ class TestResolve:
         assert lib.patterns["B"].labels["b"].local_name == "x_y"
         assert len(lib.taxonomies) == 2
 
+    @pytest.mark.parametrize("frames, name", [
+        ("Class: <urn:x#a}b> SubClassOf: Model Class: B SubClassOf: <urn:x#a}b>",
+         "a}b"),
+        ("Class: 'a}b' SubClassOf: Model\n  Class: B SubClassOf: 'a}b'", "a}b"),
+        ('Class: a Annotations: rdfs:comment "x}y{"\n  Class: B SubClassOf: a', "a"),
+    ])
+    def test_braces_inside_extension_tokens_are_text(self, catalog, frames, name):
+        text = ("logic NeSyPatterns\npattern P = data { ontohub:NeSyPatterns.omn "
+                f"then {frames} }}\n  b : B -> m : Model;\nend\n")
+        lib = resolve(parse(text), catalog)
+        t = lib.patterns["P"].taxonomy
+        assert t.leq(t.lookup("B"), t.lookup(name))
+        assert len(t.classes) == len(default_taxonomy().classes) + 2
+        emitted = emit_dsl(lib)
+        assert f"then {' '.join(frames.split())} }}" in emitted
+        lib2 = resolve(parse(emitted), Catalog.default())
+        assert isomorphic(lib.patterns["P"], lib2.patterns["P"])
+        assert lib2.patterns["P"].taxonomy == t
+
     def test_extension_iri_without_local_name_is_placed(self, catalog):
         doc = parse("logic NeSyPatterns\n"
                     "pattern P = data { ontohub:NeSyPatterns.omn then\n"

@@ -66,6 +66,9 @@ DECLARATIONS = [
     "pattern W = data { o:x } w : Model; end : Model; end",
     "pattern K = data o:x a : data; end",
     "pattern E = data o:x a -> end; end",
+    # braces inside an IRI, a quoted name and a string literal are text
+    "pattern B = data { o:x then Class: <urn:x#a}b> SubClassOf: 'c}d'\n"
+    "  Annotations: rdfs:comment \"x}y{\" } b : Model; end",
 ]
 PIECES = [
     # keywords, names and symbols
@@ -83,6 +86,8 @@ PIECES = [
     # node references, whole, split around a comment or cut off
     "x\n : %% c\n Model", "end : Model", "a : data", "x : Model ->",
     "%% data then\n", "x :", ";\r\n",
+    # Manchester tokens with braces, and openers that may not close
+    "<urn:x#}>", "'{'", '"}\\""', "<", "'", '"',
     # whitespace, including Unicode spaces that str.isspace accepts
     " ", "\n", "\t", "\r", "\r\n", "\x1c", "\x85", "\xa0", " ",
 ]

@@ -291,6 +291,18 @@ class TestParseTaxonomy:
         t = parse_taxonomy("Ontology: <urn:o> <urn:o/1>\nClass: A")
         assert t.lookup("A").iri == "urn:o#A"
 
+    def test_version_iri_is_read_past_in_the_token_walk(self):
+        # The quoted name sends the reader to the token walk before the
+        # header, so the walk, not a frame match, steps over the version.
+        text = ("Class: 'q'\nOntology: <urn:o> <urn:o/1>\n"
+                "Class: A SubClassOf: 'q'\n  Annotations: x")
+        got, want = [], []
+        t = parse_taxonomy(text, got, source_name="f.omn")
+        ref = reference_parse_taxonomy(text, want, source_name="f.omn")
+        assert (t.classes, t.subclass_edges) == (ref.classes, ref.subclass_edges)
+        assert got == want and [(d.line, d.col) for d in got] == [(4, 3)]
+        assert t.lookup("A").iri == "urn:o#A"
+
     def test_unsupported_expression_skipped_with_warning(self):
         diags = []
         t = parse_taxonomy("Class: A SubClassOf: (B)\nClass: B", diagnostics=diags)
