@@ -1,9 +1,11 @@
 """Command-line front end: check documents, combine patterns, infer maps.
 
 Results go to standard out; every diagnostic goes to standard error as
-``file:line:col: severity: message``.  Exit codes: 0 on success, 1 when a
-document fails a check (or, reported as an internal error, when the
-toolkit itself fails), 2 on I/O or catalog failures.
+``file:line:col: severity: message``, but for a failure to read the
+document or the catalog file, which has no place in the document.  Exit
+codes: 0 on success, 1 when a document fails a check (or, reported as an
+internal error, when the toolkit itself fails), 2 on I/O or catalog
+failures.
 """
 
 from __future__ import annotations
@@ -60,8 +62,11 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
     try:
         doc = parse(text, source_name=path)
         lib = resolve(doc, catalog, diagnostics=warnings)
-    except CatalogMissError as e:
-        print(f"nesypat: error: {e.message}", file=err)
+    except CatalogMissError as e:  # placed at its data clause, if it has one
+        if e.line is None:
+            print(f"nesypat: error: {e.message}", file=err)
+        else:
+            _print_diag(err, path, _error_diag(e))
         return EXIT_IO
     except NesyError as e:
         _print_diag(err, path, _error_diag(e))

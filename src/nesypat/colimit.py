@@ -83,6 +83,14 @@ def combine(net: Network, name: str | None = None) -> CombinationResult:
     the one of the class with the smallest name, or of the smallest
     (pattern, edge).
     """
+    pattern, embedding = _combine(net, name)
+    return CombinationResult(pattern, *embedding())
+
+
+def _combine(net: Network, name: str | None):
+    """The combined pattern of ``combine`` and a function that builds
+    its ``injections`` and ``classes``, which only a CombinationResult
+    holds."""
     validate_network(net)
     if not net.patterns:
         raise ValueError(f"network {net.name!r} has no member patterns")
@@ -191,15 +199,19 @@ def combine(net: Network, name: str | None = None) -> CombinationResult:
 
     pattern = Pattern(f"combine({net.name})" if name is None else name,
                       taxonomy, labels, frozenset(edges))
-    injections: dict[str, dict[str, str]] = {}
-    start = 0
-    for pname, pos in index.items():
-        injections[pname] = dict(zip(pos, class_name[start:start + len(pos)]))
-        start += len(pos)
-    classes = {names[k]: frozenset((members[k],)) for k in singles}
-    for r, group in groups.items():
-        classes[names[r]] = frozenset([members[k] for k in group])
-    return CombinationResult(pattern, injections, classes)
+
+    def embedding():
+        injections: dict[str, dict[str, str]] = {}
+        start = 0
+        for pname, pos in index.items():
+            injections[pname] = dict(zip(pos, class_name[start:start + len(pos)]))
+            start += len(pos)
+        classes = {names[k]: frozenset((members[k],)) for k in singles}
+        for r, group in groups.items():
+            classes[names[r]] = frozenset([members[k] for k in group])
+        return injections, classes
+
+    return pattern, embedding
 
 
 def _raise_undefined(taxonomy: Taxonomy, members: list[tuple[str, str]],
@@ -245,11 +257,11 @@ def combination_result(lib: Library, name: str) -> CombinationResult:
     if name not in lib.combine_defs:
         raise UnknownNameError(f"pattern {name!r} is not combine-defined")
     patterns = {k: p for k, p in lib.patterns.items() if k != name}
-    return _evaluate(lib, (name,), patterns)
+    pattern, embedding = _evaluate(lib, (name,), patterns)
+    return CombinationResult(pattern, *embedding())
 
 
-def _evaluate(lib: Library, names,
-              patterns: dict[str, Pattern]) -> CombinationResult | None:
+def _evaluate(lib: Library, names, patterns: dict[str, Pattern]):
     """Combine the combine-defined ``names`` and, first, every
     combine-defined pattern they depend on, each once, storing each
     combined pattern in ``patterns``.
@@ -257,7 +269,8 @@ def _evaluate(lib: Library, names,
     A name already in ``patterns`` counts as materialized and is skipped.
     The walk is a name-sorted depth-first post-order on an explicit
     stack; the whole order is fixed, and cycles reported, before the
-    first combination.  Returns the last combination computed, if any.
+    first combination.  Returns what ``_combine`` gave for the last
+    combination computed, if any.
     """
     order: list[str] = []
     on_stack: set[str] = set()
@@ -293,11 +306,11 @@ def _evaluate(lib: Library, names,
                 f"combine-defined pattern {name!r} references unknown "
                 f"network {netname!r}")
         try:
-            result = combine(_refresh_members(lib.networks[netname], patterns),
-                             name)
+            result = _combine(_refresh_members(lib.networks[netname], patterns),
+                              name)
         except NesyError as e:
             raise e.in_decl(name)
-        patterns[name] = result.pattern
+        patterns[name] = result[0]
     return result
 
 

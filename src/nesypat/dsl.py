@@ -6,8 +6,9 @@ clause (optionally extending it inline after ``then``) and list chains
 of node references; ``x : Class`` introduces or re-references a named
 node, a bare class token creates a fresh anonymous node.  ``%%`` starts
 a line comment.  The reader goes through the text from one offset:
-one regex match per token of a declaration head, the data clause raw,
-and one regex match per node reference of a body.
+one regex match per declaration head without comments (else one per
+token of it), the data clause raw, and one regex match per node
+reference of a body.
 """
 
 from __future__ import annotations
@@ -121,6 +122,25 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf"{_TRIVIA}({_NAME}|\|->|->|\S|\Z)")
 _REF_RE = re.compile(rf"{_TRIVIA}({_NAME}){_TRIVIA}(?::{_TRIVIA}({_NAME}){_TRIVIA}|)(->|;)")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
+_NAMES = re.compile(_NAME).findall
+
+#: Declaration heads without comments, each from its keyword on.  Every
+#: name is followed by whitespace or a symbol, and ``data`` and ``end``
+#: by no name character, so each is a whole token; a name may still be
+#: a keyword, which the parser checks.  An ontology reference that
+#: starts with a name is read with the head of its pattern, as
+#: ``data_clause`` reads it.  A ``via`` list and a member list are
+#: captured whole and split with ``_NAMES``.
+_PAIR = rf"{_NAME}\s*\|->\s*{_NAME}"
+_TAIL = r"(?![A-Za-z0-9_])"
+_PATTERN_HEAD = re.compile(
+    rf"pattern\s+({_NAME})\s*=\s*"
+    rf"(?:combine\s+({_NAME})\s+end|data(?:\s+([A-Za-z_][^\s{{}}]*))?){_TAIL}")
+_REFINEMENT_HEAD = re.compile(
+    rf"refinement\s+({_NAME})\s*=\s*({_NAME})\s+refined\s+to\s+({_NAME})"
+    rf"(?:\s+via\s+({_PAIR}(?:\s*,\s*{_PAIR})*))?\s+end{_TAIL}")
+_NETWORK_HEAD = re.compile(
+    rf"network\s+({_NAME})\s*=\s*({_NAME}(?:\s*,\s*{_NAME})*)\s+end{_TAIL}")
 
 
 def _stray(value: str) -> bool:
@@ -136,7 +156,10 @@ class _Parser:
     """Recursive descent from one offset into the text.  ``tok`` is the
     match of ``_TOKEN_RE`` at that offset (the token is group 1), and
     ``next`` matches the one behind it, so a token is matched only when
-    the parser reaches it.  What follows ``data`` is read raw, by
+    the parser reaches it.  A declaration head is first matched whole
+    from its keyword; where that match fails or reads a keyword as a
+    name, the head is read token by token from the keyword, which
+    places every error.  What follows ``data`` is read raw, by
     offset: the ontology reference (a maximal non-space run, so CURIEs
     and URLs stay whole), the fragment after ``then`` (to the matching
     brace), and the body, one node reference per match of ``_REF_RE``,
@@ -201,6 +224,19 @@ class _Parser:
                                       "pattern", "refinement", "network")
 
     def pattern_decl(self) -> PatternDecl:
+        start = self.tok.start(1)
+        m = _PATTERN_HEAD.match(self.text, start)
+        if m and _KEYWORDS.isdisjoint(m.group(1, 2)):
+            name, net, base = m.groups()
+            line, col = self.at(start)
+            if base is not None:
+                ont = OntRef(base, None, *self.at(m.start(3)))
+                return PatternDecl(name, ont, self.chains(m.end()), None, line, col)
+            self.tok = _TOKEN_RE.match(self.text, m.end())
+            if net is not None:
+                return PatternDecl(name, None, (), net, line, col)
+            ont, pos = self.data_clause()
+            return PatternDecl(name, ont, self.chains(pos), None, line, col)
         line, col = self.declaration()
         name = self.expect_name("a pattern name")
         self.expect("=")
@@ -301,6 +337,17 @@ class _Parser:
         raise self.unexpected("'->' or ';'", "->", ";")
 
     def refinement_decl(self) -> RefinementDecl:
+        start = self.tok.start(1)
+        m = _REFINEMENT_HEAD.match(self.text, start)
+        if m:
+            name, source, target, via = m.groups()
+            ids = _NAMES(via) if via else []
+            if _KEYWORDS.isdisjoint((name, source, target, *ids)):
+                self.tok = _TOKEN_RE.match(self.text, m.end())
+                line, col = self.at(start)
+                return RefinementDecl(name, source, target,
+                                      tuple(zip(ids[::2], ids[1::2])) if via else None,
+                                      line, col)
         line, col = self.declaration()
         name = self.expect_name("a refinement name")
         self.expect("=")
@@ -326,6 +373,14 @@ class _Parser:
         return (a, b)
 
     def network_decl(self) -> NetworkDecl:
+        start = self.tok.start(1)
+        m = _NETWORK_HEAD.match(self.text, start)
+        if m:
+            members = _NAMES(m[2])
+            if _KEYWORDS.isdisjoint((m[1], *members)):
+                self.tok = _TOKEN_RE.match(self.text, m.end())
+                line, col = self.at(start)
+                return NetworkDecl(m[1], tuple(members), line, col)
         line, col = self.declaration()
         name = self.expect_name("a network name")
         self.expect("=")

@@ -16,23 +16,27 @@ first, and each class's down-set (itself and its subclasses) is an
 and ``infimum`` an AND of down-sets, whose highest bit is a maximal
 lower bound.  These n * n bits take about 12 MiB for 10,000 classes.
 
-Reading and building run on integer ids.  The reader reads each frame
+Reading and building run on integer ids.  The reader reads the frames
 of plain names (``Class: A SubClassOf: B, C``, a simple ``Prefix`` or
-``Ontology`` header) with one regex match.  At the first frame that
-pattern does not read, it splits the rest of the text into tokens with
-one ``findall`` pass and walks them, so every warning and error is
-placed as before.  It gives each class an id, keeps its superclasses as
-lists of ids, makes its ``ClassRef`` once and enters it in the IRI index
-and local-name map the taxonomy keeps.  One builder turns such arrays
-into the down-sets, for ``parse_taxonomy``, for ``extend`` (the base's
-arrays and maps followed by the fragment's) and for ``Taxonomy(...)``.
-``classes`` and ``subclass_edges`` are built on first access.
+``Ontology`` header) with one ``findall``, whose last match is the rest
+of the text from the first frame it does not read.  It splits that rest
+into tokens with one more ``findall`` and walks them, so every warning
+and error is placed as before.  It gives each class an id, keeps its
+superclasses as lists of ids, makes its ``ClassRef`` once and enters it
+in the IRI index and local-name map the taxonomy keeps; for an ontology
+of plain frames only, it builds these from the frames' names in bulk.
+One builder turns such arrays into the down-sets, for
+``parse_taxonomy``, for ``extend`` (the base's arrays and maps followed
+by the fragment's) and for ``Taxonomy(...)``.  ``classes`` and
+``subclass_edges`` are built on first access.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import (
@@ -108,6 +112,15 @@ def _class_ref(iri: str, local_name: str) -> ClassRef:
     _set_iri(ref, iri)
     _set_local_name(ref, local_name)
     return ref
+
+
+def _class_refs(iris: list[str], local_names: list[str]) -> list[ClassRef]:
+    """``_class_ref`` of each IRI and local name, made attribute by
+    attribute over all of them."""
+    refs = [*map(_new_ref, repeat(ClassRef, len(iris)))]
+    deque(map(_set_iri, refs, iris), 0)
+    deque(map(_set_local_name, refs, local_names), 0)
+    return refs
 
 
 class Taxonomy:
@@ -400,15 +413,18 @@ _CLASS_START = _NAME_START | {"'", "<"}
 # whitespace and ``SubClassOf`` or ``Class``, or by the end, so it is a
 # whole token and not the prefix of a prefixed name.  A Class frame
 # must be followed by the end or by ``Class``, where the walk ends it
-# too.
+# too.  The last alternative takes the rest of the text from its first
+# character but whitespace, where no frame is read: the token walk's
+# start, and the last match of a ``findall``.
 _NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _SUPER = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_\-])){_NAME}"
 _FRAME_RE = re.compile(
     rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
     rf"(?:\s+SubClassOf(?:\s*:\s*|\s+)(?P<s>{_SUPER}(?:\s*,\s*{_SUPER})*))?"
     r"(?=\s*\Z|\s+Class[\s:])"
-    rf"|Prefix\s*:\s*(?:(?P<p>{_NAME})\s*)?:\s*<(?P<i>[^>]*)>"
-    r"|Ontology\s*:\s*<(?P<o>[^>]*)>(?:\s*<[^>]*>)?)")
+    rf"|Prefix\s*:\s*(?:(?P<p>{_NAME})\s*)?:\s*(?P<i><[^>]*>)"
+    r"|Ontology\s*:\s*(?P<o><[^>]*>)(?:\s*<[^>]*>)?"
+    r"|(?P<rest>\S[\s\S]*))")
 
 
 def _tokenize_manchester(text: str, start: int = 0) -> list[tuple[str, str]]:
@@ -478,22 +494,24 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     """Read the frames of Manchester text into classes and subclass
     edges, on top of ``base`` if given.
 
-    Frames are read with one ``_FRAME_RE`` match each while they hold
-    only plain names: ``Class: A``, optionally with ``SubClassOf: B, C``,
-    ``Prefix: p: <IRI>`` and ``Ontology: <IRI>``, each keyword with or
-    without its colon.  At the first frame
-    it does not match (a quoted or prefixed name, an IRI, another entry,
-    a malformed frame) the rest of the text is split into tokens once
-    and walked token by token, which reads every frame the grammar
-    allows and places every warning and error.
+    Frames are read with one ``findall`` of ``_FRAME_RE``, a row each,
+    while they hold only plain names: ``Class: A``, optionally with
+    ``SubClassOf: B, C``, ``Prefix: p: <IRI>`` and ``Ontology: <IRI>``,
+    each keyword with or without its colon.  From the first frame it
+    does not read (a quoted or prefixed name, an IRI, another entry, a
+    malformed frame), its last row holds the rest of the text, which is
+    split into tokens once and walked token by token; the walk reads
+    every frame the grammar allows and places every warning and error.
 
     Each name is read as a key: the local name itself, a ``str``, for a
     bare or quoted name (a quoted name is a label whatever it holds; its
     spaces become ``_``), ``(prefix, local)`` for a prefixed one (prefix
     ``""`` for ``:Name``), and ``(None, iri)`` for an ``<IRI>``.  Each
     distinct key gets an int id and the place it is first read at: the
-    offset of its name if a frame match read it, else the complement
-    ``~i`` of the index of its token.  Keys are resolved once the whole
+    key's own id if the ``findall`` read it (where is worked out only
+    for an error), else the complement ``~i`` of the index of its token.
+    The frames' names are the first keys, the Class frames' names
+    before the other superclasses.  Keys are resolved once the whole
     text is read, because prefixes, the namespace and ``Class`` frames
     may come after a name is used: each key once, to a class id.  A key
     resolves to a class of ``base`` (a bare name by local name, any name
@@ -502,7 +520,10 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     base's.  Without a base, a ``SubClassOf`` target is declared by its
     use; with one, a target the text does not declare raises
     UnknownClassError.  Every error is placed where the failing name
-    first starts.
+    first starts.  Without a base, when every key was read by the
+    ``findall``, each names its own class in the namespace with the
+    key's id, the id resolving would give it, and the classes are made
+    in bulk.
 
     Returns the classes by id, the base's first; each class's
     superclass ids, an added class with none below the top; the top's
@@ -512,11 +533,33 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     prefixes: dict[str, str] = {}
     namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
-    ids: dict = {}  # key -> key id
-    keys: list = []  # key id -> key
-    first: list[int] = []  # key id -> offset or ~(token index) it is first read at
-    declared: list[int] = []  # key ids of Class frames, in order, with repeats
-    edges: list[tuple[int, int]] = []  # key id pairs
+
+    # The frames of plain names, one row each, then the rest of the
+    # text, if any, in a last row.  Prefix and Ontology frames come
+    # first, as a Class frame must be followed by another or the end.
+    rows = _FRAME_RE.findall(text)
+    pos = len(text) - len(rows.pop()[5]) if rows and rows[-1][5] else len(text)
+    h = 0
+    for name, _, pfx, iri, ont, _ in rows:
+        if name:
+            break
+        h += 1
+        if iri:
+            prefixes[pfx] = iri = iri[1:-1]
+            if not pfx:
+                namespace = iri
+        else:
+            ontology_iri = ont[1:-1]
+    subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
+    # Their names are the first keys: the subjects, then the other
+    # superclasses in the order they are read.
+    keys: list = [*dict.fromkeys(chain(subjects, " ".join(sups).replace(",", " ").split()))]
+    # key id -> the id itself for a key a frame read, else the complement
+    # ~i of the index of the token it is first read at
+    first: list[int] = [*range(len(keys))]
+    ids: dict = dict(zip(keys, first))  # key -> key id
+    declared: list[int] = [*map(ids.__getitem__, subjects)]  # Class frames, with repeats
+    edges: list[tuple[int, int]] = []  # key id pairs the token walk reads
 
     def add_key(key, at: int) -> int:
         k = ids[key] = len(keys)
@@ -524,41 +567,24 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         first.append(at)
         return k
 
-    pos = 0
-    match = _FRAME_RE.match
-    while m := match(text, pos):
-        pos = m.end()
-        name, sups, pfx, iri, ont = m.groups()
-        if name is not None:
-            subject = ids.get(name)
-            if subject is None:
-                subject = add_key(name, m.start(1))
-            declared.append(subject)
-            if sups is not None:
-                at = m.start(2)
-                for piece in sups.split(","):  # a name between whitespace
-                    sup = piece.strip()
-                    k = ids.get(sup)
-                    if k is None:
-                        k = add_key(sup, at + piece.index(sup))
-                    edges.append((subject, k))
-                    at += len(piece) + 1
-        elif iri is not None:
-            prefixes[pfx or ""] = iri
-            if not pfx:
-                namespace = iri
-        else:
-            ontology_iri = ont
-
     # The token walk, from the first frame no match read.
     spaces, vals = ("",), ("",)  # only the end: every frame was read
-    if text[pos:].strip():
+    if pos < len(text):
         spaces, vals = zip(*_tokenize_manchester(text, pos))
     place = _placer(text, pos, spaces, vals)
     position = _positions(text)
 
     def where(at: int) -> tuple[int, int]:
-        return position(at) if at >= 0 else place(~at)
+        """The place of token ``~at``, or where frame key ``at`` is first
+        read.  Such a key can only fail as a superclass, as every Class
+        frame's name is minted before any other; the frames are matched
+        again to find it, since the findall kept no offsets."""
+        if at < 0:
+            return place(~at)
+        for m in _FRAME_RE.finditer(text):
+            for name in re.finditer(r"[^\s,]+", m["s"] or ""):
+                if name[0] == keys[at]:
+                    return position(m.start("s") + name.start())
 
     def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
@@ -666,59 +692,78 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
-    index = {} if base is None else dict(base._index)  # IRI -> class id
-    by_local = {} if base is None else base._by_local
-    taken = dict(by_local)  # by_local and the classes the text adds
-    refs: list[ClassRef] = [] if base is None else base._refs.copy()
-    parents: list[list[int]] = [] if base is None else base._parents.copy()
-    n = len(refs)
-    cls = [-1] * len(keys)  # key id -> class id
+    if base is None and pos == len(text):
+        # The findall read every name: each names a class of its own in
+        # the namespace, minted in the order of the keys, so a class's
+        # id is its key's.
+        iris = [*map(namespace.__add__, keys)]
+        refs = _class_refs(iris, keys)
+        index = dict(zip(iris, first))
+        taken = dict(zip(keys, refs))
+        parents = [[] for _ in keys]
+        get = ids.__getitem__
+        for k, s in zip(declared, sups):
+            if "," in s:
+                parents[k] += map(get, s.replace(",", " ").split())
+            elif s:
+                parents[k].append(get(s))
+        n, cls = 0, first  # class id = key id
+    else:
+        edges[:0] = [(k, ids[sup]) for k, s in zip(declared, sups) if s  # the frames'
+                     for sup in s.replace(",", " ").split()]
+        index = {} if base is None else dict(base._index)  # IRI -> class id
+        by_local = {} if base is None else base._by_local
+        taken = dict(by_local)  # by_local and the classes the text adds
+        refs: list[ClassRef] = [] if base is None else base._refs.copy()
+        parents: list[list[int]] = [] if base is None else base._parents.copy()
+        n = len(refs)
+        cls = [-1] * len(keys)  # key id -> class id
 
-    def resolve(k: int, declare: bool) -> int:
-        """The class id of key ``k``, read for the first time."""
-        key = keys[k]
-        bare = key.__class__ is str
-        if bare:
-            local, iri = key, namespace + key
-        else:
-            pfx, local = key
-            if pfx is None:  # an <IRI>
-                iri = local
-            elif pfx in prefixes:
-                iri = prefixes[pfx] + local
+        def resolve(k: int, declare: bool) -> int:
+            """The class id of key ``k``, read for the first time."""
+            key = keys[k]
+            bare = key.__class__ is str
+            if bare:
+                local, iri = key, namespace + key
             else:
-                name = f"{pfx}:{local}"
+                pfx, local = key
+                if pfx is None:  # an <IRI>
+                    iri = local
+                elif pfx in prefixes:
+                    iri = prefixes[pfx] + local
+                else:
+                    name = f"{pfx}:{local}"
+                    line, col = where(first[k])
+                    raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
+                                            line=line, col=col)
+            if bare and local in by_local:
+                c = index[by_local[local].iri]
+            elif iri in index:
+                c = index[iri]
+            elif declare:
+                c = index[iri] = len(refs)
+                refs.append(_mint(iri, local if bare else _local_name_of(iri),
+                                  taken, where, first[k]))
+                parents.append([])
+            else:
+                shown = repr(local) if bare else f"<{iri}>"
                 line, col = where(first[k])
-                raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
+                raise UnknownClassError(f"unknown class {shown} in extension",
                                         line=line, col=col)
-        if bare and local in by_local:
-            c = index[by_local[local].iri]
-        elif iri in index:
-            c = index[iri]
-        elif declare:
-            c = index[iri] = len(refs)
-            refs.append(_mint(iri, local if bare else _local_name_of(iri),
-                              taken, where, first[k]))
-            parents.append([])
-        else:
-            shown = repr(local) if bare else f"<{iri}>"
-            line, col = where(first[k])
-            raise UnknownClassError(f"unknown class {shown} in extension",
-                                    line=line, col=col)
-        cls[k] = c
-        return c
+            cls[k] = c
+            return c
 
-    for k in declared:
-        if cls[k] < 0:
-            resolve(k, True)
-    declare = base is None
-    for a, b in edges:
-        a = cls[a] if cls[a] >= 0 else resolve(a, True)
-        b = cls[b] if cls[b] >= 0 else resolve(b, declare)
-        if a < n:  # a class of the base: its list stays the base's
-            parents[a] = parents[a] + [b]
-        else:
-            parents[a].append(b)
+        for k in declared:
+            if cls[k] < 0:
+                resolve(k, True)
+        declare = base is None
+        for a, b in edges:
+            a = cls[a] if cls[a] >= 0 else resolve(a, True)
+            b = cls[b] if cls[b] >= 0 else resolve(b, declare)
+            if a < n:  # a class of the base: its list stays the base's
+                parents[a] = parents[a] + [b]
+            else:
+                parents[a].append(b)
 
     roots = [j for j in range(n, len(refs)) if not parents[j]]
     if base is not None:
@@ -750,8 +795,9 @@ def _mint(iri: str, local: str, taken: dict[str, ClassRef],
     """A class read from Manchester text, recorded in ``taken`` by local
     name.  A local name that is empty, holds whitespace or is taken by
     another IRI is a ParseError at ``where(at)``, where the name starts.
-    An offset ``at`` (not a token's ``~i``) means a frame match read the
-    name, so the local name is a name token and needs no check."""
+    An ``at`` of 0 or more (a frame key's id, not a token's ``~i``)
+    means a frame pattern read the name, so the local name is a name
+    token and needs no check."""
     if at < 0 and not _LOCAL_NAME_RE.fullmatch(local):
         problem = "whitespace in its local name" if local else "no local name"
     else:

@@ -77,8 +77,19 @@ class TestCmdCheck:
         doc.write_text("logic NeSyPatterns\npattern P = data foo Model; end\n")
         code, out, err = run(cmd_check, str(doc), Catalog.default())
         assert code == 2 and out == ""
-        assert err == ("nesypat: error: ontology reference 'foo' is neither "
+        assert err == (f"{doc}:2:18: error: ontology reference 'foo' is neither "
                        "a CURIE with a known prefix nor an IRI\n")
+
+    def test_catalog_miss_is_placed_at_its_data_clause(self, tmp_path):
+        # Of many data clauses, the one the catalog cannot resolve.
+        doc = tmp_path / "miss.nesy"
+        doc.write_text("logic NeSyPatterns\n"
+                       + "".join(f"pattern P{i} = data ontohub:NeSyPatterns.omn a : Model; end\n"
+                                 for i in range(3))
+                       + "pattern Q =\n  data { nope:x.omn } a : Model; end\n")
+        code, out, err = run(cmd_check, str(doc), Catalog.default())
+        assert code == 2 and out == ""
+        assert err == f"{doc}:6:10: error: undeclared CURIE prefix 'nope' in 'nope:x.omn'\n"
 
     def test_diagnostics_deterministic(self):
         a = run(cmd_check, CLASH, Catalog.default())
@@ -367,7 +378,7 @@ class TestCatalog:
         cat_file.write_text(json.dumps({"mappings": {"urn:bad": str(omn)}}))
         code, out, err = run(cmd_check, str(doc), load_catalog(cat_file))
         assert code == 2
-        assert err.startswith(f"nesypat: error: cannot read mapped file {omn}: ")
+        assert err.startswith(f"{doc}:2:18: error: cannot read mapped file {omn}: ")
         assert "internal error" not in err
 
     def test_mapped_ontology_with_unusable_iri_is_a_check_failure(self, tmp_path):
@@ -502,8 +513,9 @@ class TestAllowFetch:
     def test_failed_fetch_is_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("NESY_CATALOG", raising=False)
         iri = (tmp_path / "missing.omn").as_uri()
-        assert main(["check", "--allow-fetch", self.doc(tmp_path, iri)]) == 2
-        assert f"nesypat: error: failed to fetch {iri!r}" in capsys.readouterr().err
+        doc = self.doc(tmp_path, iri)
+        assert main(["check", "--allow-fetch", doc]) == 2
+        assert f"{doc}:2:18: error: failed to fetch {iri!r}" in capsys.readouterr().err
         with pytest.raises(CatalogMissError):
             Catalog(allow_fetch=True).resolve_taxonomy(iri)
 

@@ -618,17 +618,46 @@ FIG_DOC = (Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 
 @pytest.fixture()
 def count_combines(monkeypatch):
+    # Every combination, through combine or the evaluator, is one call
+    # of the function that glues the network.
     calls = []
+    glue = colimit._combine
 
     def counting(net, name=None):
         calls.append(net.name)
-        return combine(net, name)
+        return glue(net, name)
 
-    monkeypatch.setattr(colimit, "combine", counting)
+    monkeypatch.setattr(colimit, "_combine", counting)
     return calls
 
 
 class TestEvaluator:
+    def test_only_a_combination_result_builds_the_embedding(self, monkeypatch):
+        # evaluate_combines keeps only the combined patterns, so it never
+        # builds the injections and preimage classes.
+        built = []
+        glue = colimit._combine
+
+        def recording(net, name=None):
+            pattern, embedding = glue(net, name)
+
+            def counted():
+                built.append(name)
+                return embedding()
+
+            return pattern, counted
+
+        monkeypatch.setattr(colimit, "_combine", recording)
+        lib = resolve(parse(FIG_DOC), Catalog.default())
+        out = evaluate_combines(lib)
+        assert built == []
+        res = combination_result(lib, "SemanticGenerateAndTrain")
+        assert built == ["SemanticGenerateAndTrain"]
+        assert res.pattern == out.patterns["SemanticGenerateAndTrain"]
+        assert res == combine(lib.networks["N"], "SemanticGenerateAndTrain")
+        assert set(res.injections) == set(lib.networks["N"].patterns)
+        assert len(res.classes) == len(res.pattern.nodes) == 6
+
     def test_combination_result_combines_once(self, count_combines):
         lib = resolve(parse(FIG_DOC), Catalog.default())
         count_combines.clear()

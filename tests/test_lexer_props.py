@@ -27,7 +27,7 @@ from helpers import (
     reference_parse_taxonomy,
     reference_tokenize_manchester,
 )
-from nesypat.dsl import OntRef, parse
+from nesypat.dsl import OntRef, _Parser, parse
 from nesypat.errors import CycleError, NesyError, ParseError, _positions
 from nesypat.taxonomy import (
     TOP_LOCAL_NAME,
@@ -172,6 +172,94 @@ def test_unexpected_character_after_data():
     for read in (parse, reference_parse):
         assert outcome(read, text) == ("ParseError", "unexpected character '@'",
                                        2, 18, ())
+
+
+#: Declarations whose heads are each one match, and heads that look
+#: like them but are not read the same way: a comment between two head
+#: words, keywords as names, names run into keywords, a malformed
+#: ``via`` or member list, CRLF and Unicode spaces, a missing ``end``.
+HEAD_RUN = [
+    "pattern A = data ontohub:NeSyPatterns.omn a : Model; c : Data; end",
+    "pattern B = data o:x%%y\n  b : Model; d : Data;\nend",
+    "refinement R = A refined to B via a |-> b, c |-> d end",
+    "refinement S=A refined\tto\nB via a|->b ,c |->  d\nend",
+    "network N = A, B ,R end",
+    "pattern C = combine N end",
+]
+COMMENTED = ["refinement R = A refined to B via a |-> b , c |-> d end",
+             "network N = A , B end", "pattern C = combine N end",
+             "pattern D = data o:x d : Model; end"]
+HEAD_LOOKALIKES = [
+    # keywords as names
+    "refinement to = A refined to B end", "refinement R = via refined to B end",
+    "refinement R = A refined to end end", "refinement R = A refined to B via a |-> via end",
+    "refinement R = A refined to B via end |-> b end", "network network = A end",
+    "network N = A, end, B end", "network N = data end", "pattern data = data o:x a : Model; end",
+    "pattern P = combine end end", "pattern combine = combine N end",
+    "pattern P = data end a : Model; end", "pattern P = data then a : Model; end",
+    # names run into keywords, and keywords into names
+    "pattern C = combineN end", "pattern C = combine Nend", "pattern C = combine N endx",
+    "refinement R = A refined toQ end", "refinement R = A refinedto B end",
+    "refinement R = A refined to Bvia a |-> b end", "refinement R = A refined to B viaa |-> b end",
+    "refinement R = A refined to B endx", "refinement R = A refined to B via a |-> bend",
+    "network N = A, B endx", "network N = A, Bend", "pattern P = dataX o:x a : Model; end",
+    "refinementR = A refined to B end", "networkN = A end",
+    # malformed via and member lists
+    "refinement R = A refined to B via a |-> b, end", "refinement R = A refined to B via a b end",
+    "refinement R = A refined to B via a |-> b c |-> d end", "refinement R = A refined to B via a -> b end",
+    "refinement R = A refined to B via a | -> b end", "refinement R = A refined to B via end",
+    "refinement R = A refined to B via , a |-> b end", "network N = A, end", "network N = A B end",
+    "network N = , A end", "network N = end", "refinement R = A to B end", "refinement R A refined to B end",
+    "pattern P = data", "pattern P = data {o:x} a : Model; end", "pattern P = data:x a : Model; end",
+    "pattern P = data @x", "pattern P = data 0x a : Model; end", "pattern P = data é a : Model; end",
+    # CRLF and Unicode spaces
+    "refinement R\r\n=\xa0A refined\x1cto B via a\u2003|->\x85b end",
+    "network N =\r\nA ,\u3000B\r\nend", "pattern C =\u2028combine N\x0bend",
+    "pattern P =\r\n data\xa0o:x a : Model; end",
+    # a missing end
+    "refinement R = A refined to B via a |-> b", "refinement R = A refined to B",
+    "network N = A, B", "pattern C = combine N",
+] + [
+    # a comment between any two words of a head
+    " ".join(words[:i] + ["%% c\n"] + words[i:])
+    for head in COMMENTED for words in [head.split()] for i in range(1, len(words))
+]
+
+
+def test_head_lookalikes_at_every_position_match_reference():
+    # Each head that the head patterns must not read, or must read as
+    # the tokens do, at each place in a run of heads they read.
+    for other in HEAD_LOOKALIKES:
+        for k in range(len(HEAD_RUN) + 1):
+            check_same_parse("logic NeSyPatterns\n"
+                             + "\n".join(HEAD_RUN[:k] + [other] + HEAD_RUN[k:]))
+
+
+def test_plain_heads_take_no_token_steps(monkeypatch):
+    # A head without comments is one match: _Parser.next runs for the
+    # logic line and for the end of each pattern body, never in a head.
+    calls = []
+    step = _Parser.next
+
+    def counting(self):
+        calls.append(self.tok[1])
+        step(self)
+
+    monkeypatch.setattr(_Parser, "next", counting)
+    text = "logic NeSyPatterns\n" + "\n".join(HEAD_RUN)
+    doc = parse(text)
+    assert calls == ["logic", "NeSyPatterns", "end", "end"]
+    monkeypatch.undo()
+    assert doc == reference_parse(text)
+    calls.clear()
+    monkeypatch.setattr(_Parser, "next", counting)
+    parse("logic NeSyPatterns\nrefinement R = A refined to B via a |-> b, c |-> d end")
+    assert calls == ["logic", "NeSyPatterns"]
+    # A comment in a head sends it to the token path.
+    calls.clear()
+    parse("logic NeSyPatterns\nrefinement R = A refined to %% c\n B end")
+    assert calls == ["logic", "NeSyPatterns", "refinement", "R", "=", "A",
+                     "refined", "to", "B", "end"]
 
 
 MANCHESTER_PIECES = [

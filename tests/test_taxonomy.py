@@ -11,10 +11,11 @@ from helpers import (
     glb_oracle,
     random_taxonomy,
     reachable_oracle,
+    reference_extend,
     reference_parse_taxonomy,
 )
 from nesypat import taxonomy
-from nesypat.errors import CycleError, ParseError, UnknownClassError, _positions
+from nesypat.errors import CycleError, NesyError, ParseError, UnknownClassError, _positions
 from nesypat.taxonomy import (
     ClassRef,
     TOP_LOCAL_NAME,
@@ -659,6 +660,40 @@ class TestIntegerIds:
         assert ext.leq(ext.lookup("E300"), t.lookup("K1"))
         assert not ext.leq(t.lookup("B0"), ext.lookup("E1"))
         assert t.lookup("K7") == ClassRef("urn:deep#K7", "K7")
+
+    @pytest.mark.parametrize("k", [0, 1, 150, 320])
+    def test_bad_superclass_in_frame_k_placed_as_reference(self, k):
+        # Frame k of frames that one findall reads names a superclass
+        # that an extension does not know, or, in an ontology, one whose
+        # local name a class the token walk reads later has taken: the
+        # error is placed at that superclass, as the reference readers
+        # place it.
+        lines = chain_and_band_text().split("\n")
+
+        def with_super(name):
+            frame = lines[k + 1]
+            frame += f", {name}" if " SubClassOf: " in frame else f" SubClassOf: {name}"
+            return "\n".join(lines[:k + 1] + [frame] + lines[k + 2:])
+
+        def outcome(read, text):
+            with pytest.raises(NesyError) as e:
+                read(text, [])
+            return type(e.value), e.value.message, e.value.line, e.value.col, e.value.source_name
+
+        line = k + 2
+        col = len(with_super("Nope").split("\n")[k + 1]) - 3
+        base = default_taxonomy()
+        unknown = with_super("Nope")
+        got = outcome(base.extend, unknown)
+        assert got == outcome(lambda t, d: reference_extend(base, t, d), unknown)
+        assert got == (UnknownClassError, "unknown class 'Nope' in extension", line, col, None)
+        clash = with_super("Clash") + "\nClass: <urn:other#Clash>"
+        message = ("IRI <urn:deep#Clash> has the local name 'Clash' of "
+                   "<urn:other#Clash>")
+        got = outcome(lambda t, d: parse_taxonomy(t, d, source_name="f.omn"), clash)
+        assert got == outcome(lambda t, d: reference_parse_taxonomy(t, d, source_name="f.omn"),
+                              clash)
+        assert got == (ParseError, message, line, col, "f.omn")
 
     @pytest.mark.parametrize("k", [0, 1, 2, 150, 319, 320])
     def test_annotations_in_frame_k_placed_as_reference(self, k):
