@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from .errors import (
@@ -409,19 +409,19 @@ _CLASS_START = _NAME_START | {"'", "<"}
 
 # One frame of plain names, in spellings the token walk reads the same
 # way.  The walk reads a keyword after ``Class`` as a name, but ends a
-# ``SubClassOf`` list at one.  A name can only be followed by ``,``, by
-# whitespace and ``SubClassOf`` or ``Class``, or by the end, so it is a
-# whole token and not the prefix of a prefixed name.  A Class frame
-# must be followed by the end or by ``Class``, where the walk ends it
-# too.  The last alternative takes the rest of the text from its first
-# character but whitespace, where no frame is read: the token walk's
-# start, and the last match of a ``findall``.
+# ``SubClassOf`` list at one.  Each name is a whole token, as a name
+# character cannot follow it.  A Class frame counts only where it is
+# followed by another or by the end, as the walk reads anything else
+# behind it into it (``_read_classes`` checks); it is then a whole
+# frame, and a name in it is not the prefix of a prefixed name.  The
+# last alternative takes the rest of the text from its first character
+# but whitespace, where no frame is read: the last match of a
+# ``findall``.
 _NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _SUPER = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_\-])){_NAME}"
 _FRAME_RE = re.compile(
     rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
     rf"(?:\s+SubClassOf(?:\s*:\s*|\s+)(?P<s>{_SUPER}(?:\s*,\s*{_SUPER})*))?"
-    r"(?=\s*\Z|\s+Class[\s:])"
     rf"|Prefix\s*:\s*(?:(?P<p>{_NAME})\s*)?:\s*(?P<i><[^>]*>)"
     r"|Ontology\s*:\s*(?P<o><[^>]*>)(?:\s*<[^>]*>)?"
     r"|(?P<rest>\S[\s\S]*))")
@@ -551,6 +551,16 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         else:
             ontology_iri = ont[1:-1]
     subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
+    # The token walk starts at the first header behind a Class frame, or
+    # at a last Class frame that the rest of the text does not follow
+    # with another, as the walk would read that rest into it.
+    read = subjects.index("") if "" in subjects else len(subjects)
+    if read == len(subjects) > 0 and pos < len(text) and not re.match(
+            r"Class[\s:]", text[pos:pos + 6]):
+        read -= 1
+    if read < len(subjects):
+        subjects, sups = subjects[:read], sups[:read]
+        pos = next(islice(_FRAME_RE.finditer(text), h + read, None)).start()
     # Their names are the first keys: the subjects, then the other
     # superclasses in the order they are read.
     keys: list = [*dict.fromkeys(chain(subjects, " ".join(sups).replace(",", " ").split()))]

@@ -695,6 +695,27 @@ class TestIntegerIds:
                               clash)
         assert got == (ParseError, message, line, col, "f.omn")
 
+    @pytest.mark.parametrize("k", [0, 1, 150, 320])
+    def test_token_walk_starts_at_the_first_frame_not_read(self, monkeypatch, k):
+        # Frame k runs on into an entry, or a header follows it: the walk
+        # reads from there, and no frame before it twice.
+        starts = []
+        real_tokenize = taxonomy._tokenize_manchester
+
+        def recording(text, start=0):
+            starts.append(text[start:].lstrip()[:12])
+            return real_tokenize(text, start)
+
+        monkeypatch.setattr(taxonomy, "_tokenize_manchester", recording)
+        lines = chain_and_band_text().split("\n")
+        frame = lines[k + 1]
+        for extra, walk in ((" Annotations: rdfs:comment 'x'", frame + " Annotations"),
+                            ("\nPrefix: p: <urn:p#>", "Prefix: p: <")):
+            text = "\n".join(lines[:k + 1] + [frame + extra] + lines[k + 2:])
+            t = parse_taxonomy(text, [])
+            assert starts.pop() == walk[:12]
+            assert len(t.subclass_edges) == sum(len(ps) for ps in t._parents) == 440
+
     @pytest.mark.parametrize("k", [0, 1, 2, 150, 319, 320])
     def test_annotations_in_frame_k_placed_as_reference(self, k):
         # Frame k sends the reader from frame matches to the token walk;
