@@ -561,8 +561,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     if read < len(subjects):
         subjects, sups = subjects[:read], sups[:read]
         pos = next(islice(_FRAME_RE.finditer(text), h + read, None)).start()
-    # Their names are the first keys: the subjects, then the other
-    # superclasses in the order they are read.
+    # The names of the frames read are the first keys: the subjects,
+    # then the other superclasses in the order they are read.
     keys: list = [*dict.fromkeys(chain(subjects, " ".join(sups).replace(",", " ").split()))]
     # key id -> the id itself for a key a frame read, else the complement
     # ~i of the index of the token it is first read at
@@ -577,12 +577,11 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         first.append(at)
         return k
 
-    # The token walk, from the first frame no match read.
+    # The token walk, from the first frame the findall did not read.
     spaces, vals = ("",), ("",)  # only the end: every frame was read
     if pos < len(text):
         spaces, vals = zip(*_tokenize_manchester(text, pos))
     place = _placer(text, pos, spaces, vals)
-    position = _positions(text)
 
     def where(at: int) -> tuple[int, int]:
         """The place of token ``~at``, or where frame key ``at`` is first
@@ -594,7 +593,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         for m in _FRAME_RE.finditer(text):
             for name in re.finditer(r"[^\s,]+", m["s"] or ""):
                 if name[0] == keys[at]:
-                    return position(m.start("s") + name.start())
+                    return _positions(text)(m.start("s") + name.start())
 
     def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
