@@ -408,20 +408,18 @@ _CLASS_START = _NAME_START | {"'", "<"}
 
 
 # One frame of plain names, in spellings the token walk reads the same
-# way.  The walk reads a keyword after ``Class`` as a name, but ends a
-# ``SubClassOf`` list at one.  Each name is a whole token, as a name
-# character cannot follow it.  A Class frame counts only where it is
-# followed by another or by the end, as the walk reads anything else
-# behind it into it (``_read_classes`` checks); it is then a whole
-# frame, and a name in it is not the prefix of a prefixed name.  The
-# last alternative takes the rest of the text from its first character
-# but whitespace, where no frame is read: the last match of a
-# ``findall``.
+# way.  Each name is a whole token, as a name character cannot follow
+# it.  A Class frame counts only where it is followed by another or by
+# the end, as the walk reads anything else behind it into it, and where
+# no superclass is a keyword, at which the walk ends the ``SubClassOf``
+# list (``_read_classes`` checks both); it is then a whole frame, and a
+# name in it is not the prefix of a prefixed name.  The last
+# alternative takes the rest of the text from its first character but
+# whitespace, where no frame is read: the last match of a ``findall``.
 _NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
-_SUPER = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_\-])){_NAME}"
 _FRAME_RE = re.compile(
     rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
-    rf"(?:\s+SubClassOf(?:\s*:\s*|\s+)(?P<s>{_SUPER}(?:\s*,\s*{_SUPER})*))?"
+    rf"(?:\s+SubClassOf(?:\s*:\s*|\s+)(?P<s>{_NAME}(?:\s*,\s*{_NAME})*))?"
     rf"|Prefix\s*:\s*(?:(?P<p>{_NAME})\s*)?:\s*(?P<i><[^>]*>)"
     r"|Ontology\s*:\s*(?P<o><[^>]*>)(?:\s*<[^>]*>)?"
     r"|(?P<rest>\S[\s\S]*))")
@@ -551,19 +549,25 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         else:
             ontology_iri = ont[1:-1]
     subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
-    # The token walk starts at the first header behind a Class frame, or
-    # at a last Class frame that the rest of the text does not follow
-    # with another, as the walk would read that rest into it.
+    # The token walk starts at the first header behind a Class frame, at
+    # the first Class frame with a keyword among its superclasses, or at
+    # a last Class frame that the rest of the text does not follow with
+    # another, as the walk would read that rest into it.
     read = subjects.index("") if "" in subjects else len(subjects)
-    if read == len(subjects) > 0 and pos < len(text) and not re.match(
+    named = " ".join(sups[:read]).replace(",", " ").split()
+    if not _KEYWORDS.isdisjoint(named):
+        read = next(j for j, s in enumerate(sups)
+                    if not _KEYWORDS.isdisjoint(s.replace(",", " ").split()))
+    elif read == len(subjects) > 0 and pos < len(text) and not re.match(
             r"Class[\s:]", text[pos:pos + 6]):
         read -= 1
     if read < len(subjects):
         subjects, sups = subjects[:read], sups[:read]
+        named = " ".join(sups).replace(",", " ").split()
         pos = next(islice(_FRAME_RE.finditer(text), h + read, None)).start()
     # The names of the frames read are the first keys: the subjects,
     # then the other superclasses in the order they are read.
-    keys: list = [*dict.fromkeys(chain(subjects, " ".join(sups).replace(",", " ").split()))]
+    keys: list = [*dict.fromkeys(chain(subjects, named))]
     # key id -> the id itself for a key a frame read, else the complement
     # ~i of the index of the token it is first read at
     first: list[int] = [*range(len(keys))]

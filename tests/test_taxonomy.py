@@ -715,6 +715,11 @@ class TestIntegerIds:
             t = parse_taxonomy(text, [])
             assert starts.pop() == walk[:12]
             assert len(t.subclass_edges) == sum(len(ps) for ps in t._parents) == 440
+        # A keyword among the superclasses of a later frame: the walk
+        # still starts at the header.
+        text += "\nClass: Z SubClassOf: Annotations: rdfs:comment 'z'"
+        assert parse_taxonomy(text, []) == reference_parse_taxonomy(text, [])
+        assert starts.pop() == "Prefix: p: <"
 
     @pytest.mark.parametrize("k", [0, 1, 2, 150, 319, 320])
     def test_annotations_in_frame_k_placed_as_reference(self, k):
