@@ -533,8 +533,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     ontology_iri: str | None = None
 
     # The frames of plain names, one row each, then the rest of the
-    # text, if any, in a last row.  Prefix and Ontology frames come
-    # first, as a Class frame must be followed by another or the end.
+    # text, if any, in a last row.  The Prefix and Ontology frames before
+    # the first Class frame are read here.
     rows = _FRAME_RE.findall(text)
     pos = len(text) - len(rows.pop()[5]) if rows and rows[-1][5] else len(text)
     h = 0
