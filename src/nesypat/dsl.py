@@ -415,10 +415,13 @@ def resolve(doc: Document, catalog: Catalog | None = None,
     """
     catalog = catalog or Catalog.default()
     lib = Library()
+    # Each data clause's taxonomy by its (base, extension) text, so that
+    # ``OntRef.key`` splits each distinct extension text once.
+    seen: dict[tuple[str, str | None], Taxonomy] = {}
     for decl in doc.declarations:
         try:
             if isinstance(decl, PatternDecl):
-                _resolve_pattern(decl, lib, catalog, diagnostics)
+                _resolve_pattern(decl, lib, catalog, diagnostics, seen)
             elif isinstance(decl, RefinementDecl):
                 _resolve_refinement(decl, lib)
             elif isinstance(decl, NetworkDecl):
@@ -439,7 +442,7 @@ def _pattern_positions(doc: Document) -> dict[str, tuple[int, int]]:
 
 
 def _resolve_pattern(decl: PatternDecl, lib: Library,
-                     catalog: Catalog, diagnostics) -> None:
+                     catalog: Catalog, diagnostics, seen: dict) -> None:
     if decl.name in lib.patterns or decl.name in lib.combine_defs:
         raise DuplicateNameError(f"pattern {decl.name!r} declared twice")
     if decl.combine_of is not None:
@@ -449,7 +452,10 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
         lib.combine_defs[decl.name] = decl.combine_of
         return
 
-    taxonomy = _taxonomy_for(decl.ont, lib, catalog, diagnostics)
+    taxonomy = seen.get(decl.ont[:2])
+    if taxonomy is None:
+        taxonomy = seen[decl.ont[:2]] = _taxonomy_for(decl.ont, lib, catalog,
+                                                      diagnostics)
     # Anonymous nodes take the next anonN that no reference names; the
     # names in use are gathered at the first anonymous node.
     named: set[str] | None = None

@@ -9,26 +9,25 @@ ontology header, and ``Class`` frames with named ``SubClassOf`` entries.
 Everything else is skipped with a warning.
 
 The order is encoded as in Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
-implementation of lattice operations" (TOPLAS 1989): classes get bit
-indices in a topological order found by Kahn's algorithm, subclasses
-first, and each class's down-set (itself and its subclasses) is an
-``int`` bitset built in one pass of ORs.  ``leq`` is then a bit test
-and ``infimum`` an AND of down-sets, whose highest bit is a maximal
-lower bound.  These n * n bits take about 12 MiB for 10,000 classes.
+implementation of lattice operations" (TOPLAS 1989), with down-sets
+shifted as in Agrawal, Borgida and Jagadish (SIGMOD 1989).  Class ids
+run superclasses first, the order of a text that declares classes
+top-down (else Kahn's algorithm renumbers them), and each class's
+down-set (itself and its subclasses) is an ``int`` whose bit k is the
+class k ids after it, built in one reverse pass of shifted ORs.  So
+``leq`` is a bit test, and ``infimum`` an AND of down-sets aligned to
+the highest label id, whose lowest bit is a maximal lower bound.  Each
+down-set spans the ids from its class to its last subclass: 1.1 MiB for
+a flat ontology of 40,000 classes, 11 MiB for a 10-ary tree of 40,000
+read level by level, n * n / 2 bits (6.6 MiB) for a chain of 10,000.
 
-Reading and building run on integer ids.  The reader reads the frames
-of plain names (``Class: A SubClassOf: B, C``, a simple ``Prefix`` or
-``Ontology`` header) with one ``findall``, whose last match is the rest
-of the text from the first frame it does not read.  It splits that rest
-into tokens with one more ``findall`` and walks them, so every warning
-and error is placed as before.  It gives each class an id, keeps its
-superclasses as lists of ids, makes its ``ClassRef`` once and enters it
-in the IRI index and local-name map the taxonomy keeps; for an ontology
-of plain frames only, it builds these from the frames' names in bulk.
-One builder turns such arrays into the down-sets, for
-``parse_taxonomy``, for ``extend`` (the base's arrays and maps followed
-by the fragment's) and for ``Taxonomy(...)``.  ``classes`` and
-``subclass_edges`` are built on first access.
+Reading and building run on integer ids.  The reader (``_read_classes``)
+gives each class an id, its superclasses as a list of ids, its
+``ClassRef`` and its entries in the IRI index and local-name map the
+taxonomy keeps.  One builder turns these into the down-sets, for
+``parse_taxonomy``, ``extend`` and ``Taxonomy(...)``; an ``extend`` that
+only adds classes pushes their bits into the base's down-sets.
+``classes`` and ``subclass_edges`` are built on first access.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ class Taxonomy:
     built on first access.
     """
 
-    __slots__ = ("top", "namespace", "_refs", "_parents", "_down", "_bit",
-                 "_topo", "_index", "_by_local", "_classes", "_edges")
+    __slots__ = ("top", "namespace", "_refs", "_parents", "_down", "_index",
+                 "_by_local", "_classes", "_edges")
 
     def __init__(self, classes, subclass_edges, top: ClassRef,
                  namespace: str = DEFAULT_NAMESPACE):
@@ -158,10 +157,11 @@ class Taxonomy:
         self._build(refs, parents, ids[top.iri], namespace, ids, by_local)
         # Checks no read text fails: the reader puts every root below the
         # top, and ``_mint`` rejects a taken local name first.
-        below = self._down[ids[top.iri]]
+        t = ids[top.iri]  # as _build left it, renumbered or not
+        below = self._down[t]
         if below != (1 << len(refs)) - 1:
-            stray = min((refs[i] for k, i in enumerate(self._topo) if not below >> k & 1),
-                        key=_iri)
+            stray = min((c for i, c in enumerate(self._refs)
+                         if i < t or not below >> (i - t) & 1), key=_iri)
             raise ValueError(f"class {stray.local_name} does not reach the top class")
         if len(by_local) < len(refs):
             seen: set[str] = set()
@@ -172,48 +172,25 @@ class Taxonomy:
             raise ValueError(f"duplicate local name {c.local_name!r} for distinct IRIs")
 
     def _build(self, refs: list[ClassRef], parents: list[list[int]], top: int,
-               namespace: str, index: dict, by_local: dict) -> None:
+               namespace: str, index: dict, by_local: dict,
+               base: "Taxonomy | None" = None) -> None:
         """Set up the taxonomy of the classes ``refs`` with superclasses
         ``parents`` (both by id, an index into ``refs``), top ``top``,
-        IRI index ``index`` (IRI to id) and local-name map ``by_local``.
-        The order found does not depend on the order of ``refs``, and a
-        cycle is reported through the class that comes first by IRI.
-        """
-        n = len(refs)
-        subs: list[list[int]] = [[] for _ in range(n)]
-        for s, ps in enumerate(parents):
-            for p in ps:
-                subs[p].append(s)
-
-        # Kahn's algorithm, subclasses first: a class is placed once all
-        # of its subclasses are, and the k-th class placed gets bit k.
-        waiting = [len(x) for x in subs]
-        ready = [i for i in range(n) if not waiting[i]]
-        topo: list[int] = []
-        down = [0] * n  # by id
-        while ready:
-            i = ready.pop()
-            b = 1 << len(topo)
-            for s in subs[i]:
-                b |= down[s]
-            down[i] = b
-            topo.append(i)
-            for p in parents[i]:
-                waiting[p] -= 1
-                if not waiting[p]:
-                    ready.append(p)
-        if len(topo) < n:
-            iri = [c.iri for c in refs].__getitem__
-            name = refs[min(_find_cycle(subs, waiting, iri), key=iri)].local_name
-            raise CycleError(f"subclass axioms form a cycle through {name}")
-        bit = [0] * n
-        for k, i in enumerate(topo):
-            bit[i] = k
+        IRI index ``index`` (IRI to id) and local-name map ``by_local``,
+        pushing only the new classes' bits into the down-sets of a
+        ``base`` whose classes these keep with their superclasses."""
+        n = 0 if base is None else len(base._refs)
+        start = n if n and parents[:n] == base._parents else 0
+        down = (base._down if start else []) + [1] * (len(refs) - start)
+        if not _close(down, parents, start):
+            refs, parents, top = _renumber(refs, parents, top, index)
+            down = [1] * len(refs)
+            _close(down, parents, 0)
         for name, value in (("top", refs[top]), ("namespace", namespace),
                             ("_refs", refs), ("_parents", parents),
-                            ("_down", down), ("_bit", bit), ("_topo", topo),
-                            ("_index", index), ("_by_local", by_local),
-                            ("_classes", None), ("_edges", None)):
+                            ("_down", down), ("_index", index),
+                            ("_by_local", by_local), ("_classes", None),
+                            ("_edges", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -257,50 +234,55 @@ class Taxonomy:
         """True iff ``a`` is ``b`` or a (transitive) subclass of ``b``."""
         index = self._index
         try:
-            return bool(self._down[index[b.iri]] >> self._bit[index[a.iri]] & 1)
+            i, j = index[a.iri], index[b.iri]
         except KeyError:
             raise self._unknown(a, b) from None
+        return i >= j and bool(self._down[j] >> (i - j) & 1)
 
     def infimum(self, labels) -> ClassRef | None:
         """Greatest common lower bound of a non-empty label set, or None.
 
-        The common lower bounds are the AND of the labels' down-sets.
-        Its highest bit ``m`` is a maximal lower bound, since no class
-        has a higher bit than its superclasses; the infimum exists iff
-        every lower bound is below ``m``.
-        """
-        lower = self._lower_bounds(labels)
-        if not lower:
-            return None
-        m = self._topo[lower.bit_length() - 1]
-        if lower & ~self._down[m]:
-            return None
-        return self._refs[m]
+        The lowest bit ``m`` of the AND of the labels' down-sets is a
+        maximal lower bound, as a class's id is higher than its
+        superclasses'; the infimum exists iff all are below ``m``."""
+        j, lower = self._lower_bounds(labels)
+        if not lower & 1:  # shift the lowest bit to bit 0
+            if not lower:
+                return None
+            k = (lower & -lower).bit_length() - 1
+            j, lower = j + k, lower >> k
+        return None if lower & ~self._down[j] else self._refs[j]
 
     def maximal_lower_bounds(self, labels) -> list[ClassRef]:
         """The maximal common lower bounds of a non-empty label set,
         sorted by IRI: none or several of them when there is no infimum,
         else just the infimum."""
-        lower = self._lower_bounds(labels)
+        j, lower = self._lower_bounds(labels)
         found = []
         while lower:
-            m = self._topo[lower.bit_length() - 1]
-            found.append(self._refs[m])
-            lower &= ~self._down[m]
+            k = (lower & -lower).bit_length() - 1
+            j, lower = j + k, lower >> k
+            found.append(self._refs[j])
+            lower &= ~self._down[j]
         return sorted(found, key=_iri)
 
-    def _lower_bounds(self, labels) -> int:
-        """Bitset of the classes below every label."""
+    def _lower_bounds(self, labels) -> tuple[int, int]:
+        """The highest label id j and the common lower bounds, bit k id j + k."""
         index, down = self._index, self._down
-        lower = -1
+        j, lower = 0, -1
         for x in labels:
             try:
-                lower &= down[index[x.iri]]
+                i = index[x.iri]
             except KeyError:
                 raise self._unknown(x) from None
+            if i >= j:  # align to the higher id; -1 stays -1
+                lower = lower >> (i - j) & down[i]
+                j = i
+            else:
+                lower &= down[i] >> (j - i)
         if lower == -1:
             raise ValueError("infimum of an empty label set")
-        return lower
+        return j, lower
 
     def _unknown(self, *cs: ClassRef) -> UnknownClassError:
         """The error for the first of ``cs`` that is not in this
@@ -326,7 +308,7 @@ class Taxonomy:
         refs, parents, top, _, index, by_local = _read_classes(
             fragment, diagnostics, "<fragment>", self)
         t = object.__new__(Taxonomy)
-        t._build(refs, parents, top, self.namespace, index, by_local)
+        t._build(refs, parents, top, self.namespace, index, by_local, self)
         return t
 
     # -- equality --------------------------------------------------------
@@ -362,15 +344,11 @@ def default_taxonomy() -> Taxonomy:
 
 # -- Manchester-subset reader ---------------------------------------------
 
-_FRAME_KEYWORDS = {
-    "Class", "Datatype", "ObjectProperty", "DataProperty",
-    "AnnotationProperty", "Individual", "NamedIndividual",
-    "Prefix", "Ontology", "Import",
-}
-_ENTRY_KEYWORDS = {
-    "SubClassOf", "EquivalentTo", "DisjointWith", "DisjointUnionOf",
-    "HasKey", "Annotations",
-}
+_FRAME_KEYWORDS = {"Class", "Datatype", "ObjectProperty", "DataProperty",
+                   "AnnotationProperty", "Individual", "NamedIndividual",
+                   "Prefix", "Ontology", "Import"}
+_ENTRY_KEYWORDS = {"SubClassOf", "EquivalentTo", "DisjointWith",
+                   "DisjointUnionOf", "HasKey", "Annotations"}
 _KEYWORDS = _FRAME_KEYWORDS | _ENTRY_KEYWORDS
 
 
@@ -382,14 +360,12 @@ _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _CLOSED = f"{_IRI}|{_QUOTED}|{_STRING}"  # compiled on first use only
 
 # Whitespace (group 1), then one token (group 2); alternatives are tried
-# in order.  Names, numbers, string literals and single characters
-# other than ``<``, ``'`` and ``"`` follow the three tokens that may
-# hold whitespace; the last alternative catches an opening ``<``, ``'``
-# or ``"`` whose token failed, and takes the rest of the text with it,
-# so it can only be the last match.  Every character but whitespace
-# starts an alternative, so a search that ends at the last other
-# character never backtracks over whitespace.  Compiled on first use
-# only, as only text that ``_FRAME_RE`` does not read is tokenized.
+# in order.  The last catches an opening ``<``, ``'`` or ``"`` whose
+# token failed and takes the rest of the text, so it can only be the
+# last match.  Every character but whitespace starts an alternative, so
+# a search that ends at the last other character never backtracks over
+# whitespace.  Compiled on first use, as only text that ``_FRAME_RE``
+# does not read is tokenized.
 _MANCHESTER = rf"""
     (\s*)
     ( {_IRI} | {_QUOTED} | {_STRING}
@@ -442,27 +418,6 @@ def _tokenize_manchester(text: str, start: int = 0) -> list[tuple[str, str]]:
     return toks
 
 
-def _placer(text: str, start: int, spaces: tuple[str, ...],
-            vals: tuple[str, ...]):
-    """A function from a token's index to its ``(line, col)``, given the
-    offset of the first token's whitespace, the whitespace before each
-    token and the tokens.  The offsets are worked out on the first call,
-    since only a warning or an error needs one."""
-    offsets: list[int] = []
-    position = _positions(text)
-
-    def place(i: int) -> tuple[int, int]:
-        if not offsets:
-            at = start
-            for ws, tok in zip(spaces, vals):
-                at += len(ws)
-                offsets.append(at)
-                at += len(tok)
-        return position(offsets[i])
-
-    return place
-
-
 def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
                    source_name: str = "<ontology>") -> Taxonomy:
     """Build a Taxonomy from Manchester-subset source text.
@@ -471,12 +426,12 @@ def parse_taxonomy(text: str, diagnostics: list[Diagnostic] | None = None,
     named SubClassOf entries are interpreted; anything else produces a
     warning diagnostic.  A class may be written bare, quoted (a bare
     name whatever it holds), prefixed or as an ``<IRI>``; every spelling
-    of one IRI names one class.  Superclass
-    targets that are never declared are declared implicitly.  Classes
-    with no superclass entry get an edge to the top class; the top is
-    the NeSy_Pattern_Element read if it states no superclass, else the
-    unique root, else a fresh root NeSy_Pattern_Element in the text's
-    namespace.  An error placed in ``text`` carries ``source_name``.
+    of one IRI names one class.  Superclass targets that are never
+    declared are declared implicitly.  Classes with no superclass entry
+    get an edge to the top class; the top is the NeSy_Pattern_Element
+    read if it states no superclass, else the unique root, else a fresh
+    root NeSy_Pattern_Element in the text's namespace.  An error placed
+    in ``text`` carries ``source_name``.
     """
     try:
         arrays = _read_classes(text, diagnostics, source_name)
@@ -496,32 +451,26 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     while they hold only plain names: ``Class: A``, optionally with
     ``SubClassOf: B, C``, ``Prefix: p: <IRI>`` and ``Ontology: <IRI>``,
     each keyword with or without its colon.  From the first frame it
-    does not read (a quoted or prefixed name, an IRI, another entry, a
-    malformed frame), its last row holds the rest of the text, which is
+    does not read, its last row holds the rest of the text, which is
     split into tokens once and walked token by token; the walk reads
     every frame the grammar allows and places every warning and error.
 
     Each name is read as a key: the local name itself, a ``str``, for a
-    bare or quoted name (a quoted name is a label whatever it holds; its
-    spaces become ``_``), ``(prefix, local)`` for a prefixed one (prefix
-    ``""`` for ``:Name``), and ``(None, iri)`` for an ``<IRI>``.  Each
-    distinct key gets an int id and the place it is first read at: the
-    key's own id if the ``findall`` read it (where is worked out only
-    for an error), else the complement ``~i`` of the index of its token.
-    The frames' names are the first keys, the Class frames' names
-    before the other superclasses.  Keys are resolved once the whole
-    text is read, because prefixes, the namespace and ``Class`` frames
-    may come after a name is used: each key once, to a class id.  A key
-    resolves to a class of ``base`` (a bare name by local name, any name
-    by IRI), else to a class the text already added; else it is minted,
-    a bare name in the text's namespace, with the next id after the
-    base's.  Without a base, a ``SubClassOf`` target is declared by its
-    use; with one, a target the text does not declare raises
-    UnknownClassError.  Every error is placed where the failing name
-    first starts.  Without a base, when every key was read by the
-    ``findall``, each names its own class in the namespace with the
-    key's id, the id resolving would give it, and the classes are made
-    in bulk.
+    bare or quoted name (a quoted name's spaces become ``_``), ``(prefix,
+    local)`` for a prefixed one (prefix ``""`` for ``:Name``), and
+    ``(None, iri)`` for an ``<IRI>``.  Each distinct key gets an int id
+    and the place it is first read at: its own id if the ``findall``
+    read it (where is worked out only for an error), else the complement
+    ``~i`` of the index of its token.  The Class frames' names are the
+    first keys.  Once the whole text is read (prefixes, the namespace
+    and frames may come after a name is used), each key is resolved
+    once: to a class of ``base`` (a bare name by local name, any name by
+    IRI), else to a class the text added, else to a new class with the
+    next id, a bare name in the text's namespace.  A ``SubClassOf``
+    target is declared by its use without a base, and with one raises
+    UnknownClassError unless the text declares it.  Without a base, when
+    the ``findall`` read every key, each key's id is its class's, and
+    the classes are made in bulk.
 
     Returns the classes by id, the base's first; each class's
     superclass ids, an added class with none below the top; the top's
@@ -585,7 +534,16 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     spaces, vals = ("",), ("",)  # only the end: every frame was read
     if pos < len(text):
         spaces, vals = zip(*_tokenize_manchester(text, pos))
-    place = _placer(text, pos, spaces, vals)
+    offsets: list[int] = []  # the tokens', for the first warning or error
+    position = _positions(text)
+
+    def place(i: int) -> tuple[int, int]:
+        if not offsets:
+            at = pos
+            for ws, tok in zip(spaces, vals):
+                offsets.append(at + len(ws))
+                at += len(ws) + len(tok)
+        return position(offsets[i])
 
     def where(at: int) -> tuple[int, int]:
         """The place of token ``~at``, or where frame key ``at`` is first
@@ -597,7 +555,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         for m in _FRAME_RE.finditer(text):
             for name in re.finditer(r"[^\s,]+", m["s"] or ""):
                 if name[0] == keys[at]:
-                    return _positions(text)(m.start("s") + name.start())
+                    return position(m.start("s") + name.start())
 
     def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
@@ -806,11 +764,9 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 def _mint(iri: str, local: str, taken: dict[str, ClassRef],
           where, at: int) -> ClassRef:
     """A class read from Manchester text, recorded in ``taken`` by local
-    name.  A local name that is empty, holds whitespace or is taken by
-    another IRI is a ParseError at ``where(at)``, where the name starts.
-    An ``at`` of 0 or more (a frame key's id, not a token's ``~i``)
-    means a frame pattern read the name, so the local name is a name
-    token and needs no check."""
+    name; a ParseError at ``where(at)``, where the name starts, if that
+    name is empty, holds whitespace or is another IRI's.  An ``at`` of 0
+    or more (a frame key's id) means a frame read a name token: no check."""
     if at < 0 and not _LOCAL_NAME_RE.fullmatch(local):
         problem = "whitespace in its local name" if local else "no local name"
     else:
@@ -824,22 +780,66 @@ def _mint(iri: str, local: str, taken: dict[str, ClassRef],
     raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
 
 
-def _find_cycle(subs: list[list[int]], waiting: list[int], key) -> list[int]:
-    """A cycle among the classes Kahn's algorithm left over.
+def _close(down: list[int], parents: list[list[int]], start: int) -> bool:
+    """Finish ``down`` in place, complete below id ``start``: push each
+    class's down-set, from the last to ``start``, into its superclasses',
+    then those below ``start`` it reached into theirs.  False where some
+    superclass's id is not below its class's."""
+    for i in range(len(parents) - 1, start - 1, -1):
+        d = down[i]
+        for p in parents[i]:
+            if p >= i:
+                return False
+            down[p] |= d << (i - p)
+    if start:  # each class below start that a new bit reaches, last first
+        reached = {p for ps in parents[start:] for p in ps if p < start}
+        for i in range(max(reached, default=-1), -1, -1):
+            if i in reached:
+                d = down[i]
+                for p in parents[i]:
+                    reached.add(p)
+                    down[p] |= d << (i - p)
+    return True
 
-    Every class left over still waits for a subclass that is left over
-    too, so walking down such subclasses from any of them must repeat a
-    class; the walk from the repeat on is the cycle.  The walk starts
-    at, and steps to, the class left over that is least by ``key``.
-    """
-    i = min((k for k, w in enumerate(waiting) if w), key=key)
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    while i not in seen:
-        seen[i] = len(path)
-        path.append(i)
-        i = min((s for s in subs[i] if waiting[s]), key=key)
-    return path[seen[i]:]
+
+def _renumber(refs: list[ClassRef], parents: list[list[int]], top: int,
+              index: dict) -> tuple[list[ClassRef], list[list[int]], int]:
+    """``refs``, ``parents`` and ``top`` renumbered superclasses first,
+    as the reverse of the order Kahn's algorithm places them in
+    subclasses first; ``index`` is changed in place to match."""
+    n = len(refs)
+    subs: list[list[int]] = [[] for _ in range(n)]
+    for s, ps in enumerate(parents):
+        for p in ps:
+            subs[p].append(s)
+    waiting = [len(x) for x in subs]
+    ready = [i for i in range(n) if not waiting[i]]
+    order: list[int] = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for p in parents[i]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
+    if len(order) < n:
+        # Each class left over waits for a subclass left over too, so a
+        # walk down them, least by IRI first whatever the order of refs,
+        # repeats a class; the walk from the repeat on is a cycle.
+        key = [c.iri for c in refs].__getitem__
+        i = min((k for k, w in enumerate(waiting) if w), key=key)
+        seen: dict[int, int] = {}  # class -> its place on the walk
+        while i not in seen:
+            seen[i] = len(seen)
+            i = min((s for s in subs[i] if waiting[s]), key=key)
+        name = refs[min([*seen][seen[i]:], key=key)].local_name
+        raise CycleError(f"subclass axioms form a cycle through {name}")
+    order.reverse()
+    new = sorted(range(n), key=order.__getitem__)  # class -> its place in order
+    for iri, i in index.items():
+        index[iri] = new[i]
+    return ([refs[i] for i in order],
+            [[new[p] for p in parents[i]] for i in order], new[top])
 
 
 def _skip_entry(vals: tuple, i: int) -> int:

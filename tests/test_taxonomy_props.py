@@ -37,10 +37,16 @@ def banded_chains(draw):
 
 @st.composite
 def taxonomies(draw):
+    """A random DAG or a banded chain, perhaps built from its classes in
+    shuffled order, so that some class comes before a superclass."""
+    rng = draw(st.randoms(use_true_random=False))
+    t = (random_taxonomy(rng, draw(st.integers(1, 12))) if draw(st.booleans())
+         else draw(banded_chains()))
     if draw(st.booleans()):
-        rng = draw(st.randoms(use_true_random=False))
-        return random_taxonomy(rng, draw(st.integers(1, 12)))
-    return draw(banded_chains())
+        classes = sorted(t.classes, key=lambda c: c.iri)
+        rng.shuffle(classes)
+        t = Taxonomy(classes, t.subclass_edges, t.top, t.namespace)
+    return t
 
 
 @st.composite
@@ -85,21 +91,35 @@ def test_maximal_lower_bounds_are_the_maximal_elements(case):
 @st.composite
 def extensions(draw, bases=taxonomies()):
     """A taxonomy and a Manchester fragment that adds new classes below
-    old and new ones, and perhaps a subclass axiom between old classes
-    that closes no cycle."""
+    old and new ones, perhaps in reverse order, so that a later frame
+    declares a superclass; perhaps a new class Z with an old class
+    below it; and perhaps a subclass axiom between old classes.  No
+    axiom closes a cycle."""
     t = draw(bases)
     rng = draw(st.randoms(use_true_random=False))
     names = sorted(c.local_name for c in t.classes)
+    edges = {(a.local_name, b.local_name) for a, b in t.subclass_edges}
     frames = []
     for i in range(draw(st.integers(0, 4))):
         supers = rng.sample(names, min(len(names), rng.randint(1, 2)))
         frames.append(f"Class: N{i} SubClassOf: {', '.join(supers)}")
+        edges |= {(f"N{i}", s) for s in supers}
         names.append(f"N{i}")
+    if draw(st.booleans()):
+        frames.reverse()
     old = sorted(t.classes, key=lambda c: c.iri)
     if draw(st.booleans()):
-        a, b = rng.choice(old), rng.choice(old)
-        if not t.leq(b, a):
-            frames.append(f"Class: {a.local_name} SubClassOf: {b.local_name}")
+        a = rng.choice(old).local_name
+        allowed = [n for n in names if not reachable_oracle(edges, n, a)]
+        if allowed:
+            supers = rng.sample(allowed, min(len(allowed), rng.randint(1, 2)))
+            frames += [f"Class: Z SubClassOf: {', '.join(supers)}",
+                       f"Class: {a} SubClassOf: Z"]
+            edges |= {("Z", s) for s in supers} | {(a, "Z")}
+    if draw(st.booleans()):
+        a, b = rng.choice(old).local_name, rng.choice(old).local_name
+        if not reachable_oracle(edges, b, a):
+            frames.append(f"Class: {a} SubClassOf: {b}")
     return t, "\n".join(frames)
 
 
@@ -114,6 +134,21 @@ def test_extend_is_monotone_and_leaves_the_base_alone(case):
     assert all(ext.leq(a, b) for a, b in order)
     assert (t.classes, t.subclass_edges, t.top, hash(t)) == state
     assert order == {(a, b) for a in t.classes for b in t.classes if t.leq(a, b)}
+
+
+@SETTINGS
+@given(extensions(), st.data())
+def test_extension_answers_by_its_own_edges(case, data):
+    t, fragment = case
+    ext = t.extend(fragment)
+    edges = ext.subclass_edges
+    cs = sorted(ext.classes, key=lambda c: c.iri)
+    for a in cs:
+        for b in cs:
+            assert ext.leq(a, b) == reachable_oracle(edges, a, b)
+    labels = data.draw(st.lists(st.sampled_from(cs), min_size=1, max_size=3))
+    assert ext.infimum(labels) == glb_oracle(ext, labels)
+    assert ext.maximal_lower_bounds(labels) == maximal_lower_bounds_oracle(ext, labels)
 
 
 #: A class name in ``emit_manchester`` text of the generated taxonomies.
