@@ -131,13 +131,11 @@ def _combine(net: Network, name: str | None):
 
     # A class with one label keeps it, as the taxonomy's own class; only
     # one whose members carry several takes their infimum.
-    known: dict[str, ClassRef] = {}  # label IRI -> the taxonomy's class
+    refs, class_id = taxonomy._refs, taxonomy._index
 
     def own(label: ClassRef) -> ClassRef | None:  # None when unknown
-        inf = known.get(label.iri)
-        if inf is None and label in taxonomy:
-            inf = known[label.iri] = taxonomy.infimum((label,))
-        return inf
+        i = class_id.get(label.iri)
+        return None if i is None else refs[i]
 
     merged_label: dict[int, ClassRef] = {}
     labels: dict[str, ClassRef] = {}
@@ -181,7 +179,7 @@ def _combine(net: Network, name: str | None):
             while name_r in labels:
                 name_r += "_"
             labels[name_r] = (merged_label[r] if r in groups
-                              else known[node_labels[r].iri])
+                              else own(node_labels[r]))
             names[r] = name_r
 
     class_name = [names[r] for r in root]  # by arena node

@@ -33,7 +33,15 @@ from .library import Library
 from .network import build_network
 from .pattern import Pattern
 from .refinement import Refinement, check_refinement, infer_refinement
-from .taxonomy import _CLOSED, _NAME_START, ClassRef, Taxonomy, default_taxonomy
+from .taxonomy import (
+    _IRI,
+    _NAME_START,
+    _QUOTED,
+    _STRING,
+    ClassRef,
+    Taxonomy,
+    default_taxonomy,
+)
 
 LOGIC_NAME = "NeSyPatterns"
 
@@ -42,8 +50,43 @@ _KEYWORDS = frozenset({
     "then", "refined", "to", "via", "end",
 })
 _SYMBOLS = ("|->", "->", "=", ";", ":", ",", "{", "}")
-#: A word in which an IRI, quoted name or string literal keeps its spaces.
-_WORD = rf"(?:[^\s<'\"]+|{_CLOSED}|\S)+"
+#: The tokens that hold their braces and spaces as text in an inline
+#: extension, by opener: an IRI, a quoted name and a string literal, each
+#: its opener, the run its pattern reads behind it, then its closer.
+_RUNS = {t[0]: (t[:-1], t[-1]) for t in (_IRI, _QUOTED, _STRING)}
+
+
+def _text_tokens(text: str, pos: int, nxt: dict[str, int]):
+    """Each IRI, quoted name and string literal that closes in ``text``
+    from ``pos`` on, and each other character of ``nxt`` outside them,
+    in order, as its start and end offsets.
+
+    ``nxt`` maps each character sought, ``<``, ``'`` and ``"`` among
+    them, to its next offset at or after the last one read, or to -1
+    for none; one below ``pos`` is sought again.  It is kept up to date,
+    so a caller that reads one text forward in several calls passes it
+    on, and no character is sought twice.  An opener whose token does
+    not close is text.  So is each later opener of its kind before the
+    place its run stopped at, as the run of each stops there too (an
+    IRI's at the end of the text, a string literal's there or at a
+    backslash before a line break); one ``find`` passes over them."""
+    while True:
+        for c, i in nxt.items():
+            if 0 <= i < pos:
+                nxt[c] = text.find(c, pos)
+        at = min((i for i in nxt.values() if i >= 0), default=-1)
+        if at < 0:
+            return
+        c = text[at]
+        pos = at + 1
+        if c in _RUNS:
+            run, closer = _RUNS[c]
+            end = re.compile(run).match(text, at).end()
+            if text[end:end + 1] != closer:
+                nxt[c] = text.find(c, end)
+                continue
+            pos = end + 1
+        yield at, pos
 
 
 # -- AST --------------------------------------------------------------------
@@ -69,13 +112,21 @@ class OntRef(NamedTuple):
 
     def key(self) -> str:
         """Normalized clause text, used to index Library.taxonomies: the
-        extension's words (see ``_WORD``) joined by single spaces."""
+        extension with each run of whitespace outside its IRIs, quoted
+        names and string literals made one space, and none at its ends."""
         ext = self.extension
         if ext is None:
             return self.base
-        words = (re.findall(_WORD, ext) if "<" in ext or "'" in ext or '"' in ext
-                 else ext.split())
-        return f"{{ {self.base} then {' '.join(words)} }}"
+        if "<" in ext or "'" in ext or '"' in ext:
+            parts, pos, nxt = [], 0, {c: ext.find(c) for c in "<'\""}
+            for at, end in _text_tokens(ext, 0, nxt):  # a token keeps its spaces
+                parts += re.sub(r"\s+", " ", ext[pos:at]), ext[at:end]
+                pos = end
+            parts.append(re.sub(r"\s+", " ", ext[pos:]))
+            words = "".join(parts).strip()
+        else:
+            words = " ".join(ext.split())
+        return f"{{ {self.base} then {words} }}"
 
 
 class PatternDecl(NamedTuple):
@@ -171,6 +222,7 @@ class _Parser:
         self.text = text
         self.at = _positions(text)
         self.tok = _TOKEN_RE.match(text)
+        self.next_at: dict[str, int] | None = None  # for _text_tokens
 
     def next(self) -> None:
         self.tok = _TOKEN_RE.match(self.text, self.tok.end())
@@ -274,24 +326,17 @@ class _Parser:
         # The fragment runs to the brace that closes the data clause.  An
         # IRI, quoted name or string literal is text: braces in it do not
         # count, and an opener whose token does not close is one character.
-        start = end = _TOKEN_RE.match(text, self.tok.end()).start(1)
+        start = _TOKEN_RE.match(text, self.tok.end()).start(1)
         depth = 1
-        while depth:
-            close = text.find("}", end)
-            if close < 0:
-                raise self.error("unterminated data clause, expected '}'",
-                                 start, ("}",))
-            opener = min((at for at in (text.find("<", end, close),
-                                        text.find("'", end, close),
-                                        text.find('"', end, close)) if at >= 0),
-                         default=close)
-            if opener < close:
-                depth += text.count("{", end, opener)
-                token = re.compile(_CLOSED).match(text, opener)
-                end = token.end() if token else opener + 1
-                continue
-            depth += text.count("{", end, close) - 1
-            end = close + 1
+        if self.next_at is None:
+            self.next_at = {c: text.find(c, start) for c in "{}<'\""}
+        for close, end in _text_tokens(text, start, self.next_at):
+            c = text[close]
+            depth += (c == "{") - (c == "}")
+            if not depth:
+                break
+        else:
+            raise self.error("unterminated data clause, expected '}'", start, ("}",))
         frag_line, frag_col = self.at(start)
         return (OntRef(base, text[start:close], line, col, frag_line, frag_col),
                 end)

@@ -21,8 +21,10 @@ down-set spans the ids from its class to its last subclass: 1.1 MiB for
 a flat ontology of 40,000 classes, 11 MiB for a 10-ary tree of 40,000
 read level by level, n * n / 2 bits (6.6 MiB) for a chain of 10,000.
 
-Reading and building run on integer ids.  The reader (``_read_classes``)
-gives each class an id, its superclasses as a list of ids, its
+Reading and building run on integer ids.  One reader reads each text:
+one regex ``findall`` for a text of plain headers and ``Class`` frames,
+else a walk over its tokens.  The reader (``_read_classes``) gives each
+class an id, its superclasses as a list of ids, its
 ``ClassRef`` and its entries in the IRI index and local-name map the
 taxonomy keeps.  One builder turns these into the down-sets, for
 ``parse_taxonomy``, ``extend`` and ``Taxonomy(...)``; an ``extend`` that
@@ -35,7 +37,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import (
@@ -364,8 +366,8 @@ _CLOSED = f"{_IRI}|{_QUOTED}|{_STRING}"  # compiled on first use only
 # token failed and takes the rest of the text, so it can only be the
 # last match.  Every character but whitespace starts an alternative, so
 # a search that ends at the last other character never backtracks over
-# whitespace.  Compiled on first use, as only text that ``_FRAME_RE``
-# does not read is tokenized.
+# whitespace.  Compiled on first use, as only a text that ``_FRAME_RE``
+# does not read whole is tokenized.
 _MANCHESTER = rf"""
     (\s*)
     ( {_IRI} | {_QUOTED} | {_STRING}
@@ -385,13 +387,14 @@ _CLASS_START = _NAME_START | {"'", "<"}
 
 # One frame of plain names, in spellings the token walk reads the same
 # way.  Each name is a whole token, as a name character cannot follow
-# it.  A Class frame counts only where it is followed by another or by
-# the end, as the walk reads anything else behind it into it, and where
-# no superclass is a keyword, at which the walk ends the ``SubClassOf``
-# list (``_read_classes`` checks both); it is then a whole frame, and a
-# name in it is not the prefix of a prefixed name.  The last
-# alternative takes the rest of the text from its first character but
-# whitespace, where no frame is read: the last match of a ``findall``.
+# it.  A Class frame is read as the walk reads it where another frame or
+# the end follows it, and no superclass is a keyword, at which the walk
+# ends the ``SubClassOf`` list.  The last alternative takes the rest of
+# the text from its first character but whitespace, where no frame is
+# read: the last match of a ``findall``.  One reader reads each text:
+# the rows of its ``findall`` where they hold no rest, no header behind
+# a Class frame and no keyword superclass (``_read_classes`` checks),
+# else the token walk.
 _NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _FRAME_RE = re.compile(
     rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
@@ -401,14 +404,14 @@ _FRAME_RE = re.compile(
     r"|(?P<rest>\S[\s\S]*))")
 
 
-def _tokenize_manchester(text: str, start: int = 0) -> list[tuple[str, str]]:
-    """The tokens of ``text`` from offset ``start`` on as ``(whitespace
-    before, token)`` pairs, ending with ``(trailing whitespace, "")``.
+def _tokenize_manchester(text: str) -> list[tuple[str, str]]:
+    """The tokens of ``text`` as ``(whitespace before, token)`` pairs,
+    ending with ``(trailing whitespace, "")``.
     A token's first character tells its kind: ``<`` an IRI, ``'`` a
     quoted name, ``:`` and ``,`` themselves, a letter or ``_`` a name,
     and anything else a token that only skipped entries hold."""
     end = len(text.rstrip())
-    toks = re.compile(_MANCHESTER, re.VERBOSE | re.DOTALL).findall(text, start, end)
+    toks = re.compile(_MANCHESTER, re.VERBOSE | re.DOTALL).findall(text, 0, end)
     if toks:
         last = toks[-1][1]
         if last[0] in _UNTERMINATED and not re.fullmatch(_CLOSED, last):
@@ -447,13 +450,13 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     """Read the frames of Manchester text into classes and subclass
     edges, on top of ``base`` if given.
 
-    Frames are read with one ``findall`` of ``_FRAME_RE``, a row each,
-    while they hold only plain names: ``Class: A``, optionally with
-    ``SubClassOf: B, C``, ``Prefix: p: <IRI>`` and ``Ontology: <IRI>``,
-    each keyword with or without its colon.  From the first frame it
-    does not read, its last row holds the rest of the text, which is
-    split into tokens once and walked token by token; the walk reads
-    every frame the grammar allows and places every warning and error.
+    One reader reads each text.  A text of plain names without quotes,
+    ``Prefix: p: <IRI>`` and ``Ontology: <IRI>`` headers and then
+    ``Class: A`` frames, optionally with ``SubClassOf: B, C`` (each
+    keyword with or without its colon), is read by one ``findall`` of
+    ``_FRAME_RE``, a row per frame.  Any other text is split into tokens once and walked
+    token by token from its start; the walk reads every frame the
+    grammar allows and places every warning and error.
 
     Each name is read as a key: the local name itself, a ``str``, for a
     bare or quoted name (a quoted name's spaces become ``_``), ``(prefix,
@@ -461,16 +464,16 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     ``(None, iri)`` for an ``<IRI>``.  Each distinct key gets an int id
     and the place it is first read at: its own id if the ``findall``
     read it (where is worked out only for an error), else the complement
-    ``~i`` of the index of its token.  The Class frames' names are the
-    first keys.  Once the whole text is read (prefixes, the namespace
-    and frames may come after a name is used), each key is resolved
-    once: to a class of ``base`` (a bare name by local name, any name by
-    IRI), else to a class the text added, else to a new class with the
-    next id, a bare name in the text's namespace.  A ``SubClassOf``
+    ``~i`` of the index of its token; the Class frames' names are the
+    ``findall``'s first keys.  Once the whole text is read (prefixes,
+    the namespace and frames may come after a name is used), each key
+    is resolved once: to a class of ``base`` (a bare name by local name,
+    any name by IRI), else to a class the text added, else to a new
+    class with the next id, a bare name in the text's namespace.  A ``SubClassOf``
     target is declared by its use without a base, and with one raises
     UnknownClassError unless the text declares it.  Without a base, when
-    the ``findall`` read every key, each key's id is its class's, and
-    the classes are made in bulk.
+    the ``findall`` read the text, each key's id is its class's, and the
+    classes are made in bulk.
 
     Returns the classes by id, the base's first; each class's
     superclass ids, an added class with none below the top; the top's
@@ -481,39 +484,28 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     namespace = None if base is None else base.namespace
     ontology_iri: str | None = None
 
-    # The frames of plain names, one row each, then the rest of the
-    # text, if any, in a last row.  The Prefix and Ontology frames before
-    # the first Class frame are read here.
-    rows = _FRAME_RE.findall(text)
-    pos = len(text) - len(rows.pop()[5]) if rows and rows[-1][5] else len(text)
-    h = 0
-    for name, _, pfx, iri, ont, _ in rows:
-        if name:
-            break
-        h += 1
+    # The frames of plain names, one row each, and a last row with the
+    # rest of the text from the first frame the pattern does not read.
+    # The rows are used only where they read the whole text: leading
+    # Prefix and Ontology rows, then Class rows, none with a keyword
+    # among its superclasses.  Else the token walk reads all of it.  A
+    # quote is in no row but in a header's IRI, so a text with one (a
+    # string literal or a quoted name) goes to the walk without them.
+    quoted = "'" in text or '"' in text
+    rows = [] if quoted else _FRAME_RE.findall(text)
+    h = next((j for j, row in enumerate(rows) if row[0] or row[5]), len(rows))
+    subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
+    named = " ".join(sups).replace(",", " ").split()
+    walk = quoted or "" in subjects or not _KEYWORDS.isdisjoint(named)
+    if walk:
+        h, subjects, sups, named = 0, (), (), ()
+    for _, _, pfx, iri, ont, _ in rows[:h]:
         if iri:
             prefixes[pfx] = iri = iri[1:-1]
             if not pfx:
                 namespace = iri
         else:
             ontology_iri = ont[1:-1]
-    subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
-    # The token walk starts at the first header behind a Class frame, at
-    # the first Class frame with a keyword among its superclasses, or at
-    # a last Class frame that the rest of the text does not follow with
-    # another, as the walk would read that rest into it.
-    read = subjects.index("") if "" in subjects else len(subjects)
-    named = " ".join(sups[:read]).replace(",", " ").split()
-    if not _KEYWORDS.isdisjoint(named):
-        read = next(j for j, s in enumerate(sups)
-                    if not _KEYWORDS.isdisjoint(s.replace(",", " ").split()))
-    elif read == len(subjects) > 0 and pos < len(text) and not re.match(
-            r"Class[\s:]", text[pos:pos + 6]):
-        read -= 1
-    if read < len(subjects):
-        subjects, sups = subjects[:read], sups[:read]
-        named = " ".join(sups).replace(",", " ").split()
-        pos = next(islice(_FRAME_RE.finditer(text), h + read, None)).start()
     # The names of the frames read are the first keys: the subjects,
     # then the other superclasses in the order they are read.
     keys: list = [*dict.fromkeys(chain(subjects, named))]
@@ -522,7 +514,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     first: list[int] = [*range(len(keys))]
     ids: dict = dict(zip(keys, first))  # key -> key id
     declared: list[int] = [*map(ids.__getitem__, subjects)]  # Class frames, with repeats
-    edges: list[tuple[int, int]] = []  # key id pairs the token walk reads
+    edges: list[tuple[int, int]] = []  # key id pairs, for the general resolution
 
     def add_key(key, at: int) -> int:
         k = ids[key] = len(keys)
@@ -530,16 +522,13 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         first.append(at)
         return k
 
-    # The token walk, from the first frame the findall did not read.
-    spaces, vals = ("",), ("",)  # only the end: every frame was read
-    if pos < len(text):
-        spaces, vals = zip(*_tokenize_manchester(text, pos))
+    spaces, vals = zip(*_tokenize_manchester(text)) if walk else (("",), ("",))
     offsets: list[int] = []  # the tokens', for the first warning or error
     position = _positions(text)
 
     def place(i: int) -> tuple[int, int]:
         if not offsets:
-            at = pos
+            at = 0
             for ws, tok in zip(spaces, vals):
                 offsets.append(at + len(ws))
                 at += len(ws) + len(tok)
@@ -663,7 +652,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     if namespace is None:
         namespace = (ontology_iri + "#") if ontology_iri else DEFAULT_NAMESPACE
-    if base is None and pos == len(text):
+    if base is None and not walk:
         # The findall read every name: each names a class of its own in
         # the namespace, minted in the order of the keys, so a class's
         # id is its key's.
@@ -680,8 +669,8 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 parents[k].append(get(s))
         n, cls = 0, first  # class id = key id
     else:
-        edges[:0] = [(k, ids[sup]) for k, s in zip(declared, sups) if s  # the frames'
-                     for sup in s.replace(",", " ").split()]
+        edges += [(k, ids[sup]) for k, s in zip(declared, sups) if s  # the frames'
+                  for sup in s.replace(",", " ").split()]
         index = {} if base is None else dict(base._index)  # IRI -> class id
         by_local = {} if base is None else base._by_local
         taken = dict(by_local)  # by_local and the classes the text adds

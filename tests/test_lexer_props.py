@@ -313,8 +313,9 @@ def manchester_texts(draw):
     """Class frames over names that may share a local name or have none,
     other frames, and a few inserted, deleted or replaced pieces; or a
     run of 5-15 frames of plain names, which the reader reads one match
-    each, with one other frame or piece at a drawn index, where it
-    switches to the token walk."""
+    each, with one other frame or piece at a drawn index, which sends
+    the whole text to the token walk unless the frame pattern reads it
+    too."""
     if draw(st.booleans()):
         frames = draw(st.lists(class_frames(st.sampled_from(PLAIN_NAMES)),
                                min_size=5, max_size=15))

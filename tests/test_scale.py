@@ -13,8 +13,11 @@ import json
 import time
 import tracemalloc
 
+import pytest
+
 from nesypat import (
     Catalog,
+    ParseError,
     combination_result,
     emit_abox,
     emit_dot,
@@ -27,6 +30,7 @@ from nesypat import (
     parse_taxonomy,
     resolve,
 )
+from nesypat.cli import main
 
 
 def measure(fn):
@@ -145,6 +149,59 @@ class TestReader:
                              tuple((f"a{j}", f"b{j}") for j in range(10)), 10001, 1)
         assert wall < 1.0
         assert peak < 29 * 2**20
+
+
+def extension_document(ext: str) -> str:
+    """A pattern whose data clause extends the bundled ontology by
+    ``ext``, which starts at line 2, column 50."""
+    return ("logic NeSyPatterns\npattern P = data { ontohub:NeSyPatterns.omn then "
+            + ext + " }\n  a : Data;\nend\n")
+
+
+#: Inline extensions of 2 * 10^5 characters, each opener of which reads a
+#: run to the end of the text; the error each document ends with at 2:50,
+#: its first character; and a memory bound in MiB.  A reader that read
+#: each opener's run anew took 0.11 s for 10^4 ``<``, 2.6 s for 10^4
+#: ``"\`` pairs and 0.17 s for 10^4 ``{<`` pairs (2 vCPUs, Python 3.11),
+#: so at least 40 s each here.  The regex engine keeps a backtracking
+#: frame, about 128 bytes, for each escape a string literal's run reads:
+#: the ``"\`` document peaks at 20.3 MiB, the others at 0.8 and 0.4 MiB.
+UNCLOSED = [
+    ("<" * 200000, "unterminated IRI", 2),
+    ('"\\' * 100000, "unterminated string literal", 32),
+    ("{<" * 100000, "unterminated data clause, expected '}'", 2),
+]
+UNCLOSED_IDS = ["iri", "escaped-quotes", "brace-iri"]
+
+
+class TestInlineExtension:
+    # Every opener of a kind inside the run of one that did not close
+    # fails without a scan, so each character is read about once.
+
+    @pytest.mark.parametrize("ext, message, mib", UNCLOSED, ids=UNCLOSED_IDS)
+    def test_parse_and_resolve(self, ext, message, mib):
+        # 0.006-0.05 s measured, and 0.2-0.3 s for the brace-iri pairs,
+        # where each of the 10^5 braces is counted.
+        def read():
+            try:
+                return resolve(parse(extension_document(ext)))
+            except ParseError as e:
+                return e
+
+        e, wall, peak = measure(read)
+        assert (e.message, e.line, e.col) == (message, 2, 50)
+        assert wall < 1.5
+        assert peak < mib * 2**20
+
+    @pytest.mark.parametrize("ext, message", [u[:2] for u in UNCLOSED], ids=UNCLOSED_IDS)
+    def test_check(self, ext, message, tmp_path, capsys):
+        path = tmp_path / "open.nesy"
+        path.write_text(extension_document(ext), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 1
+        wall = time.perf_counter() - start
+        assert capsys.readouterr().err == f"{path}:2:50: error: {message}\n"
+        assert wall < 1.5
 
 
 class TestIsomorphic:
@@ -351,14 +408,17 @@ class TestTaxonomy:
         assert wall < 2.0
         assert peak < 18 * 2**20
 
-    def test_parse_taxonomy_of_10000_class_chain_by_tokens(self):
-        # An Annotations entry in the first class frame sends all the
-        # text after the header to the token walk.  0.09-0.19 s and a
-        # 12.0 MiB peak measured (2 vCPUs, Python 3.11).  The bounds are
-        # half again over the peak and over the slowest run at the 1.8x
-        # slowdown a shared machine shows for seconds at a time.
-        text = class_chain_text(10000).replace(
-            "Class: K0\n", 'Class: K0 Annotations: rdfs:comment "root"\n', 1)
+    @pytest.mark.parametrize("k", [0, 5000, 9999], ids=["first", "middle", "last"])
+    def test_parse_taxonomy_of_10000_class_chain_by_tokens(self, k):
+        # An Annotations entry in class frame k sends the whole text to
+        # the token walk, wherever the frame is.  0.10-0.16 s and a
+        # 10.0 MiB peak measured (2 vCPUs, Python 3.11).  The bounds
+        # leave three times the slowest run, for the 1.8x slowdown a
+        # shared machine shows for seconds at a time, and more than half
+        # again over the peak.
+        lines = class_chain_text(10000).split("\n")
+        lines[k + 2] += ' Annotations: rdfs:comment "frame"'
+        text = "\n".join(lines)
 
         def read():
             diags = []
@@ -366,7 +426,8 @@ class TestTaxonomy:
 
         (t, diags), wall, peak = measure(read)
         assert [(d.line, d.col, d.message) for d in diags] == [
-            (3, 11, "Annotations entries are skipped")]
+            (k + 3, lines[k + 2].index("Annotations") + 1,
+             "Annotations entries are skipped")]
         k0, k9999 = t.lookup("K0"), t.lookup("K9999")
         assert len(t.classes) == 10000 and t.top == k0
         assert t.leq(k9999, k0) and not t.leq(k0, k9999)

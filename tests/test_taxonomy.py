@@ -696,30 +696,32 @@ class TestIntegerIds:
         assert got == (ParseError, message, line, col, "f.omn")
 
     @pytest.mark.parametrize("k", [0, 1, 150, 320])
-    def test_token_walk_starts_at_the_first_frame_not_read(self, monkeypatch, k):
-        # Frame k runs on into an entry, or a header follows it: the walk
-        # reads from there, and no frame before it twice.
-        starts = []
+    def test_token_walk_reads_the_whole_text_or_none_of_it(self, monkeypatch, k):
+        # Frame k runs on into an entry, a header follows it, or a
+        # keyword is among its superclasses: the token walk reads the
+        # whole text, once.  It does not read a text of plain frames.
+        texts = []
         real_tokenize = taxonomy._tokenize_manchester
 
-        def recording(text, start=0):
-            starts.append(text[start:].lstrip()[:12])
-            return real_tokenize(text, start)
+        def recording(text):
+            texts.append(text)
+            return real_tokenize(text)
 
         monkeypatch.setattr(taxonomy, "_tokenize_manchester", recording)
         lines = chain_and_band_text().split("\n")
         frame = lines[k + 1]
-        for extra, walk in ((" Annotations: rdfs:comment 'x'", frame + " Annotations"),
-                            ("\nPrefix: p: <urn:p#>", "Prefix: p: <")):
+        # A keyword superclass ends the list; the walk reads the keyword
+        # as an entry where a frame follows it.
+        keyword = ((", " if " SubClassOf: " in frame else " SubClassOf: ")
+                   + "Annotations\nClass: Top")
+        for extra in ("", " Annotations: rdfs:comment 'x'", "\nPrefix: p: <urn:p#>",
+                      keyword):
             text = "\n".join(lines[:k + 1] + [frame + extra] + lines[k + 2:])
             t = parse_taxonomy(text, [])
-            assert starts.pop() == walk[:12]
+            assert texts == ([text] if extra else [])
+            texts.clear()
             assert len(t.subclass_edges) == sum(len(ps) for ps in t._parents) == 440
-        # A keyword among the superclasses of a later frame: the walk
-        # still starts at the header.
-        text += "\nClass: Z SubClassOf: Annotations: rdfs:comment 'z'"
-        assert parse_taxonomy(text, []) == reference_parse_taxonomy(text, [])
-        assert starts.pop() == "Prefix: p: <"
+            assert t == reference_parse_taxonomy(text, [])
 
     @pytest.mark.parametrize("k", [0, 1, 2, 150, 319, 320])
     def test_annotations_in_frame_k_placed_as_reference(self, k):
