@@ -114,8 +114,11 @@ def cmd_combine(path: str, pattern_name: str, fmt: str, catalog: Catalog,
                                        patterns={pattern.name: pattern})))
         else:
             abox_warnings: list[Diagnostic] = []
-            rendered = emit_abox(pattern, abox_warnings).render()
             line, col = positions[pattern_name]
+            try:
+                rendered = emit_abox(pattern, abox_warnings).render()
+            except NesyError as e:
+                raise e.at(line, col)
             for w in abox_warnings:
                 _print_diag(err, path, w._replace(line=line, col=col))
             out.write(rendered)

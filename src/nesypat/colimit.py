@@ -119,67 +119,47 @@ def _combine(net: Network, name: str | None):
     root = uf.roots()
 
     # A class is named after its root: a singleton keeps its node's
-    # qualified name, a merged class takes its smallest member's.
+    # qualified name, a merged class takes its smallest member's.  A
+    # class's label, by root, is None when it is not defined: a
+    # singleton keeps its label as the taxonomy's own class, and a
+    # merged class takes the infimum of its members' labels.
     size = uf.size
-    singles: list[int] = []
+    refs, class_id = taxonomy._refs, taxonomy._index
+    label: dict[int, ClassRef | None] = {}
     groups: dict[int, list[int]] = {}  # merged classes, members in arena order
     for k, r in enumerate(root):
         if size[r] > 1:
             groups.setdefault(r, []).append(k)
         else:
-            singles.append(k)
-
-    # A class with one label keeps it, as the taxonomy's own class; only
-    # one whose members carry several takes their infimum.
-    refs, class_id = taxonomy._refs, taxonomy._index
-
-    def own(label: ClassRef) -> ClassRef | None:  # None when unknown
-        i = class_id.get(label.iri)
-        return None if i is None else refs[i]
-
-    merged_label: dict[int, ClassRef] = {}
-    labels: dict[str, ClassRef] = {}
-    failed: list[int] = []  # classes with an unknown label or no infimum
-    for k in singles:
-        inf = own(node_labels[k])
-        if inf is None:
-            failed.append(k)
-        else:
-            labels[names[k]] = inf
+            i = class_id.get(node_labels[k].iri)
+            label[k] = None if i is None else refs[i]
     for r, group in groups.items():
         names[r] = min(map(names.__getitem__, group))
-        distinct = {node_labels[k].iri: node_labels[k] for k in group}
-        if len(distinct) == 1:
-            inf = own(node_labels[r])
-        else:
-            try:
-                inf = taxonomy.infimum(distinct.values())
-            except UnknownClassError:
-                inf = None
-        if inf is None:
-            failed.append(r)
-        else:
-            labels[names[r]] = merged_label[r] = inf
+        try:
+            label[r] = taxonomy.infimum({node_labels[k] for k in group})
+        except UnknownClassError:
+            label[r] = None
 
     def first(r: int) -> tuple[str, int]:  # the order classes are named in
         return names[r], groups[r][0] if r in groups else r
 
+    failed = [r for r, inf in label.items() if inf is None]
     if failed:
         r = min(failed, key=first)
         group = groups.get(r, [r])
         _raise_undefined(taxonomy, [members[k] for k in group],
                          {node_labels[k] for k in group})
-    if len(labels) < len(singles) + len(groups):
+    labels = {names[r]: inf for r, inf in label.items()}
+    if len(labels) < len(label):
         # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
         # node 'b.c' both qualify to 'a.b.c'.  Then the classes are
         # named in order, each clashing name getting '_' suffixes.
         labels = {}
-        for r in sorted(singles + list(groups), key=first):
+        for r in sorted(label, key=first):
             name_r = names[r]
             while name_r in labels:
                 name_r += "_"
-            labels[name_r] = (merged_label[r] if r in groups
-                              else own(node_labels[r]))
+            labels[name_r] = label[r]
             names[r] = name_r
 
     class_name = [names[r] for r in root]  # by arena node
@@ -204,9 +184,9 @@ def _combine(net: Network, name: str | None):
         for pname, pos in index.items():
             injections[pname] = dict(zip(pos, class_name[start:start + len(pos)]))
             start += len(pos)
-        classes = {names[k]: frozenset((members[k],)) for k in singles}
-        for r, group in groups.items():
-            classes[names[r]] = frozenset([members[k] for k in group])
+        classes = {names[r]: frozenset(map(members.__getitem__,
+                                           groups.get(r, (r,))))
+                   for r in label}
         return injections, classes
 
     return pattern, embedding
@@ -216,9 +196,8 @@ def _raise_undefined(taxonomy: Taxonomy, members: list[tuple[str, str]],
                      member_labels: set[ClassRef]) -> NoReturn:
     """Raise the error of a class whose label is not defined: the
     taxonomy's own for an unknown label, else UndefinedColimitError."""
-    taxonomy.infimum(member_labels)  # raises for an unknown label
+    bounds = taxonomy.maximal_lower_bounds(member_labels)  # or raises
     shown = ", ".join(sorted(l.local_name for l in member_labels))
-    bounds = taxonomy.maximal_lower_bounds(member_labels)
     why = ("their maximal common lower bounds are "
            + ", ".join(b.local_name for b in bounds)
            if bounds else "they have no common lower bound")
@@ -235,9 +214,12 @@ def evaluate_combines(lib: Library) -> Library:
 
     Combine-definitions are evaluated in dependency order (a definition
     depends on the combine-defined members of its network); cyclic
-    dependencies raise CyclicCombineError.  Errors raised while combining
-    name the failing pattern in ``decl`` and as a message prefix.  The
-    input library is left unchanged.
+    dependencies raise CyclicCombineError.  Each network is combined
+    with the member patterns it holds: in a resolved library these are
+    the library's own pattern objects, as resolving materializes a
+    combine-defined member before the network that lists it.  Errors
+    raised while combining name the failing pattern in ``decl`` and as a
+    message prefix.  The input library is left unchanged.
     """
     patterns = dict(lib.patterns)
     _evaluate(lib, lib.combine_defs, patterns)
@@ -304,8 +286,7 @@ def _evaluate(lib: Library, names, patterns: dict[str, Pattern]):
                 f"combine-defined pattern {name!r} references unknown "
                 f"network {netname!r}")
         try:
-            result = _combine(_refresh_members(lib.networks[netname], patterns),
-                              name)
+            result = _combine(lib.networks[netname], name)
         except NesyError as e:
             raise e.in_decl(name)
         patterns[name] = result[0]
@@ -322,16 +303,6 @@ def _dependencies(lib: Library, name: str) -> list[str]:
         used.update((r.source.name, r.target.name))
     used.discard(name)
     return sorted(used.intersection(lib.combine_defs))
-
-
-def _refresh_members(net: Network, patterns: dict[str, Pattern]) -> Network:
-    """Swap member patterns for their current library versions by name."""
-    return Network(
-        net.name,
-        {name: patterns.get(name, p) for name, p in net.patterns.items()},
-        {name: r._replace(source=patterns.get(r.source.name, r.source),
-                          target=patterns.get(r.target.name, r.target))
-         for name, r in net.refinements.items()})
 
 
 def _render_members(members) -> str:

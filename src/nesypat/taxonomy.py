@@ -15,8 +15,9 @@ run superclasses first, the order of a text that declares classes
 top-down (else Kahn's algorithm renumbers them), and each class's
 down-set (itself and its subclasses) is an ``int`` whose bit k is the
 class k ids after it, built in one reverse pass of shifted ORs.  So
-``leq`` is a bit test, and ``infimum`` an AND of down-sets aligned to
-the highest label id, whose lowest bit is a maximal lower bound.  Each
+``leq`` is a bit test, and the maximal lower bounds are read off an
+AND of down-sets aligned to the highest label id, whose lowest bit is
+one of them; the infimum is the only one, when there is one.  Each
 down-set spans the ids from its class to its last subclass: 1.1 MiB for
 a flat ontology of 40,000 classes, 11 MiB for a 10-ary tree of 40,000
 read level by level, n * n / 2 bits (6.6 MiB) for a chain of 10,000.
@@ -242,23 +243,20 @@ class Taxonomy:
         return i >= j and bool(self._down[j] >> (i - j) & 1)
 
     def infimum(self, labels) -> ClassRef | None:
-        """Greatest common lower bound of a non-empty label set, or None.
-
-        The lowest bit ``m`` of the AND of the labels' down-sets is a
-        maximal lower bound, as a class's id is higher than its
-        superclasses'; the infimum exists iff all are below ``m``."""
-        j, lower = self._lower_bounds(labels)
-        if not lower & 1:  # shift the lowest bit to bit 0
-            if not lower:
-                return None
-            k = (lower & -lower).bit_length() - 1
-            j, lower = j + k, lower >> k
-        return None if lower & ~self._down[j] else self._refs[j]
+        """Greatest common lower bound of a non-empty label set, or None:
+        the only maximal lower bound, as in a finite order a unique
+        maximal lower bound is the greatest."""
+        bounds = self.maximal_lower_bounds(labels)
+        return bounds[0] if len(bounds) == 1 else None
 
     def maximal_lower_bounds(self, labels) -> list[ClassRef]:
         """The maximal common lower bounds of a non-empty label set,
         sorted by IRI: none or several of them when there is no infimum,
-        else just the infimum."""
+        else just the infimum.
+
+        The lowest bit of the AND of the labels' down-sets is a maximal
+        lower bound, as a class's id is higher than its superclasses';
+        removing its down-set leaves the others."""
         j, lower = self._lower_bounds(labels)
         found = []
         while lower:

@@ -161,6 +161,22 @@ class TestErrorPlacement:
             assert code == 1
             assert err.startswith(f"{doc}:21:1: error: Merged: no infimum")
 
+    def test_abox_error_placed_at_the_pattern(self, tmp_path):
+        omn = tmp_path / "zoo.omn"
+        omn.write_text("Class: Cat SubClassOf: Animal\nClass: Animal")
+        cat_file = tmp_path / "catalog.json"
+        cat_file.write_text(json.dumps(
+            {"prefixes": {"zoo": "https://zoo.example/"},
+             "mappings": {"https://zoo.example/zoo.omn": str(omn)}}))
+        doc = tmp_path / "doc.nesy"
+        doc.write_text("logic NeSyPatterns\n\n"
+                       "pattern P = data zoo:zoo.omn a : Cat; end\n")
+        code, out, err = run(cmd_combine, str(doc), "P", "abox",
+                             load_catalog(cat_file))
+        assert code == 1 and out == ""
+        assert err == (f"{doc}:3:1: error: ABox translation needs a Process "
+                       "class in the taxonomy\n")
+
 
 class TestCmdCombine:
     def test_fig_combination_json(self):

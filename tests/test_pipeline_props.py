@@ -9,6 +9,8 @@ declaration that ``_pattern_positions`` finds, and every pattern that
 is printed must read back isomorphic.  A few mutants also go through
 ``cli.main``: the exit code is 0, 1 or 2, stderr holds no traceback,
 and every message about the document starts with ``file:line:col:``.
+Every library that resolves, and then evaluates, holds its own pattern
+objects as network members and refinement endpoints.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import random
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_dsl_document
@@ -119,6 +122,68 @@ def test_pipeline_raises_only_placed_nesy_errors(text):
     assert set(lib2.patterns) == set(lib.patterns)
     for name, p in lib.patterns.items():
         assert isomorphic(p, lib2.patterns[name]), name
+
+
+def assert_networks_hold_library_patterns(lib):
+    """Every network member and every refinement endpoint is the
+    library's own pattern of that name, so combining a network needs no
+    lookup of its members."""
+    refinements = [*lib.refinements.values()]
+    for net in lib.networks.values():
+        for name, p in net.patterns.items():
+            assert p is lib.patterns[name], (net.name, name)
+        refinements += net.refinements.values()
+    for r in refinements:
+        assert r.source is lib.patterns[r.source.name], (r.name, r.source.name)
+        assert r.target is lib.patterns[r.target.name], (r.name, r.target.name)
+
+
+def check_networks_hold_library_patterns(text) -> int:
+    """``assert_networks_hold_library_patterns`` after ``resolve`` and
+    after ``evaluate_combines``, as far as each succeeds; the number of
+    libraries checked."""
+    try:
+        lib = resolve(parse(text), Catalog.default())
+    except NesyError:
+        return 0
+    assert_networks_hold_library_patterns(lib)
+    try:
+        lib = evaluate_combines(lib)
+    except NesyError:
+        return 1
+    assert_networks_hold_library_patterns(lib)
+    return 2
+
+
+@pytest.mark.parametrize("text", CORPUS_TEXTS + [
+    # A combine-defined pattern as a network member and refinement target.
+    (CORPUS / "hybrid_model.nesy").read_text()
+    + "\nrefinement Up = Abstract refined to Merged end\n"
+    "network Wrap = Merged, Up end\npattern Outer = combine Wrap end\n"],
+    ids=[p.stem for p in sorted(CORPUS.glob("*.nesy"))] + ["hybrid_model_wrapped"])
+def test_corpus_networks_hold_the_library_patterns(text):
+    undefined = "network Clash" in text  # model_clash.nesy's Merged
+    assert check_networks_hold_library_patterns(text) == 1 + (not undefined)
+
+
+#: Declarations that make a random document's combination ``Comb`` a
+#: network member and, with ``Up``, a refinement target.
+NESTED = ["\nnetwork Outer = Comb, P0 end\npattern Outer_C = combine Outer end\n",
+          "\nrefinement Up = P0 refined to Comb end\nnetwork Outer = Comb, Up end"
+          "\npattern Outer_C = combine Outer end\n"]
+
+
+@st.composite
+def nested_documents(draw):
+    """A random document with one of the ``NESTED`` tails."""
+    text = random_dsl_document(random.Random(draw(st.integers(0, 2**16))))
+    return text + draw(st.sampled_from(NESTED))
+
+
+@SETTINGS
+@given(st.one_of(mutated_documents(), nested_documents()))
+def test_networks_hold_the_library_patterns(text):
+    check_networks_hold_library_patterns(text)
 
 
 def _first_names(text: str) -> list[str]:

@@ -19,6 +19,7 @@ from nesypat import (
     Catalog,
     ParseError,
     combination_result,
+    default_taxonomy,
     emit_abox,
     emit_dot,
     emit_dsl,
@@ -444,3 +445,56 @@ class TestTaxonomy:
         assert lines[-2:] == ["Class: K9999", "    SubClassOf: K9998"]
         assert wall < 1.0
         assert peak < 4.2 * 2**20
+
+
+#: Manchester texts of about 2 * 10^5 characters, each mostly one run of
+#: a token kind, with what each ends in: a ParseError's line, column and
+#: message, or, where class A is read below class B, the count of
+#: warnings and the first one's line, column and message; and a memory
+#: bound in MiB.  2-8, 8-39, 77-122, about 1, 33-50 and 27-44 ms
+#: measured untraced, and peaks of 0.4, 19.9, 17.7, 0, 5.5 and 8.0 MiB
+#: (2 vCPUs, Python 3.11).  As in the extensions above, the regex engine
+#: keeps a frame for each escape a string literal's run reads, and the
+#: ``'`` run is read as 10^5 empty quoted names.
+MANCHESTER_RUNS = [
+    ("Class: A SubClassOf: " + "<" * 200000, (1, 22, "unterminated IRI"), 1),
+    ("Class: A Annotations: rdfs:comment " + '"\\' * 100000,
+     (1, 36, "unterminated string literal"), 32),
+    ("Class: B\nClass: A SubClassOf: B, " + "'" * 200000,
+     (1, 2, 25, "complex class expression skipped"), 27),
+    ("Class: A" + " " * 200000 + "SubClassOf: B\nClass: B", (0,), 1),
+    ("Class: B\nClass: A SubClassOf: B" + " DisjointWith: B" * 12000,
+     (12000, 2, 24, "DisjointWith entries are skipped"), 10),
+    ("Class: B\nClass: A SubClassOf: B, hasPart some ("
+     + " or ".join(f"C{i}" for i in range(22000)) + ")",
+     (1, 2, 25, "complex class expression skipped"), 14),
+]
+MANCHESTER_IDS = ["iri", "escaped-quotes", "apostrophes", "whitespace",
+                  "disjoint-with", "class-expression"]
+
+
+class TestManchesterRuns:
+    # Both entry points read a text with one reader, so each ends alike.
+
+    @pytest.mark.parametrize("entry", ["parse_taxonomy", "extend"])
+    @pytest.mark.parametrize("text, outcome, mib", MANCHESTER_RUNS,
+                             ids=MANCHESTER_IDS)
+    def test_read(self, entry, text, outcome, mib):
+        base = default_taxonomy()
+
+        def read():
+            diags = []
+            try:
+                t = (parse_taxonomy(text, diags) if entry == "parse_taxonomy"
+                     else base.extend(text, diags))
+            except ParseError as e:
+                return e.line, e.col, e.message
+            assert t.leq(t.lookup("A"), t.lookup("B"))
+            if not diags:
+                return (0,)
+            return len(diags), diags[0].line, diags[0].col, diags[0].message
+
+        result, wall, peak = measure(read)
+        assert result == outcome
+        assert wall < 1.5
+        assert peak < mib * 2**20
