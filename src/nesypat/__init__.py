@@ -28,7 +28,6 @@ from .errors import (
     AmbiguousRefinementError,
     CatalogMissError,
     CycleError,
-    CyclicCombineError,
     DegenerateLoopError,
     Diagnostic,
     DuplicateNameError,
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AboxTriples", "AmbiguousRefinementError", "Catalog", "CatalogMissError",
-    "ClassRef", "CombinationResult", "CycleError", "CyclicCombineError",
+    "ClassRef", "CombinationResult", "CycleError",
     "DegenerateLoopError", "Diagnostic", "Document", "DuplicateNameError",
     "DuplicateNodeError", "InvalidRefinementError", "LabelMismatchError",
     "Library", "NesyError", "Network", "NetworkTypeError", "NoRefinementError",

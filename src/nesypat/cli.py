@@ -62,11 +62,8 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
     try:
         doc = parse(text, source_name=path)
         lib = resolve(doc, catalog, diagnostics=warnings)
-    except CatalogMissError as e:  # placed at its data clause, if it has one
-        if e.line is None:
-            print(f"nesypat: error: {e.message}", file=err)
-        else:
-            _print_diag(err, path, _error_diag(e))
+    except CatalogMissError as e:  # placed at its data clause
+        _print_diag(err, path, _error_diag(e))
         return EXIT_IO
     except NesyError as e:
         _print_diag(err, path, _error_diag(e))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import NamedTuple, NoReturn
 
 from .errors import (
-    CyclicCombineError,
     DegenerateLoopError,
     NesyError,
     UndefinedColimitError,
@@ -212,97 +211,44 @@ def _raise_undefined(taxonomy: Taxonomy, members: list[tuple[str, str]],
 def evaluate_combines(lib: Library) -> Library:
     """Materialize every combine-defined pattern of a library.
 
-    Combine-definitions are evaluated in dependency order (a definition
-    depends on the combine-defined members of its network); cyclic
-    dependencies raise CyclicCombineError.  Each network is combined
-    with the member patterns it holds: in a resolved library these are
-    the library's own pattern objects, as resolving materializes a
-    combine-defined member before the network that lists it.  Errors
-    raised while combining name the failing pattern in ``decl`` and as a
-    message prefix.  The input library is left unchanged.
+    Each combine-defined name not already in ``patterns`` is combined
+    once, in name order, from the member patterns its network holds: in
+    a resolved library these are the library's own pattern objects, as
+    resolving materializes a combine-defined member before the network
+    that lists it.  Errors raised while combining name the failing
+    pattern in ``decl`` and as a message prefix.  The input library is
+    left unchanged.
     """
     patterns = dict(lib.patterns)
-    _evaluate(lib, lib.combine_defs, patterns)
+    for name in sorted(lib.combine_defs):
+        if name not in patterns:
+            patterns[name] = _combine_def(lib, name)[0]
     return Library(dict(lib.taxonomies), patterns, dict(lib.refinements),
                    dict(lib.networks), dict(lib.combine_defs))
 
 
 def combination_result(lib: Library, name: str) -> CombinationResult:
-    """Combine the network behind one combine-defined pattern.
-
-    Any combine-defined patterns its network depends on are materialized
-    first; the returned result carries the injections and preimage
-    classes of the final combination.
-    """
+    """Combine the network behind one combine-defined pattern, with the
+    member patterns it holds, and return the combination with its
+    injections and preimage classes."""
     if name not in lib.combine_defs:
         raise UnknownNameError(f"pattern {name!r} is not combine-defined")
-    patterns = {k: p for k, p in lib.patterns.items() if k != name}
-    pattern, embedding = _evaluate(lib, (name,), patterns)
+    pattern, embedding = _combine_def(lib, name)
     return CombinationResult(pattern, *embedding())
 
 
-def _evaluate(lib: Library, names, patterns: dict[str, Pattern]):
-    """Combine the combine-defined ``names`` and, first, every
-    combine-defined pattern they depend on, each once, storing each
-    combined pattern in ``patterns``.
-
-    A name already in ``patterns`` counts as materialized and is skipped.
-    The walk is a name-sorted depth-first post-order on an explicit
-    stack; the whole order is fixed, and cycles reported, before the
-    first combination.  Returns what ``_combine`` gave for the last
-    combination computed, if any.
-    """
-    order: list[str] = []
-    on_stack: set[str] = set()
-    finished: set[str] = set()
-    for root in sorted(names):
-        if root in patterns or root in finished:
-            continue
-        stack = [(root, iter(_dependencies(lib, root)))]
-        on_stack.add(root)
-        while stack:
-            name, deps = stack[-1]
-            for d in deps:
-                if d in patterns or d in finished:
-                    continue
-                if d in on_stack:
-                    cycle = " -> ".join([n for n, _ in stack] + [d])
-                    raise CyclicCombineError(
-                        f"cyclic combine-definitions: {cycle}")
-                on_stack.add(d)
-                stack.append((d, iter(_dependencies(lib, d))))
-                break
-            else:
-                stack.pop()
-                on_stack.discard(name)
-                finished.add(name)
-                order.append(name)
-
-    result = None
-    for name in order:
-        netname = lib.combine_defs[name]
-        if netname not in lib.networks:
-            raise UnknownNameError(
-                f"combine-defined pattern {name!r} references unknown "
-                f"network {netname!r}")
-        try:
-            result = _combine(lib.networks[netname], name)
-        except NesyError as e:
-            raise e.in_decl(name)
-        patterns[name] = result[0]
-    return result
-
-
-def _dependencies(lib: Library, name: str) -> list[str]:
-    """The combine-defined patterns the network behind ``name`` uses, sorted."""
-    net = lib.networks.get(lib.combine_defs[name])
-    if net is None:
-        return []
-    used = set(net.patterns)
-    for r in net.refinements.values():
-        used.update((r.source.name, r.target.name))
-    used.discard(name)
-    return sorted(used.intersection(lib.combine_defs))
+def _combine_def(lib: Library, name: str):
+    """What ``_combine`` gives for the network behind the combine-defined
+    ``name``; an error raised while combining names ``name`` in ``decl``."""
+    netname = lib.combine_defs[name]
+    if netname not in lib.networks:
+        raise UnknownNameError(
+            f"combine-defined pattern {name!r} references unknown "
+            f"network {netname!r}")
+    try:
+        return _combine(lib.networks[netname], name)
+    except NesyError as e:
+        raise e.in_decl(name)
 
 
 def _render_members(members) -> str:

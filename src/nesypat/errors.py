@@ -176,7 +176,3 @@ class DegenerateLoopError(NesyError):
     def __init__(self, message: str, members=(), **kw):
         super().__init__(message, **kw)
         self.members = tuple(members)
-
-
-class CyclicCombineError(NesyError):
-    """Combine-definitions depend on each other in a cycle."""

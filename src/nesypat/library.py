@@ -16,10 +16,11 @@ class Library:
     the data clauses that produced each taxonomy.  ``combine_defs`` maps a
     pattern name to the network it combines.  A combine-defined name that
     is also in ``patterns`` counts as materialized; ``pattern()``
-    materializes one into ``patterns`` on first use, as resolving does for
-    every combine-defined pattern a later declaration references.
-    ``colimit.evaluate_combines`` materializes all of them into a copy.
-    Each map defaults to a new empty dict.
+    materializes one into ``patterns`` on first use, combining its network
+    once with the member patterns it holds, as resolving does for every
+    combine-defined pattern a later declaration references.
+    ``colimit.evaluate_combines`` materializes all of them, in name order,
+    into a copy.  Each map defaults to a new empty dict.
     """
 
     __slots__ = ("taxonomies", "patterns", "refinements", "networks",
@@ -47,8 +48,8 @@ class Library:
 
     def pattern(self, name: str) -> Pattern:
         if name not in self.patterns and name in self.combine_defs:
-            from .colimit import _evaluate  # colimit imports this module
-            _evaluate(self, (name,), self.patterns)
+            from .colimit import _combine_def  # colimit imports this module
+            self.patterns[name] = _combine_def(self, name)[0]
         try:
             return self.patterns[name]
         except KeyError:

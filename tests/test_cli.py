@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -548,3 +549,20 @@ def test_check_imports_no_start_up_weight():
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout == "0 []\n", proc.stderr
+
+
+@pytest.mark.parametrize("path, code, first_line", [
+    (HYBRID, 0, None),
+    (CLASH, 1, f"{CLASH}:21:1: error: Merged: no infimum"),
+])
+def test_python_dash_m_runs_the_cli(path, code, first_line):
+    """``python -m nesypat`` runs the command line through ``__main__``."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nesypat", "check", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    if first_line is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith(first_line), proc.stderr

@@ -23,7 +23,6 @@ from nesypat.colimit import (
 )
 from nesypat.dsl import parse, resolve
 from nesypat.errors import (
-    CyclicCombineError,
     DegenerateLoopError,
     TaxonomyMismatchError,
     UndefinedColimitError,
@@ -567,16 +566,6 @@ class TestEvaluateCombines:
         out = evaluate_combines(lib)
         assert out.patterns == lib.patterns
 
-    def test_cyclic_combines_detected(self, t):
-        stub_a = pat(t, "A", [("a", "Model")])
-        stub_b = pat(t, "B", [("b", "Model")])
-        net_a = net_of("NA", [stub_b], [])
-        net_b = net_of("NB", [stub_a], [])
-        lib = Library(networks={"NA": net_a, "NB": net_b},
-                      combine_defs={"A": "NA", "B": "NB"})
-        with pytest.raises(CyclicCombineError):
-            evaluate_combines(lib)
-
     def test_unknown_network_rejected(self):
         with pytest.raises(UnknownNameError) as e:
             evaluate_combines(Library(combine_defs={"X": "Missing"}))
@@ -702,22 +691,23 @@ class TestEvaluator:
         assert count_combines == ["N1"]
 
     @pytest.mark.parametrize("names", [("A", "B"), ("A", "B", "C")])
-    def test_cycle_named_in_message(self, t, names):
+    def test_names_in_a_cycle_combine_the_members_held(self, t, names):
+        # Each network holds a stub named after the next definition; a
+        # network is combined with the patterns it holds, so the names
+        # form no dependency and every definition combines on its own.
         networks, combine_defs = {}, {}
         for name, nxt in zip(names, names[1:] + names[:1]):
             networks[f"N{name}"] = net_of(f"N{name}",
                                           [pat(t, nxt, [("m", "Model")])], [])
             combine_defs[name] = f"N{name}"
         lib = Library(networks=networks, combine_defs=combine_defs)
-        from_a = " -> ".join(names + names[:1])
-        from_b = " -> ".join(names[1:] + names[:2])
-        for call, cycle in ((evaluate_combines, from_a),
-                            (lambda lib: lib.pattern("A"), from_a),
-                            (lambda lib: combination_result(lib, "B"), from_b)):
-            with pytest.raises(CyclicCombineError) as e:
-                call(lib)
-            assert e.value.message == f"cyclic combine-definitions: {cycle}"
-            assert e.value.decl is None
+        out = evaluate_combines(lib)
+        assert set(out.patterns) == set(names)
+        for name in names:
+            expected = combine(networks[f"N{name}"], name).pattern
+            assert out.patterns[name] == expected
+            assert combination_result(lib, name).pattern == expected
+            assert lib.pattern(name) == expected
 
     def test_error_records_failing_declaration(self, t):
         model = pat(t, "M", [("m0", "Model")])
@@ -731,9 +721,15 @@ class TestEvaluator:
                       networks={"Clash": clash,
                                 "Wrap": net_of("Wrap", [stub], [])},
                       combine_defs={"Broken": "Clash", "Outer": "Wrap"})
-        for call in (evaluate_combines, lambda lib: combination_result(lib, "Outer")):
+        for call in (evaluate_combines,
+                     lambda lib: combination_result(lib, "Broken"),
+                     lambda lib: lib.pattern("Broken")):
             with pytest.raises(UndefinedColimitError) as e:
                 call(lib)
             assert e.value.decl == "Broken"
             assert e.value.message.startswith("Broken: no infimum")
+        # "Outer" combines the one-node stub its network holds, not "Broken".
+        outer = combination_result(lib, "Outer").pattern
+        assert outer == combine(lib.networks["Wrap"], "Outer").pattern
+        assert len(outer.labels) == 1
 

@@ -241,6 +241,16 @@ class TestResolve:
         assert lib.patterns["B"].labels["b"].local_name == "x_y"
         assert len(lib.taxonomies) == 2
 
+    def test_extensions_differing_in_spaces_share_one_taxonomy(self, catalog):
+        lib = resolve(parse(
+            "logic NeSyPatterns\n"
+            "pattern P = data { ontohub:NeSyPatterns.omn then Class: Hybrid"
+            " SubClassOf: Model }\n  p : Hybrid;\nend\n"
+            "pattern Q = data { ontohub:NeSyPatterns.omn  then Class:  Hybrid\n"
+            "    SubClassOf:   Model }\n  q : Hybrid;\nend\n"), catalog)
+        assert len(lib.taxonomies) == 1
+        assert lib.patterns["P"].taxonomy is lib.patterns["Q"].taxonomy
+
     @pytest.mark.parametrize("frames, name", [
         ("Class: <urn:x#a}b> SubClassOf: Model Class: B SubClassOf: <urn:x#a}b>",
          "a}b"),

@@ -115,6 +115,7 @@ def test_pipeline_raises_only_placed_nesy_errors(text):
         return
     for name in lib.combine_defs:
         result = combination_result(lib, name)
+        assert result.pattern == lib.patterns[name], name  # both entry points agree
         emit_json(result)
         emit_dot(result.pattern)
         emit_abox(result.pattern, []).render()
