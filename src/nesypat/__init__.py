@@ -10,7 +10,10 @@ their refinements.
 from .catalog import Catalog, load_catalog
 from .colimit import (
     CombinationResult,
+    Library,
+    Network,
     UnionFind,
+    build_network,
     combination_result,
     combine,
     evaluate_combines,
@@ -47,8 +50,6 @@ from .errors import (
     UnknownNameError,
     UnknownNodeError,
 )
-from .library import Library
-from .network import Network, build_network
 from .pattern import Pattern, PatternNode, build_pattern, isomorphic
 from .refinement import (
     Refinement,

@@ -16,11 +16,10 @@ import sys
 from pathlib import Path
 
 from .catalog import Catalog, load_catalog
-from .colimit import combination_result, evaluate_combines
+from .colimit import Library, combination_result, evaluate_combines
 from .dsl import _pattern_positions, emit_dsl, parse, resolve
 from .emitters import emit_abox, emit_dot, emit_json
 from .errors import CatalogMissError, Diagnostic, NesyError
-from .library import Library
 from .refinement import infer_refinement
 
 FORMATS = ("dot", "json", "dsl", "abox")

@@ -1,4 +1,9 @@
-"""Combination of networks: glue patterns along refinements.
+"""Networks, the libraries that declare them, and their combination.
+
+A ``Network`` is a diagram: member patterns over one taxonomy plus
+refinements between them.  A ``Library`` holds everything one resolved
+document declares, networks and the combine-definitions that name them
+included.  ``combine`` glues a network's patterns along its refinements.
 
 All member node sets go into one disjoint-union arena; every refinement
 identifies each source node with its image; the union-find classes become
@@ -15,14 +20,125 @@ from typing import NamedTuple, NoReturn
 from .errors import (
     DegenerateLoopError,
     NesyError,
+    NetworkTypeError,
+    TaxonomyMismatchError,
     UndefinedColimitError,
     UnknownClassError,
     UnknownNameError,
 )
-from .library import Library
-from .network import Network, validate_network
 from .pattern import Pattern
+from .refinement import Refinement
 from .taxonomy import ClassRef, Taxonomy
+
+
+class Network(NamedTuple):
+    """A set of member patterns plus refinements between them.
+
+    Every refinement's source and target must be members, and all member
+    patterns must share one taxonomy (equal classes, subclass edges and
+    top).  Both maps are keyed by name in sorted order, so membership is
+    independent of how the members were listed.
+    """
+
+    name: str
+    patterns: dict[str, Pattern]
+    refinements: dict[str, Refinement]
+
+    def __repr__(self):
+        return (f"Network({self.name!r}, {len(self.patterns)} patterns, "
+                f"{len(self.refinements)} refinements)")
+
+
+def build_network(name: str, members, lib: Library) -> Network:
+    """Resolve a member-name list against a library into a Network.
+
+    A listed refinement pulls in its source and target patterns even when
+    they are not listed themselves.  Duplicate names and listing order do
+    not matter.
+    """
+    patterns: dict[str, Pattern] = {}
+    refinements: dict[str, Refinement] = {}
+    for member in members:
+        if member in lib.refinements:
+            refinements[member] = lib.refinements[member]
+        elif lib.has_pattern(member):
+            patterns[member] = lib.pattern(member)
+        else:
+            raise UnknownNameError(
+                f"network {name!r} lists unknown member {member!r}")
+    for r in refinements.values():
+        patterns.setdefault(r.source.name, r.source)
+        patterns.setdefault(r.target.name, r.target)
+    return validate_network(Network(
+        name,
+        {k: patterns[k] for k in sorted(patterns)},
+        {k: refinements[k] for k in sorted(refinements)},
+    ))
+
+
+def validate_network(net: Network) -> Network:
+    """Check the membership and shared-taxonomy invariants."""
+    members = list(net.patterns.values())
+    for rname, r in net.refinements.items():
+        for p in (r.source, r.target):
+            if net.patterns.get(p.name) != p:
+                raise NetworkTypeError(
+                    f"refinement {rname!r} in network {net.name!r} touches "
+                    f"a pattern {p.name!r} that is not the member of that name")
+    if members:
+        first = members[0]
+        for p in members[1:]:
+            if p.taxonomy != first.taxonomy:
+                raise TaxonomyMismatchError(
+                    f"patterns {first.name!r} and {p.name!r} in network "
+                    f"{net.name!r} use different taxonomies")
+    return net
+
+
+class Library:
+    """Resolved content of one document.
+
+    ``taxonomies`` is keyed by the normalized ontology-reference text of
+    the data clauses that produced each taxonomy.  ``combine_defs`` maps a
+    pattern name to the network it combines.  A combine-defined name that
+    is also in ``patterns`` counts as materialized; ``pattern()``
+    materializes one into ``patterns`` on first use, combining its network
+    once with the member patterns it holds, as resolving does for every
+    combine-defined pattern a later declaration references.
+    ``evaluate_combines`` materializes all of them, in name order, into
+    a copy.  Each map defaults to a new empty dict.
+    """
+
+    __slots__ = ("taxonomies", "patterns", "refinements", "networks",
+                 "combine_defs")
+
+    def __init__(self, taxonomies: dict[str, Taxonomy] | None = None,
+                 patterns: dict[str, Pattern] | None = None,
+                 refinements: dict[str, Refinement] | None = None,
+                 networks: dict[str, Network] | None = None,
+                 combine_defs: dict[str, str] | None = None):
+        self.taxonomies = {} if taxonomies is None else taxonomies
+        self.patterns = {} if patterns is None else patterns
+        self.refinements = {} if refinements is None else refinements
+        self.networks = {} if networks is None else networks
+        self.combine_defs = {} if combine_defs is None else combine_defs
+
+    def __repr__(self):
+        return (f"Library({len(self.patterns)} patterns, "
+                f"{len(self.refinements)} refinements, "
+                f"{len(self.networks)} networks, "
+                f"{len(self.combine_defs)} combine-defined)")
+
+    def has_pattern(self, name: str) -> bool:
+        return name in self.patterns or name in self.combine_defs
+
+    def pattern(self, name: str) -> Pattern:
+        if name not in self.patterns and name in self.combine_defs:
+            self.patterns[name] = _combine_def(self, name)[0]
+        try:
+            return self.patterns[name]
+        except KeyError:
+            raise UnknownNameError(f"unknown pattern {name!r}") from None
 
 
 class UnionFind:
@@ -219,12 +335,12 @@ def evaluate_combines(lib: Library) -> Library:
     pattern in ``decl`` and as a message prefix.  The input library is
     left unchanged.
     """
-    patterns = dict(lib.patterns)
+    out = Library(dict(lib.taxonomies), dict(lib.patterns),
+                  dict(lib.refinements), dict(lib.networks),
+                  dict(lib.combine_defs))
     for name in sorted(lib.combine_defs):
-        if name not in patterns:
-            patterns[name] = _combine_def(lib, name)[0]
-    return Library(dict(lib.taxonomies), patterns, dict(lib.refinements),
-                   dict(lib.networks), dict(lib.combine_defs))
+        out.pattern(name)
+    return out
 
 
 def combination_result(lib: Library, name: str) -> CombinationResult:

@@ -18,6 +18,7 @@ import re
 from typing import NamedTuple
 
 from .catalog import BUILTIN_IRIS, Catalog
+from .colimit import Library, build_network
 from .errors import (
     Diagnostic,
     DuplicateNameError,
@@ -29,8 +30,6 @@ from .errors import (
     UnknownNameError,
     _positions,
 )
-from .library import Library
-from .network import build_network
 from .pattern import Pattern
 from .refinement import Refinement, check_refinement, infer_refinement
 from .taxonomy import (

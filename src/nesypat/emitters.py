@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .colimit import CombinationResult
+from .colimit import CombinationResult, Network
 from .errors import Diagnostic, UnknownClassError
-from .network import Network
 from .pattern import Pattern, build_pattern
 from .taxonomy import _KEYWORDS, ClassRef, Taxonomy
 

@@ -716,7 +716,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 resolve(k, True)
         declare = base is None
         for a, b in edges:
-            a = cls[a] if cls[a] >= 0 else resolve(a, True)
+            a = cls[a]
             b = cls[b] if cls[b] >= 0 else resolve(b, declare)
             if a < n:  # a class of the base: its list stays the base's
                 parents[a] = parents[a] + [b]

@@ -11,7 +11,8 @@ import random
 import re
 from dataclasses import dataclass
 
-from nesypat.colimit import CombinationResult, UnionFind
+from nesypat import Network
+from nesypat.colimit import CombinationResult, UnionFind, validate_network
 from nesypat.dsl import (
     LOGIC_NAME,
     Chain,
@@ -32,7 +33,6 @@ from nesypat.errors import (
     UnknownClassError,
     _positions,
 )
-from nesypat.network import Network, validate_network
 from nesypat.pattern import Pattern, build_pattern
 from nesypat.taxonomy import (
     DEFAULT_NAMESPACE,
@@ -149,7 +149,7 @@ def make_random_network(rng: random.Random, max_patterns: int = 4,
                         max_total_nodes: int = 12, max_refs: int = 4):
     """A type-correct random network: refinement maps are drawn from the
     actual homomorphisms between randomly generated member patterns."""
-    from nesypat.network import Network
+    from nesypat import Network
     from nesypat.refinement import Refinement, find_homomorphisms
 
     t = random_taxonomy(rng, rng.randint(2, 8))

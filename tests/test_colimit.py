@@ -13,7 +13,7 @@ from helpers import (
 )
 from pathlib import Path
 
-from nesypat import colimit
+from nesypat import Library, Network, colimit
 from nesypat.catalog import Catalog
 from nesypat.colimit import (
     UnionFind,
@@ -29,8 +29,6 @@ from nesypat.errors import (
     UnknownClassError,
     UnknownNameError,
 )
-from nesypat.library import Library
-from nesypat.network import Network
 from nesypat.pattern import Pattern, build_pattern, isomorphic
 from nesypat.refinement import Refinement, check_refinement
 from nesypat.taxonomy import ClassRef, Taxonomy, default_taxonomy
@@ -344,6 +342,69 @@ def test_identities_and_composites_are_refinements(net):
                 assert check_refinement(r.source, s.target, composite) == []
 
 
+def closed_part(net, part):
+    """``part`` with the target of every refinement whose source it holds."""
+    part = set(part)
+    while more := {r.target.name for r in net.refinements.values()
+                   if r.source.name in part} - part:
+        part |= more
+    return part
+
+
+def combine_in_stages(net, part):
+    """Combine the members of ``net`` in the closed ``part`` first, then
+    that combination with the other members: each refinement into
+    ``part`` is composed with the injection of its target, and the other
+    refinements outside ``part`` are kept as they are."""
+    first = combine(net_of("part", [net.patterns[p] for p in sorted(part)],
+                           [r for r in net.refinements.values()
+                            if r.source.name in part]), "S")
+    refinements = [r if r.target.name not in part else
+                   Refinement(r.name, r.source, first.pattern,
+                              {n: first.injections[r.target.name][img]
+                               for n, img in r.node_map.items()})
+                   for r in net.refinements.values() if r.source.name not in part]
+    rest = [p for name, p in net.patterns.items() if name not in part]
+    return combine(net_of("staged", [first.pattern, *rest], refinements)).pattern
+
+
+@SETTINGS
+@given(random_networks(), st.data())
+def test_combining_in_stages_agrees_with_combining_at_once(net, data):
+    # The pasting of colimits: where both stages are defined, the
+    # one-step combination is defined and the same up to isomorphism.
+    part = closed_part(net, data.draw(
+        st.sets(st.sampled_from(sorted(net.patterns)), min_size=1)))
+    assume(part < set(net.patterns))
+    try:
+        staged = combine_in_stages(net, part)
+    except (UndefinedColimitError, DegenerateLoopError):
+        assume(False)
+    assert isomorphic(combine(net).pattern, staged)
+
+
+def test_stages_can_be_undefined_where_one_step_is_defined(t):
+    # Semantic_Model and Statistical_Model have two maximal lower bounds.
+    # T glues them and has no infimum; O also glues a B3 node into A's,
+    # and B3 is the infimum of all four labels.
+    ext = t.extend("Class: B7 SubClassOf: Semantic_Model, Statistical_Model\n"
+                   "Class: B3 SubClassOf: Semantic_Model, Statistical_Model")
+    top, a, b = (pat(ext, "T", [("t", "Model")]),
+                 pat(ext, "A", [("a", "Semantic_Model")]),
+                 pat(ext, "B", [("b", "Statistical_Model")]))
+    o, x = pat(ext, "O", [("o", "Model")]), pat(ext, "X", [("x", "B3")])
+    net = net_of("Diamond", [top, a, b, o, x],
+                 [Refinement("RA", top, a, {"t": "a"}),
+                  Refinement("RB", top, b, {"t": "b"}),
+                  Refinement("OA", o, a, {"o": "a"}),
+                  Refinement("OX", o, x, {"o": "x"})])
+    (node,) = combine(net).pattern.nodes
+    assert node.label.local_name == "B3"
+    assert closed_part(net, {"T"}) == {"T", "A", "B"}
+    with pytest.raises(UndefinedColimitError):
+        combine_in_stages(net, {"T", "A", "B"})
+
+
 def assert_matches_reference(net):
     """``combine(net)`` gives what ``reference_combine(net)`` gives: the
     same pattern with the same label objects, injections and classes,
@@ -587,10 +648,11 @@ class TestEvaluateCombines:
             evaluate_combines(lib)
         assert e.value.message.startswith("Broken: ")
 
-    def test_nested_combines_evaluate_in_order(self, t):
+    def test_each_definition_combines_the_patterns_its_network_holds(self, t):
         base = pat(t, "Base", [("m", "Model")])
         net1 = net_of("N1", [base], [])
-        # N2 lists the combine-defined pattern "Mid" by name via a stub.
+        # N2 holds a one-node stub named "Mid", and "Outer" combines
+        # that stub, not the combination of N1.
         stub_mid = pat(t, "Mid", [("m", "Model")])
         net2 = net_of("N2", [stub_mid], [])
         lib = Library(patterns={"Base": base},
@@ -662,7 +724,8 @@ class TestEvaluator:
                            match="pattern 'Train' is not combine-defined"):
             combination_result(lib, "Train")
 
-    def test_materialized_dependencies_not_recombined(self, t, count_combines):
+    def test_each_definition_combines_once_in_name_order(self, t, count_combines):
+        # N2 holds a one-node stub named "Mid", not the combination of N1.
         base = pat(t, "Base", [("m", "Model")])
         stub_mid = pat(t, "Mid", [("m", "Model")])
         lib = Library(patterns={"Base": base},

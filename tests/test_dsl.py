@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import random_dsl_document
-from nesypat import dsl
+from nesypat import Library, Network, dsl
 from nesypat.catalog import Catalog
 from nesypat.cli import cmd_check
 from nesypat.colimit import evaluate_combines
@@ -29,8 +29,6 @@ from nesypat.errors import (
     UnknownClassError,
     UnknownNameError,
 )
-from nesypat.library import Library
-from nesypat.network import Network
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.taxonomy import Taxonomy, default_taxonomy
 
@@ -379,7 +377,7 @@ class TestResolve:
 
 class TestEmitDsl:
     def test_empty_library(self):
-        from nesypat.library import Library
+        from nesypat import Library
         assert emit_dsl(Library()) == "logic NeSyPatterns\n"
 
     def test_fig_roundtrip_isomorphic(self, catalog):

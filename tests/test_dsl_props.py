@@ -6,6 +6,7 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_safe_names
+from nesypat import Library, build_network
 from nesypat.catalog import Catalog
 from nesypat.dsl import (
     _KEYWORDS,
@@ -15,8 +16,6 @@ from nesypat.dsl import (
     parse,
     resolve,
 )
-from nesypat.library import Library
-from nesypat.network import build_network
 from nesypat.pattern import build_pattern, isomorphic
 from nesypat.refinement import Refinement, find_homomorphisms
 from nesypat.taxonomy import default_taxonomy

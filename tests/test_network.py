@@ -1,12 +1,12 @@
 import pytest
 
+from nesypat import Library, Network, build_network
+from nesypat.colimit import validate_network
 from nesypat.errors import (
     NetworkTypeError,
     TaxonomyMismatchError,
     UnknownNameError,
 )
-from nesypat.library import Library
-from nesypat.network import Network, build_network, validate_network
 from nesypat.pattern import build_pattern
 from nesypat.refinement import Refinement
 from nesypat.taxonomy import default_taxonomy
