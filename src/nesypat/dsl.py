@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .catalog import BUILTIN_IRIS, Catalog
@@ -611,17 +613,23 @@ def emit_dsl(lib: Library) -> str:
     Output is deterministic; node ids are printed explicitly, and node
     ids and pattern, refinement and network names are sanitized to
     identifiers ``parse`` accepts where needed, so re-resolving yields
-    patterns isomorphic to the input's.  Combine-defined patterns are
-    emitted as their ``combine`` form.
+    patterns isomorphic to the input's.  A pattern body prints each edge
+    once, in chains ``a : X -> b : Y -> ...;`` that follow the edges as
+    trails, and a node alone only when no edge touches it: |E| plus one
+    node reference per chain and per isolated node, so a path is one
+    chain of |V| references.  Combine-defined patterns are emitted as
+    their ``combine`` form.
     """
     items = _emit_order(lib)
     names = _safe_names(_declared_names(lib))
+    node_ids = _SafeIds()
     blocks = ["logic NeSyPatterns"]
     for kind, name in items:
         if kind == "pattern":
-            blocks.append(_emit_pattern(lib, lib.patterns[name], names))
+            blocks.append(_emit_pattern(lib, lib.patterns[name], names, node_ids))
         elif kind == "refinement":
-            blocks.append(_emit_refinement(lib, lib.refinements[name], names))
+            blocks.append(_emit_refinement(lib, lib.refinements[name], names,
+                                           node_ids))
         elif kind == "network":
             net = lib.networks[name]
             members = sorted(net.patterns) + sorted(net.refinements)
@@ -631,6 +639,16 @@ def emit_dsl(lib: Library) -> str:
             blocks.append(f"pattern {names[name]} = combine "
                           f"{names[lib.combine_defs[name]]} end")
     return "\n\n".join(blocks) + "\n"
+
+
+class _SafeIds(dict):
+    """``_safe_names`` of each pattern's ``sorted_ids``, computed on the
+    first lookup, so one ``emit_dsl`` call sanitizes a pattern's node ids
+    once for its body and every ``via`` map."""
+
+    def __missing__(self, sorted_ids: tuple[str, ...]) -> dict[str, str]:
+        ids = self[sorted_ids] = _safe_names(sorted_ids)
+        return ids
 
 
 def _declared_names(lib: Library) -> set[str]:
@@ -731,24 +749,40 @@ def _data_key_for(lib: Library, p: Pattern) -> str:
         f"reference; cannot emit a data clause")
 
 
-def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str]) -> str:
-    ids = _safe_names(p.sorted_ids)
+def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str],
+                  node_ids: _SafeIds) -> str:
+    ids = node_ids[p.sorted_ids]
+    ref = {n: f"{ids[n]} : {p.labels[n].local_name}" for n in p.sorted_ids}
+    out: dict[str, list[str]] = {}
+    for a, b in p.edges:
+        out.setdefault(a, []).append(b)
+    for heads in out.values():
+        heads.sort(reverse=True)  # so pop() takes the smallest unused head
+    ins = Counter(map(itemgetter(1), p.edges))
     lines = [f"pattern {names[p.name]} = data {_data_key_for(lib, p)}"]
-    for nid in p.sorted_ids:
-        lines.append(f"  {ids[nid]} : {p.labels[nid].local_name};")
-    for a, b in sorted(p.edges):
-        lines.append(f"  {ids[a]} : {p.labels[a].local_name} -> "
-                     f"{ids[b]} : {p.labels[b].local_name};")
+    # A trail must start where out-edges outnumber in-edges, so those
+    # nodes start first; then any node with an unused out-edge does.
+    sources = [n for n in p.sorted_ids if len(out.get(n, ())) > ins[n]]
+    for start in (*sources, *p.sorted_ids):
+        while out.get(start):
+            trail, n = [ref[start]], start
+            while heads := out.get(n):
+                n = heads.pop()
+                trail.append(ref[n])
+            lines.append("  " + " -> ".join(trail) + ";")
+    lines += [f"  {ref[n]};" for n in p.sorted_ids
+              if n not in out and n not in ins]  # no edge touches n
     lines.append("end")
     return "\n".join(lines)
 
 
-def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str]) -> str:
+def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str],
+                     node_ids: _SafeIds) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
     if r.source.name not in lib.combine_defs and r.target.name not in lib.combine_defs:
-        src_ids = _safe_names(r.source.sorted_ids)
-        tgt_ids = _safe_names(r.target.sorted_ids)
+        src_ids = node_ids[r.source.sorted_ids]
+        tgt_ids = node_ids[r.target.sorted_ids]
         pairs = ", ".join(f"{src_ids[a]} |-> {tgt_ids[b]}"
                           for a, b in sorted(r.node_map.items()))
         return f"{head} via {pairs} end"

@@ -419,6 +419,18 @@ class TestEmitDsl:
         lib2 = resolve(parse(emitted), Catalog.default())
         assert lib2.refinements["R9"].node_map == {"t": "Train.anon2"}
 
+    def test_node_ids_are_sanitized_once_per_pattern(self, catalog, monkeypatch):
+        # R1 and R2 both map from Model, whose body is printed too.
+        lib = resolve(parse(FIG_DOC), catalog)
+        calls = []
+        safe_names = dsl._safe_names
+        monkeypatch.setattr(dsl, "_safe_names",
+                            lambda names: calls.append(names) or safe_names(names))
+        emit_dsl(lib)
+        printed = [p.sorted_ids for name, p in sorted(lib.patterns.items())
+                   if name not in lib.combine_defs]
+        assert sorted(c for c in calls if isinstance(c, tuple)) == sorted(printed)
+
     def test_keyword_node_ids_are_renamed(self):
         t = default_taxonomy()
         p = build_pattern("P", t, [("end", t.lookup("Model")),

@@ -56,6 +56,17 @@ def chain_document(n: int, labels=("Data", "Training")) -> str:
             + ";\nend\n")
 
 
+def listed_chain_document(n: int) -> str:
+    """``chain_document(n)`` with each node on a line of its own, then
+    each edge on one with both of its ends, in id order."""
+    ref = {f"n{i}": f"n{i} : {('Data', 'Training')[i % 2]}" for i in range(n)}
+    edges = sorted((f"n{i}", f"n{i + 1}") for i in range(n - 1))
+    return ("logic NeSyPatterns\n\npattern P = data ontohub:NeSyPatterns.omn\n"
+            + "".join(f"  {ref[a]};\n" for a in sorted(ref))
+            + "".join(f"  {ref[a]} -> {ref[b]};\n" for a, b in edges)
+            + "end\n")
+
+
 def glued_chain_document(n: int) -> str:
     """An ``n``-chain joined to a one-node pattern by a `via` map and
     combined: the combination is the chain, one class merging two nodes."""
@@ -108,11 +119,23 @@ class TestReader:
         assert peak < 5 * 2**20
 
     def test_parse_emit_dsl_of_10000_chain(self):
-        # The printed form lists each node, then each edge with both of
-        # its ends: 3n - 2 = 29,998 node references.  0.11 s and an
-        # 8.2 MiB peak measured; 0.17 s and 11.6 MiB when pattern bodies
-        # were split into tokens.
+        # The printed form is one chain of the n node references.  0.02-
+        # 0.03 s and a 2.3 MiB peak measured.
         text = emit_dsl(resolve(parse(chain_document(10000)), Catalog.default()))
+        doc, wall, peak = measure(lambda: parse(text))
+        (chain,) = doc.declarations[0].chains
+        assert len(chain.refs) == 10000
+        assert chain.refs[-2:] == (("n9998", "Data", 4, 178857),
+                                   ("n9999", "Training", 4, 178873))
+        assert wall < 2.0
+        assert peak < 13 * 2**20
+
+    def test_parse_10000_chain_listed_node_by_node(self):
+        # Each node on its own line, then each edge with both of its
+        # ends: 3n - 2 = 29,998 node references.  0.11 s and an 8.2 MiB
+        # peak measured; 0.17 s and 11.6 MiB when pattern bodies were
+        # split into tokens.
+        text = listed_chain_document(10000)
         doc, wall, peak = measure(lambda: parse(text))
         refs = [r for chain in doc.declarations[0].chains for r in chain.refs]
         assert len(refs) == 29998
@@ -205,6 +228,66 @@ class TestInlineExtension:
         assert wall < 1.5
 
 
+#: DSL texts of about 2 * 10^5 characters, each mostly one long chain,
+#: list or run of comment lines, with what each ends in: a ParseError's
+#: message, line and column, or each pattern's node and edge counts; and
+#: a memory bound in MiB.  The chain is the printed shape of a pattern
+#: cut before its ``end``, the lists stop before theirs, and the comment
+#: lines hold ``->``, ``end`` and ``data then``.  0.02, 0.04, 0.04 and
+#: 0.001 s measured untraced, and peaks of 2.5, 10.0, 9.9 and 0.9 MiB
+#: (2 vCPUs, Python 3.11).
+DSL_RUNS = [
+    ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n  "
+     + " -> ".join(f"n{i} : {('Data', 'Training')[i % 2]}" for i in range(11200))
+     + ";\n",
+     ("unterminated pattern, expected 'end'", 4, 1), 4),
+    ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn a : Data; end\n"
+     "pattern Q = data ontohub:NeSyPatterns.omn b : Data; end\n"
+     "refinement R = P refined to Q via "
+     + ", ".join(f"a{i} |-> b{i}" for i in range(11500)) + "\n",
+     ("expected 'end', found 'end of input'", 5, 1), 15),
+    ("logic NeSyPatterns\nnetwork N = " + ", ".join(f"P{i}" for i in range(27000))
+     + "\n",
+     ("expected 'end', found 'end of input'", 3, 1), 15),
+    ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
+     + "  %% a -> b : Data; end data then pattern Q\n" * 4500 + "  a : Data;\nend\n",
+     {"P": (1, 0)}, 1.5),
+]
+DSL_IDS = ["chain", "via", "members", "comments"]
+
+
+class TestDslRuns:
+    @pytest.mark.parametrize("text, outcome, mib", DSL_RUNS, ids=DSL_IDS)
+    def test_parse_and_resolve(self, text, outcome, mib):
+        def read():
+            try:
+                lib = resolve(parse(text))
+            except ParseError as e:
+                return e.message, e.line, e.col
+            return {name: (len(p.labels), len(p.edges))
+                    for name, p in lib.patterns.items()}
+
+        result, wall, peak = measure(read)
+        assert result == outcome
+        assert wall < 1.5
+        assert peak < mib * 2**20
+
+    @pytest.mark.parametrize("text, outcome", [r[:2] for r in DSL_RUNS], ids=DSL_IDS)
+    def test_check(self, text, outcome, tmp_path, capsys):
+        path = tmp_path / "run.nesy"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        status = main(["check", str(path)])
+        wall = time.perf_counter() - start
+        err = capsys.readouterr().err
+        if isinstance(outcome, tuple):
+            message, line, col = outcome
+            assert (status, err) == (1, f"{path}:{line}:{col}: error: {message}\n")
+        else:
+            assert (status, err) == (0, "")
+        assert wall < 1.5
+
+
 class TestIsomorphic:
     def test_10000_chain_against_its_round_trip(self):
         # Both directions: 0.009 s and a 96-byte peak measured.  Before
@@ -252,11 +335,11 @@ class TestCombine:
 
 
 class TestResolve:
-    # 0.005 s and a 1.36 MiB peak measured for the chain, 0.01 s and
-    # 1.36 MiB for its printed form, when the resolver builds the pattern
-    # it has checked.  A second, validating pass over every node and edge
-    # took 0.01 and 0.016 s with a 2.59 MiB peak for each, so the memory
-    # bound sits below that old peak.
+    # 0.005 s and a 1.36 MiB peak measured for the chain and for its
+    # printed form, the same one chain, when the resolver builds the
+    # pattern it has checked.  A second, validating pass over every node
+    # and edge took 0.01 s for the chain with a 2.59 MiB peak, so the
+    # memory bound sits below that old peak.
     def test_resolve_10000_chain(self):
         doc = parse(chain_document(10000))
         lib, wall, peak = measure(lambda: resolve(doc, Catalog.default()))
@@ -329,12 +412,16 @@ class TestEmit:
         assert peak < 7 * 2**20
 
     def test_emit_dsl_of_10000_chain(self):
-        # 0.015 s and a 2.3 MiB peak measured.
+        # 0.02-0.03 s and a 2.4 MiB peak measured.
         lib = self.chain()
         text, wall, peak = measure(lambda: emit_dsl(lib))
         lines = text.splitlines()
-        assert len(lines) == 20003
-        assert lines[-2:] == ["  n9998 : Data -> n9999 : Training;", "end"]
+        assert len(lines) == 5
+        chain = lines[3].split(" -> ")
+        assert len(chain) == 10000
+        assert chain[:2] == ["  n0 : Data", "n1 : Training"]
+        assert chain[-2:] == ["n9998 : Data", "n9999 : Training;"]
+        assert lines[-1] == "end"
         assert wall < 1.0
         assert peak < 3.5 * 2**20
 
