@@ -12,7 +12,6 @@ from .colimit import (
     CombinationResult,
     Library,
     Network,
-    UnionFind,
     build_network,
     combination_result,
     combine,
@@ -50,13 +49,16 @@ from .errors import (
     UnknownNameError,
     UnknownNodeError,
 )
-from .pattern import Pattern, PatternNode, build_pattern, isomorphic
-from .refinement import (
+from .pattern import (
+    Pattern,
+    PatternNode,
     Refinement,
     Violation,
+    build_pattern,
     check_refinement,
     find_homomorphisms,
     infer_refinement,
+    isomorphic,
 )
 from .taxonomy import (
     ClassRef,
@@ -75,7 +77,7 @@ __all__ = [
     "Library", "NesyError", "Network", "NetworkTypeError", "NoRefinementError",
     "ParseError", "Pattern", "PatternNode", "Refinement", "SearchBudgetError",
     "SelfLoopError",
-    "Taxonomy", "TaxonomyMismatchError", "UndefinedColimitError", "UnionFind",
+    "Taxonomy", "TaxonomyMismatchError", "UndefinedColimitError",
     "UnknownClassError", "UnknownLabelError", "UnknownNameError",
     "UnknownNodeError", "Violation",
     "build_network", "build_pattern", "check_refinement", "combination_result",

@@ -20,7 +20,7 @@ from .colimit import Library, combination_result, evaluate_combines
 from .dsl import _pattern_positions, emit_dsl, parse, resolve
 from .emitters import emit_abox, emit_dot, emit_json
 from .errors import CatalogMissError, Diagnostic, NesyError
-from .refinement import infer_refinement
+from .pattern import infer_refinement
 
 FORMATS = ("dot", "json", "dsl", "abox")
 
@@ -49,26 +49,25 @@ def _run(path: str, catalog: Catalog, err, action) -> int:
     ``action(lib, positions)``, where ``positions`` maps each pattern name
     to its declaration; map every failure to a diagnostic and an exit code.
 
-    An error from ``action`` is placed at the declaration of the pattern
-    it arose in, else at 1:1.
+    When resolving fails, the warnings gathered so far are printed before
+    its error.  An error from ``action`` is placed at the declaration of
+    the pattern it arose in, else at 1:1.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         print(f"nesypat: error: cannot read {path}: {e}", file=err)
         return EXIT_IO
-    warnings: list[Diagnostic] = []
+    diagnostics: list[Diagnostic] = []  # the warnings, then any error
     try:
         doc = parse(text, source_name=path)
-        lib = resolve(doc, catalog, diagnostics=warnings)
-    except CatalogMissError as e:  # placed at its data clause
-        _print_diag(err, path, _error_diag(e))
-        return EXIT_IO
-    except NesyError as e:
-        _print_diag(err, path, _error_diag(e))
-        return EXIT_CHECK_FAILED
-    for w in warnings:
-        _print_diag(err, path, w)
+        lib = resolve(doc, catalog, diagnostics=diagnostics)
+    except NesyError as e:  # a catalog miss is placed at its data clause
+        diagnostics.append(_error_diag(e))
+        return EXIT_IO if isinstance(e, CatalogMissError) else EXIT_CHECK_FAILED
+    finally:
+        for d in diagnostics:
+            _print_diag(err, path, d)
     positions = _pattern_positions(doc)
     try:
         action(lib, positions)

@@ -26,8 +26,7 @@ from .errors import (
     UnknownClassError,
     UnknownNameError,
 )
-from .pattern import Pattern
-from .refinement import Refinement
+from .pattern import Pattern, Refinement
 from .taxonomy import ClassRef, Taxonomy
 
 
@@ -141,40 +140,6 @@ class Library:
             raise UnknownNameError(f"unknown pattern {name!r}") from None
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-    def roots(self) -> list[int]:
-        """The root of every element, in one pass that leaves every path
-        fully compressed; ``size`` of a root is its set's size."""
-        parent = self.parent
-        for i, p in enumerate(parent):
-            if parent[p] != p:
-                parent[i] = self.find(p)
-        return list(parent)
-
-
 class CombinationResult(NamedTuple):
     """The combined pattern plus how each member embeds into it.
 
@@ -226,24 +191,35 @@ def _combine(net: Network, name: str | None):
         names += [f"{pname}.{nid}" for nid in ids]
         node_labels += map(p.labels.__getitem__, ids)
 
-    uf = UnionFind(len(members))
+    # Union-find with path halving; a class is rooted at its first arena
+    # node, so root[k] <= k, and one forward pass then roots every node.
+    root = list(range(len(members)))
+    merged: set[int] = set()  # a root is in it iff its class is merged
     for r in net.refinements.values():
         src, tgt = index[r.source.name], index[r.target.name]
         for n, img in r.node_map.items():
-            uf.union(src[n], tgt[img])
-    root = uf.roots()
+            i, j = src[n], tgt[img]
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            if i != j:
+                i, j = (i, j) if i < j else (j, i)
+                root[j] = i
+                merged.add(i)
+    for k, p in enumerate(root):
+        root[k] = root[p]
 
     # A class is named after its root: a singleton keeps its node's
     # qualified name, a merged class takes its smallest member's.  A
     # class's label, by root, is None when it is not defined: a
     # singleton keeps its label as the taxonomy's own class, and a
     # merged class takes the infimum of its members' labels.
-    size = uf.size
     refs, class_id = taxonomy._refs, taxonomy._index
     label: dict[int, ClassRef | None] = {}
     groups: dict[int, list[int]] = {}  # merged classes, members in arena order
     for k, r in enumerate(root):
-        if size[r] > 1:
+        if r in merged:
             groups.setdefault(r, []).append(k)
         else:
             i = class_id.get(node_labels[k].iri)
@@ -256,7 +232,7 @@ def _combine(net: Network, name: str | None):
             label[r] = None
 
     def first(r: int) -> tuple[str, int]:  # the order classes are named in
-        return names[r], groups[r][0] if r in groups else r
+        return names[r], r
 
     failed = [r for r, inf in label.items() if inf is None]
     if failed:

@@ -32,8 +32,7 @@ from .errors import (
     UnknownNameError,
     _positions,
 )
-from .pattern import Pattern
-from .refinement import Refinement, check_refinement, infer_refinement
+from .pattern import Pattern, Refinement, check_refinement, infer_refinement
 from .taxonomy import (
     _IRI,
     _NAME_START,

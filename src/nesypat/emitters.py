@@ -148,11 +148,11 @@ def emit_abox(p: Pattern, diagnostics: list[Diagnostic] | None = None) -> AboxTr
         raise UnknownClassError(
             "ABox translation needs a Process class in the taxonomy")
 
-    def is_process(nid: str) -> bool:
-        return p.taxonomy.leq(p.labels[nid], process)
+    processes = {nid for nid, label in p.labels.items()
+                 if p.taxonomy.leq(label, process)}
 
     def relation(a: str, b: str) -> str:
-        pa, pb = is_process(a), is_process(b)
+        pa, pb = a in processes, b in processes
         if pa and pb:
             return "throughput"
         if pb:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from nesypat import Network
-from nesypat.colimit import CombinationResult, UnionFind, validate_network
+from nesypat.colimit import CombinationResult, validate_network
 from nesypat.dsl import (
     LOGIC_NAME,
     Chain,
@@ -150,7 +150,7 @@ def make_random_network(rng: random.Random, max_patterns: int = 4,
     """A type-correct random network: refinement maps are drawn from the
     actual homomorphisms between randomly generated member patterns."""
     from nesypat import Network
-    from nesypat.refinement import Refinement, find_homomorphisms
+    from nesypat.pattern import Refinement, find_homomorphisms
 
     t = random_taxonomy(rng, rng.randint(2, 8))
     n_patterns = rng.randint(1, max_patterns)
@@ -251,8 +251,8 @@ def reference_safe_names(names) -> dict[str, str]:
 # -- reference combination -------------------------------------------------
 
 def reference_combine(net: Network) -> CombinationResult:
-    """``colimit.combine`` as it was before the integer arena, verbatim:
-    a union-find ``find`` per lookup, an infimum per class and the
+    """``colimit.combine`` as it was before the integer arena: its own
+    union-find with a ``find`` per lookup, an infimum per class and the
     classes sorted by name.
 
     Raises UndefinedColimitError when a merged class has no label
@@ -268,16 +268,22 @@ def reference_combine(net: Network) -> CombinationResult:
             index[(pname, nid)] = len(arena)
             arena.append((pname, nid))
 
-    uf = UnionFind(len(arena))
+    parent = list(range(len(arena)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
     for rname in sorted(net.refinements):
         r = net.refinements[rname]
         for n, img in sorted(r.node_map.items()):
-            uf.union(index[(r.source.name, n)],
-                     index[(r.target.name, img)])
+            parent[find(index[(r.source.name, n)])] = find(
+                index[(r.target.name, img)])
 
     groups: dict[int, list[tuple[str, str]]] = {}
     for i, member in enumerate(arena):
-        groups.setdefault(uf.find(i), []).append(member)
+        groups.setdefault(find(i), []).append(member)
 
     if not net.patterns:
         raise ValueError(f"network {net.name!r} has no member patterns")
@@ -315,8 +321,8 @@ def reference_combine(net: Network) -> CombinationResult:
     for pname in sorted(net.patterns):
         p = net.patterns[pname]
         for a, b in sorted(p.edges):
-            ra = uf.find(index[(pname, a)])
-            rb = uf.find(index[(pname, b)])
+            ra = find(index[(pname, a)])
+            rb = find(index[(pname, b)])
             if ra == rb:
                 raise DegenerateLoopError(
                     f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
@@ -330,7 +336,7 @@ def reference_combine(net: Network) -> CombinationResult:
     for pname in sorted(net.patterns):
         p = net.patterns[pname]
         injections[pname] = {
-            nid: class_name[uf.find(index[(pname, nid)])]
+            nid: class_name[find(index[(pname, nid)])]
             for nid in p.sorted_ids
         }
     classes = {class_name[root]: frozenset(members)

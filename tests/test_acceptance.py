@@ -23,8 +23,12 @@ from nesypat.colimit import combination_result, combine, evaluate_combines
 from nesypat.dsl import emit_dsl, parse, resolve
 from nesypat.emitters import emit_abox
 from nesypat.errors import DegenerateLoopError, UndefinedColimitError
-from nesypat.pattern import build_pattern, isomorphic
-from nesypat.refinement import check_refinement, find_homomorphisms
+from nesypat.pattern import (
+    build_pattern,
+    check_refinement,
+    find_homomorphisms,
+    isomorphic,
+)
 from nesypat.taxonomy import default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"

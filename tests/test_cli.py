@@ -11,7 +11,7 @@ from nesypat.catalog import Catalog, load_catalog
 from nesypat.cli import cmd_check, cmd_combine, cmd_infer, main
 from nesypat.dsl import parse, resolve
 from nesypat.errors import CatalogMissError
-from nesypat.refinement import check_refinement
+from nesypat.pattern import check_refinement
 from nesypat.taxonomy import default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
@@ -117,6 +117,23 @@ class TestCmdCheck:
         assert code == 0
         assert "warning" in err
         assert out == ""
+
+    def test_warnings_gathered_before_a_failure_are_printed_first(self, tmp_path):
+        # Skipping the equivalence loses Reasoner <= Model, so the
+        # warning explains why the refinement is not found.
+        doc = tmp_path / "equiv.nesy"
+        data = ("data { ontohub:NeSyPatterns.omn then "
+                "Class: Reasoner EquivalentTo: Semantic_Model }")
+        doc.write_text(
+            "logic NeSyPatterns\n"
+            f"pattern Abstract = {data} a : Model; end\n"
+            f"pattern L = {data} x : Reasoner; end\n"
+            "refinement R = Abstract refined to L end\n")
+        code, out, err = run(cmd_check, str(doc), Catalog.default())
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"{doc}:2:73: warning: EquivalentTo entries are skipped",
+            f"{doc}:4:1: error: no refinement from 'Abstract' to 'L'"]
 
     def test_degenerate_loop_diagnosed(self, tmp_path):
         doc = tmp_path / "loop.nesy"

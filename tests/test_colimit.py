@@ -15,12 +15,7 @@ from pathlib import Path
 
 from nesypat import Library, Network, colimit
 from nesypat.catalog import Catalog
-from nesypat.colimit import (
-    UnionFind,
-    combination_result,
-    combine,
-    evaluate_combines,
-)
+from nesypat.colimit import combination_result, combine, evaluate_combines
 from nesypat.dsl import parse, resolve
 from nesypat.errors import (
     DegenerateLoopError,
@@ -29,8 +24,13 @@ from nesypat.errors import (
     UnknownClassError,
     UnknownNameError,
 )
-from nesypat.pattern import Pattern, build_pattern, isomorphic
-from nesypat.refinement import Refinement, check_refinement
+from nesypat.pattern import (
+    Pattern,
+    Refinement,
+    build_pattern,
+    check_refinement,
+    isomorphic,
+)
 from nesypat.taxonomy import ClassRef, Taxonomy, default_taxonomy
 
 SETTINGS = settings(deadline=None)
@@ -604,32 +604,6 @@ class TestAgainstReference:
         with pytest.raises(DegenerateLoopError) as e:
             combine(net)
         assert e.value.message.startswith("edge ('x', 'y') of pattern 'T'")
-
-
-class TestUnionFind:
-    def test_find_idempotent_and_union_joins(self):
-        rng = random.Random(59)
-        uf = UnionFind(40)
-        for _ in range(100):
-            i, j = rng.randrange(40), rng.randrange(40)
-            uf.union(i, j)
-            assert uf.find(i) == uf.find(j)
-            k = rng.randrange(40)
-            assert uf.find(k) == uf.find(uf.find(k))
-
-    def test_roots_are_the_finds_and_sizes_count_members(self):
-        rng = random.Random(61)
-        for n in (1, 2, 40):
-            uf, fresh = UnionFind(n), UnionFind(n)
-            for _ in range(rng.randrange(2 * n)):
-                i, j = rng.randrange(n), rng.randrange(n)
-                uf.union(i, j)
-                fresh.union(i, j)
-            roots = uf.roots()
-            assert roots == [fresh.find(i) for i in range(n)]
-            assert uf.parent == roots  # every path fully compressed
-            for r in set(roots):
-                assert uf.size[r] == roots.count(r)
 
 
 class TestEvaluateCombines:

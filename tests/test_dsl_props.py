@@ -18,8 +18,12 @@ from nesypat.dsl import (
     parse,
     resolve,
 )
-from nesypat.pattern import build_pattern, isomorphic
-from nesypat.refinement import Refinement, find_homomorphisms
+from nesypat.pattern import (
+    Refinement,
+    build_pattern,
+    find_homomorphisms,
+    isomorphic,
+)
 from nesypat.taxonomy import default_taxonomy
 
 SETTINGS = settings(deadline=None)

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_pattern, random_taxonomy
+from helpers import random_pattern, random_taxonomy, reachable_oracle
 from nesypat.catalog import Catalog
 from nesypat.colimit import combine, evaluate_combines
 from nesypat.dsl import parse, resolve
@@ -186,6 +186,25 @@ class TestEmitAbox:
             assert len(triples.memberships) == len(p.nodes)
             assert len(triples.links) == len(p.edges)
             assert len(triples.lines) == len(p.nodes) + len(p.edges)
+
+    @settings(deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 8), st.floats(0, 1))
+    def test_links_match_the_reachability_oracle(self, t, rng, n, density):
+        p = random_pattern(rng, t, "r", n, density)
+        process = t.lookup("Process")
+        is_process = {nid: reachable_oracle(t.subclass_edges, label, process)
+                      for nid, label in p.labels.items()}
+        diags = []
+        triples = emit_abox(p, diags)
+        assert sorted(triples.memberships) == sorted(p.labels.items())
+        assert sorted((a, b) for _, a, b in triples.links) == sorted(p.edges)
+        relation = {(True, True): "throughput", (False, True): "providesInput",
+                    (True, False): "hasOutput", (False, False): "connectedTo"}
+        for rel, a, b in triples.links:
+            assert rel == relation[is_process[a], is_process[b]]
+        assert [d.message for d in diags] == [
+            f"edge ({a!r}, {b!r}) joins two non-process nodes; using connectedTo"
+            for rel, a, b in triples.links if rel == "connectedTo"]
 
     def test_10000_node_chain(self, t):
         ids = [f"n{i}" for i in range(10000)]

@@ -7,8 +7,7 @@ from nesypat.errors import (
     TaxonomyMismatchError,
     UnknownNameError,
 )
-from nesypat.pattern import build_pattern
-from nesypat.refinement import Refinement
+from nesypat.pattern import Refinement, build_pattern
 from nesypat.taxonomy import default_taxonomy
 
 

@@ -1,5 +1,6 @@
-"""The package's module structure: imports stay at module level, and the
-modules import each other without a cycle."""
+"""The package's module structure: imports stay at module level, the
+modules import each other without a cycle, and no module imports a
+private function of another but for two shared helpers."""
 
 from __future__ import annotations
 
@@ -46,6 +47,26 @@ def test_functions_import_only_lazy_stdlib_modules():
                        else [node.module] if not node.level else [])
             if not targets or not set(targets) <= LAZY:
                 found.append(f"{name}.py:{node.lineno}")
+    assert found == []
+
+
+#: Private functions that siblings share on purpose: the source positions
+#: the readers and the command line place diagnostics with.
+SHARED = {("errors", "_positions"), ("dsl", "_pattern_positions")}
+
+
+def test_no_module_imports_a_private_function_of_a_sibling():
+    trees = modules()
+    private = {(name, node.name) for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")}
+    assert SHARED <= private
+    found = [f"{name}.py:{node.lineno}: {node.module}.{alias.name}"
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names
+             if (node.module, alias.name) in private - SHARED]
     assert found == []
 
 

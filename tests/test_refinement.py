@@ -14,8 +14,13 @@ from nesypat.errors import (
     TaxonomyMismatchError,
 )
 from nesypat.dsl import parse, resolve
-from nesypat.pattern import build_pattern, isomorphic
-from nesypat.refinement import check_refinement, find_homomorphisms, infer_refinement
+from nesypat.pattern import (
+    build_pattern,
+    check_refinement,
+    find_homomorphisms,
+    infer_refinement,
+    isomorphic,
+)
 from nesypat.taxonomy import default_taxonomy
 
 

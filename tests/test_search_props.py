@@ -9,8 +9,12 @@ from helpers import (
     random_pattern,
     random_taxonomy,
 )
-from nesypat.pattern import build_pattern, isomorphic
-from nesypat.refinement import check_refinement, find_homomorphisms
+from nesypat.pattern import (
+    build_pattern,
+    check_refinement,
+    find_homomorphisms,
+    isomorphic,
+)
 
 SETTINGS = settings(deadline=None)
 
