@@ -177,23 +177,24 @@ def _combine(net: Network, name: str | None):
     taxonomy = next(iter(net.patterns.values())).taxonomy
 
     # The arena: member patterns by name, each one's nodes by id.  Arena
-    # node k is members[k], labeled node_labels[k] and qualified as
-    # names[k]; index[p][n] is the arena node of pattern p's node n.
-    members: list[tuple[str, str]] = []
+    # node k is labeled node_labels[k] and qualified as names[k]; index
+    # maps pattern p's node n to its arena node, in arena order.
     names: list[str] = []
     node_labels: list[ClassRef] = []
     index: dict[str, dict[str, int]] = {}
     for pname in sorted(net.patterns):
         p = net.patterns[pname]
         ids = p.sorted_ids
-        index[pname] = dict(zip(ids, range(len(members), len(members) + len(ids))))
-        members += [(pname, nid) for nid in ids]
+        index[pname] = dict(zip(ids, range(len(names), len(names) + len(ids))))
         names += [f"{pname}.{nid}" for nid in ids]
         node_labels += map(p.labels.__getitem__, ids)
 
+    def arena_members() -> list[tuple[str, str]]:  # by arena node
+        return [(pname, nid) for pname, pos in index.items() for nid in pos]
+
     # Union-find with path halving; a class is rooted at its first arena
     # node, so root[k] <= k, and one forward pass then roots every node.
-    root = list(range(len(members)))
+    root = list(range(len(names)))
     merged: set[int] = set()  # a root is in it iff its class is merged
     for r in net.refinements.values():
         src, tgt = index[r.source.name], index[r.target.name]
@@ -238,7 +239,7 @@ def _combine(net: Network, name: str | None):
     if failed:
         r = min(failed, key=first)
         group = groups.get(r, [r])
-        _raise_undefined(taxonomy, [members[k] for k in group],
+        _raise_undefined(taxonomy, [*map(arena_members().__getitem__, group)],
                          {node_labels[k] for k in group})
     labels = {names[r]: inf for r, inf in label.items()}
     if len(labels) < len(label):
@@ -260,21 +261,20 @@ def _combine(net: Network, name: str | None):
         pname, a, b = min((pname, a, b) for pname, pos in index.items()
                           for a, b in net.patterns[pname].edges
                           if root[pos[a]] == root[pos[b]])
-        loop = [members[k] for k in groups[root[index[pname][a]]]]
+        loop = [*map(arena_members().__getitem__, groups[root[index[pname][a]]])]
         raise DegenerateLoopError(
             f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
             f"self-loop on merged node {_render_members(loop)}",
             members=sorted(loop))
 
+    # A copy: a frozenset grown from a generator can keep twice the slots.
     pattern = Pattern(f"combine({net.name})" if name is None else name,
                       taxonomy, labels, frozenset(edges))
 
     def embedding():
-        injections: dict[str, dict[str, str]] = {}
-        start = 0
-        for pname, pos in index.items():
-            injections[pname] = dict(zip(pos, class_name[start:start + len(pos)]))
-            start += len(pos)
+        injections = {pname: dict(zip(pos, map(class_name.__getitem__, pos.values())))
+                      for pname, pos in index.items()}
+        members = arena_members()
         classes = {names[r]: frozenset(map(members.__getitem__,
                                            groups.get(r, (r,))))
                    for r in label}

@@ -1,4 +1,9 @@
-"""Serializers: DOT graphs, stable JSON, ABox facts and Manchester text."""
+"""Serializers: DOT graphs, stable JSON, ABox facts and Manchester text.
+
+The JSON text is the bytes of ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"), ensure_ascii=False)`` plus ``"\\n"`` for the
+value's object tree, written directly: no tree is built.
+"""
 
 from __future__ import annotations
 
@@ -55,53 +60,66 @@ def emit_dot(p: Pattern) -> str:
 
 # -- JSON -------------------------------------------------------------------
 
-def _pattern_obj(p: Pattern) -> dict:
-    return {
-        "name": p.name,
-        "nodes": [{"id": nid, "label": p.labels[nid].local_name}
-                  for nid in p.sorted_ids],
-        "edges": [[a, b] for a, b in sorted(p.edges)],
-    }
-
-
 def emit_json(value: Pattern | Network | CombinationResult) -> str:
     """Stable JSON for patterns, networks and combination results.
 
-    Keys are sorted and all lists canonically ordered, so equal inputs
-    serialize to identical bytes.
+    A pattern is ``{"edges": [[a, b], ...], "name": ..., "nodes": [{"id":
+    ..., "label": ...}, ...]}``, edges and nodes sorted.  A network is
+    ``{"name": ..., "patterns": [...], "refinements": [{"map": {...},
+    "name": ..., "source": ..., "target": ...}, ...]}``, both lists by
+    name.  A combination result is its pattern's object plus
+    ``"injections"``, member to node to combined node, and ``"classes"``,
+    combined node to its sorted ``[member, node]`` pairs.
+
+    The text is the bytes of ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=False) + "\\n"`` for that object
+    ``obj``, so equal inputs serialize to identical bytes.  No tree is
+    built: each object is written with its keys in sorted order, each
+    string quoted by the function ``json.dumps`` quotes it with.
     """
+    import json
+    quote = json.encoder.encode_basestring
+
+    def pairs(items) -> str:  # sorted string pairs as two-element lists
+        return "[" + ",".join(f"[{quote(a)},{quote(b)}]"
+                              for a, b in sorted(items)) + "]"
+
+    def str_map(m: dict[str, str]) -> str:
+        return "{" + ",".join(f"{quote(k)}:{quote(m[k])}" for k in sorted(m)) + "}"
+
+    def nodes(p: Pattern) -> str:
+        labels = p.labels
+        return "[" + ",".join(f'{{"id":{quote(nid)},'
+                              f'"label":{quote(labels[nid].local_name)}}}'
+                              for nid in p.sorted_ids) + "]"
+
+    def pattern(p: Pattern) -> str:
+        return (f'{{"edges":{pairs(p.edges)},"name":{quote(p.name)},'
+                f'"nodes":{nodes(p)}}}')
+
     if isinstance(value, Pattern):
-        obj = _pattern_obj(value)
+        text = pattern(value)
     elif isinstance(value, Network):
-        obj = {
-            "name": value.name,
-            "patterns": [_pattern_obj(value.patterns[n])
-                         for n in sorted(value.patterns)],
-            "refinements": [
-                {
-                    "name": n,
-                    "source": value.refinements[n].source.name,
-                    "target": value.refinements[n].target.name,
-                    "map": dict(sorted(value.refinements[n].node_map.items())),
-                }
-                for n in sorted(value.refinements)
-            ],
-        }
+        refinements = ",".join(
+            f'{{"map":{str_map(r.node_map)},"name":{quote(n)},'
+            f'"source":{quote(r.source.name)},"target":{quote(r.target.name)}}}'
+            for n, r in sorted(value.refinements.items()))
+        patterns = ",".join(pattern(value.patterns[n])
+                            for n in sorted(value.patterns))
+        text = (f'{{"name":{quote(value.name)},"patterns":[{patterns}],'
+                f'"refinements":[{refinements}]}}')
     elif isinstance(value, CombinationResult):
-        obj = _pattern_obj(value.pattern)
-        obj["injections"] = {
-            pname: dict(sorted(m.items()))
-            for pname, m in sorted(value.injections.items())
-        }
-        obj["classes"] = {
-            cname: [[p, n] for p, n in sorted(members)]
-            for cname, members in sorted(value.classes.items())
-        }
+        p = value.pattern
+        classes = ",".join(f"{quote(c)}:{pairs(members)}"
+                           for c, members in sorted(value.classes.items()))
+        injections = ",".join(f"{quote(m)}:{str_map(inj)}"
+                              for m, inj in sorted(value.injections.items()))
+        text = (f'{{"classes":{{{classes}}},"edges":{pairs(p.edges)},'
+                f'"injections":{{{injections}}},"name":{quote(p.name)},'
+                f'"nodes":{nodes(p)}}}')
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
-    import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False) + "\n"
+    return text + "\n"
 
 
 def pattern_from_json(text: str, taxonomy: Taxonomy,

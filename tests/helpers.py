@@ -348,6 +348,55 @@ def _render_members(members) -> str:
     return "{" + ", ".join(f"{p}.{n}" for p, n in sorted(members)) + "}"
 
 
+# -- reference JSON ----------------------------------------------------------
+
+def reference_json(value) -> str:
+    """``emitters.emit_json`` as it was before it wrote text directly:
+    the value's object tree, lists in canonical order, serialized by
+    ``json.dumps`` with sorted keys."""
+    import json
+
+    def pattern_obj(p: Pattern) -> dict:
+        return {
+            "name": p.name,
+            "nodes": [{"id": nid, "label": p.labels[nid].local_name}
+                      for nid in p.sorted_ids],
+            "edges": [[a, b] for a, b in sorted(p.edges)],
+        }
+
+    if isinstance(value, Pattern):
+        obj = pattern_obj(value)
+    elif isinstance(value, Network):
+        obj = {
+            "name": value.name,
+            "patterns": [pattern_obj(value.patterns[n])
+                         for n in sorted(value.patterns)],
+            "refinements": [
+                {
+                    "name": n,
+                    "source": value.refinements[n].source.name,
+                    "target": value.refinements[n].target.name,
+                    "map": dict(sorted(value.refinements[n].node_map.items())),
+                }
+                for n in sorted(value.refinements)
+            ],
+        }
+    elif isinstance(value, CombinationResult):
+        obj = pattern_obj(value.pattern)
+        obj["injections"] = {
+            pname: dict(sorted(m.items()))
+            for pname, m in sorted(value.injections.items())
+        }
+        obj["classes"] = {
+            cname: [[p, n] for p, n in sorted(members)]
+            for cname, members in sorted(value.classes.items())
+        }
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False) + "\n"
+
+
 # -- reference readers -------------------------------------------------------
 #
 # The per-character tokenizers that the regex lexers in ``dsl`` and

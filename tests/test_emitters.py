@@ -4,9 +4,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_pattern, random_taxonomy, reachable_oracle
+from helpers import (
+    make_random_network,
+    random_pattern,
+    random_taxonomy,
+    reachable_oracle,
+    reference_json,
+)
 from nesypat.catalog import Catalog
-from nesypat.colimit import combine, evaluate_combines
+from nesypat.colimit import Network, combine, evaluate_combines
 from nesypat.dsl import parse, resolve
 from nesypat.emitters import (
     emit_abox,
@@ -15,8 +21,12 @@ from nesypat.emitters import (
     emit_manchester,
     pattern_from_json,
 )
-from nesypat.errors import UnknownClassError
-from nesypat.pattern import build_pattern, isomorphic
+from nesypat.errors import (
+    DegenerateLoopError,
+    UndefinedColimitError,
+    UnknownClassError,
+)
+from nesypat.pattern import Pattern, Refinement, build_pattern, isomorphic
 from nesypat.taxonomy import (
     _KEYWORDS,
     TOP_LOCAL_NAME,
@@ -102,6 +112,57 @@ class TestEmitDot:
                                                      rng.randint(1, 6), 0.4)))
 
 
+#: Pieces of the names drawn below: text JSON escapes (quote, backslash,
+#: control characters) and text it passes through (DEL, non-ASCII,
+#: U+2028, a space).  Half the names are dotted ones, so that qualified
+#: names clash: pattern 'a' node 'b.a' and pattern 'a.b' node 'a' both
+#: qualify to 'a.b.a'.
+_PIECES = ("a", "b", '"', "\\", "\x00", "\n", "\x7f", "é", "名", "\u2028", " ")
+_NAMES = st.one_of(
+    st.sampled_from(["a", "b", "a.b", "b.a", "a.b.a"]),
+    st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3).map("".join))
+#: A class's local name holds no whitespace.
+_LOCAL_NAMES = st.lists(st.sampled_from(
+    [p for p in _PIECES if not p.isspace()]), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def odd_networks(draw) -> Network:
+    """A ``make_random_network`` network with its name, its patterns',
+    refinements' and classes' names and its node ids drawn anew."""
+    net = make_random_network(draw(st.randoms(use_true_random=False)))
+    t = next(iter(net.patterns.values())).taxonomy
+
+    def names(strategy, n):
+        return draw(st.lists(strategy, min_size=n, max_size=n, unique=True))
+
+    classes = sorted(t.classes, key=lambda c: c.iri)
+    ref = {c: ClassRef(c.iri, local)
+           for c, local in zip(classes, names(_LOCAL_NAMES, len(classes)))}
+    t2 = Taxonomy(list(ref.values()),
+                  [(ref[a], ref[b]) for a, b in t.subclass_edges],
+                  ref[t.top], t.namespace)
+    ids, patterns = {}, {}
+    for old, new in zip(net.patterns, names(_NAMES, len(net.patterns))):
+        p = net.patterns[old]
+        ids[old] = dict(zip(p.sorted_ids, names(_NAMES, len(p.labels))))
+        m = ids[old]
+        patterns[old] = Pattern(new, t2,
+                                {m[n]: ref[c] for n, c in p.labels.items()},
+                                frozenset((m[a], m[b]) for a, b in p.edges))
+    refinements = {}
+    for old, new in zip(net.refinements, names(_NAMES, len(net.refinements))):
+        r = net.refinements[old]
+        src, tgt = ids[r.source.name], ids[r.target.name]
+        refinements[new] = Refinement(
+            new, patterns[r.source.name], patterns[r.target.name],
+            {src[a]: tgt[b] for a, b in r.node_map.items()})
+    return Network(draw(_NAMES),
+                   {p.name: p for p in sorted(patterns.values(),
+                                              key=lambda p: p.name)},
+                   dict(sorted(refinements.items())))
+
+
 class TestEmitJson:
     def test_single_node_shape(self, t):
         p = pat(t, "one", [("anon1", "Model")])
@@ -134,6 +195,17 @@ class TestEmitJson:
     def test_rejects_other_values(self):
         with pytest.raises(TypeError, match="cannot serialize object"):
             emit_json(object())
+
+    @settings(deadline=None)
+    @given(odd_networks())
+    def test_matches_the_reference_bytes(self, net):
+        values = [net, *net.patterns.values()]
+        try:
+            values.append(combine(net))
+        except (UndefinedColimitError, DegenerateLoopError):
+            pass
+        for value in values:
+            assert emit_json(value) == reference_json(value)
 
     def test_roundtrip_through_reader(self, t):
         rng = random.Random(71)
