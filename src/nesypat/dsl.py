@@ -507,7 +507,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
     anon = 0
     labels: dict[str, ClassRef] = {}
     classes: dict[str, ClassRef] = {}  # each class token is looked up once
-    edges: list[tuple[str, str]] = []
+    edges: set[tuple[str, str]] = set()  # a set's copy keeps fewer slots
     for chain in decl.chains:
         prev = None
         for ref in chain.refs:
@@ -536,7 +536,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                     raise SelfLoopError(
                         f"chain creates a self-loop on node {node_id!r}",
                         line=ref.line, col=ref.col)
-                edges.append((prev, node_id))
+                edges.add((prev, node_id))
             prev = node_id
     # Every label and edge is checked above; no validating pass follows.
     lib.patterns[decl.name] = Pattern(decl.name, taxonomy, labels, frozenset(edges))

@@ -23,13 +23,15 @@ a flat ontology of 40,000 classes, 11 MiB for a 10-ary tree of 40,000
 read level by level, n * n / 2 bits (6.6 MiB) for a chain of 10,000.
 
 Reading and building run on integer ids.  One reader reads each text:
-one regex ``findall`` for a text of plain headers and ``Class`` frames,
-else a walk over its tokens.  The reader (``_read_classes``) gives each
-class an id, its superclasses as a list of ids, its
-``ClassRef`` and its entries in the IRI index and local-name map the
-taxonomy keeps.  One builder turns these into the down-sets, for
-``parse_taxonomy``, ``extend`` and ``Taxonomy(...)``; an ``extend`` that
-only adds classes pushes their bits into the base's down-sets.
+one regex ``findall`` for a text of plain headers and ``Class`` frames
+that resolves without a diagnostic, else a walk over its tokens, so
+every warning and error is placed from a token.  The reader
+(``_read_classes``) gives each class an id, its superclasses as a list
+of ids, its ``ClassRef`` and its entries in the IRI index and
+local-name map the taxonomy keeps.  One builder turns these into the
+down-sets, for ``parse_taxonomy``, ``extend`` and ``Taxonomy(...)``; an
+``extend`` that only adds classes pushes their bits into the base's
+down-sets.
 ``classes`` and ``subclass_edges`` are built on first access.
 """
 
@@ -107,18 +109,9 @@ _set_iri = ClassRef.iri.__set__
 _set_local_name = ClassRef.local_name.__set__
 
 
-def _class_ref(iri: str, local_name: str) -> ClassRef:
-    """A ClassRef whose local name is known to be usable, made without
-    the constructor's check."""
-    ref = _new_ref(ClassRef)
-    _set_iri(ref, iri)
-    _set_local_name(ref, local_name)
-    return ref
-
-
 def _class_refs(iris: list[str], local_names: list[str]) -> list[ClassRef]:
-    """``_class_ref`` of each IRI and local name, made attribute by
-    attribute over all of them."""
+    """A ClassRef of each IRI and usable local name, made without the
+    constructor's check, attribute by attribute over all of them."""
     refs = [*map(_new_ref, repeat(ClassRef, len(iris)))]
     deque(map(_set_iri, refs, iris), 0)
     deque(map(_set_local_name, refs, local_names), 0)
@@ -390,9 +383,11 @@ _CLASS_START = _NAME_START | {"'", "<"}
 # ends the ``SubClassOf`` list.  The last alternative takes the rest of
 # the text from its first character but whitespace, where no frame is
 # read: the last match of a ``findall``.  One reader reads each text:
-# the rows of its ``findall`` where they hold no rest, no header behind
-# a Class frame and no keyword superclass (``_read_classes`` checks),
-# else the token walk.
+# the rows of its ``findall`` only if the text resolves without a
+# diagnostic (no rest, no header behind a Class frame, no keyword
+# superclass and, in an extension, no superclass it cannot resolve;
+# ``_read_classes`` checks), else the token walk, which places every
+# warning and error from a token.
 _NAME = r"[A-Za-z_][A-Za-z0-9_\-]*"
 _FRAME_RE = re.compile(
     rf"\s*(?:Class(?:\s*:\s*|\s+)(?P<c>{_NAME})"
@@ -452,17 +447,19 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
     ``Prefix: p: <IRI>`` and ``Ontology: <IRI>`` headers and then
     ``Class: A`` frames, optionally with ``SubClassOf: B, C`` (each
     keyword with or without its colon), is read by one ``findall`` of
-    ``_FRAME_RE``, a row per frame.  Any other text is split into tokens once and walked
-    token by token from its start; the walk reads every frame the
-    grammar allows and places every warning and error.
+    ``_FRAME_RE``, a row per frame, if it resolves without a diagnostic:
+    with a base, each superclass is a subject of the text or a base
+    class of that local name.  Any other text is split into tokens once
+    and walked token by token from its start; the walk reads every
+    frame the grammar allows and places every warning and error from
+    a token.
 
     Each name is read as a key: the local name itself, a ``str``, for a
     bare or quoted name (a quoted name's spaces become ``_``), ``(prefix,
     local)`` for a prefixed one (prefix ``""`` for ``:Name``), and
     ``(None, iri)`` for an ``<IRI>``.  Each distinct key gets an int id
-    and the place it is first read at: its own id if the ``findall``
-    read it (where is worked out only for an error), else the complement
-    ``~i`` of the index of its token; the Class frames' names are the
+    and the index of the token it is first read at (0 for a key of the
+    rows, which is never placed); the Class frames' names are the
     ``findall``'s first keys.  Once the whole text is read (prefixes,
     the namespace and frames may come after a name is used), each key
     is resolved once: to a class of ``base`` (a bare name by local name,
@@ -484,19 +481,29 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
     # The frames of plain names, one row each, and a last row with the
     # rest of the text from the first frame the pattern does not read.
-    # The rows are used only where they read the whole text: leading
-    # Prefix and Ontology rows, then Class rows, none with a keyword
-    # among its superclasses.  Else the token walk reads all of it.  A
-    # quote is in no row but in a header's IRI, so a text with one (a
-    # string literal or a quoted name) goes to the walk without them.
+    # The rows are used only where they read the whole text and it
+    # resolves without a diagnostic: leading Prefix and Ontology rows,
+    # then Class rows, none with a keyword among its superclasses.  Else
+    # the token walk reads all of it.  A quote is in no row but in a
+    # header's IRI, so a text with one (a string literal or a quoted
+    # name) goes to the walk without them.
     quoted = "'" in text or '"' in text
     rows = [] if quoted else _FRAME_RE.findall(text)
     h = next((j for j, row in enumerate(rows) if row[0] or row[5]), len(rows))
     subjects, sups, *_ = zip(*rows[h:]) if h < len(rows) else ((), ())
     named = " ".join(sups).replace(",", " ").split()
-    walk = quoted or "" in subjects or not _KEYWORDS.isdisjoint(named)
+    # The names of the frames read are the first keys: the subjects,
+    # then the other superclasses in the order they are read.
+    keys: list = [*dict.fromkeys(chain(subjects, named))]
+    ids: dict = dict(zip(keys, range(len(keys))))  # key -> key id
+    declared: list[int] = [*map(ids.__getitem__, subjects)]  # Class frames, with repeats
+    # With a base, a superclass that is no subject must be a base class
+    # of that local name, else the walk places the error.
+    walk = (quoted or "" in subjects or not _KEYWORDS.isdisjoint(named)
+            or base is not None and not all(map(
+                base._by_local.__contains__, keys[max(declared, default=-1) + 1:])))
     if walk:
-        h, subjects, sups, named = 0, (), (), ()
+        h, sups, keys, ids, declared = 0, (), [], {}, []
     for _, _, pfx, iri, ont, _ in rows[:h]:
         if iri:
             prefixes[pfx] = iri = iri[1:-1]
@@ -504,14 +511,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 namespace = iri
         else:
             ontology_iri = ont[1:-1]
-    # The names of the frames read are the first keys: the subjects,
-    # then the other superclasses in the order they are read.
-    keys: list = [*dict.fromkeys(chain(subjects, named))]
-    # key id -> the id itself for a key a frame read, else the complement
-    # ~i of the index of the token it is first read at
-    first: list[int] = [*range(len(keys))]
-    ids: dict = dict(zip(keys, first))  # key -> key id
-    declared: list[int] = [*map(ids.__getitem__, subjects)]  # Class frames, with repeats
+    first: list[int] = [0] * len(keys)  # key id -> its first token's index
     edges: list[tuple[int, int]] = []  # key id pairs, for the general resolution
 
     def add_key(key, at: int) -> int:
@@ -531,18 +531,6 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 offsets.append(at + len(ws))
                 at += len(ws) + len(tok)
         return position(offsets[i])
-
-    def where(at: int) -> tuple[int, int]:
-        """The place of token ``~at``, or where frame key ``at`` is first
-        read.  Such a key can only fail as a superclass, as every Class
-        frame's name is minted before any other; the frames are matched
-        again to find it, since the findall kept no offsets."""
-        if at < 0:
-            return place(~at)
-        for m in _FRAME_RE.finditer(text):
-            for name in re.finditer(r"[^\s,]+", m["s"] or ""):
-                if name[0] == keys[at]:
-                    return position(m.start("s") + name.start())
 
     def warn(msg: str, i: int) -> None:
         if diagnostics is not None:
@@ -573,7 +561,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         else:
             return -1, i
         k = ids.get(key)
-        return (add_key(key, ~i) if k is None else k), after
+        return (add_key(key, i) if k is None else k), after
 
     i = 0
     eof = len(vals) - 1
@@ -656,7 +644,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
         # id is its key's.
         iris = [*map(namespace.__add__, keys)]
         refs = _class_refs(iris, keys)
-        index = dict(zip(iris, first))
+        index = dict(zip(iris, ids.values()))
         taken = dict(zip(keys, refs))
         parents = [[] for _ in keys]
         get = ids.__getitem__
@@ -665,7 +653,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 parents[k] += map(get, s.replace(",", " ").split())
             elif s:
                 parents[k].append(get(s))
-        n, cls = 0, first  # class id = key id
+        n, cls = 0, range(len(keys))  # class id = key id
     else:
         edges += [(k, ids[sup]) for k, s in zip(declared, sups) if s  # the frames'
                   for sup in s.replace(",", " ").split()]
@@ -691,7 +679,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                     iri = prefixes[pfx] + local
                 else:
                     name = f"{pfx}:{local}"
-                    line, col = where(first[k])
+                    line, col = place(first[k])
                     raise UnknownClassError(f"undeclared prefix {pfx!r} in {name!r}",
                                             line=line, col=col)
             if bare and local in by_local:
@@ -701,11 +689,11 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
             elif declare:
                 c = index[iri] = len(refs)
                 refs.append(_mint(iri, local if bare else _local_name_of(iri),
-                                  taken, where, first[k]))
+                                  taken, place, first[k], walk))
                 parents.append([])
             else:
                 shown = repr(local) if bare else f"<{iri}>"
-                line, col = where(first[k])
+                line, col = place(first[k])
                 raise UnknownClassError(f"unknown class {shown} in extension",
                                         line=line, col=col)
             cls[k] = c
@@ -740,7 +728,7 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
                 other = taken.get(TOP_LOCAL_NAME)
                 at = first[cls.index(index[other.iri])] if other else 0
                 top = index[iri] = len(refs)
-                refs.append(_mint(iri, TOP_LOCAL_NAME, taken, where, at))
+                refs.append(_mint(iri, TOP_LOCAL_NAME, taken, place, at, False))
                 parents.append([])
     for j in roots:
         if j != top:
@@ -749,21 +737,24 @@ def _read_classes(text: str, diagnostics: list[Diagnostic] | None,
 
 
 def _mint(iri: str, local: str, taken: dict[str, ClassRef],
-          where, at: int) -> ClassRef:
-    """A class read from Manchester text, recorded in ``taken`` by local
-    name; a ParseError at ``where(at)``, where the name starts, if that
-    name is empty, holds whitespace or is another IRI's.  An ``at`` of 0
-    or more (a frame key's id) means a frame read a name token: no check."""
-    if at < 0 and not _LOCAL_NAME_RE.fullmatch(local):
+          place, at: int, check: bool) -> ClassRef:
+    """A class read from Manchester text, made without the constructor's
+    check and recorded in ``taken`` by local name; a ParseError at
+    ``place(at)``, the token where the name starts, if that name is
+    another IRI's or, where ``check`` is set, is empty or holds
+    whitespace."""
+    if check and not _LOCAL_NAME_RE.fullmatch(local):
         problem = "whitespace in its local name" if local else "no local name"
     else:
-        ref = _class_ref(iri, local)
+        ref = _new_ref(ClassRef)
+        _set_iri(ref, iri)
+        _set_local_name(ref, local)
         other = taken.setdefault(local, ref)
         if other.iri == iri:
             return ref
         problem = f"the local name {local!r} of <{other.iri}>"
     shown = iri if iri.isprintable() else repr(iri)[1:-1]  # keep it one line
-    line, col = where(at)
+    line, col = place(at)
     raise ParseError(f"IRI <{shown}> has {problem}", line=line, col=col)
 
 

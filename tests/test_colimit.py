@@ -429,6 +429,61 @@ def test_stages_can_be_undefined_where_one_step_is_defined(t):
         combine_in_stages(net, {"T", "A", "B"})
 
 
+#: Two classes below both Semantic_Model and Statistical_Model, so these
+#: two have no infimum.
+DIAMOND = ("Class: B7 SubClassOf: Semantic_Model, Statistical_Model\n"
+           "Class: B3 SubClassOf: Semantic_Model, Statistical_Model")
+
+
+@st.composite
+def planted_diamonds(draw):
+    """The network of ``test_stages_can_be_undefined_where_one_step_is_defined``
+    under drawn names, with unrelated members beside it: T's node is
+    refined into A's Semantic_Model node and B's Statistical_Model
+    node, and O's node into one of those two and into X's node, whose
+    label is the drawn one of the two maximal lower bounds.  The labels
+    of T and O are drawn among those their refinements allow.  Returns
+    the network, a closed part that holds T, A, B and perhaps some
+    unrelated members, T's name and node id, and the drawn bound."""
+    ext = default_taxonomy().extend(DIAMOND)
+    rng = draw(st.randoms(use_true_random=False))
+    extra = draw(st.integers(0, 3))
+    names = draw(st.lists(st.text("ab.-xyT", min_size=1, max_size=3),
+                          min_size=5 + extra, max_size=5 + extra, unique=True))
+    ids = draw(st.lists(st.text("ab.-xyt", min_size=1, max_size=3),
+                        min_size=5, max_size=5))
+    bound = draw(st.sampled_from(["B3", "B7"]))
+    into_a = draw(st.booleans())  # O's node goes into A's, else into B's
+    labels = [draw(st.sampled_from(["Model", "NeSy_Pattern_Element"])),
+              "Semantic_Model", "Statistical_Model",
+              draw(st.sampled_from(["Semantic_Model" if into_a else "Statistical_Model",
+                                    "Model", "NeSy_Pattern_Element"])),
+              bound]
+    t, a, b, o, x = (pat(ext, name, [(i, label)])
+                     for name, i, label in zip(names, ids, labels))
+    tn, an, bn, on, xn = ids
+    refinements = [Refinement("RA", t, a, {tn: an}), Refinement("RB", t, b, {tn: bn}),
+                   Refinement("OV", o, a, {on: an}) if into_a
+                   else Refinement("OV", o, b, {on: bn}),
+                   Refinement("OX", o, x, {on: xn})]
+    others = [random_pattern(rng, ext, name, rng.randint(1, 3)) for name in names[5:]]
+    part = {t.name, a.name, b.name} | {p.name for p in others if draw(st.booleans())}
+    net = net_of("Diamond", draw(st.permutations([t, a, b, o, x, *others])),
+                 draw(st.permutations(refinements)))
+    return net, part, (t.name, tn), bound
+
+
+@SETTINGS
+@given(planted_diamonds())
+def test_drawn_stages_can_be_undefined_where_one_step_is_defined(case):
+    net, part, (t_name, t_node), bound = case
+    result = combine(net)
+    assert result.pattern.labels[result.injections[t_name][t_node]].local_name == bound
+    assert closed_part(net, part) == part
+    with pytest.raises(UndefinedColimitError):
+        combine_in_stages(net, part)
+
+
 def assert_matches_reference(net):
     """``combine(net)`` gives what ``reference_combine(net)`` gives: the
     same pattern with the same label objects, injections and classes,

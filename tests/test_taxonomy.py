@@ -695,6 +695,39 @@ class TestIntegerIds:
                               clash)
         assert got == (ParseError, message, line, col, "f.omn")
 
+    @pytest.mark.parametrize("k", [0, 150, 299])
+    @pytest.mark.parametrize("alone", [False, True])
+    def test_unknown_superclass_of_extension_frame_k_read_by_tokens(self, monkeypatch,
+                                                                    k, alone):
+        # Frame k of a plain extension names a class that neither the
+        # extension nor its base declares, beside its known superclass
+        # or alone.  The frame rows do not read such a text: the token
+        # walk reads it, tokenizing it once, and places the error at
+        # the name as the reference reader does.
+        t = parse_taxonomy(chain_and_band_text())
+        frames = chain_fragment("E", 300, "K200").split("\n")
+        frames[k] = frames[k].rsplit(" ", 1)[0] + " Nope" if alone else frames[k] + ", Nope"
+        fragment = "\n".join(frames)
+        texts = []
+        real_tokenize = taxonomy._tokenize_manchester
+
+        def recording(text):
+            texts.append(text)
+            return real_tokenize(text)
+
+        def outcome(extend):
+            with pytest.raises(NesyError) as e:
+                extend(fragment, [])
+            return type(e.value), e.value.message, e.value.line, e.value.col
+
+        monkeypatch.setattr(taxonomy, "_tokenize_manchester", recording)
+        got = outcome(t.extend)
+        assert texts == [fragment]
+        monkeypatch.undo()
+        assert got == outcome(lambda f, d: reference_extend(t, f, d))
+        assert got == (UnknownClassError, "unknown class 'Nope' in extension",
+                       k + 1, len(frames[k]) - 3)
+
     @pytest.mark.parametrize("k", [0, 1, 150, 320])
     def test_token_walk_reads_the_whole_text_or_none_of_it(self, monkeypatch, k):
         # Frame k runs on into an entry, a header follows it, or a

@@ -6,8 +6,9 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import glb_oracle, random_taxonomy, reachable_oracle
+from helpers import glb_oracle, random_taxonomy, reachable_oracle, reference_extend
 from nesypat.emitters import emit_manchester
+from nesypat.errors import NesyError
 from nesypat.taxonomy import ClassRef, Taxonomy, parse_taxonomy
 
 SETTINGS = settings(deadline=None)
@@ -181,3 +182,41 @@ def test_extending_a_read_taxonomy_is_reading_both_texts(case):
     text = emit_manchester(t)
     assert (parse_taxonomy(text).extend(fragment)
             == parse_taxonomy(text + "\n" + fragment))
+
+
+@st.composite
+def planted_extensions(draw):
+    """A drawn plain-frame extension with names no class has planted
+    among the superclasses of some of its frames, or in a frame of its
+    own where it has none; perhaps a later frame declares one of them."""
+    t, fragment = draw(extensions())
+    frames = fragment.split("\n") if fragment else [f"Class: N9 SubClassOf: {t.top.local_name}"]
+    unknown = draw(st.lists(st.sampled_from(["Nope", "U0", "N10"]), min_size=1,
+                            max_size=3, unique=True))
+    for name in unknown:
+        k = draw(st.integers(0, len(frames) - 1))
+        head, _, supers = frames[k].partition(" SubClassOf: ")
+        supers = supers.split(", ")
+        supers.insert(draw(st.integers(0, len(supers))), name)
+        frames[k] = f"{head} SubClassOf: {', '.join(supers)}"
+    if draw(st.booleans()):
+        frames.append(f"Class: {unknown[0]}")
+    return t, "\n".join(frames)
+
+
+def extend_outcome(extend, fragment):
+    """The diagnostics and taxonomy of ``extend(fragment, diagnostics)``,
+    or the type, message, line and column of the error it raises."""
+    diagnostics = []
+    try:
+        return diagnostics, extend(fragment, diagnostics)
+    except NesyError as e:
+        return type(e), e.message, e.line, e.col
+
+
+@SETTINGS
+@given(planted_extensions())
+def test_unknown_superclasses_of_plain_frames_raise_as_reference(case):
+    t, fragment = case
+    got = extend_outcome(t.extend, fragment)
+    assert got == extend_outcome(lambda f, d: reference_extend(t, f, d), fragment)
