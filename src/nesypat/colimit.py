@@ -11,6 +11,19 @@ the nodes of the combined pattern.  A class's label is the infimum of its
 members' labels, and the combination is undefined when some infimum does
 not exist.  Edges are the images of member edges; an edge whose endpoints
 were merged into one class would be a self-loop and is an error.
+
+A combined node keeps a member's own node id, as Hets keeps the names of
+colimit symbols.  Each class is named by its namer, the member ``(p, n)``
+with the smallest qualified name ``p.n`` (then the smaller pair): a
+singleton by its node, a merged class by one of its members.  The class
+takes the namer's id, the very ``str`` that member holds.  Only where
+several classes would take one id does the first of them, in the order
+of their namers, keep it; the others take ``id_2``, ``id_3``, ... in
+that order, passing over every id some class takes as its own.  So ids
+of members that ``parse`` accepts give combined ids it accepts, and an
+id is never longer than a member's plus a suffix.  A member edge whose
+ends both keep their ids goes into the combined pattern as the member's
+own tuple.
 """
 
 from __future__ import annotations
@@ -145,7 +158,10 @@ class CombinationResult(NamedTuple):
 
     ``injections[p][n]`` is the combined node that member pattern ``p``'s
     node ``n`` maps to; ``classes`` inverts that, giving each combined
-    node its set of (pattern name, node id) preimages.
+    node its set of (pattern name, node id) preimages.  A combined node
+    is named by one of its preimages' own id, numbered ``_2``, ``_3``,
+    ... only where another class took that id first (see the module
+    docstring).
     """
 
     pattern: Pattern
@@ -157,11 +173,17 @@ def combine(net: Network, name: str | None = None) -> CombinationResult:
     """Compute the combination of a type-correct network, a pattern
     named ``name`` (``combine(<network name>)`` when None).
 
+    Each combined node keeps the id of its namer, the preimage with the
+    smallest qualified name ``p.n``, and shares that member's ``str``;
+    classes that would share an id are numbered ``id_2``, ``id_3``, ...
+    after the first, and a member edge whose ends keep their ids is
+    shared as the member's tuple.
+
     Raises UndefinedColimitError when a merged class has no label
     infimum, and DegenerateLoopError when merging turns a member edge
     into a self-loop; when several classes or edges fail, the error is
-    the one of the class with the smallest name, or of the smallest
-    (pattern, edge).
+    the one of the class whose namer's qualified name is smallest, or
+    of the smallest (pattern, edge).
     """
     pattern, embedding = _combine(net, name)
     return CombinationResult(pattern, *embedding())
@@ -177,24 +199,24 @@ def _combine(net: Network, name: str | None):
     taxonomy = next(iter(net.patterns.values())).taxonomy
 
     # The arena: member patterns by name, each one's nodes by id.  Arena
-    # node k is labeled node_labels[k] and qualified as names[k]; index
-    # maps pattern p's node n to its arena node, in arena order.
-    names: list[str] = []
+    # node k is member owner[k]'s node ids[k], the str that member holds,
+    # labeled node_labels[k]; index maps pattern p's node n to its arena
+    # node, in arena order.
+    ids: list[str] = []
+    owner: list[str] = []
     node_labels: list[ClassRef] = []
     index: dict[str, dict[str, int]] = {}
     for pname in sorted(net.patterns):
         p = net.patterns[pname]
-        ids = p.sorted_ids
-        index[pname] = dict(zip(ids, range(len(names), len(names) + len(ids))))
-        names += [f"{pname}.{nid}" for nid in ids]
-        node_labels += map(p.labels.__getitem__, ids)
-
-    def arena_members() -> list[tuple[str, str]]:  # by arena node
-        return [(pname, nid) for pname, pos in index.items() for nid in pos]
+        p_ids = p.sorted_ids
+        index[pname] = dict(zip(p_ids, range(len(ids), len(ids) + len(p_ids))))
+        ids += p_ids
+        owner += [pname] * len(p_ids)
+        node_labels += map(p.labels.__getitem__, p_ids)
 
     # Union-find with path halving; a class is rooted at its first arena
     # node, so root[k] <= k, and one forward pass then roots every node.
-    root = list(range(len(names)))
+    root = list(range(len(ids)))
     merged: set[int] = set()  # a root is in it iff its class is merged
     for r in net.refinements.values():
         src, tgt = index[r.source.name], index[r.target.name]
@@ -211,57 +233,96 @@ def _combine(net: Network, name: str | None):
     for k, p in enumerate(root):
         root[k] = root[p]
 
-    # A class is named after its root: a singleton keeps its node's
-    # qualified name, a merged class takes its smallest member's.  A
-    # class's label, by root, is None when it is not defined: a
-    # singleton keeps its label as the taxonomy's own class, and a
-    # merged class takes the infimum of its members' labels.
+    # The classes by root, in arena order.  A singleton is its own namer,
+    # and a merged class's namer is namer[root] (see the module
+    # docstring).  A class's label, by root, is None when it is not
+    # defined: a singleton keeps its label as the taxonomy's own class,
+    # and a merged class takes the infimum of its members' labels.
+    def qualified(k: int) -> str:
+        return f"{owner[k]}.{ids[k]}"
+
     refs, class_id = taxonomy._refs, taxonomy._index
-    label: dict[int, ClassRef | None] = {}
+    roots: list[int] = []
+    label: list[ClassRef | None] = [None] * len(root)
     groups: dict[int, list[int]] = {}  # merged classes, members in arena order
     for k, r in enumerate(root):
         if r in merged:
-            groups.setdefault(r, []).append(k)
+            if r in groups:
+                groups[r].append(k)
+                continue
+            groups[r] = [k]
         else:
             i = class_id.get(node_labels[k].iri)
-            label[k] = None if i is None else refs[i]
+            if i is not None:
+                label[r] = refs[i]
+        roots.append(r)
+    # Unless a pattern name holds a character at or below '.', qualified
+    # names sort as arena nodes do, and a group's first member is its
+    # namer.
+    in_order = min("".join(index), default="/") > "."
+    namer: dict[int, int] = {}
     for r, group in groups.items():
-        names[r] = min(map(names.__getitem__, group))
+        namer[r] = group[0] if in_order else min(group, key=qualified)
         try:
             label[r] = taxonomy.infimum({node_labels[k] for k in group})
         except UnknownClassError:
-            label[r] = None
+            pass
 
-    def first(r: int) -> tuple[str, int]:  # the order classes are named in
-        return names[r], r
+    def first(r: int) -> tuple[str, int]:  # the order of classes
+        k = namer.get(r, r)
+        return qualified(k), k
 
-    failed = [r for r, inf in label.items() if inf is None]
+    failed = [r for r in roots if label[r] is None]
     if failed:
         r = min(failed, key=first)
         group = groups.get(r, [r])
-        _raise_undefined(taxonomy, [*map(arena_members().__getitem__, group)],
+        _raise_undefined(taxonomy, [(owner[k], ids[k]) for k in group],
                          {node_labels[k] for k in group})
-    labels = {names[r]: inf for r, inf in label.items()}
-    if len(labels) < len(label):
-        # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
-        # node 'b.c' both qualify to 'a.b.c'.  Then the classes are
-        # named in order, each clashing name getting '_' suffixes.
-        labels = {}
-        for r in sorted(label, key=first):
-            name_r = names[r]
-            while name_r in labels:
-                name_r += "_"
-            labels[name_r] = label[r]
-            names[r] = name_r
 
-    class_name = [names[r] for r in root]  # by arena node
-    edges = {(class_name[pos[a]], class_name[pos[b]])
-             for pname, pos in index.items() for a, b in net.patterns[pname].edges}
+    # Each class takes its namer's id; where classes share one, all but
+    # the first are numbered.  Numbered ids of two different ids never
+    # meet, as the digits after the last '_' give both apart.
+    names = ids.copy()  # by root, the class's name
+    for r, k in namer.items():
+        names[r] = ids[k]
+    labels = {names[r]: label[r] for r in roots}
+    suffixed: list[int] = []
+    if len(labels) < len(roots):
+        sharing: dict[str, list[int]] = {}
+        for r in roots:
+            sharing.setdefault(names[r], []).append(r)
+        for nid, rs in sharing.items():
+            suffix = 1
+            for r in sorted(rs, key=first)[1:]:
+                suffix += 1
+                while f"{nid}_{suffix}" in sharing:
+                    suffix += 1
+                names[r] = f"{nid}_{suffix}"
+                suffixed.append(r)
+        labels = {names[r]: label[r] for r in roots}
+
+    # A member edge keeps its own tuple unless an end is renamed: its
+    # class is named otherwise than the node, which only a merged or a
+    # suffixed class can be.
+    renamed: dict[str, dict[str, str]] = {}  # by member, node to class name
+    for r in (*groups, *suffixed):
+        for k in groups.get(r, (r,)):
+            if ids[k] != names[r]:
+                renamed.setdefault(owner[k], {})[ids[k]] = names[r]
+    edges: set[tuple[str, str]] = set()
+    for pname, p in net.patterns.items():
+        moved = renamed.get(pname)
+        if moved is None:
+            edges.update(p.edges)
+            continue
+        touched = [e for e in p.edges if e[0] in moved or e[1] in moved]
+        edges.update(p.edges.difference(touched))
+        edges.update([(moved.get(a, a), moved.get(b, b)) for a, b in touched])
     if any((names[r], names[r]) in edges for r in groups):  # a self-loop
         pname, a, b = min((pname, a, b) for pname, pos in index.items()
                           for a, b in net.patterns[pname].edges
                           if root[pos[a]] == root[pos[b]])
-        loop = [*map(arena_members().__getitem__, groups[root[index[pname][a]]])]
+        loop = [(owner[k], ids[k]) for k in groups[root[index[pname][a]]]]
         raise DegenerateLoopError(
             f"edge ({a!r}, {b!r}) of pattern {pname!r} collapses to a "
             f"self-loop on merged node {_render_members(loop)}",
@@ -272,12 +333,13 @@ def _combine(net: Network, name: str | None):
                       taxonomy, labels, frozenset(edges))
 
     def embedding():
+        class_name = [names[r] for r in root]  # by arena node
         injections = {pname: dict(zip(pos, map(class_name.__getitem__, pos.values())))
                       for pname, pos in index.items()}
-        members = arena_members()
+        members = list(zip(owner, ids))
         classes = {names[r]: frozenset(map(members.__getitem__,
                                            groups.get(r, (r,))))
-                   for r in label}
+                   for r in roots}
         return injections, classes
 
     return pattern, embedding

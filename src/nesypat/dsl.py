@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -173,25 +174,30 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf"{_TRIVIA}({_NAME}|\|->|->|\S|\Z)")
 _REF_RE = re.compile(rf"{_TRIVIA}({_NAME}){_TRIVIA}(?::{_TRIVIA}({_NAME}){_TRIVIA}|)(->|;)")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
-_NAMES = re.compile(_NAME).findall
 
 #: Declaration heads without comments, each from its keyword on.  Every
-#: name is followed by whitespace or a symbol, and ``data`` and ``end``
-#: by no name character, so each is a whole token; a name may still be
-#: a keyword, which the parser checks.  An ontology reference that
-#: starts with a name is read with the head of its pattern, as
-#: ``data_clause`` reads it.  A ``via`` list and a member list are
-#: captured whole and split with ``_NAMES``.
-_PAIR = rf"{_NAME}\s*\|->\s*{_NAME}"
+#: name is followed by whitespace or a symbol, and ``data``, ``via`` and
+#: ``end`` by no name character, so each is a whole token; a name may
+#: still be a keyword, which the parser checks.  An ontology reference
+#: that starts with a name is read with the head of its pattern, as
+#: ``data_clause`` reads it.  A head stops before its ``via`` list or
+#: member list, which ``_Parser.listed`` reads up to the first ``end``
+#: token behind it: ``_PAIRS`` or ``_MEMBERS`` reads each item that
+#: is whole between commas, and every item must be read.  No group
+#: repeats once per item, since ``re`` keeps a backtracking frame for
+#: each repetition of a group until the whole match ends.
 _TAIL = r"(?![A-Za-z0-9_])"
 _PATTERN_HEAD = re.compile(
     rf"pattern\s+({_NAME})\s*=\s*"
     rf"(?:combine\s+({_NAME})\s+end|data(?:\s+([A-Za-z_][^\s{{}}]*))?){_TAIL}")
 _REFINEMENT_HEAD = re.compile(
     rf"refinement\s+({_NAME})\s*=\s*({_NAME})\s+refined\s+to\s+({_NAME})"
-    rf"(?:\s+via\s+({_PAIR}(?:\s*,\s*{_PAIR})*))?\s+end{_TAIL}")
-_NETWORK_HEAD = re.compile(
-    rf"network\s+({_NAME})\s*=\s*({_NAME}(?:\s*,\s*{_NAME})*)\s+end{_TAIL}")
+    rf"\s+(?:(via)\s|end{_TAIL})")
+_NETWORK_HEAD = re.compile(rf"network\s+({_NAME})\s*=")
+_PAIRS = re.compile(
+    rf"(?:\A|(?<=,))\s*({_NAME})\s*\|->\s*({_NAME})\s*(?=,|\Z)").findall
+_MEMBERS = re.compile(rf"(?:\A|(?<=,))\s*({_NAME})\s*(?=,|\Z)").findall
+_END_RE = re.compile(rf"end(?<![A-Za-z0-9_]end){_TAIL}")
 
 
 def _stray(value: str) -> bool:
@@ -381,17 +387,30 @@ class _Parser:
             self.expect_name("a class token")
         raise self.unexpected("'->' or ';'", "->", ";")
 
+    def listed(self, pos: int, findall) -> tuple[list, int] | None:
+        """The items of the comma-separated list at ``pos`` that the
+        first ``end`` token behind it closes, as ``findall`` reads them,
+        and the offset behind that ``end``; None unless every item is
+        read."""
+        end = _END_RE.search(self.text, pos)
+        if end is None:
+            return None
+        items = self.text[pos:end.start()]
+        found = findall(items)
+        return (found, end.end()) if len(found) == items.count(",") + 1 else None
+
     def refinement_decl(self) -> RefinementDecl:
         start = self.tok.start(1)
         m = _REFINEMENT_HEAD.match(self.text, start)
-        if m:
-            name, source, target, via = m.groups()
-            ids = _NAMES(via) if via else []
-            if _KEYWORDS.isdisjoint((name, source, target, *ids)):
-                self.tok = _TOKEN_RE.match(self.text, m.end())
+        listed = m and (self.listed(m.end(), _PAIRS) if m[4] else (None, m.end()))
+        if listed:
+            pairs, pos = listed
+            if _KEYWORDS.isdisjoint((*m.group(1, 2, 3),
+                                     *chain.from_iterable(pairs or ()))):
+                self.tok = _TOKEN_RE.match(self.text, pos)
                 line, col = self.at(start)
-                return RefinementDecl(name, source, target,
-                                      tuple(zip(ids[::2], ids[1::2])) if via else None,
+                return RefinementDecl(*m.group(1, 2, 3),
+                                      None if pairs is None else tuple(pairs),
                                       line, col)
         line, col = self.declaration()
         name = self.expect_name("a refinement name")
@@ -420,10 +439,11 @@ class _Parser:
     def network_decl(self) -> NetworkDecl:
         start = self.tok.start(1)
         m = _NETWORK_HEAD.match(self.text, start)
-        if m:
-            members = _NAMES(m[2])
+        listed = m and self.listed(m.end(), _MEMBERS)
+        if listed:
+            members, pos = listed
             if _KEYWORDS.isdisjoint((m[1], *members)):
-                self.tok = _TOKEN_RE.match(self.text, m.end())
+                self.tok = _TOKEN_RE.match(self.text, pos)
                 line, col = self.at(start)
                 return NetworkDecl(m[1], tuple(members), line, col)
         line, col = self.declaration()
@@ -617,7 +637,12 @@ def emit_dsl(lib: Library) -> str:
     trails, and a node alone only when no edge touches it: |E| plus one
     node reference per chain and per isolated node, so a path is one
     chain of |V| references.  Combine-defined patterns are emitted as
-    their ``combine`` form.
+    their ``combine`` form.  A refinement is printed with its ``via``
+    map.  A combine-defined endpoint is combined again on re-parse,
+    where each combined node keeps a member's own id, so the map prints
+    its ids unchanged; it is left to inference only where one of them is
+    not a name ``parse`` accepts.  So every map of a library that
+    ``resolve`` built is printed and read back as it is.
     """
     items = _emit_order(lib)
     names = _safe_names(_declared_names(lib))
@@ -718,8 +743,7 @@ def _safe_names(names) -> dict[str, str]:
     mapping: dict[str, str] = {}
     used: set[str] = set()
     for name in sorted(taken):
-        # An ASCII identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
-        if name.isascii() and name.isidentifier() and name not in _KEYWORDS:
+        if _writable(name):
             mapping[name] = name
             continue
         safe = re.sub(r"[^A-Za-z0-9_]", "_", name)
@@ -735,6 +759,12 @@ def _safe_names(names) -> dict[str, str]:
         used.add(safe)
         mapping[name] = safe
     return mapping
+
+
+def _writable(name: str) -> bool:
+    """Whether ``parse`` reads ``name`` as a name: an ASCII identifier,
+    exactly [A-Za-z_][A-Za-z0-9_]*, that is no keyword."""
+    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
 
 
 def _data_key_for(lib: Library, p: Pattern) -> str:
@@ -779,13 +809,12 @@ def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str],
                      node_ids: _SafeIds) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
-    if r.source.name not in lib.combine_defs and r.target.name not in lib.combine_defs:
-        src_ids = node_ids[r.source.sorted_ids]
-        tgt_ids = node_ids[r.target.sorted_ids]
-        pairs = ", ".join(f"{src_ids[a]} |-> {tgt_ids[b]}"
-                          for a, b in sorted(r.node_map.items()))
-        return f"{head} via {pairs} end"
-    # Endpoints that are combine-defined are re-created with generated
-    # qualified ids on re-parse, which the via syntax cannot express;
-    # fall back to inference.
-    return f"{head} end"
+    # A combine-defined endpoint's ids are printed as they are (see
+    # emit_dsl).
+    src, tgt = (None if p.name in lib.combine_defs else node_ids[p.sorted_ids]
+                for p in (r.source, r.target))
+    pairs = [(a if src is None else src[a], b if tgt is None else tgt[b])
+             for a, b in sorted(r.node_map.items())]
+    if not all(map(_writable, chain.from_iterable(pairs))):
+        return f"{head} end"
+    return f"{head} via {', '.join(f'{a} |-> {b}' for a, b in pairs)} end"

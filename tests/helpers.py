@@ -253,7 +253,7 @@ def reference_safe_names(names) -> dict[str, str]:
 def reference_combine(net: Network) -> CombinationResult:
     """``colimit.combine`` as it was before the integer arena: its own
     union-find with a ``find`` per lookup, an infimum per class and the
-    classes sorted by name.
+    classes sorted by their namers, each named by its namer's own id.
 
     Raises UndefinedColimitError when a merged class has no label
     infimum, and DegenerateLoopError when merging turns a member edge
@@ -289,11 +289,15 @@ def reference_combine(net: Network) -> CombinationResult:
         raise ValueError(f"network {net.name!r} has no member patterns")
     taxonomy = next(iter(net.patterns.values())).taxonomy
 
-    smallest = {root: min(f"{p}.{n}" for p, n in members)
-                for root, members in groups.items()}
+    # A class is named by its member with the smallest qualified name
+    # 'p.n', then the smaller (p, n); classes come in their namers' order.
+    namer = {root: min(members, key=lambda m: (f"{m[0]}.{m[1]}", m))
+             for root, members in groups.items()}
+    owned = {n for _, n in namer.values()}
     class_name: dict[int, str] = {}
     labels: dict[str, ClassRef] = {}
-    for root in sorted(groups, key=smallest.__getitem__):
+    for root in sorted(groups, key=lambda r: (f"{namer[r][0]}.{namer[r][1]}",
+                                              namer[r])):
         members = groups[root]
         member_labels = {net.patterns[p].labels[n] for p, n in members}
         inf = taxonomy.infimum(member_labels)
@@ -309,11 +313,14 @@ def reference_combine(net: Network) -> CombinationResult:
                 f"{why}",
                 members=sorted(members), labels=sorted(member_labels,
                                                        key=lambda l: l.iri))
-        name = smallest[root]
-        # Dotted names can clash: pattern 'a.b' node 'c' and pattern 'a'
-        # node 'b.c' both qualify to 'a.b.c'.
-        while name in labels:
-            name += "_"
+        # The namer's own id, unless an earlier class holds it: then the
+        # first of id_2, id_3, ... that neither a class holds nor some
+        # class's namer owns.
+        own = namer[root][1]
+        name, k = own, 1
+        while name in labels or (name != own and name in owned):
+            k += 1
+            name = f"{own}_{k}"
         labels[name] = inf
         class_name[root] = name
 

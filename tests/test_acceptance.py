@@ -70,7 +70,7 @@ def test_criterion_1_fig6_end_to_end():
          ("d", t.lookup("Deduction")), ("s3", t.lookup("Symbol"))],
         [("s1", "tr"), ("tr", "m"), ("s2", "d"), ("d", "s3"), ("m", "d")])
     assert isomorphic(result.pattern, expected)
-    merged_label = result.pattern.labels["Model.anon1"]
+    merged_label = result.pattern.labels["anon1"]
     assert merged_label.local_name == "Semantic_Model"
 
 

@@ -281,9 +281,9 @@ class TestCmdInfer:
         code, out, err = run(cmd_infer, FIG, "Train", "SemanticGenerateAndTrain",
                              Catalog.default())
         assert code == 0
-        assert out == ("anon1 |-> Train.anon1\n"
-                       "anon2 |-> Train.anon2\n"
-                       "anon3 |-> Model.anon1\n")
+        assert out == ("anon1 |-> anon1_3\n"
+                       "anon2 |-> anon2_2\n"
+                       "anon3 |-> anon1\n")
 
     def test_ambiguous_lists_witnesses(self, tmp_path):
         doc = tmp_path / "amb.nesy"

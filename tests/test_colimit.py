@@ -83,18 +83,22 @@ class TestCombine:
     def test_merged_node_class(self, glued_model_network):
         result = combine(glued_model_network)
         merged = [c for c, members in result.classes.items() if len(members) > 1]
-        assert merged == ["Model.m0"]
-        assert result.classes["Model.m0"] == {
+        assert merged == ["m0"]
+        assert result.classes["m0"] == {
             ("Model", "m0"), ("Train", "m"), ("SemanticDeduction", "sm")}
-        assert result.pattern.labels["Model.m0"].local_name == "Semantic_Model"
+        assert result.pattern.labels["m0"].local_name == "Semantic_Model"
 
     def test_equal_qualified_names_get_distinct_ids(self, t):
+        # Each class keeps its own id; merged, 'a.b' + 'c' and 'a' +
+        # 'b.c' tie as 'a.b.c', and the smaller (pattern, id) names them.
         ab = pat(t, "a.b", [("c", "Model")])
         a = pat(t, "a", [("b.c", "Data")])
         result = combine(net_of("N", [ab, a], []))
-        assert result.injections == {"a": {"b.c": "a.b.c"},
-                                     "a.b": {"c": "a.b.c_"}}
-        assert sorted(result.pattern.labels) == ["a.b.c", "a.b.c_"]
+        assert result.injections == {"a": {"b.c": "b.c"}, "a.b": {"c": "c"}}
+        assert sorted(result.pattern.labels) == ["b.c", "c"]
+        a = pat(t, "a", [("b.c", "Model")])
+        result = combine(net_of("N", [ab, a], [Refinement("R", ab, a, {"c": "b.c"})]))
+        assert result.injections == {"a": {"b.c": "b.c"}, "a.b": {"c": "b.c"}}
 
     def test_single_pattern_network_is_isomorphic_copy(self, t):
         train = pat(t, "Train",
@@ -550,26 +554,27 @@ NOPE = ClassRef("urn:elsewhere#Nope", "Nope")
 
 
 class TestAgainstReference:
-    def test_dotted_names_clash_inside_merged_classes(self, t):
-        # Pattern 'a' comes first in the arena, so its merged class takes
-        # 'a.b.c' and the singleton 'a.b.c' of 'a.b' takes 'a.b.c_',
-        # which the merged class named 'a.b.c_' then has to pass over.
-        a = pat(t, "a", [("b.c", "Data"), ("x", "Model")], [("b.c", "x")])
-        ab = pat(t, "a.b", [("c", "Training"), ("c_", "Model")], [("c", "c_")])
-        m1 = pat(t, "m1", [("u", "Data")])
-        m2 = pat(t, "m2", [("y", "Model")])
-        net = net_of("N", [a, ab, m1, m2],
-                     [Refinement("R", m2, ab, {"y": "c_"}),
-                      Refinement("S", m2, a, {"y": "x"}),
-                      Refinement("U", m1, a, {"u": "b.c"})])
+    def test_equal_ids_clash_inside_merged_classes(self, t):
+        # Classes in their namers' order: 'a.c' (merged with 'm.u') keeps
+        # 'c'; 'a.c_2' owns 'c_2', so the class named by 'b.c' (merged
+        # with 'm.w') passes over it to 'c_3', and 'd.c' takes 'c_4'.
+        a = pat(t, "a", [("c", "Data"), ("c_2", "Model")], [("c", "c_2")])
+        b = pat(t, "b", [("c", "Training"), ("x", "Model")], [("c", "x")])
+        d = pat(t, "d", [("c", "Symbol")])
+        m = pat(t, "m", [("u", "Data"), ("w", "Training"), ("y", "Model")])
+        net = net_of("N", [a, b, d, m],
+                     [Refinement("R", m, b, {"w": "c", "y": "x"}),
+                      Refinement("S", m, a, {"u": "c"})])
         assert_matches_reference(net)
         result = combine(net)
-        assert result.injections == {"a": {"b.c": "a.b.c", "x": "a.b.c__"},
-                                     "a.b": {"c": "a.b.c_", "c_": "a.b.c__"},
-                                     "m1": {"u": "a.b.c"}, "m2": {"y": "a.b.c__"}}
+        assert result.injections == {"a": {"c": "c", "c_2": "c_2"},
+                                     "b": {"c": "c_3", "x": "x"},
+                                     "d": {"c": "c_4"},
+                                     "m": {"u": "c", "w": "c_3", "y": "x"}}
         assert {n: l.local_name for n, l in result.pattern.labels.items()} == {
-            "a.b.c": "Data", "a.b.c_": "Training", "a.b.c__": "Model"}
-        assert result.pattern.edges == {("a.b.c", "a.b.c__"), ("a.b.c_", "a.b.c__")}
+            "c": "Data", "c_2": "Model", "c_3": "Training", "x": "Model",
+            "c_4": "Symbol"}
+        assert result.pattern.edges == {("c", "c_2"), ("c_3", "x")}
 
     def test_merged_name_below_the_first_member_by_arena(self, t):
         # 'A' < 'A-' as pattern names, but 'A-.y' < 'A.x' as qualified ones.
@@ -578,11 +583,10 @@ class TestAgainstReference:
         net = net_of("N", [a, dash], [Refinement("R", a, dash, {"x": "y"})])
         assert_matches_reference(net)
         result = combine(net)
-        assert result.injections == {"A": {"x": "A-.y", "z": "A.z"},
-                                     "A-": {"y": "A-.y"}}
-        assert result.classes == {"A-.y": {("A", "x"), ("A-", "y")},
-                                  "A.z": {("A", "z")}}
-        assert result.pattern.labels["A-.y"].local_name == "Semantic_Model"
+        assert result.injections == {"A": {"x": "y", "z": "z"}, "A-": {"y": "y"}}
+        assert result.classes == {"y": {("A", "x"), ("A-", "y")},
+                                  "z": {("A", "z")}}
+        assert result.pattern.labels["y"].local_name == "Semantic_Model"
 
     def test_name_argument_names_the_pattern(self, glued_model_network):
         default, named = combine(glued_model_network), combine(glued_model_network, "G")

@@ -29,7 +29,7 @@ from nesypat.errors import (
     UnknownClassError,
     UnknownNameError,
 )
-from nesypat.pattern import build_pattern, isomorphic
+from nesypat.pattern import Refinement, build_pattern, isomorphic
 from nesypat.taxonomy import Taxonomy, default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
@@ -409,15 +409,42 @@ class TestEmitDsl:
         assert isomorphic(lib.patterns["SemanticGenerateAndTrain"],
                           lib2.patterns["SemanticGenerateAndTrain"])
 
-    def test_refinement_into_combined_pattern_is_emitted_without_via(self, catalog):
+    def test_refinement_into_combined_pattern_keeps_its_via(self, catalog):
         text = (FIG_DOC
                 + "pattern Tr = data ontohub:NeSyPatterns.omn t : Training; end\n"
                   "refinement R9 = Tr refined to SemanticGenerateAndTrain end\n")
         emitted = emit_dsl(resolve(parse(text), catalog))
-        assert ("\nrefinement R9 = Tr refined to SemanticGenerateAndTrain end\n"
-                in emitted)
+        assert ("\nrefinement R9 = Tr refined to SemanticGenerateAndTrain "
+                "via t |-> anon2_2 end\n" in emitted)
         lib2 = resolve(parse(emitted), Catalog.default())
-        assert lib2.refinements["R9"].node_map == {"t": "Train.anon2"}
+        assert lib2.refinements["R9"].node_map == {"t": "anon2_2"}
+
+    def test_map_from_combined_pattern_round_trips(self):
+        # Two maps from C into Q exist, so inference would be ambiguous:
+        # the printed via map alone keeps R.
+        lib = evaluate_combines(resolve(parse(
+            "logic NeSyPatterns\n"
+            "pattern A = data ontohub:NeSyPatterns.omn a : Model; end\n"
+            "network N = A end\npattern C = combine N end\n"
+            "pattern Q = data ontohub:NeSyPatterns.omn x : Model; y : Model; end\n")))
+        c, q = lib.patterns["C"], lib.patterns["Q"]
+        lib.refinements["R"] = Refinement("R", c, q, {"a": "x"})
+        text = emit_dsl(lib)
+        assert "\nrefinement R = C refined to Q via a |-> x end\n" in text
+        assert resolve(parse(text)).refinements["R"].node_map == {"a": "x"}
+
+    def test_unwritable_ids_of_combined_pattern_fall_back_to_inference(self):
+        t = default_taxonomy()
+        a = build_pattern("A", t, [("a.b", t.lookup("Model"))], [])
+        q = build_pattern("Q", t, [("x", t.lookup("Model"))], [])
+        net = Network("N", {"A": a}, {})
+        lib = evaluate_combines(Library(patterns={"A": a, "Q": q},
+                                        networks={"N": net},
+                                        combine_defs={"C": "N"}))
+        lib.refinements["R"] = Refinement("R", lib.patterns["C"], q, {"a.b": "x"})
+        text = emit_dsl(lib)
+        assert "\nrefinement R = C refined to Q end\n" in text
+        assert resolve(parse(text)).refinements["R"].node_map == {"a_b": "x"}
 
     def test_node_ids_are_sanitized_once_per_pattern(self, catalog, monkeypatch):
         # R1 and R2 both map from Model, whose body is printed too.

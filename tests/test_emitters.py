@@ -179,7 +179,7 @@ class TestEmitJson:
         assert len(obj["edges"]) == 5
         assert set(obj["injections"]) == {"Model", "Train", "SemanticDeduction"}
         merged = [c for c, members in obj["classes"].items() if len(members) > 1]
-        assert merged == ["Model.anon1"]
+        assert merged == ["anon1"]
 
     def test_network_payload(self, fig_lib):
         import json

@@ -77,6 +77,16 @@ def glued_chain_document(n: int) -> str:
             "network N = R end\npattern C = combine N end\n")
 
 
+def nested_combine_document(n: int) -> str:
+    """A two-node pattern C0, then for i = 1 ... n ``network Ni = C(i-1)
+    end`` and ``pattern Ci = combine Ni end``: each combination is a
+    copy of the one before."""
+    return ("logic NeSyPatterns\n"
+            "pattern C0 = data ontohub:NeSyPatterns.omn a : Model -> b : Data; end\n"
+            + "".join(f"network N{i} = C{i - 1} end\npattern C{i} = combine N{i} end\n"
+                      for i in range(1, n + 1)))
+
+
 def clauses_document(n: int) -> str:
     """``n`` patterns, each with its own `data` clause; one in ten
     extends the ontology inline."""
@@ -233,10 +243,12 @@ class TestInlineExtension:
 #: list or run of comment lines, with what each ends in: a ParseError's
 #: message, line and column, or each pattern's node and edge counts; and
 #: a memory bound in MiB.  The chain is the printed shape of a pattern
-#: cut before its ``end``, the lists stop before theirs, and the comment
-#: lines hold ``->``, ``end`` and ``data then``.  0.02, 0.04, 0.04 and
-#: 0.001 s measured untraced, and peaks of 2.5, 10.0, 9.9 and 0.9 MiB
-#: (2 vCPUs, Python 3.11).
+#: cut before its ``end``, the first two lists stop before theirs, the
+#: third is whole, and the comment lines hold ``->``, ``end`` and ``data
+#: then``.  0.02, 0.03, 0.03, 0.001 and 0.01 s measured untraced, and
+#: peaks of 2.5, 1.9, 1.6, 0.9 and 1.9 MiB (2 vCPUs, Python 3.11).  The
+#: lists peaked at 10.0, 9.9 and 7.9 MiB when a head regex kept one
+#: backtracking frame per item.
 DSL_RUNS = [
     ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n  "
      + " -> ".join(f"n{i} : {('Data', 'Training')[i % 2]}" for i in range(11200))
@@ -246,15 +258,18 @@ DSL_RUNS = [
      "pattern Q = data ontohub:NeSyPatterns.omn b : Data; end\n"
      "refinement R = P refined to Q via "
      + ", ".join(f"a{i} |-> b{i}" for i in range(11500)) + "\n",
-     ("expected 'end', found 'end of input'", 5, 1), 15),
+     ("expected 'end', found 'end of input'", 5, 1), 3),
     ("logic NeSyPatterns\nnetwork N = " + ", ".join(f"P{i}" for i in range(27000))
      + "\n",
-     ("expected 'end', found 'end of input'", 3, 1), 15),
+     ("expected 'end', found 'end of input'", 3, 1), 2.5),
     ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
      + "  %% a -> b : Data; end data then pattern Q\n" * 4500 + "  a : Data;\nend\n",
      {"P": (1, 0)}, 1.5),
+    ("logic NeSyPatterns\npattern Member = data ontohub:NeSyPatterns.omn a : Data; end\n"
+     "network N = " + ", ".join(["Member"] * 25000) + " end\n",
+     {"Member": (1, 0)}, 3),
 ]
-DSL_IDS = ["chain", "via", "members", "comments"]
+DSL_IDS = ["chain", "via", "members", "comments", "whole-members"]
 
 
 class TestDslRuns:
@@ -307,32 +322,66 @@ class TestIsomorphic:
 
 
 class TestCombine:
-    # 0.02-0.05 s and a 6.8-7.2 MiB peak measured on Python 3.10-3.13,
-    # where a union-find find per lookup, an infimum per class and the
-    # classes sorted by name took 0.05-0.1 s and 8.7-9.0 MiB.  Most of
-    # the peak is the result itself (a one-member frozenset per class),
-    # so the memory bound sits below the old peak instead of half again
-    # over the new one.
+    # 0.008 s and a 2.7 MiB peak measured for evaluate_combines, 0.018 s
+    # and 5.0 MiB for combination_result (Python 3.11), where a combined
+    # node named by its qualified member name, with an edge tuple made
+    # for every member edge, took 0.014 s and 4.0 MiB, and 0.024 s and
+    # 6.0 MiB.  Most of the peak is the result itself (a one-member
+    # frozenset per class), so the memory bounds sit below those old
+    # peaks instead of half again over the new ones.
     def test_evaluate_combines_of_10000_chain(self):
         lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
         out, wall, peak = measure(lambda: evaluate_combines(lib))
         c = out.patterns["C"]
         assert (c.name, len(c.labels), len(c.edges)) == ("C", 10000, 9999)
-        assert c.labels["H.h"].local_name == "Data"
-        assert ("H.h", "P.n1") in c.edges
+        assert c.labels["h"].local_name == "Data"
+        assert ("h", "n1") in c.edges
         assert wall < 1.0
-        assert peak < 8.5 * 2**20
+        assert peak < 3.5 * 2**20
 
     def test_combination_result_of_10000_chain(self):
         lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
         res, wall, peak = measure(lambda: combination_result(lib, "C"))
         assert res.pattern.name == "C"
-        assert res.classes["H.h"] == {("H", "h"), ("P", "n0")}
-        assert res.injections["P"]["n9999"] == "P.n9999"
-        assert res.injections["H"] == {"h": "H.h"}
+        assert res.classes["h"] == {("H", "h"), ("P", "n0")}
+        assert res.injections["P"]["n9999"] == "n9999"
+        assert res.injections["H"] == {"h": "h"}
         assert len(res.classes) == 10000
         assert wall < 1.0
-        assert peak < 8.5 * 2**20
+        assert peak < 5.9 * 2**20
+
+    def test_combined_pattern_holds_the_members_ids_and_edges(self):
+        # Only the edge at the renamed node n0 is a new tuple.
+        lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
+        c = evaluate_combines(lib).patterns["C"]
+        h, p = lib.patterns["H"], lib.patterns["P"]
+        ids, edges = dict(zip(c.labels, c.labels)), dict(zip(c.edges, c.edges))
+        assert ids["h"] is next(iter(h.labels))
+        assert all(ids[n] is n for n in p.labels if n != "n0")
+        assert "n0" not in ids
+        assert all(edges[e] is e for e in p.edges if e[0] != "n0")
+        assert ("n0", "n1") in p.edges and ("h", "n1") in c.edges
+
+    # 0.06 and 0.12 s, and peaks of 4.1 and 8.2 MiB, measured at depth
+    # 3000 and 6000 (2 vCPUs, Python 3.11).  When a combined node was
+    # named by its qualified member name, the names grew by one member
+    # name per level: ids of 16,891 characters and a 50.7 MiB peak at
+    # depth 3000.
+    def test_nested_combines_keep_the_member_ids(self):
+        def evaluate(n):
+            text = nested_combine_document(n)
+            return measure(lambda: evaluate_combines(resolve(parse(text))))
+
+        (lib3, wall3, peak3), (lib6, wall6, peak6) = evaluate(3000), evaluate(6000)
+        for lib, n in ((lib3, 3000), (lib6, 6000)):
+            c = lib.patterns[f"C{n}"]
+            assert {i: l.local_name for i, l in c.labels.items()} == {
+                "a": "Model", "b": "Data"}
+            assert c.edges == {("a", "b")}
+            assert max(len(i) for p in lib.patterns.values() for i in p.labels) == 1
+        assert peak6 <= 2.2 * peak3
+        assert wall6 < 2.0
+        assert peak6 < 13 * 2**20
 
 
 class TestResolve:
@@ -401,17 +450,19 @@ class TestEmit:
         assert peak < 2 * 2**20
 
     def test_emit_json_of_10000_chain_combination(self):
-        # 0.03 s and a 2.4 MiB peak measured; 0.05-0.07 s and 8.7 MiB
-        # when the text came from json.dumps of an object tree.
+        # 0.02 s and a 2.2 MiB peak measured; 2.4 MiB when a combined
+        # node was named by its qualified member name, and 0.05-0.07 s
+        # and 8.7 MiB when the text came from json.dumps of an object
+        # tree.
         lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
         res = combination_result(lib, "C")
         text, wall, peak = measure(lambda: emit_json(res))
         obj = json.loads(text)
         assert (len(obj["nodes"]), len(obj["edges"])) == (10000, 9999)
-        assert obj["classes"]["H.h"] == [["H", "h"], ["P", "n0"]]
-        assert obj["injections"]["P"]["n9999"] == "P.n9999"
+        assert obj["classes"]["h"] == [["H", "h"], ["P", "n0"]]
+        assert obj["injections"]["P"]["n9999"] == "n9999"
         assert wall < 1.0
-        assert peak < 3.7 * 2**20
+        assert peak < 3.3 * 2**20
 
     def test_emit_dot_of_10000_chain(self):
         # 0.02-0.03 s and a 3.1 MiB peak measured.
@@ -452,12 +503,13 @@ class TestEmit:
 
 class TestRoundTrip:
     # The stages the benchmark runs on its 1,500-node glued chain, with
-    # every stage's result held as there.  0.03-0.05 s and a 2.8 MiB
-    # peak measured, in the second evaluate_combines; 3.7 MiB, in
-    # emit_json, when emit_json handed an object tree of the combination
-    # to json.dumps.  The memory bound sits between the two, tighter than
-    # half again over the peak, so that a stage that builds such a tree
-    # again fails here.
+    # every stage's result held as there.  0.02-0.05 s and a 2.1 MiB
+    # peak measured; 2.7 MiB when a combined node was named by its
+    # qualified member name, with an edge tuple made for every member
+    # edge, and 3.7 MiB, in emit_json, when emit_json handed an object
+    # tree of the combination to json.dumps.  The memory bound sits
+    # below those, tighter than half again over the peak, so that a
+    # stage that builds such names or such a tree again fails here.
     def test_round_trip_of_1500_chain(self):
         text = glued_chain_document(1500)
 
@@ -477,7 +529,7 @@ class TestRoundTrip:
         assert len(res.classes) == 1500
         assert isomorphic(ev.patterns["C"], ev2.patterns["C"])
         assert wall < 1.0
-        assert peak < 3.3 * 2**20
+        assert peak < 2.7 * 2**20
 
 
 def flat_text(n: int) -> str:
