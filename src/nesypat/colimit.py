@@ -256,13 +256,9 @@ def _combine(net: Network, name: str | None):
             if i is not None:
                 label[r] = refs[i]
         roots.append(r)
-    # Unless a pattern name holds a character at or below '.', qualified
-    # names sort as arena nodes do, and a group's first member is its
-    # namer.
-    in_order = min("".join(index), default="/") > "."
     namer: dict[int, int] = {}
     for r, group in groups.items():
-        namer[r] = group[0] if in_order else min(group, key=qualified)
+        namer[r] = min(group, key=qualified)
         try:
             label[r] = taxonomy.infimum({node_labels[k] for k in group})
         except UnknownClassError:

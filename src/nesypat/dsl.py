@@ -640,20 +640,32 @@ def emit_dsl(lib: Library) -> str:
     their ``combine`` form.  A refinement is printed with its ``via``
     map.  A combine-defined endpoint is combined again on re-parse,
     where each combined node keeps a member's own id, so the map prints
-    its ids unchanged; it is left to inference only where one of them is
-    not a name ``parse`` accepts.  So every map of a library that
-    ``resolve`` built is printed and read back as it is.
+    its ids unchanged.  Such a map is left to inference when sanitizing
+    changes some pattern name or printed node id, as that can change
+    which member names a combined node, or when one of its ids is not a
+    name ``parse`` accepts.  So every map of a library that ``resolve``
+    built is printed and read back as it is.
     """
     items = _emit_order(lib)
     names = _safe_names(_declared_names(lib))
     node_ids = _SafeIds()
+    # Whether re-parsing combines every combine-defined pattern to the
+    # same ids: no pattern name and no printed node id is sanitized.
+    # Only a refinement with a combine-defined endpoint reads it.
+    combined_ids_kept = any(
+        p.name in lib.combine_defs
+        for r in lib.refinements.values() for p in (r.source, r.target)
+    ) and all(
+        names[name] == name
+        and (name in lib.combine_defs or all(map(_writable, p.sorted_ids)))
+        for name, p in lib.patterns.items())
     blocks = ["logic NeSyPatterns"]
     for kind, name in items:
         if kind == "pattern":
             blocks.append(_emit_pattern(lib, lib.patterns[name], names, node_ids))
         elif kind == "refinement":
             blocks.append(_emit_refinement(lib, lib.refinements[name], names,
-                                           node_ids))
+                                           node_ids, combined_ids_kept))
         elif kind == "network":
             net = lib.networks[name]
             members = sorted(net.patterns) + sorted(net.refinements)
@@ -806,15 +818,17 @@ def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str],
 
 
 def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str],
-                     node_ids: _SafeIds) -> str:
+                     node_ids: _SafeIds, combined_ids_kept: bool) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
-    # A combine-defined endpoint's ids are printed as they are (see
-    # emit_dsl).
+    # A combine-defined endpoint's ids are printed as they are, if
+    # re-parsing keeps them and they are names (see emit_dsl); the
+    # others are sanitized.
     src, tgt = (None if p.name in lib.combine_defs else node_ids[p.sorted_ids]
                 for p in (r.source, r.target))
     pairs = [(a if src is None else src[a], b if tgt is None else tgt[b])
              for a, b in sorted(r.node_map.items())]
-    if not all(map(_writable, chain.from_iterable(pairs))):
+    if (src is None or tgt is None) and not (
+            combined_ids_kept and all(map(_writable, chain.from_iterable(pairs)))):
         return f"{head} end"
     return f"{head} via {', '.join(f'{a} |-> {b}' for a, b in pairs)} end"

@@ -446,6 +446,29 @@ class TestEmitDsl:
         assert "\nrefinement R = C refined to Q end\n" in text
         assert resolve(parse(text)).refinements["R"].node_map == {"a_b": "x"}
 
+    def test_sanitized_member_ids_leave_the_map_to_inference(self):
+        # a_b names the merged class, but P prints a~ as a_, which then
+        # names it on re-parse: a printed via a_b |-> x would not resolve.
+        t = default_taxonomy()
+        model = t.lookup("Model")
+        p = build_pattern("P", t, [("a_b", model), ("a~", model)], [])
+        s = build_pattern("S", t, [("s", model)], [])
+        q = build_pattern("T", t, [("x", model)], [])
+        net = Network("N", {"P": p, "S": s},
+                      {"R1": Refinement("R1", s, p, {"s": "a_b"}),
+                       "R2": Refinement("R2", s, p, {"s": "a~"})})
+        lib = evaluate_combines(Library(patterns={"P": p, "S": s, "T": q},
+                                        refinements=dict(net.refinements),
+                                        networks={"N": net},
+                                        combine_defs={"C": "N"}))
+        assert lib.patterns["C"].sorted_ids == ("a_b",)
+        lib.refinements["R"] = Refinement("R", lib.patterns["C"], q, {"a_b": "x"})
+        text = emit_dsl(lib)
+        assert "\nrefinement R = C refined to T end\n" in text
+        lib2 = evaluate_combines(resolve(parse(text)))
+        assert lib2.patterns["C"].sorted_ids == ("a_",)
+        assert lib2.refinements["R"].node_map == {"a_": "x"}
+
     def test_node_ids_are_sanitized_once_per_pattern(self, catalog, monkeypatch):
         # R1 and R2 both map from Model, whose body is printed too.
         lib = resolve(parse(FIG_DOC), catalog)

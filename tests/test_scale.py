@@ -246,8 +246,9 @@ class TestInlineExtension:
 #: cut before its ``end``, the first two lists stop before theirs, the
 #: third is whole, and the comment lines hold ``->``, ``end`` and ``data
 #: then``.  0.02, 0.03, 0.03, 0.001 and 0.01 s measured untraced, and
-#: peaks of 2.5, 1.9, 1.6, 0.9 and 1.9 MiB (2 vCPUs, Python 3.11).  The
-#: lists peaked at 10.0, 9.9 and 7.9 MiB when a head regex kept one
+#: peaks of 2.5, 1.9, 1.6, 0.9 and 1.9 MiB (2 vCPUs, Python 3.11; not
+#: measured on other versions), which the bounds exceed by half again.
+#: The lists peaked at 10.0, 9.9 and 7.9 MiB when a head regex kept one
 #: backtracking frame per item.
 DSL_RUNS = [
     ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n  "
@@ -323,12 +324,12 @@ class TestIsomorphic:
 
 class TestCombine:
     # 0.008 s and a 2.7 MiB peak measured for evaluate_combines, 0.018 s
-    # and 5.0 MiB for combination_result (Python 3.11), where a combined
-    # node named by its qualified member name, with an edge tuple made
-    # for every member edge, took 0.014 s and 4.0 MiB, and 0.024 s and
-    # 6.0 MiB.  Most of the peak is the result itself (a one-member
-    # frozenset per class), so the memory bounds sit below those old
-    # peaks instead of half again over the new ones.
+    # and 5.0 MiB for combination_result (Python 3.11; not measured on
+    # 3.10, 3.12 or 3.13), where a combined node named by its qualified
+    # member name, with an edge tuple made for every member edge, took
+    # 0.014 s and 4.0 MiB, and 0.024 s and 6.0 MiB.  The memory bounds
+    # leave half again over the new peaks, for other Python versions;
+    # the asserted ids, not the bounds, fail on qualified names.
     def test_evaluate_combines_of_10000_chain(self):
         lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
         out, wall, peak = measure(lambda: evaluate_combines(lib))
@@ -337,7 +338,7 @@ class TestCombine:
         assert c.labels["h"].local_name == "Data"
         assert ("h", "n1") in c.edges
         assert wall < 1.0
-        assert peak < 3.5 * 2**20
+        assert peak < 4.1 * 2**20
 
     def test_combination_result_of_10000_chain(self):
         lib = resolve(parse(glued_chain_document(10000)), Catalog.default())
@@ -348,7 +349,7 @@ class TestCombine:
         assert res.injections["H"] == {"h": "h"}
         assert len(res.classes) == 10000
         assert wall < 1.0
-        assert peak < 5.9 * 2**20
+        assert peak < 7.5 * 2**20
 
     def test_combined_pattern_holds_the_members_ids_and_edges(self):
         # Only the edge at the renamed node n0 is a new tuple.
@@ -504,12 +505,12 @@ class TestEmit:
 class TestRoundTrip:
     # The stages the benchmark runs on its 1,500-node glued chain, with
     # every stage's result held as there.  0.02-0.05 s and a 2.1 MiB
-    # peak measured; 2.7 MiB when a combined node was named by its
-    # qualified member name, with an edge tuple made for every member
-    # edge, and 3.7 MiB, in emit_json, when emit_json handed an object
-    # tree of the combination to json.dumps.  The memory bound sits
-    # below those, tighter than half again over the peak, so that a
-    # stage that builds such names or such a tree again fails here.
+    # peak measured (Python 3.11); 2.7 MiB when a combined node was
+    # named by its qualified member name, with an edge tuple made for
+    # every member edge, and 3.7 MiB, in emit_json, when emit_json
+    # handed an object tree of the combination to json.dumps.  The
+    # memory bound leaves half again over the peak and sits below 3.7,
+    # so that a stage that builds such a tree again fails here.
     def test_round_trip_of_1500_chain(self):
         text = glued_chain_document(1500)
 
@@ -529,7 +530,7 @@ class TestRoundTrip:
         assert len(res.classes) == 1500
         assert isomorphic(ev.patterns["C"], ev2.patterns["C"])
         assert wall < 1.0
-        assert peak < 2.7 * 2**20
+        assert peak < 3.2 * 2**20
 
 
 def flat_text(n: int) -> str:
