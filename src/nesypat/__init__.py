@@ -51,7 +51,6 @@ from .errors import (
 )
 from .pattern import (
     Pattern,
-    PatternNode,
     Refinement,
     Violation,
     build_pattern,
@@ -75,7 +74,7 @@ __all__ = [
     "DegenerateLoopError", "Diagnostic", "Document", "DuplicateNameError",
     "DuplicateNodeError", "InvalidRefinementError", "LabelMismatchError",
     "Library", "NesyError", "Network", "NetworkTypeError", "NoRefinementError",
-    "ParseError", "Pattern", "PatternNode", "Refinement", "SearchBudgetError",
+    "ParseError", "Pattern", "Refinement", "SearchBudgetError",
     "SelfLoopError",
     "Taxonomy", "TaxonomyMismatchError", "UndefinedColimitError",
     "UnknownClassError", "UnknownLabelError", "UnknownNameError",

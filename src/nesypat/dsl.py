@@ -6,9 +6,9 @@ clause (optionally extending it inline after ``then``) and list chains
 of node references; ``x : Class`` introduces or re-references a named
 node, a bare class token creates a fresh anonymous node.  ``%%`` starts
 a line comment.  The reader goes through the text from one offset:
-one regex match per declaration head without comments (else one per
-token of it), the data clause raw, and one regex match per node
-reference of a body.
+one regex match per ``data`` pattern head or refinement head without
+comments, one per token of any other head, the data clause raw, and
+one regex match per node reference of a body.
 """
 
 from __future__ import annotations
@@ -175,28 +175,26 @@ _TOKEN_RE = re.compile(rf"{_TRIVIA}({_NAME}|\|->|->|\S|\Z)")
 _REF_RE = re.compile(rf"{_TRIVIA}({_NAME}){_TRIVIA}(?::{_TRIVIA}({_NAME}){_TRIVIA}|)(->|;)")
 _ONTREF_RE = re.compile(r"[^\s{}]*")
 
-#: Declaration heads without comments, each from its keyword on.  Every
-#: name is followed by whitespace or a symbol, and ``data``, ``via`` and
-#: ``end`` by no name character, so each is a whole token; a name may
-#: still be a keyword, which the parser checks.  An ontology reference
-#: that starts with a name is read with the head of its pattern, as
-#: ``data_clause`` reads it.  A head stops before its ``via`` list or
-#: member list, which ``_Parser.listed`` reads up to the first ``end``
-#: token behind it: ``_PAIRS`` or ``_MEMBERS`` reads each item that
-#: is whole between commas, and every item must be read.  No group
-#: repeats once per item, since ``re`` keeps a backtracking frame for
-#: each repetition of a group until the whole match ends.
+#: The heads of ``data`` patterns and of refinements, without comments,
+#: each from its keyword on; network and ``combine`` heads are read token
+#: by token.  Every name is followed by whitespace or a symbol, and
+#: ``data``, ``via`` and ``end`` by no name character, so each is a whole
+#: token; a name may still be a keyword, which the parser checks.  An
+#: ontology reference that starts with a name is read with the head of
+#: its pattern, as ``data_clause`` reads it.  A refinement head stops
+#: before its ``via`` list, which ``_Parser.listed`` reads up to the
+#: first ``end`` token behind it: ``_PAIRS`` reads each pair that is
+#: whole between commas, and every pair must be read.  No group repeats
+#: once per pair, since ``re`` keeps a backtracking frame for each
+#: repetition of a group until the whole match ends.
 _TAIL = r"(?![A-Za-z0-9_])"
 _PATTERN_HEAD = re.compile(
-    rf"pattern\s+({_NAME})\s*=\s*"
-    rf"(?:combine\s+({_NAME})\s+end|data(?:\s+([A-Za-z_][^\s{{}}]*))?){_TAIL}")
+    rf"pattern\s+({_NAME})\s*=\s*data(?:\s+([A-Za-z_][^\s{{}}]*))?{_TAIL}")
 _REFINEMENT_HEAD = re.compile(
     rf"refinement\s+({_NAME})\s*=\s*({_NAME})\s+refined\s+to\s+({_NAME})"
     rf"\s+(?:(via)\s|end{_TAIL})")
-_NETWORK_HEAD = re.compile(rf"network\s+({_NAME})\s*=")
 _PAIRS = re.compile(
     rf"(?:\A|(?<=,))\s*({_NAME})\s*\|->\s*({_NAME})\s*(?=,|\Z)").findall
-_MEMBERS = re.compile(rf"(?:\A|(?<=,))\s*({_NAME})\s*(?=,|\Z)").findall
 _END_RE = re.compile(rf"end(?<![A-Za-z0-9_]end){_TAIL}")
 
 
@@ -205,17 +203,20 @@ def _stray(value: str) -> bool:
     return value != "" and value not in _SYMBOLS and value[0] not in _NAME_START
 
 
-def _is_name(value: str) -> bool:
-    return value[:1] in _NAME_START and value not in _KEYWORDS
+def _writable(name: str) -> bool:
+    """Whether ``parse`` reads ``name`` as a name: an ASCII identifier,
+    exactly [A-Za-z_][A-Za-z0-9_]*, that is no keyword."""
+    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
 
 
 class _Parser:
     """Recursive descent from one offset into the text.  ``tok`` is the
     match of ``_TOKEN_RE`` at that offset (the token is group 1), and
     ``next`` matches the one behind it, so a token is matched only when
-    the parser reaches it.  A declaration head is first matched whole
-    from its keyword; where that match fails or reads a keyword as a
-    name, the head is read token by token from the keyword, which
+    the parser reaches it.  A ``data`` pattern head or a refinement head
+    is first matched whole from its keyword; where that match fails or
+    reads a keyword as a name, and for every network and ``combine``
+    head, the head is read token by token from the keyword, which
     places every error.  What follows ``data`` is read raw, by
     offset: the ontology reference (a maximal non-space run, so CURIEs
     and URLs stay whole), the fragment after ``then`` (to the matching
@@ -252,7 +253,7 @@ class _Parser:
 
     def expect_name(self, what: str = "a name") -> str:
         value = self.tok[1]
-        if not _is_name(value):
+        if not _writable(value):
             raise self.unexpected(what, what)
         self.next()
         return value
@@ -284,15 +285,13 @@ class _Parser:
     def pattern_decl(self) -> PatternDecl:
         start = self.tok.start(1)
         m = _PATTERN_HEAD.match(self.text, start)
-        if m and _KEYWORDS.isdisjoint(m.group(1, 2)):
-            name, net, base = m.groups()
+        if m and m[1] not in _KEYWORDS:
+            name, base = m.groups()
             line, col = self.at(start)
             if base is not None:
-                ont = OntRef(base, None, *self.at(m.start(3)))
+                ont = OntRef(base, None, *self.at(m.start(2)))
                 return PatternDecl(name, ont, self.chains(m.end()), None, line, col)
             self.tok = _TOKEN_RE.match(self.text, m.end())
-            if net is not None:
-                return PatternDecl(name, None, (), net, line, col)
             ont, pos = self.data_clause()
             return PatternDecl(name, ont, self.chains(pos), None, line, col)
         line, col = self.declaration()
@@ -387,22 +386,21 @@ class _Parser:
             self.expect_name("a class token")
         raise self.unexpected("'->' or ';'", "->", ";")
 
-    def listed(self, pos: int, findall) -> tuple[list, int] | None:
-        """The items of the comma-separated list at ``pos`` that the
-        first ``end`` token behind it closes, as ``findall`` reads them,
-        and the offset behind that ``end``; None unless every item is
-        read."""
+    def listed(self, pos: int) -> tuple[list, int] | None:
+        """The pairs of the ``via`` list at ``pos`` that the first ``end``
+        token behind it closes, as ``_PAIRS`` reads them, and the offset
+        behind that ``end``; None unless every pair is read."""
         end = _END_RE.search(self.text, pos)
         if end is None:
             return None
         items = self.text[pos:end.start()]
-        found = findall(items)
+        found = _PAIRS(items)
         return (found, end.end()) if len(found) == items.count(",") + 1 else None
 
     def refinement_decl(self) -> RefinementDecl:
         start = self.tok.start(1)
         m = _REFINEMENT_HEAD.match(self.text, start)
-        listed = m and (self.listed(m.end(), _PAIRS) if m[4] else (None, m.end()))
+        listed = m and (self.listed(m.end()) if m[4] else (None, m.end()))
         if listed:
             pairs, pos = listed
             if _KEYWORDS.isdisjoint((*m.group(1, 2, 3),
@@ -437,15 +435,6 @@ class _Parser:
         return (a, b)
 
     def network_decl(self) -> NetworkDecl:
-        start = self.tok.start(1)
-        m = _NETWORK_HEAD.match(self.text, start)
-        listed = m and self.listed(m.end(), _MEMBERS)
-        if listed:
-            members, pos = listed
-            if _KEYWORDS.isdisjoint((m[1], *members)):
-                self.tok = _TOKEN_RE.match(self.text, pos)
-                line, col = self.at(start)
-                return NetworkDecl(m[1], tuple(members), line, col)
         line, col = self.declaration()
         name = self.expect_name("a network name")
         self.expect("=")
@@ -659,10 +648,14 @@ def emit_dsl(lib: Library) -> str:
         names[name] == name
         and (name in lib.combine_defs or all(map(_writable, p.sorted_ids)))
         for name, p in lib.patterns.items())
+    data_keys: dict[Taxonomy, str] = {}  # the first key in order wins
+    for key in sorted(lib.taxonomies):
+        data_keys.setdefault(lib.taxonomies[key], key)
     blocks = ["logic NeSyPatterns"]
     for kind, name in items:
         if kind == "pattern":
-            blocks.append(_emit_pattern(lib, lib.patterns[name], names, node_ids))
+            blocks.append(_emit_pattern(data_keys, lib.patterns[name], names,
+                                        node_ids))
         elif kind == "refinement":
             blocks.append(_emit_refinement(lib, lib.refinements[name], names,
                                            node_ids, combined_ids_kept))
@@ -773,16 +766,10 @@ def _safe_names(names) -> dict[str, str]:
     return mapping
 
 
-def _writable(name: str) -> bool:
-    """Whether ``parse`` reads ``name`` as a name: an ASCII identifier,
-    exactly [A-Za-z_][A-Za-z0-9_]*, that is no keyword."""
-    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
-
-
-def _data_key_for(lib: Library, p: Pattern) -> str:
-    for key in sorted(lib.taxonomies):
-        if lib.taxonomies[key] == p.taxonomy:
-            return key
+def _data_key_for(data_keys: dict[Taxonomy, str], p: Pattern) -> str:
+    key = data_keys.get(p.taxonomy)
+    if key is not None:
+        return key
     if p.taxonomy == default_taxonomy():
         return BUILTIN_IRIS[0]
     raise ValueError(
@@ -790,8 +777,8 @@ def _data_key_for(lib: Library, p: Pattern) -> str:
         f"reference; cannot emit a data clause")
 
 
-def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str],
-                  node_ids: _SafeIds) -> str:
+def _emit_pattern(data_keys: dict[Taxonomy, str], p: Pattern,
+                  names: dict[str, str], node_ids: _SafeIds) -> str:
     ids = node_ids[p.sorted_ids]
     ref = {n: f"{ids[n]} : {p.labels[n].local_name}" for n in p.sorted_ids}
     out: dict[str, list[str]] = {}
@@ -800,7 +787,7 @@ def _emit_pattern(lib: Library, p: Pattern, names: dict[str, str],
     for heads in out.values():
         heads.sort(reverse=True)  # so pop() takes the smallest unused head
     ins = Counter(map(itemgetter(1), p.edges))
-    lines = [f"pattern {names[p.name]} = data {_data_key_for(lib, p)}"]
+    lines = [f"pattern {names[p.name]} = data {_data_key_for(data_keys, p)}"]
     # A trail must start where out-edges outnumber in-edges, so those
     # nodes start first; then any node with an unused out-edge does.
     sources = [n for n in p.sorted_ids if len(out.get(n, ())) > ins[n]]

@@ -35,11 +35,6 @@ from .taxonomy import ClassRef, Taxonomy
 SEARCH_BUDGET = 250_000
 
 
-class PatternNode(NamedTuple):
-    id: str
-    label: ClassRef
-
-
 class Pattern:
     """A named simple directed graph with class-labeled nodes.
 
@@ -49,7 +44,7 @@ class Pattern:
     while ``dsl.resolve`` and ``colimit.combine`` call it directly on
     nodes and edges they have checked.  ``labels`` maps each node id to
     its class and is the one node map, kept as the dict given; ``nodes``
-    builds the same map as a frozenset of PatternNode on each access.
+    is its view of (id, class) pairs, kept for callers that count nodes.
     Two patterns are equal when their name, taxonomy, labels and edges
     are.  ``sorted_ids`` lists the ids in order.
     """
@@ -76,8 +71,8 @@ class Pattern:
         return Pattern, (self.name, self.taxonomy, self.labels, self.edges)
 
     @property
-    def nodes(self) -> frozenset[PatternNode]:
-        return frozenset(PatternNode(i, l) for i, l in self.labels.items())
+    def nodes(self):
+        return self.labels.items()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

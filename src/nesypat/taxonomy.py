@@ -314,7 +314,7 @@ class Taxonomy:
                                  and self.subclass_edges == other.subclass_edges)
 
     def __hash__(self):
-        return hash((self.top.iri, len(self._refs)))
+        return hash((self.top.iri, self.classes))
 
     def __repr__(self):
         return f"Taxonomy({len(self._refs)} classes, top={self.top.local_name})"

@@ -111,10 +111,8 @@ def random_pattern(rng: random.Random, t: Taxonomy, name: str,
 def all_homomorphisms_oracle(src: Pattern, tgt: Pattern) -> set:
     """Every valid refinement map, by checking all |tgt|^|src| total maps."""
     t = src.taxonomy
-    src_ids = sorted(n.id for n in src.nodes)
-    tgt_ids = sorted(n.id for n in tgt.nodes)
-    src_label = {n.id: n.label for n in src.nodes}
-    tgt_label = {n.id: n.label for n in tgt.nodes}
+    src_ids, tgt_ids = sorted(src.labels), sorted(tgt.labels)
+    src_label, tgt_label = src.labels, tgt.labels
     found = set()
     for images in itertools.product(tgt_ids, repeat=len(src_ids)):
         m = dict(zip(src_ids, images))
@@ -128,12 +126,10 @@ def all_homomorphisms_oracle(src: Pattern, tgt: Pattern) -> set:
 
 def isomorphic_oracle(p: Pattern, q: Pattern) -> bool:
     """Label- and edge-preserving bijection, by brute force over permutations."""
-    p_ids = sorted(n.id for n in p.nodes)
-    q_ids = sorted(n.id for n in q.nodes)
+    p_ids, q_ids = sorted(p.labels), sorted(q.labels)
     if len(p_ids) != len(q_ids) or len(p.edges) != len(q.edges):
         return False
-    p_label = {n.id: n.label for n in p.nodes}
-    q_label = {n.id: n.label for n in q.nodes}
+    p_label, q_label = p.labels, q.labels
     for perm in itertools.permutations(q_ids):
         m = dict(zip(p_ids, perm))
         if not all(p_label[a] == q_label[m[a]] for a in p_ids):

@@ -88,7 +88,7 @@ def test_criterion_2_undefined_then_hybrid():
                     Catalog.default())
     out = evaluate_combines(glued)
     merged = out.patterns["Merged"]
-    labels = sorted(n.label.local_name for n in merged.nodes)
+    labels = sorted(c.local_name for c in merged.labels.values())
     assert labels == ["Hybrid_Model"]
 
 
@@ -101,7 +101,8 @@ def test_criterion_3_fig8_extension():
     assert t.leq(t.lookup("Embedding"), t.lookup("Process")) is True
     assert len(p.nodes) == 4
     assert len(p.edges) == 3
-    embedding_nodes = [n for n in p.nodes if n.label.local_name == "Embedding"]
+    embedding_nodes = [i for i, c in p.labels.items()
+                       if c.local_name == "Embedding"]
     assert len(embedding_nodes) == 1
 
 

@@ -165,8 +165,8 @@ class TestCombine:
                       Refinement("RB", model, stat, {"m0": "y"})])
         result = combine(net)
         assert len(result.pattern.nodes) == 1
-        (node,) = result.pattern.nodes
-        assert node.label.local_name == "Hybrid_Model"
+        (label,) = result.pattern.labels.values()
+        assert label.local_name == "Hybrid_Model"
 
     def test_degenerate_loop_rejected(self, t):
         single = pat(t, "S", [("s0", "Model")])
@@ -426,8 +426,8 @@ def test_stages_can_be_undefined_where_one_step_is_defined(t):
                   Refinement("RB", top, b, {"t": "b"}),
                   Refinement("OA", o, a, {"o": "a"}),
                   Refinement("OX", o, x, {"o": "x"})])
-    (node,) = combine(net).pattern.nodes
-    assert node.label.local_name == "B3"
+    (label,) = combine(net).pattern.labels.values()
+    assert label.local_name == "B3"
     assert closed_part(net, {"T"}) == {"T", "A", "B"}
     with pytest.raises(UndefinedColimitError):
         combine_in_stages(net, {"T", "A", "B"})

@@ -184,8 +184,7 @@ class TestResolve:
             " Model; end"), catalog)
         p = lib.patterns["P"]
         assert len(p.nodes) == 1 and not p.edges
-        (node,) = p.nodes
-        assert node.id == "anon1"
+        assert list(p.labels) == ["anon1"]
 
     @pytest.mark.parametrize("body, labels, edges", [
         ("Model;\nanon1 : Model -> Training;",
@@ -230,7 +229,7 @@ class TestResolve:
         assert len(p.edges) == 3
         t = p.taxonomy
         assert t.leq(t.lookup("Embedding"), t.lookup("Process"))
-        embed_nodes = [n for n in p.nodes if n.label.local_name == "Embedding"]
+        embed_nodes = [i for i, c in p.labels.items() if c.local_name == "Embedding"]
         assert len(embed_nodes) == 1
 
     def test_extensions_differing_inside_quotes_are_kept_apart(self, catalog):
@@ -498,6 +497,17 @@ class TestEmitDsl:
         p = build_pattern("P", variant, [("s", symbol)], [])
         with pytest.raises(ValueError, match="no registered ontology reference"):
             emit_dsl(Library(patterns={"P": p}))
+
+    def test_data_clause_is_the_first_key_of_an_equal_taxonomy(self):
+        d = default_taxonomy()
+        copy = Taxonomy(d.classes, d.subclass_edges, d.top)
+        assert copy is not d and copy == d and hash(copy) == hash(d)
+        p = build_pattern("P", d, [("s", d.lookup("Symbol"))], [])
+        text = emit_dsl(Library(taxonomies={"z:b": d, "y:a": copy},
+                                patterns={"P": p}))
+        assert "pattern P = data y:a\n" in text
+        text = emit_dsl(Library(patterns={"P": p}))
+        assert "pattern P = data https://ontohub.org/meta/NeSyPatterns.omn\n" in text
 
     def test_emission_is_deterministic(self, catalog):
         lib = resolve(parse(FIG_DOC), catalog)

@@ -236,8 +236,9 @@ def test_head_lookalikes_at_every_position_match_reference():
 
 
 def test_plain_heads_take_no_token_steps(monkeypatch):
-    # A head without comments is one match: _Parser.next runs for the
-    # logic line and for the end of each pattern body, never in a head.
+    # A data or refinement head without comments is one match:
+    # _Parser.next runs for the logic line and for the end of each
+    # pattern body, never in such a head.
     calls = []
     step = _Parser.next
 
@@ -246,9 +247,19 @@ def test_plain_heads_take_no_token_steps(monkeypatch):
         step(self)
 
     monkeypatch.setattr(_Parser, "next", counting)
-    text = "logic NeSyPatterns\n" + "\n".join(HEAD_RUN)
+    text = "logic NeSyPatterns\n" + "\n".join(HEAD_RUN[:4])
     doc = parse(text)
     assert calls == ["logic", "NeSyPatterns", "end", "end"]
+    monkeypatch.undo()
+    assert doc == reference_parse(text)
+    # A network or combine head is read token by token, comments or not.
+    text = "logic NeSyPatterns\n" + "\n".join(HEAD_RUN)
+    calls.clear()
+    monkeypatch.setattr(_Parser, "next", counting)
+    doc = parse(text)
+    assert calls == ["logic", "NeSyPatterns", "end", "end",
+                     "network", "N", "=", "A", ",", "B", ",", "R", "end",
+                     "pattern", "C", "=", "combine", "N", "end"]
     monkeypatch.undo()
     assert doc == reference_parse(text)
     calls.clear()

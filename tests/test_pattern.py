@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import nesypat
 from helpers import isomorphic_oracle, random_pattern
 from nesypat import Catalog, parse, resolve
 from nesypat.emitters import emit_manchester
@@ -15,7 +16,7 @@ from nesypat.errors import (
     UnknownLabelError,
     UnknownNodeError,
 )
-from nesypat.pattern import PatternNode, build_pattern, isomorphic
+from nesypat.pattern import build_pattern, isomorphic
 from nesypat.taxonomy import ClassRef, default_taxonomy, parse_taxonomy
 
 
@@ -75,11 +76,15 @@ class TestBuildPattern:
         q = chain_pattern(t, "p", ["Symbol", "Training", "Model"])
         assert p is not q and p == q and hash(p) == hash(q)
         assert p != chain_pattern(t, "q", ["Symbol", "Training", "Model"])
-        assert p.nodes == {PatternNode(i, l) for i, l in p.labels.items()}
+
+    def test_nodes_is_the_view_of_labels(self, t):
+        p = chain_pattern(t, "p", ["Symbol", "Training", "Model"])
+        assert p.nodes == p.labels.items() and len(p.nodes) == 3
+        assert "PatternNode" not in nesypat.__all__
 
     def test_10000_chain_retained_memory(self, t):
         # Measured 1.3 MiB on Python 3.11; a second node map as a set of
-        # PatternNode tuples takes it to 2.4 MiB.
+        # (id, class) tuples takes it to 2.4 MiB.
         ids = [f"n{i}" for i in range(10000)]
         nodes = [(i, t.lookup(("Data", "Training")[k % 2]))
                  for k, i in enumerate(ids)]
@@ -97,8 +102,7 @@ class TestBuildPattern:
         rng = random.Random(3)
         for _ in range(50):
             p = random_pattern(rng, t, "r", rng.randint(1, 7))
-            ids = {n.id for n in p.nodes}
-            assert len(ids) == len(p.nodes)
+            ids = p.labels.keys()
             for a, b in p.edges:
                 assert a != b
                 assert a in ids and b in ids
@@ -136,7 +140,7 @@ class TestIsomorphic:
                 # permuted copy of p, sometimes mutated
                 perm = {f"n{i}": f"m{j}" for i, j in
                         enumerate(rng.sample(range(n), n))}
-                nodes = [(perm[x.id], x.label) for x in p.nodes]
+                nodes = [(perm[i], label) for i, label in p.labels.items()]
                 edges = [(perm[a], perm[b]) for a, b in p.edges]
                 q = build_pattern("q", t, nodes, edges)
             else:

@@ -245,11 +245,12 @@ class TestInlineExtension:
 #: a memory bound in MiB.  The chain is the printed shape of a pattern
 #: cut before its ``end``, the first two lists stop before theirs, the
 #: third is whole, and the comment lines hold ``->``, ``end`` and ``data
-#: then``.  0.02, 0.03, 0.03, 0.001 and 0.01 s measured untraced, and
-#: peaks of 2.5, 1.9, 1.6, 0.9 and 1.9 MiB (2 vCPUs, Python 3.11; not
+#: then``.  0.02, 0.03, 0.03, 0.001 and 0.02 s measured untraced, and
+#: peaks of 2.5, 1.9, 1.6, 0.9 and 1.7 MiB (2 vCPUs, Python 3.11; not
 #: measured on other versions), which the bounds exceed by half again.
 #: The lists peaked at 10.0, 9.9 and 7.9 MiB when a head regex kept one
-#: backtracking frame per item.
+#: backtracking frame per item, and the whole one at 1.9 MiB when one
+#: ``findall`` read its members.
 DSL_RUNS = [
     ("logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n  "
      + " -> ".join(f"n{i} : {('Data', 'Training')[i % 2]}" for i in range(11200))
@@ -500,6 +501,29 @@ class TestEmit:
         assert lines[-1] == "end"
         assert wall < 1.0
         assert peak < 3.5 * 2**20
+
+    def test_emit_dsl_of_16000_data_clauses_grows_linearly(self):
+        # 1,600 of the patterns have an inline extension of their own, so
+        # 1,601 taxonomies of two sizes.  0.07 and 0.16-0.18 s measured
+        # at 8,000 and 16,000 patterns (least of three, ratio 2.3-2.4);
+        # 0.35 and 1.23-1.27 s, ratio 3.4-3.6, when each data clause
+        # scanned the sorted keys and each same-size taxonomy had the
+        # same hash.  Sizes alternate, so a slow spell of a shared
+        # machine slows both.
+        libs = {n: resolve(parse(clauses_document(n)), Catalog.default())
+                for n in (8000, 16000)}
+        walls = {n: [] for n in libs}
+        for _ in range(3):
+            for n, lib in libs.items():
+                start = time.perf_counter()
+                text = emit_dsl(lib)
+                walls[n].append(time.perf_counter() - start)
+        assert text.count("\npattern ") == 16000
+        assert text.count(" then Class: E") == 1600
+        assert ("pattern P15990 = data { ontohub:NeSyPatterns.omn then "
+                "Class: E15990 SubClassOf: Model }\n") in text
+        assert min(walls[16000]) < 0.6
+        assert min(walls[16000]) < 3 * min(walls[8000])
 
 
 class TestRoundTrip:
