@@ -16,9 +16,10 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
+from functools import cache
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .catalog import BUILTIN_IRIS, Catalog
 from .colimit import Library, build_network
@@ -99,10 +100,6 @@ class NodeRef(NamedTuple):
     col: int
 
 
-class Chain(NamedTuple):
-    refs: tuple[NodeRef, ...]
-
-
 class OntRef(NamedTuple):
     base: str
     extension: str | None
@@ -131,9 +128,12 @@ class OntRef(NamedTuple):
 
 
 class PatternDecl(NamedTuple):
+    """A pattern declaration: a ``data`` clause ``ont`` and the body's
+    chains, each the tuple of its node references in order, or the
+    network it combines, ``combine_of``."""
     name: str
     ont: OntRef | None
-    chains: tuple[Chain, ...]
+    chains: tuple[tuple[NodeRef, ...], ...]
     combine_of: str | None
     line: int
     col: int
@@ -346,9 +346,10 @@ class _Parser:
         return (OntRef(base, text[start:close], line, col, frag_line, frag_col),
                 end)
 
-    def chains(self, pos: int) -> tuple[Chain, ...]:
-        """The chains of the pattern body at ``pos``, up to and including
-        its ``end``, behind which tokens are read on."""
+    def chains(self, pos: int) -> tuple[tuple[NodeRef, ...], ...]:
+        """The chains of the pattern body at ``pos``, each the tuple of
+        its node references, read up to and including the body's ``end``,
+        behind which tokens are read on."""
         text, match, rfind = self.text, _REF_RE.match, self.text.rfind
         line, col = self.at(pos)
         line_start = seen = pos - col + 1  # newlines before seen are counted
@@ -369,7 +370,7 @@ class _Parser:
                             else (name, cls, line, col)))
             pos = m.end()
             if sep == ";":
-                chains.append(new(Chain, (tuple(refs),)))
+                chains.append(tuple(refs))
                 refs = []
         # No reference at pos: the body's end, or an error.
         self.tok = _TOKEN_RE.match(text, pos)
@@ -517,9 +518,9 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
     labels: dict[str, ClassRef] = {}
     classes: dict[str, ClassRef] = {}  # each class token is looked up once
     edges: set[tuple[str, str]] = set()  # a set's copy keeps fewer slots
-    for chain in decl.chains:
+    for refs in decl.chains:
         prev = None
-        for ref in chain.refs:
+        for ref in refs:
             cls = classes.get(ref.cls)
             if cls is None:
                 try:
@@ -529,7 +530,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
             node_id = ref.name
             if node_id is None:
                 if named is None:
-                    named = {r.name for c in decl.chains for r in c.refs}
+                    named = {r.name for refs in decl.chains for r in refs}
                 anon += 1
                 while f"anon{anon}" in named:
                     anon += 1
@@ -618,26 +619,30 @@ def _resolve_refinement(decl: RefinementDecl, lib: Library) -> None:
 def emit_dsl(lib: Library) -> str:
     """Render a library back to source text.
 
-    Output is deterministic; node ids are printed explicitly, and node
-    ids and pattern, refinement and network names are sanitized to
-    identifiers ``parse`` accepts where needed, so re-resolving yields
-    patterns isomorphic to the input's.  A pattern body prints each edge
-    once, in chains ``a : X -> b : Y -> ...;`` that follow the edges as
-    trails, and a node alone only when no edge touches it: |E| plus one
-    node reference per chain and per isolated node, so a path is one
-    chain of |V| references.  Combine-defined patterns are emitted as
-    their ``combine`` form.  A refinement is printed with its ``via``
-    map.  A combine-defined endpoint is combined again on re-parse,
-    where each combined node keeps a member's own id, so the map prints
-    its ids unchanged.  Such a map is left to inference when sanitizing
-    changes some pattern name or printed node id, as that can change
-    which member names a combined node, or when one of its ids is not a
-    name ``parse`` accepts.  So every map of a library that ``resolve``
-    built is printed and read back as it is.
+    Output is deterministic.  Each declaration comes after every
+    declaration it names; otherwise patterns, refinements, networks and
+    combine-definitions come in the library's order: the next one is the
+    first in that order whose names are all printed.  Node ids are
+    printed explicitly, and node ids and pattern, refinement and network
+    names are sanitized to identifiers ``parse`` accepts where needed,
+    so re-resolving yields patterns isomorphic to the input's.  A
+    pattern body prints each edge once, in chains
+    ``a : X -> b : Y -> ...;`` that follow the edges as trails, and a
+    node alone only when no edge touches it: |E| plus one node reference
+    per chain and per isolated node, so a path is one chain of |V|
+    references.  Combine-defined patterns are emitted as their
+    ``combine`` form.  A refinement is printed with its ``via`` map.  A
+    combine-defined endpoint is combined again on re-parse, where each
+    combined node keeps a member's own id, so the map prints its ids
+    unchanged.  Such a map is left to inference when sanitizing changes
+    some pattern name or printed node id, as that can change which
+    member names a combined node, or when one of its ids is not a name
+    ``parse`` accepts.  So every map of a library that ``resolve`` built
+    is printed and read back as it is.
     """
     items = _emit_order(lib)
     names = _safe_names(_declared_names(lib))
-    node_ids = _SafeIds()
+    node_ids = cache(_safe_names)  # each pattern's ids sanitized once
     # Whether re-parsing combines every combine-defined pattern to the
     # same ids: no pattern name and no printed node id is sanitized.
     # Only a refinement with a combine-defined endpoint reads it.
@@ -670,16 +675,6 @@ def emit_dsl(lib: Library) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-class _SafeIds(dict):
-    """``_safe_names`` of each pattern's ``sorted_ids``, computed on the
-    first lookup, so one ``emit_dsl`` call sanitizes a pattern's node ids
-    once for its body and every ``via`` map."""
-
-    def __missing__(self, sorted_ids: tuple[str, ...]) -> dict[str, str]:
-        ids = self[sorted_ids] = _safe_names(sorted_ids)
-        return ids
-
-
 def _declared_names(lib: Library) -> set[str]:
     """Every pattern, refinement and network name ``emit_dsl`` prints."""
     names = {*lib.combine_defs, *lib.combine_defs.values(), *lib.networks}
@@ -696,43 +691,44 @@ def _emit_order(lib: Library) -> list[tuple[str, str]]:
         return ("combine" if name in lib.combine_defs else "pattern", name)
 
     items: list[tuple[str, str]] = []
-    deps: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    deps: list[set[tuple[str, str]]] = []
     for name in lib.patterns:
         if name not in lib.combine_defs:
             items.append(("pattern", name))
-            deps[("pattern", name)] = set()
+            deps.append(set())
     for name, r in lib.refinements.items():
         items.append(("refinement", name))
-        deps[("refinement", name)] = {pattern_item(r.source.name),
-                                      pattern_item(r.target.name)}
+        deps.append({pattern_item(r.source.name), pattern_item(r.target.name)})
     for name, net in lib.networks.items():
         items.append(("network", name))
-        deps[("network", name)] = ({pattern_item(p) for p in net.patterns}
-                                   | {("refinement", r) for r in net.refinements})
+        deps.append({pattern_item(p) for p in net.patterns}
+                    | {("refinement", r) for r in net.refinements})
     for name in lib.combine_defs:
         items.append(("combine", name))
-        deps[("combine", name)] = {("network", lib.combine_defs[name])}
+        deps.append({("network", lib.combine_defs[name])})
 
-    import graphlib
-
-    # Emit the lowest-index item whose dependencies are all emitted.
-    known = set(items)
-    graph = graphlib.TopologicalSorter()
-    for item in items:
-        graph.add(item, *(d for d in deps[item] if d in known and d != item))
-    try:
-        graph.prepare()
-    except graphlib.CycleError:
-        raise ValueError("library declarations are cyclic; cannot emit") from None
+    # Emit the lowest-index item whose dependencies are all emitted: each
+    # item counts its unemitted ones, and emitting one releases its waiters.
     index = {item: i for i, item in enumerate(items)}
-    ready: list[tuple[int, tuple[str, str]]] = []
+    waits = [0] * len(items)
+    releases: list[list[int]] = [[] for _ in items]
+    for i, ds in enumerate(deps):
+        for d in ds:
+            j = index.get(d)  # None for a name the library does not hold
+            if j is not None:
+                waits[i] += 1
+                releases[j].append(i)
+    ready = [i for i, n in enumerate(waits) if not n]  # sorted, so a heap
     order: list[tuple[str, str]] = []
-    while graph.is_active():
-        for item in graph.get_ready():
-            heapq.heappush(ready, (index[item], item))
-        item = heapq.heappop(ready)[1]
-        graph.done(item)
-        order.append(item)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(items[i])
+        for k in releases[i]:
+            waits[k] -= 1
+            if not waits[k]:
+                heapq.heappush(ready, k)
+    if len(order) < len(items):
+        raise ValueError("library declarations are cyclic; cannot emit")
     return order
 
 
@@ -778,8 +774,8 @@ def _data_key_for(data_keys: dict[Taxonomy, str], p: Pattern) -> str:
 
 
 def _emit_pattern(data_keys: dict[Taxonomy, str], p: Pattern,
-                  names: dict[str, str], node_ids: _SafeIds) -> str:
-    ids = node_ids[p.sorted_ids]
+                  names: dict[str, str], node_ids: Callable[..., dict[str, str]]) -> str:
+    ids = node_ids(p.sorted_ids)
     ref = {n: f"{ids[n]} : {p.labels[n].local_name}" for n in p.sorted_ids}
     out: dict[str, list[str]] = {}
     for a, b in p.edges:
@@ -805,13 +801,14 @@ def _emit_pattern(data_keys: dict[Taxonomy, str], p: Pattern,
 
 
 def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str],
-                     node_ids: _SafeIds, combined_ids_kept: bool) -> str:
+                     node_ids: Callable[..., dict[str, str]],
+                     combined_ids_kept: bool) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
     # A combine-defined endpoint's ids are printed as they are, if
     # re-parsing keeps them and they are names (see emit_dsl); the
     # others are sanitized.
-    src, tgt = (None if p.name in lib.combine_defs else node_ids[p.sorted_ids]
+    src, tgt = (None if p.name in lib.combine_defs else node_ids(p.sorted_ids)
                 for p in (r.source, r.target))
     pairs = [(a if src is None else src[a], b if tgt is None else tgt[b])
              for a, b in sorted(r.node_map.items())]

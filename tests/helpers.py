@@ -15,7 +15,6 @@ from nesypat import Network
 from nesypat.colimit import CombinationResult, validate_network
 from nesypat.dsl import (
     LOGIC_NAME,
-    Chain,
     Document,
     NetworkDecl,
     NodeRef,
@@ -192,6 +191,42 @@ def random_dsl_document(rng: random.Random) -> str:
     lines.append("network Net = " + ", ".join(names) + " end")
     lines.append("pattern Comb = combine Net end")
     return "\n".join(lines)
+
+
+def waiting_refinements_document(n: int) -> str:
+    """A combine-defined pattern ``C`` and ``n`` refinements
+    ``Ri = C refined to Qi``, each with a map of its own.  A library
+    lists combine-definitions last, so every refinement waits on ``C``."""
+    return ("logic NeSyPatterns\n"
+            "pattern P = data ontohub:NeSyPatterns.omn a : Model -> b : Data; end\n"
+            "network N = P end\npattern C = combine N end\n"
+            + "".join(f"pattern Q{i} = data ontohub:NeSyPatterns.omn "
+                      f"a{i} : Model -> b{i} : Data; end\n"
+                      f"refinement R{i} = C refined to Q{i} via a |-> a{i}, b |-> b{i} end\n"
+                      for i in range(n)))
+
+
+#: Three members, ``D``, ``I`` and ``S``, glued at one ``Model`` node by
+#: the refinements out of ``I``, and combined in one step.
+_THREE_MEMBERS = """logic NeSyPatterns
+pattern D = data ontohub:NeSyPatterns.omn b : Model -> t : Data; end
+pattern I = data ontohub:NeSyPatterns.omn a : Model; end
+pattern S = data ontohub:NeSyPatterns.omn s : Symbol -> m : Model; end
+refinement ToD = I refined to D via a |-> b end
+refinement ToS = I refined to S via a |-> m end
+"""
+ONE_STEP_DOC = _THREE_MEMBERS + """network N = D, I, S, ToD, ToS end
+pattern C = combine N end
+"""
+#: The same three members combined in stages: ``D`` and ``I`` first, into
+#: ``C1``, whose combined node keeps ``D``'s id ``b``; then ``C1`` with
+#: ``S``, glued by a map from ``I`` into that combined node.
+STAGED_DOC = _THREE_MEMBERS + """network N1 = D, I, ToD end
+pattern C1 = combine N1 end
+refinement Glue = I refined to C1 via a |-> b end
+network N2 = C1, S, Glue, ToS end
+pattern C = combine N2 end
+"""
 
 
 # -- equivalence closure oracle -------------------------------------------
@@ -622,7 +657,7 @@ class ReferenceParser:
         base = self.lx.scan_ontref()
         return OntRef(base.value, None, base.line, base.col)
 
-    def chain(self) -> Chain:
+    def chain(self) -> tuple[NodeRef, ...]:
         refs = [self.node_ref()]
         while True:
             tok = self.lx.peek()
@@ -631,7 +666,7 @@ class ReferenceParser:
                 refs.append(self.node_ref())
             elif tok.kind == ";":
                 self.lx.next()
-                return Chain(tuple(refs))
+                return tuple(refs)
             else:
                 raise _unexpected(tok, "'->' or ';'", "->", ";")
 

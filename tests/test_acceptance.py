@@ -99,7 +99,7 @@ def test_criterion_3_fig8_extension():
     p = lib.patterns["Embedding"]
     t = p.taxonomy
     assert t.leq(t.lookup("Embedding"), t.lookup("Process")) is True
-    assert len(p.nodes) == 4
+    assert len(p.labels) == 4
     assert len(p.edges) == 3
     embedding_nodes = [i for i, c in p.labels.items()
                        if c.local_name == "Embedding"]

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from helpers import ONE_STEP_DOC, STAGED_DOC
 from nesypat.catalog import Catalog, load_catalog
 from nesypat.cli import cmd_check, cmd_combine, cmd_infer, main
 from nesypat.dsl import parse, resolve
 from nesypat.errors import CatalogMissError
-from nesypat.pattern import check_refinement
+from nesypat.emitters import pattern_from_json
+from nesypat.pattern import check_refinement, isomorphic
 from nesypat.taxonomy import default_taxonomy
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
@@ -238,7 +240,7 @@ class TestCmdCombine:
         assert code == 0
         from nesypat.dsl import parse, resolve
         lib = resolve(parse(out), Catalog.default())
-        assert len(lib.patterns["SemanticGenerateAndTrain"].nodes) == 6
+        assert len(lib.patterns["SemanticGenerateAndTrain"].labels) == 6
 
     def test_abox_output(self):
         code, out, err = run(cmd_combine, FIG, "Train", "abox", Catalog.default())
@@ -269,6 +271,20 @@ class TestCmdCombine:
         code, out, err = run(cmd_combine, FIG, "Nope", "json", Catalog.default())
         assert code == 1
         assert "Nope" in err
+
+    def test_combining_in_stages_prints_the_one_step_combination(self, tmp_path):
+        # Three members combined at once, and two of them first, then that
+        # combination glued to the third by a map into its combined node.
+        patterns = []
+        for name, text in (("one_step", ONE_STEP_DOC), ("staged", STAGED_DOC)):
+            doc = tmp_path / f"{name}.nesy"
+            doc.write_text(text)
+            code, out, err = run(cmd_combine, str(doc), "C", "json", Catalog.default())
+            assert (code, err) == (0, "")
+            patterns.append(pattern_from_json(out, default_taxonomy()))
+        one_step, staged = patterns
+        assert (len(one_step.labels), len(one_step.edges)) == (3, 2)
+        assert isomorphic(one_step, staged)
 
 
 class TestCmdInfer:
@@ -555,17 +571,23 @@ class TestAllowFetch:
 
 
 def test_check_imports_no_start_up_weight():
-    """``import nesypat`` and a ``check`` run import none of these
-    modules, which would add to every command's start-up.  ``-S`` keeps
-    site-packages hooks from importing them first."""
+    """``import nesypat``, a ``check`` run and a ``combine --format dsl``
+    run import none of these modules, which would add to every command's
+    start-up.  ``-S`` keeps site-packages hooks from importing them
+    first."""
     heavy = ("dataclasses", "inspect", "json", "graphlib")
-    code = (f"import sys; sys.path.insert(0, {str(CORPUS.parents[1])!r})\n"
+    code = (f"import sys, io; sys.path.insert(0, {str(CORPUS.parents[1])!r})\n"
             "import nesypat, nesypat.cli\n"
             f"code = nesypat.cli.main(['check', {HYBRID!r}])\n"
-            f"print(code, sorted(m for m in {heavy!r} if m in sys.modules))\n")
+            "sys.stdout = out = io.StringIO()\n"
+            f"code = code, nesypat.cli.main(['combine', {FIG!r}, '--pattern',\n"
+            "    'SemanticGenerateAndTrain', '--format', 'dsl'])\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, 'pattern SemanticGenerateAndTrain = data' in out.getvalue(),\n"
+            f"      sorted(m for m in {heavy!r} if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "0 []\n", proc.stderr
+    assert proc.stdout == "(0, 0) True []\n", proc.stderr
 
 
 @pytest.mark.parametrize("path, code, first_line", [

@@ -72,7 +72,7 @@ class TestCombine:
     def test_glued_network_shape_and_labels(self, t, glued_model_network):
         result = combine(glued_model_network)
         p = result.pattern
-        assert len(p.nodes) == 6
+        assert len(p.labels) == 6
         assert len(p.edges) == 5
         expected = pat(t, "expected",
                        [("a", "Symbol"), ("b", "Training"), ("m", "Semantic_Model"),
@@ -120,7 +120,7 @@ class TestCombine:
             pats = [random_pattern(rng, t, f"p{i}", rng.randint(1, 4), 0.3)
                     for i in range(rng.randint(1, 3))]
             result = combine(net_of("U", pats, []))
-            assert len(result.pattern.nodes) == sum(len(p.nodes) for p in pats)
+            assert len(result.pattern.labels) == sum(len(p.labels) for p in pats)
 
     def test_semantic_statistical_clash_undefined(self, t):
         model = pat(t, "M", [("m0", "Model")])
@@ -164,7 +164,7 @@ class TestCombine:
                      [Refinement("RA", model, sem, {"m0": "x"}),
                       Refinement("RB", model, stat, {"m0": "y"})])
         result = combine(net)
-        assert len(result.pattern.nodes) == 1
+        assert len(result.pattern.labels) == 1
         (label,) = result.pattern.labels.values()
         assert label.local_name == "Hybrid_Model"
 
@@ -675,7 +675,7 @@ class TestEvaluateCombines:
         )
         out = evaluate_combines(lib)
         assert "SemanticGenerateAndTrain" in out.patterns
-        assert len(out.patterns["SemanticGenerateAndTrain"].nodes) == 6
+        assert len(out.patterns["SemanticGenerateAndTrain"].labels) == 6
         assert "SemanticGenerateAndTrain" not in lib.patterns  # input untouched
 
     def test_library_without_combines_unchanged(self, t):
@@ -764,7 +764,7 @@ class TestEvaluator:
         assert res.pattern == out.patterns["SemanticGenerateAndTrain"]
         assert res == combine(lib.networks["N"], "SemanticGenerateAndTrain")
         assert set(res.injections) == set(lib.networks["N"].patterns)
-        assert len(res.classes) == len(res.pattern.nodes) == 6
+        assert len(res.classes) == len(res.pattern.labels) == 6
 
     def test_combination_result_combines_once(self, count_combines):
         lib = resolve(parse(FIG_DOC), Catalog.default())
@@ -772,7 +772,7 @@ class TestEvaluator:
         res = combination_result(lib, "SemanticGenerateAndTrain")
         assert count_combines == ["N"]
         assert res.pattern.name == "SemanticGenerateAndTrain"
-        assert len(res.pattern.nodes) == 6
+        assert len(res.pattern.labels) == 6
         assert "SemanticGenerateAndTrain" not in lib.patterns  # input untouched
 
     def test_combination_result_of_a_plain_pattern_is_rejected(self):

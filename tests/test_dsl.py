@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_dsl_document
+from helpers import STAGED_DOC, random_dsl_document, waiting_refinements_document
 from nesypat import Library, Network, dsl
 from nesypat.catalog import Catalog
 from nesypat.cli import cmd_check
@@ -144,7 +144,7 @@ class TestParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(doc.declarations[0].chains[0].refs) == 5000
+        assert len(doc.declarations[0].chains[0]) == 5000
         assert peak < 4 * 2**20
 
 
@@ -175,7 +175,7 @@ class TestResolve:
             "Symbol -> d : Deduction -> Symbol;\nSemantic_Model -> d : Deduction;\n"
             "end"), catalog)
         p = lib.patterns["P"]
-        assert len(p.nodes) == 4
+        assert len(p.labels) == 4
         assert len(p.edges) == 3
 
     def test_single_statement_single_node(self, catalog):
@@ -183,7 +183,7 @@ class TestResolve:
             "logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn"
             " Model; end"), catalog)
         p = lib.patterns["P"]
-        assert len(p.nodes) == 1 and not p.edges
+        assert len(p.labels) == 1 and not p.edges
         assert list(p.labels) == ["anon1"]
 
     @pytest.mark.parametrize("body, labels, edges", [
@@ -225,7 +225,7 @@ class TestResolve:
     def test_embedding_resolves_with_extension(self, catalog):
         lib = resolve(parse(EMBEDDING_DOC), catalog)
         p = lib.patterns["Embedding"]
-        assert len(p.nodes) == 4
+        assert len(p.labels) == 4
         assert len(p.edges) == 3
         t = p.taxonomy
         assert t.leq(t.lookup("Embedding"), t.lookup("Process"))
@@ -516,7 +516,7 @@ class TestEmitDsl:
 
 class TestRoundTripProperty:
     def test_random_libraries_roundtrip(self):
-        from helpers import random_dsl_document
+        from helpers import STAGED_DOC, random_dsl_document, waiting_refinements_document
         rng = random.Random(61)
         for _ in range(12):
             text = random_dsl_document(rng)
@@ -603,7 +603,8 @@ def _shuffled(d: dict, rng) -> dict:
 class TestEmitOrder:
     def test_shuffled_declarations_match_reference(self, catalog, monkeypatch):
         rng = random.Random(67)
-        texts = [FIG_DOC, EMBEDDING_DOC, nested_combines(12)]
+        texts = [FIG_DOC, EMBEDDING_DOC, nested_combines(12),
+                 waiting_refinements_document(5), STAGED_DOC]
         texts += [random_dsl_document(rng) for _ in range(6)]
         for text in texts:
             lib = resolve(parse(text), catalog)

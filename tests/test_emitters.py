@@ -255,9 +255,9 @@ class TestEmitAbox:
         for _ in range(20):
             p = random_pattern(rng, t, "r", rng.randint(1, 6), 0.4)
             triples = emit_abox(p)
-            assert len(triples.memberships) == len(p.nodes)
+            assert len(triples.memberships) == len(p.labels)
             assert len(triples.links) == len(p.edges)
-            assert len(triples.lines) == len(p.nodes) + len(p.edges)
+            assert len(triples.lines) == len(p.labels) + len(p.edges)
 
     @settings(deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 8), st.floats(0, 1))

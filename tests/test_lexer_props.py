@@ -149,10 +149,10 @@ def test_every_prefix_of_bodies_matches_reference():
 def test_body_positions_count_only_newlines():
     # \r, \x85 and \x1c are trivia but start no line.
     text = "logic NeSyPatterns\n" + SPLIT_BODY
-    refs = [r for c in parse(text).declarations[0].chains for r in c.refs]
+    refs = [r for c in parse(text).declarations[0].chains for r in c]
     assert [r[2:] for r in refs] == [(3, 3), (5, 11), (7, 3), (7, 13)]
     assert refs == [r for c in reference_parse(text).declarations[0].chains
-                    for r in c.refs]
+                    for r in c]
 
 
 @SETTINGS

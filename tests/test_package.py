@@ -11,7 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "nesypat"
 #: Standard-library modules imported inside a function, so that start-up
 #: does not load them.
-LAZY = {"json", "graphlib", "urllib.request"}
+LAZY = {"json", "urllib.request"}
 
 
 def modules() -> dict[str, ast.Module]:

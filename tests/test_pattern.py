@@ -36,12 +36,12 @@ class TestBuildPattern:
     def test_train_shaped_pattern(self, t):
         p = chain_pattern(t, "Train", ["Symbol", "Training", "Model"],
                           ids=["s", "tr", "m"])
-        assert len(p.nodes) == 3
+        assert len(p.labels) == 3
         assert p.edges == {("s", "tr"), ("tr", "m")}
 
     def test_single_node_no_edges(self, t):
         p = build_pattern("Model", t, [("m", t.lookup("Model"))], [])
-        assert len(p.nodes) == 1 and not p.edges
+        assert len(p.labels) == 1 and not p.edges
 
     def test_self_loop_rejected(self, t):
         with pytest.raises(SelfLoopError):
@@ -54,7 +54,7 @@ class TestBuildPattern:
     def test_duplicate_id_same_label_idempotent(self, t):
         p = build_pattern("p", t,
                           [("a", t.lookup("Symbol")), ("a", t.lookup("Symbol"))], [])
-        assert len(p.nodes) == 1
+        assert len(p.labels) == 1
 
     def test_duplicate_id_other_label_rejected(self, t):
         with pytest.raises(DuplicateNodeError):

@@ -261,7 +261,7 @@ class TestSearchBudget:
         # A 12-node chain has 3 * 2**11 = 6144 maps into K3, each found
         # after a few steps of search but holding 12 nodes.
         ids = [f"l{i:02d}" for i in range(12)]
-        chain = top_pattern(t, "Chain", ids, zip(ids, ids[1:]))
+        chain = top_pattern(t, "Path", ids, zip(ids, ids[1:]))
         k3 = complete_digraph(t, "K", 3)
         assert len(find_homomorphisms(chain, k3)) == 6144
         budget(40_000)
@@ -281,7 +281,7 @@ class TestLargeInputs:
     @pytest.fixture(scope="class")
     def chain(self, t):
         ids = [f"l{i}" for i in range(5000)]
-        return top_pattern(t, "Chain", ids, zip(ids, ids[1:]))
+        return top_pattern(t, "Path", ids, zip(ids, ids[1:]))
 
     def test_chain_into_two_cycle_has_two_maps(self, t, chain):
         two = pat(t, "Two", [("a", "Data"), ("b", "Training")],
