@@ -8,7 +8,10 @@ node, a bare class token creates a fresh anonymous node.  ``%%`` starts
 a line comment.  The reader goes through the text from one offset:
 one regex match per ``data`` pattern head or refinement head without
 comments, one per token of any other head, the data clause raw, and
-one regex match per node reference of a body.
+one regex match per node reference of a body.  A node reference keeps
+the offset of its first name; line and column are worked out for
+declarations, ontology references, errors and warnings, and for a node
+reference only when an error is placed at it.
 """
 
 from __future__ import annotations
@@ -94,10 +97,12 @@ def _text_tokens(text: str, pos: int, nxt: dict[str, int]):
 # -- AST --------------------------------------------------------------------
 
 class NodeRef(NamedTuple):
+    """A node reference of a pattern body: its node's name (None for an
+    anonymous node), its class token, and the offset of its first name
+    in the document's text."""
     name: str | None
     cls: str
-    line: int
-    col: int
+    offset: int
 
 
 class OntRef(NamedTuple):
@@ -156,7 +161,12 @@ class NetworkDecl(NamedTuple):
 
 
 class Document(NamedTuple):
+    """The declarations of a document, and the text ``parse`` read them
+    from, which places an error at a node reference.  A hand-built
+    Document without text has such errors placed at their pattern's
+    declaration."""
     declarations: tuple
+    text: str = ""
 
 
 # -- reader -------------------------------------------------------------------
@@ -221,7 +231,7 @@ class _Parser:
     offset: the ontology reference (a maximal non-space run, so CURIEs
     and URLs stay whole), the fragment after ``then`` (to the matching
     brace), and the body, one node reference per match of ``_REF_RE``,
-    its line carried on from the newlines before it.  Where no reference
+    which keeps the offset of its first name.  Where no reference
     matches, tokens are matched on from there: the body's ``end``, or
     the error they place."""
 
@@ -277,7 +287,7 @@ class _Parser:
             elif value == "network":
                 decls.append(self.network_decl())
             elif not value:
-                return Document(tuple(decls))
+                return Document(tuple(decls), self.text)
             else:
                 raise self.unexpected("a declaration",
                                       "pattern", "refinement", "network")
@@ -349,25 +359,17 @@ class _Parser:
     def chains(self, pos: int) -> tuple[tuple[NodeRef, ...], ...]:
         """The chains of the pattern body at ``pos``, each the tuple of
         its node references, read up to and including the body's ``end``,
-        behind which tokens are read on."""
-        text, match, rfind = self.text, _REF_RE.match, self.text.rfind
-        line, col = self.at(pos)
-        line_start = seen = pos - col + 1  # newlines before seen are counted
+        behind which tokens are read on.  A reference keeps its offset;
+        no line or column is worked out here."""
+        text, match = self.text, _REF_RE.match
         new = tuple.__new__  # NodeRef(...) without its Python-level __new__
         chains, refs = [], []
         while (m := match(text, pos)) is not None:
             name, cls, sep = m.groups()
             if name in _KEYWORDS or cls in _KEYWORDS:
                 break
-            start = m.start(1)
-            nl = rfind("\n", seen, start)
-            if nl >= 0:
-                line += text.count("\n", seen, nl) + 1
-                line_start = nl + 1
-            seen = start
-            col = start - line_start + 1
-            refs.append(new(NodeRef, (None, name, line, col) if cls is None
-                            else (name, cls, line, col)))
+            refs.append(new(NodeRef, (None, name, m.start(1)) if cls is None
+                            else (name, cls, m.start(1))))
             pos = m.end()
             if sep == ";":
                 chains.append(tuple(refs))
@@ -476,7 +478,7 @@ def resolve(doc: Document, catalog: Catalog | None = None,
     for decl in doc.declarations:
         try:
             if isinstance(decl, PatternDecl):
-                _resolve_pattern(decl, lib, catalog, diagnostics, seen)
+                _resolve_pattern(decl, lib, catalog, diagnostics, seen, doc.text)
             elif isinstance(decl, RefinementDecl):
                 _resolve_refinement(decl, lib)
             elif isinstance(decl, NetworkDecl):
@@ -496,8 +498,15 @@ def _pattern_positions(doc: Document) -> dict[str, tuple[int, int]]:
             if isinstance(d, PatternDecl)}
 
 
-def _resolve_pattern(decl: PatternDecl, lib: Library,
-                     catalog: Catalog, diagnostics, seen: dict) -> None:
+def _placed(e: NesyError, text: str, ref: NodeRef) -> NesyError:
+    """``e`` placed at ``ref`` in ``text``, the one pass over the text
+    that works out its line and column; left unplaced without a text, so
+    that ``resolve`` places it at the pattern's declaration."""
+    return e.at(*_positions(text)(ref.offset)) if text else e
+
+
+def _resolve_pattern(decl: PatternDecl, lib: Library, catalog: Catalog,
+                     diagnostics, seen: dict, text: str) -> None:
     if decl.name in lib.patterns or decl.name in lib.combine_defs:
         raise DuplicateNameError(f"pattern {decl.name!r} declared twice")
     if decl.combine_of is not None:
@@ -526,7 +535,7 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                 try:
                     cls = classes[ref.cls] = taxonomy.lookup(ref.cls)
                 except NesyError as e:
-                    raise e.at(ref.line, ref.col)
+                    raise _placed(e, text, ref)
             node_id = ref.name
             if node_id is None:
                 if named is None:
@@ -536,16 +545,16 @@ def _resolve_pattern(decl: PatternDecl, lib: Library,
                     anon += 1
                 node_id = f"anon{anon}"
             elif labels.get(node_id, cls) is not cls:  # one object per class
-                raise LabelMismatchError(
+                raise _placed(LabelMismatchError(
                     f"node {node_id!r} was declared with class "
                     f"{labels[node_id].local_name!r} but recurs "
-                    f"with {ref.cls!r}", line=ref.line, col=ref.col)
+                    f"with {ref.cls!r}"), text, ref)
             labels[node_id] = cls
             if prev is not None:
                 if prev == node_id:
-                    raise SelfLoopError(
-                        f"chain creates a self-loop on node {node_id!r}",
-                        line=ref.line, col=ref.col)
+                    raise _placed(SelfLoopError(
+                        f"chain creates a self-loop on node {node_id!r}"),
+                        text, ref)
                 edges.add((prev, node_id))
             prev = node_id
     # Every label and edge is checked above; no validating pass follows.
@@ -644,15 +653,18 @@ def emit_dsl(lib: Library) -> str:
     names = _safe_names(_declared_names(lib))
     node_ids = cache(_safe_names)  # each pattern's ids sanitized once
     # Whether re-parsing combines every combine-defined pattern to the
-    # same ids: no pattern name and no printed node id is sanitized.
-    # Only a refinement with a combine-defined endpoint reads it.
+    # same ids: no pattern name and no printed node id is sanitized, so
+    # every id maps to itself.  Only a refinement with a combine-defined
+    # endpoint reads it, and tests each id it maps there once per call.
     combined_ids_kept = any(
         p.name in lib.combine_defs
         for r in lib.refinements.values() for p in (r.source, r.target)
     ) and all(
         names[name] == name
-        and (name in lib.combine_defs or all(map(_writable, p.sorted_ids)))
+        and (name in lib.combine_defs
+             or all(k == v for k, v in node_ids(p.sorted_ids).items()))
         for name, p in lib.patterns.items())
+    writable = cache(_writable) if combined_ids_kept else None
     data_keys: dict[Taxonomy, str] = {}  # the first key in order wins
     for key in sorted(lib.taxonomies):
         data_keys.setdefault(lib.taxonomies[key], key)
@@ -663,7 +675,7 @@ def emit_dsl(lib: Library) -> str:
                                         node_ids))
         elif kind == "refinement":
             blocks.append(_emit_refinement(lib, lib.refinements[name], names,
-                                           node_ids, combined_ids_kept))
+                                           node_ids, writable))
         elif kind == "network":
             net = lib.networks[name]
             members = sorted(net.patterns) + sorted(net.refinements)
@@ -802,17 +814,20 @@ def _emit_pattern(data_keys: dict[Taxonomy, str], p: Pattern,
 
 def _emit_refinement(lib: Library, r: Refinement, names: dict[str, str],
                      node_ids: Callable[..., dict[str, str]],
-                     combined_ids_kept: bool) -> str:
+                     writable: Callable[[str], bool] | None) -> str:
     head = (f"refinement {names[r.name]} = {names[r.source.name]} refined to "
             f"{names[r.target.name]}")
     # A combine-defined endpoint's ids are printed as they are, if
-    # re-parsing keeps them and they are names (see emit_dsl); the
-    # others are sanitized.
+    # re-parsing keeps them (``writable`` is None where it does not)
+    # and they are names (see emit_dsl); the others are sanitized.
     src, tgt = (None if p.name in lib.combine_defs else node_ids(p.sorted_ids)
                 for p in (r.source, r.target))
+    pairs = sorted(r.node_map.items())
+    if src is None or tgt is None:
+        kept = chain((a for a, _ in pairs) if src is None else (),
+                     (b for _, b in pairs) if tgt is None else ())
+        if writable is None or not all(map(writable, kept)):
+            return f"{head} end"
     pairs = [(a if src is None else src[a], b if tgt is None else tgt[b])
-             for a, b in sorted(r.node_map.items())]
-    if (src is None or tgt is None) and not (
-            combined_ids_kept and all(map(_writable, chain.from_iterable(pairs)))):
-        return f"{head} end"
+             for a, b in pairs]
     return f"{head} via {', '.join(f'{a} |-> {b}' for a, b in pairs)} end"

@@ -453,6 +453,7 @@ class ReferenceToken:
     value: str
     line: int
     col: int
+    pos: int  # the offset of its first character
 
 
 class ReferenceLexer:
@@ -491,16 +492,16 @@ class ReferenceLexer:
     def _lex(self) -> ReferenceToken:
         self._skip_trivia()
         if self.pos >= len(self.text):
-            return ReferenceToken("eof", "", self.line, self.col)
-        line, col = self.line, self.col
+            return ReferenceToken("eof", "", self.line, self.col, self.pos)
+        line, col, pos = self.line, self.col, self.pos
         for sym in _REF_SYMBOLS:
-            if self.text.startswith(sym, self.pos):
+            if self.text.startswith(sym, pos):
                 self._advance(len(sym))
-                return ReferenceToken(sym, sym, line, col)
-        m = _REF_NAME_RE.match(self.text, self.pos)
+                return ReferenceToken(sym, sym, line, col, pos)
+        m = _REF_NAME_RE.match(self.text, pos)
         if m:
-            self._advance(m.end() - self.pos)
-            return ReferenceToken("name", m.group(0), line, col)
+            self._advance(m.end() - pos)
+            return ReferenceToken("name", m.group(0), line, col, pos)
         raise ParseError(f"unexpected character {self.text[self.pos]!r}",
                          line=line, col=col)
 
@@ -533,7 +534,7 @@ class ReferenceLexer:
         if self.pos == start:
             raise ParseError("expected an ontology reference",
                              line=line, col=col, expected=("CURIE", "IRI"))
-        return ReferenceToken("ontref", self.text[start:self.pos], line, col)
+        return ReferenceToken("ontref", self.text[start:self.pos], line, col, start)
 
     def scan_fragment(self) -> ReferenceToken:
         """Raw text from here to the brace closing the data clause.  A
@@ -556,7 +557,7 @@ class ReferenceLexer:
                 if depth == 0:
                     text = self.text[start:self.pos]
                     self._advance()  # consume the closing brace
-                    return ReferenceToken("fragment", text, line, col)
+                    return ReferenceToken("fragment", text, line, col, start)
             self._advance()
         raise ParseError("unterminated data clause, expected '}'",
                          line=line, col=col, expected=("}",))
@@ -617,7 +618,7 @@ class ReferenceParser:
             else:
                 raise _unexpected(tok, "a declaration",
                                   "pattern", "refinement", "network")
-        return Document(tuple(decls))
+        return Document(tuple(decls), self.lx.text)
 
     def pattern_decl(self) -> PatternDecl:
         kw = self.expect_keyword("pattern")
@@ -675,8 +676,8 @@ class ReferenceParser:
         if self.lx.peek().kind == ":":
             self.lx.next()
             cls = self.expect_name("a class token")
-            return NodeRef(first.value, cls.value, first.line, first.col)
-        return NodeRef(None, first.value, first.line, first.col)
+            return NodeRef(first.value, cls.value, first.pos)
+        return NodeRef(None, first.value, first.pos)
 
     def refinement_decl(self) -> RefinementDecl:
         kw = self.expect_keyword("refinement")

@@ -35,6 +35,22 @@ from nesypat.taxonomy import Taxonomy, default_taxonomy
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "nesypat" / "corpus"
 FIG_DOC = (CORPUS / "semantic_generate_and_train.nesy").read_text()
 EMBEDDING_DOC = (CORPUS / "embedding.nesy").read_text()
+#: A body whose bad reference, put in for ``{bad}``, is second on line 6
+#: at column 16, behind a comment line, CRLF line ends and tabs.
+REFERENCE_ERROR_DOC = (
+    "logic NeSyPatterns\r\n"
+    "pattern Q = data ontohub:NeSyPatterns.omn q : Model; end\r\n"
+    "pattern P = data ontohub:NeSyPatterns.omn %% d : Nope\r\n"
+    "%% x : Model -> x : Model;\r\n"
+    "  d : Deduction ->\td2 : Deduction;\r\n"
+    "\tm : Model ->\t {bad};\r\n"
+    "end\r\n")
+REFERENCE_ERRORS = [
+    ("Frobnicator", UnknownClassError, "unknown class 'Frobnicator'"),
+    ("d : Training", LabelMismatchError,
+     "node 'd' was declared with class 'Deduction' but recurs with 'Training'"),
+    ("m : Model", SelfLoopError, "chain creates a self-loop on node 'm'"),
+]
 # Two inline extensions that differ only in the spaces of a quoted name.
 QUOTED_SPACES_DOC = """logic NeSyPatterns
 pattern A = data { ontohub:NeSyPatterns.omn then Class: 'x  y' SubClassOf: Model }
@@ -74,7 +90,7 @@ class TestParse:
             "Class Embedding SubClassOf: Transformation"
 
     def test_empty_document(self):
-        assert parse("logic NeSyPatterns") == Document(())
+        assert parse("logic NeSyPatterns") == Document((), "logic NeSyPatterns")
 
     def test_comments_ignored(self):
         doc = parse("logic NeSyPatterns %% trailing\n"
@@ -345,6 +361,32 @@ class TestResolve:
             resolve(parse(
                 "logic NeSyPatterns\npattern P = data ontohub:NeSyPatterns.omn\n"
                 "x : Model -> x : Model;\nend"), catalog)
+
+    @pytest.mark.parametrize("bad, error, message", REFERENCE_ERRORS)
+    def test_reference_error_placed_at_its_reference(self, catalog, bad, error,
+                                                     message):
+        with pytest.raises(error) as e:
+            resolve(parse(REFERENCE_ERROR_DOC.format(bad=bad)), catalog)
+        assert type(e.value) is error
+        assert (e.value.message, e.value.line, e.value.col) == (message, 6, 16)
+
+    @pytest.mark.parametrize("bad, error, message", REFERENCE_ERRORS)
+    def test_reference_error_placed_by_check(self, tmp_path, catalog, bad, error,
+                                             message):
+        doc = tmp_path / "bad.nesy"
+        doc.write_bytes(REFERENCE_ERROR_DOC.format(bad=bad).encode())
+        err = io.StringIO()
+        assert cmd_check(str(doc), catalog, err=err) == 1
+        assert err.getvalue() == f"{doc}:6:16: error: {message}\n"
+
+    @pytest.mark.parametrize("bad, error, message", REFERENCE_ERRORS)
+    def test_reference_error_without_text_placed_at_its_declaration(
+            self, catalog, bad, error, message):
+        # A hand-built Document keeps no text to place a reference in.
+        doc = Document(parse(REFERENCE_ERROR_DOC.format(bad=bad)).declarations)
+        with pytest.raises(error) as e:
+            resolve(doc, catalog)
+        assert (e.value.message, e.value.line, e.value.col) == (message, 3, 1)
 
     def test_resolution_is_deterministic(self, catalog):
         a = resolve(parse(FIG_DOC), Catalog.default())

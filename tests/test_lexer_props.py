@@ -150,7 +150,12 @@ def test_body_positions_count_only_newlines():
     # \r, \x85 and \x1c are trivia but start no line.
     text = "logic NeSyPatterns\n" + SPLIT_BODY
     refs = [r for c in parse(text).declarations[0].chains for r in c]
-    assert [r[2:] for r in refs] == [(3, 3), (5, 11), (7, 3), (7, 13)]
+
+    def line_col(offset):
+        before = text[:offset]
+        return before.count("\n") + 1, offset - before.rfind("\n")
+
+    assert [line_col(r.offset) for r in refs] == [(3, 3), (5, 11), (7, 3), (7, 13)]
     assert refs == [r for c in reference_parse(text).declarations[0].chains
                     for r in c]
 
